@@ -5,6 +5,13 @@ block read of the full matrix, and the simplices added between two snapshots
 occupy a contiguous tail block.  The persistent boundary for a snapshot pair
 is the restriction of the later boundary matrix to the kernel of the Diff
 operator, applied through the orthogonal projector onto that kernel.
+
+A boundary is stored once per dimension as a face-index array: row j holds
+the row indices of the q+1 faces of q-simplex j, in the (-1)^i sign order of
+the boundary formula.  The sparse matrix derived from it serves snapshot
+restriction and the oracles; the sweep reads dense Fortran-ordered blocks
+straight from the face indices through :func:`dense_block`, so no sparse
+object is built per snapshot pair.
 """
 
 from __future__ import annotations
@@ -30,6 +37,9 @@ class SparseBoundaryMatrix:
 
     q: int
     matrix: sp.csc_array  # shape (N_{q-1}, N_q); (1, N_0) zero matrix for q=0
+    # (N_q, q+1) face row indices, face i carrying sign (-1)^i; (N_0, 0) for
+    # q=0, whose boundary has no entries
+    faces: np.ndarray
 
     @property
     def shape(self):
@@ -54,23 +64,39 @@ class PersistentBoundary:
 def full_boundary(complex: FilteredComplex, q: int) -> SparseBoundaryMatrix:
     """Boundary matrix of the entire filtration for dimension q."""
     if q == 0:
-        return SparseBoundaryMatrix(0, sp.csc_array((1, complex.n_simplices(0)), dtype=np.int64))
-    n_rows = complex.n_simplices(q - 1)
-    cols = complex.simplices(q)
-    data, rows_idx, cols_idx = [], [], []
-    for j, s in enumerate(cols):
-        sign = 1
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1:]
-            rows_idx.append(complex.index_of(face))
-            cols_idx.append(j)
-            data.append(sign)
-            sign = -sign
+        n = complex.n_simplices(0)
+        return SparseBoundaryMatrix(
+            0, sp.csc_array((1, n), dtype=np.int64), np.empty((n, 0), dtype=np.int64)
+        )
+    face_index = complex._index.get(q - 1, {})
+    faces = np.array(
+        [[face_index[s[:i] + s[i + 1:]] for i in range(q + 1)] for s in complex.simplices(q)],
+        dtype=np.int64,
+    ).reshape(-1, q + 1)
+    n_cols = len(faces)
     m = sp.csc_array(
-        (np.array(data, dtype=np.int64), (rows_idx, cols_idx)),
-        shape=(n_rows, len(cols)),
+        (np.tile(_signs(q + 1), n_cols).astype(np.int64),
+         (faces.ravel(), np.repeat(np.arange(n_cols), q + 1))),
+        shape=(complex.n_simplices(q - 1), n_cols),
     )
-    return SparseBoundaryMatrix(q, m)
+    return SparseBoundaryMatrix(q, m, faces)
+
+
+def _signs(k: int) -> np.ndarray:
+    """(-1)^i for the k faces of a simplex, in boundary-formula order."""
+    return 1.0 - 2.0 * (np.arange(k) % 2)
+
+
+def dense_block(full: SparseBoundaryMatrix, r_lo: int, r_hi: int, c_lo: int, c_hi: int) -> np.ndarray:
+    """Block [r_lo:r_hi, c_lo:c_hi] of the full boundary matrix as a dense
+    float array, Fortran-ordered like a CSC ``toarray()`` so that LAPACK and
+    BLAS see the same memory layout."""
+    out = np.zeros((r_hi - r_lo, c_hi - c_lo), order="F")
+    rows = full.faces[c_lo:c_hi] - r_lo
+    hit = (rows >= 0) & (rows < r_hi - r_lo)
+    cols, pos = np.nonzero(hit)
+    out[rows[hit], cols] = _signs(full.faces.shape[1])[pos]
+    return out
 
 
 def _row_count(q: int, snap: Snapshot) -> int:
@@ -81,7 +107,7 @@ def restrict(full: SparseBoundaryMatrix, snap: Snapshot) -> SparseBoundaryMatrix
     """Top-left block of the full boundary matrix at a snapshot."""
     r = _row_count(full.q, snap)
     c = snap.count(full.q)
-    return SparseBoundaryMatrix(full.q, full.matrix[:r, :][:, :c].tocsc())
+    return SparseBoundaryMatrix(full.q, full.matrix[:r, :][:, :c].tocsc(), full.faces[:c])
 
 
 def _check_order(snap_t: Snapshot, snap_tp: Snapshot) -> None:
@@ -105,6 +131,14 @@ def diff_operator(full: SparseBoundaryMatrix, snap_t: Snapshot, snap_tp: Snapsho
     return sp.vstack([zeros, b[r_t:, :]]).tocsc()
 
 
+def _null_space(a: np.ndarray) -> np.ndarray:
+    """Orthonormal kernel basis by SVD; non-convergence is a LinearSolveFailure."""
+    try:
+        return scipy.linalg.null_space(a)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise LinearSolveFailure(str(exc)) from exc
+
+
 def _kernel_projector_harmonic(d_tail: np.ndarray, down_tail: np.ndarray | None) -> np.ndarray:
     """I - Diff^T (L~)^{-1} Diff on the tail block, with the rank deficiency of
     the difference-complex Laplacian fixed by completing its kernel."""
@@ -114,7 +148,7 @@ def _kernel_projector_harmonic(d_tail: np.ndarray, down_tail: np.ndarray | None)
     lap = d_tail @ d_tail.T
     if down_tail is not None and down_tail.size:
         lap = lap + down_tail.T @ down_tail
-    kernel = scipy.linalg.null_space(lap)
+    kernel = _null_space(lap)
     if kernel.size:
         lap = lap + kernel @ kernel.T
     try:
@@ -144,11 +178,11 @@ def persistent_boundary(
     alpha_p = math.sqrt(snap_tp.alpha_sq) if not math.isinf(snap_tp.alpha_sq) else math.inf
     p = max(alpha_p - alpha, 0.0)
 
-    b_p = restrict(full, snap_tp).matrix
     r_t = _row_count(q, snap_t)
+    r_p = _row_count(q, snap_tp)
     c_t = snap_t.count(q)
     c_p = snap_tp.count(q)
-    b_top = b_p[:r_t, :].toarray().astype(float)
+    b_top = dense_block(full, 0, r_t, 0, c_p)
     if c_p == c_t:
         # no new q-simplices: the projector is the identity and the result is
         # exactly the earlier restriction
@@ -156,18 +190,20 @@ def persistent_boundary(
 
     if method == "auto":
         method = "nullspace" if c_p <= NULLSPACE_COLUMN_CUTOFF else "harmonic-extension"
-    d_tail = b_p[r_t:, c_t:].toarray().astype(float)
+    d_tail = dense_block(full, r_t, r_p, c_t, c_p)
     if d_tail.shape[0] == 0 or not d_tail.any():
         return PersistentBoundary(q, alpha, p, b_top)
     if method == "nullspace":
-        kernel = scipy.linalg.null_space(d_tail)
+        kernel = _null_space(d_tail)
         proj_tail = kernel @ kernel.T
     elif method == "harmonic-extension":
         down_tail = None
         if full_down is not None:
-            down = restrict(full_down, snap_tp).matrix
-            r_down = _row_count(full_down.q, snap_t)
-            down_tail = down[r_down:, r_t:].toarray().astype(float)
+            down_tail = dense_block(
+                full_down,
+                _row_count(full_down.q, snap_t), _row_count(full_down.q, snap_tp),
+                r_t, r_p,
+            )
         proj_tail = _kernel_projector_harmonic(d_tail, down_tail)
     else:
         raise ValueError(f"unknown method {method!r}")

@@ -12,13 +12,13 @@ import scipy.sparse.linalg
 
 from .boundary import (
     PersistentBoundary,
-    SparseBoundaryMatrix,
+    _row_count,
+    dense_block,
     full_boundary,
     persistent_boundary,
-    restrict,
 )
 from .errors import DimensionMismatch, EigensolveFailure, PslapError
-from .simplices import REL_TOL, FilteredComplex, snapshot
+from .simplices import REL_TOL, FilteredComplex, Snapshot, snapshot
 
 
 @dataclass(frozen=True)
@@ -67,18 +67,21 @@ class SpectrumRecord:
     flags: tuple[str, ...] = field(default=())
 
 
-def assemble_laplacian(bq: SparseBoundaryMatrix, bq1p: PersistentBoundary) -> PersistentLaplacian:
-    """L_q = B_{q+1}^{a,p} (B_{q+1}^{a,p})^T + (B_q^a)^T B_q^a."""
+def assemble_laplacian(bq: np.ndarray, bq1p: PersistentBoundary) -> PersistentLaplacian:
+    """L_q = B_{q+1}^{a,p} (B_{q+1}^{a,p})^T + (B_q^a)^T B_q^a, with B_q^a a
+    dense block; its integer Gram matrix is exact in floating point."""
     n = bq.shape[1]
     if bq1p.matrix.shape[0] != n:
         raise DimensionMismatch(
             f"up-term rows {bq1p.matrix.shape[0]} != down-term columns {n}"
         )
     up = bq1p.matrix @ bq1p.matrix.T
-    down = (bq.matrix.T @ bq.matrix).toarray().astype(float)
+    down = bq.T @ bq
     lap = up + down
     lap = 0.5 * (lap + lap.T)
-    return PersistentLaplacian(matrix=lap, q=bq.q, alpha=bq1p.alpha, p=bq1p.p, n_up=bq1p.matrix.shape[1])
+    return PersistentLaplacian(
+        matrix=lap, q=bq1p.q - 1, alpha=bq1p.alpha, p=bq1p.p, n_up=bq1p.matrix.shape[1]
+    )
 
 
 def _dense_spectrum(lap: PersistentLaplacian, policy: SolverPolicy) -> SpectrumRecord:
@@ -157,6 +160,16 @@ def spectrum(lap: PersistentLaplacian, policy: SolverPolicy = DEFAULT_POLICY, k_
     return _iterative_spectrum(lap, policy, k_hint)
 
 
+def _snapshot(complex: FilteredComplex, alpha: float, cache: dict) -> Snapshot:
+    """snapshot() memoised in a sweep's cache, so each distinct alpha is
+    resolved once however many (q, alpha) jobs touch it."""
+    key = ("snap", alpha)
+    snap = cache.get(key)
+    if snap is None:
+        snap = cache[key] = snapshot(complex, alpha)
+    return snap
+
+
 def persistent_laplacian(
     complex: FilteredComplex,
     q: int,
@@ -166,9 +179,9 @@ def persistent_laplacian(
     _cache: dict | None = None,
 ) -> PersistentLaplacian:
     """Assemble L_q^{alpha,p} from the complex."""
-    snap_t = snapshot(complex, alpha)
-    snap_tp = snapshot(complex, alpha + p)
     cache = _cache if _cache is not None else {}
+    snap_t = _snapshot(complex, alpha, cache)
+    snap_tp = _snapshot(complex, alpha + p, cache)
 
     def full(dim):
         key = ("full", dim)
@@ -176,7 +189,7 @@ def persistent_laplacian(
             cache[key] = full_boundary(complex, dim)
         return cache[key]
 
-    bq = restrict(full(q), snap_t)
+    bq = dense_block(full(q), 0, _row_count(q, snap_t), 0, snap_t.count(q))
     bq1p = persistent_boundary(full(q + 1), snap_t, snap_tp, method=method, full_down=full(q))
     lap = assemble_laplacian(bq, bq1p)
     return PersistentLaplacian(lap.matrix, q, alpha, p, lap.n_up)
@@ -210,14 +223,14 @@ def sweep(
     """
     alphas = sorted(float(a) for a in alphas)
     q_list = sorted(set(int(q) for q in q_list))
-    full_cache: dict = {}
+    cache: dict = {}  # full boundaries and snapshots, shared by every job
     jobs = [(q, a) for q in q_list for a in alphas]
     results: list = [None] * len(jobs)
     sig_cache: dict = {}
 
     def signature(q, a):
-        s_t = snapshot(complex, a)
-        s_p = snapshot(complex, a + p)
+        s_t = _snapshot(complex, a, cache)
+        s_p = _snapshot(complex, a + p, cache)
         return (q, s_t.counts, s_p.counts)
 
     def run(idx):
@@ -232,11 +245,11 @@ def sweep(
             )
             return
         try:
-            lap = persistent_laplacian(complex, q, a, p, method=method, _cache=full_cache)
+            lap = persistent_laplacian(complex, q, a, p, method=method, _cache=cache)
             rec = spectrum(lap, policy)
         except PslapError as exc:
             results[idx] = SpectrumRecord(
-                q, a, p, (), 0, None, snapshot(complex, a).count(q),
+                q, a, p, (), 0, None, _snapshot(complex, a, cache).count(q),
                 flags=("failed:" + type(exc).__name__,),
             )
             return

@@ -8,13 +8,16 @@ from conftest import random_cloud
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.boundary import (
     _kernel_projector_harmonic,
+    _row_count,
+    dense_block,
     diff_operator,
     full_boundary,
     persistent_boundary,
     restrict,
 )
-from pslap.errors import SnapshotOrderViolation
+from pslap.errors import LinearSolveFailure, SnapshotOrderViolation
 from pslap.simplices import build_complex, snapshot
+from pslap.spectra import sweep
 
 TABLE1_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (0, 4)]
 TABLE1_B1 = np.array(
@@ -87,6 +90,46 @@ def test_restrict_blocks(six_complex):
     assert (everything.matrix != full.matrix).nnz == 0
 
 
+def _snapshot_pairs(c):
+    crit = critical_alphas(c)
+    snaps = [snapshot(c, a) for a in (crit[0], crit[len(crit) // 3], crit[-1], math.inf)]
+    return [(s_t, s_tp) for i, s_t in enumerate(snaps) for s_tp in snaps[i:]]
+
+
+def test_dense_block_matches_sparse_blocks(six_complex):
+    cloud = alpha_complex(random_cloud(51, 12, 3), seed=51)
+    for c in (six_complex, cloud):
+        for q in range(4):
+            full = full_boundary(c, q)
+            for s_t, s_tp in _snapshot_pairs(c):
+                r_t, r_p = _row_count(q, s_t), _row_count(q, s_tp)
+                c_t, c_p = s_t.count(q), s_tp.count(q)
+                for s in (s_t, s_tp):
+                    block = dense_block(full, 0, _row_count(q, s), 0, s.count(q))
+                    assert block.dtype == np.float64 and block.flags.f_contiguous
+                    assert np.array_equal(block, restrict(full, s).matrix.toarray())
+                # Diff is zero outside its tail rows, and earlier simplices
+                # have no faces among the later rows
+                diff = diff_operator(full, s_t, s_tp).toarray()
+                assert not diff[:r_t].any() and not diff[:, :c_t].any()
+                tail = dense_block(full, r_t, r_p, c_t, c_p)
+                assert tail.shape == (r_p - r_t, c_p - c_t) and tail.flags.f_contiguous
+                assert np.array_equal(tail, diff[r_t:, c_t:])
+                top = dense_block(full, 0, r_t, 0, c_p)
+                assert np.array_equal(top, restrict(full, s_tp).matrix.toarray()[:r_t])
+
+
+def test_dense_block_empty_and_q0(six_complex):
+    full0 = full_boundary(six_complex, 0)
+    assert full0.faces.shape == (6, 0)
+    assert np.array_equal(dense_block(full0, 0, 1, 0, 6), np.zeros((1, 6)))
+    full1 = full_boundary(six_complex, 1)
+    assert full1.faces.shape == (full1.shape[1], 2)
+    assert dense_block(full1, 3, 3, 0, 5).shape == (0, 5)
+    assert dense_block(full1, 0, 6, 4, 4).shape == (6, 0)
+    assert dense_block(full1, 2, 2, 4, 4).shape == (0, 0)
+
+
 def test_diff_operator_p0_is_zero(six_complex):
     snap = snapshot(six_complex, 0.6)
     d = diff_operator(full_boundary(six_complex, 1), snap, snap)
@@ -103,12 +146,17 @@ def test_diff_operator_table2_case(six_complex):
     assert d.count_nonzero() == 0
 
 
-def test_diff_operator_two_edges():
-    # edge e2 has an endpoint appearing only at alpha+p: its column survives
-    c = build_complex(
+def _two_edge_complex():
+    # vertex 3 and edge (2, 3) appear only at alpha = 2
+    return build_complex(
         [(0,), (1,), (2,), (3,), (0, 1), (2, 3)],
         {(0,): 0.0, (1,): 0.0, (2,): 0.0, (3,): 4.0, (0, 1): 1.0, (2, 3): 4.0},
     )
+
+
+def test_diff_operator_two_edges():
+    # edge e2 has an endpoint appearing only at alpha+p: its column survives
+    c = _two_edge_complex()
     s_t = snapshot(c, 1.0)
     s_tp = snapshot(c, 2.0)
     d = diff_operator(full_boundary(c, 1), s_t, s_tp).toarray()
@@ -144,6 +192,25 @@ def test_persistent_boundary_table2(six_complex):
     )
     b_full = restrict(full_boundary(six_complex, 1), snapshot(six_complex, 0.6))
     assert np.array_equal(pb.matrix, b_full.matrix.toarray())
+
+
+def test_null_space_failure_is_typed(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise scipy.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(scipy.linalg, "null_space", no_convergence)
+    c = _two_edge_complex()
+    full = full_boundary(c, 1)
+    s_t, s_tp = snapshot(c, 1.0), snapshot(c, 2.0)
+    with pytest.raises(LinearSolveFailure):
+        persistent_boundary(full, s_t, s_tp, method="nullspace")
+    with pytest.raises(LinearSolveFailure):
+        persistent_boundary(
+            full, s_t, s_tp, method="harmonic-extension", full_down=full_boundary(c, 0)
+        )
+    for method in ("nullspace", "harmonic-extension"):
+        (rec,) = sweep(c, [0], [1.0], p=1.0, method=method)
+        assert rec.flags == ("failed:LinearSolveFailure",)
 
 
 def test_projector_idempotent_and_symmetric():

@@ -72,6 +72,24 @@ def test_spectra_threads_same_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_spectra_golden_bytes(tmp_path):
+    # a 20-point 3D cloud is large enough for a change in the rounding of the
+    # projector or the assembly (such as a block's memory order) to reach the
+    # last digits of the output; the smaller fixtures do not show it
+    import json
+
+    out = tmp_path / "s.csv"
+    js = tmp_path / "s.json"
+    assert run(
+        "spectra", "--input", str(DATA / "cloud20_3d.xyz"), "--critical",
+        "--q", "0,1,2", "--p", "0.3", "--out", str(out), "--json", str(js),
+    ) == 0
+    assert out.read_bytes() == (DATA / "cloud20_3d_q012_p0.3.csv").read_bytes()
+    # metadata embeds the input path, so only the records are compared
+    golden = json.loads((DATA / "cloud20_3d_q012_p0.3_records.json").read_text())
+    assert json.loads(js.read_text())["records"] == golden
+
+
 def test_spectra_json_and_svg(tmp_path):
     import json
 

@@ -77,7 +77,7 @@ def test_psd_and_symmetry(six_complex):
 
 def test_assemble_dimension_mismatch(six_complex):
     snap = snapshot(six_complex, 0.6)
-    b1 = restrict(full_boundary(six_complex, 1), snap)
+    b1 = restrict(full_boundary(six_complex, 1), snap).matrix.toarray()
     pb = persistent_boundary(full_boundary(six_complex, 1), snap, snap)
     with pytest.raises(DimensionMismatch):
         assemble_laplacian(b1, pb)  # up-term rows are edge-counted, not q+1
