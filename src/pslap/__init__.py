@@ -1,13 +1,11 @@
 """Persistent spectral Laplacians of point clouds over alpha-complex filtrations."""
 
-from .alpha import alpha_complex, assign_filtration, critical_alphas, is_gabriel
+from .alpha import alpha_complex, assign_filtration, critical_alphas
 from .boundary import (
     PersistentBoundary,
     SparseBoundaryMatrix,
-    diff_operator,
     full_boundary,
     persistent_boundary,
-    restrict,
 )
 from .dataio import (
     read_pdb_ca,
@@ -21,11 +19,10 @@ from .geometry import (
     Circumsphere,
     PointSet,
     delaunay,
-    in_sphere,
     min_circumsphere,
     orientation,
 )
-from .oracle import Barcode, BettiOracle, betti_from_barcode, exact_rank_betti, reduce
+from .oracle import Barcode, BettiOracle, betti_from_barcode, reduce
 from .simplices import (
     FilteredComplex,
     Simplex,
@@ -71,12 +68,8 @@ __all__ = [
     "critical_alphas",
     "delaunay",
     "detect_anomalies",
-    "diff_operator",
     "euler_characteristic",
-    "exact_rank_betti",
     "full_boundary",
-    "in_sphere",
-    "is_gabriel",
     "min_circumsphere",
     "orientation",
     "persistent_boundary",
@@ -85,7 +78,6 @@ __all__ = [
     "read_spectra_csv",
     "read_xyz",
     "reduce",
-    "restrict",
     "snapshot",
     "spectrum",
     "spectrum_at",

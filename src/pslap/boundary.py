@@ -26,10 +26,6 @@ import scipy.sparse as sp
 from .errors import LinearSolveFailure, SnapshotOrderViolation
 from .simplices import FilteredComplex, Snapshot
 
-# columns above this count switch the default projector construction from the
-# dense nullspace route to the gauge-fixed linear-solve route
-NULLSPACE_COLUMN_CUTOFF = 2000
-
 
 @dataclass
 class SparseBoundaryMatrix:
@@ -131,46 +127,26 @@ def diff_operator(full: SparseBoundaryMatrix, snap_t: Snapshot, snap_tp: Snapsho
     return sp.vstack([zeros, b[r_t:, :]]).tocsc()
 
 
-def _null_space(a: np.ndarray) -> np.ndarray:
-    """Orthonormal kernel basis by SVD; non-convergence is a LinearSolveFailure."""
+def _kernel_projector(d_tail: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto ker(d_tail) through an orthonormal kernel
+    basis from the SVD; non-convergence is a LinearSolveFailure."""
     try:
-        return scipy.linalg.null_space(a)
+        kernel = scipy.linalg.null_space(d_tail)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise LinearSolveFailure(str(exc)) from exc
-
-
-def _kernel_projector_harmonic(d_tail: np.ndarray, down_tail: np.ndarray | None) -> np.ndarray:
-    """I - Diff^T (L~)^{-1} Diff on the tail block, with the rank deficiency of
-    the difference-complex Laplacian fixed by completing its kernel."""
-    n = d_tail.shape[1]
-    if d_tail.shape[0] == 0 or not d_tail.any():
-        return np.eye(n)
-    lap = d_tail @ d_tail.T
-    if down_tail is not None and down_tail.size:
-        lap = lap + down_tail.T @ down_tail
-    kernel = _null_space(lap)
-    if kernel.size:
-        lap = lap + kernel @ kernel.T
-    try:
-        f = scipy.linalg.solve(lap, d_tail, assume_a="pos")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise LinearSolveFailure(str(exc)) from exc
-    return np.eye(n) - d_tail.T @ f
+    return kernel @ kernel.T
 
 
 def persistent_boundary(
     full: SparseBoundaryMatrix,
     snap_t: Snapshot,
     snap_tp: Snapshot,
-    method: str = "auto",
-    full_down: SparseBoundaryMatrix | None = None,
 ) -> PersistentBoundary:
     """Persistent boundary matrix for the snapshot pair.
 
-    method: 'nullspace' projects through an orthonormal kernel basis of the
-    Diff operator; 'harmonic-extension' applies the gauge-fixed inverse of
-    the difference-complex Laplacian; 'auto' picks by column count.  Both
-    yield the same operator up to roundoff.
+    The columns of q-simplices added after the earlier snapshot are projected
+    onto the kernel of the Diff operator through an orthonormal basis of that
+    kernel.
     """
     _check_order(snap_t, snap_tp)
     q = full.q
@@ -188,26 +164,9 @@ def persistent_boundary(
         # exactly the earlier restriction
         return PersistentBoundary(q, alpha, p, b_top)
 
-    if method == "auto":
-        method = "nullspace" if c_p <= NULLSPACE_COLUMN_CUTOFF else "harmonic-extension"
     d_tail = dense_block(full, r_t, r_p, c_t, c_p)
     if d_tail.shape[0] == 0 or not d_tail.any():
         return PersistentBoundary(q, alpha, p, b_top)
-    if method == "nullspace":
-        kernel = _null_space(d_tail)
-        proj_tail = kernel @ kernel.T
-    elif method == "harmonic-extension":
-        down_tail = None
-        if full_down is not None:
-            down_tail = dense_block(
-                full_down,
-                _row_count(full_down.q, snap_t), _row_count(full_down.q, snap_tp),
-                r_t, r_p,
-            )
-        proj_tail = _kernel_projector_harmonic(d_tail, down_tail)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-
     out = b_top.copy()
-    out[:, c_t:] = b_top[:, c_t:] @ proj_tail
+    out[:, c_t:] = b_top[:, c_t:] @ _kernel_projector(d_tail)
     return PersistentBoundary(q, alpha, p, out)

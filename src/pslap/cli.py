@@ -58,16 +58,6 @@ def _add_grid_args(p: argparse.ArgumentParser) -> None:
                    help="evaluate at the critical alpha values instead of the grid")
 
 
-def _default_threads() -> int:
-    env = os.environ.get("PSLAP_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
 def _load_points(args) -> dataio.PointSet:
     fmt = args.format
     if fmt is None:
@@ -95,10 +85,7 @@ def _parse_q(text: str) -> list[int]:
 def cmd_spectra(args) -> int:
     points, complex = _build(args)
     alphas = _alpha_values(args, complex)
-    records = sweep(
-        complex, _parse_q(args.q), alphas, p=args.p,
-        threads=args.threads,
-    )
+    records = sweep(complex, _parse_q(args.q), alphas, p=args.p)
     dataio.write_spectra_csv(records, args.out)
     if args.json:
         meta = {
@@ -133,7 +120,7 @@ def cmd_validate(args) -> int:
     failures = 0
     for q in q_list:
         for p in p_values:
-            records = sweep(complex, [q], crit, p=p, threads=args.threads)
+            records = sweep(complex, [q], crit, p=p)
             bad = 0
             for rec in records:
                 b_bar = betti_from_barcode(barcode, q, rec.alpha, p)
@@ -188,14 +175,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="spectra.csv", help="output CSV path")
     p.add_argument("--json", default=None, help="optional JSON output (with eigenvalues)")
     p.add_argument("--svg", default=None, help="optional SVG curve plot path")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=cmd_spectra)
 
     p = sub.add_parser("validate", help="triple-oracle agreement check")
     _add_input_args(p)
     p.add_argument("--q", default="0,1,2")
     p.add_argument("--p", default="0", help="comma-separated persistence values")
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("anomaly", help="report abnormally close vertex pairs")

@@ -209,7 +209,13 @@ def min_circumsphere(simplex_points) -> Circumsphere:
     if _gram_det_exact(pts) == 0:
         raise DegenerateSimplex("affinely dependent circumsphere input")
     b = np.einsum("ij,ij->i", V, V)
-    t = np.linalg.solve(G, b)
+    try:
+        t = np.linalg.solve(G, b)
+    except np.linalg.LinAlgError:
+        # a needle simplex can pass the exact test and still be singular in
+        # floating point
+        center, r2 = _circumsphere_exact(pts.tolist())
+        return Circumsphere(center=np.array(center, dtype=float), radius_sq=float(r2))
     offset = t @ V
     return Circumsphere(center=pts[0] + offset, radius_sq=float(offset @ offset))
 

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -119,7 +118,7 @@ def _record_from_eigs(lap, eigs, policy, partial, lambda_max=None) -> SpectrumRe
     )
 
 
-def _iterative_spectrum(lap: PersistentLaplacian, policy: SolverPolicy, k_hint=None) -> SpectrumRecord:
+def _iterative_spectrum(lap: PersistentLaplacian, policy: SolverPolicy) -> SpectrumRecord:
     """Shift-invert Lanczos for the lowest eigenvalues of a large Laplacian."""
     n = lap.n_simplices
     mat = sp.csc_array(lap.matrix)
@@ -130,7 +129,7 @@ def _iterative_spectrum(lap: PersistentLaplacian, policy: SolverPolicy, k_hint=N
     except scipy.sparse.linalg.ArpackError as exc:
         raise EigensolveFailure(str(exc)) from exc
     tau = policy.zero_threshold(max(lambda_max, 0.0))
-    k = min(n - 1, max(policy.extra_k, (k_hint or 0) + policy.extra_k))
+    k = min(n - 1, policy.extra_k)
     while True:
         try:
             eigs = scipy.sparse.linalg.eigsh(
@@ -145,7 +144,7 @@ def _iterative_spectrum(lap: PersistentLaplacian, policy: SolverPolicy, k_hint=N
     return _record_from_eigs(lap, eigs, policy, partial=len(eigs) < n, lambda_max=lambda_max)
 
 
-def spectrum(lap: PersistentLaplacian, policy: SolverPolicy = DEFAULT_POLICY, k_hint=None) -> SpectrumRecord:
+def spectrum(lap: PersistentLaplacian, policy: SolverPolicy = DEFAULT_POLICY) -> SpectrumRecord:
     """Eigenvalues of the persistent Laplacian with zero/nonzero separation.
 
     Matrices up to the policy's dense cutoff get a full symmetric
@@ -157,7 +156,7 @@ def spectrum(lap: PersistentLaplacian, policy: SolverPolicy = DEFAULT_POLICY, k_
         return SpectrumRecord(lap.q, lap.alpha, lap.p, (), 0, None, 0)
     if n <= policy.dense_cutoff:
         return _dense_spectrum(lap, policy)
-    return _iterative_spectrum(lap, policy, k_hint)
+    return _iterative_spectrum(lap, policy)
 
 
 def _snapshot(complex: FilteredComplex, alpha: float, cache: dict) -> Snapshot:
@@ -175,7 +174,6 @@ def persistent_laplacian(
     q: int,
     alpha: float,
     p: float = 0.0,
-    method: str = "auto",
     _cache: dict | None = None,
 ) -> PersistentLaplacian:
     """Assemble L_q^{alpha,p} from the complex."""
@@ -190,7 +188,7 @@ def persistent_laplacian(
         return cache[key]
 
     bq = dense_block(full(q), 0, _row_count(q, snap_t), 0, snap_t.count(q))
-    bq1p = persistent_boundary(full(q + 1), snap_t, snap_tp, method=method, full_down=full(q))
+    bq1p = persistent_boundary(full(q + 1), snap_t, snap_tp)
     lap = assemble_laplacian(bq, bq1p)
     return PersistentLaplacian(lap.matrix, q, alpha, p, lap.n_up)
 
@@ -200,10 +198,9 @@ def spectrum_at(
     q: int,
     alpha: float,
     p: float = 0.0,
-    method: str = "auto",
     policy: SolverPolicy = DEFAULT_POLICY,
 ) -> SpectrumRecord:
-    return spectrum(persistent_laplacian(complex, q, alpha, p, method=method), policy)
+    return spectrum(persistent_laplacian(complex, q, alpha, p), policy)
 
 
 def sweep(
@@ -211,9 +208,7 @@ def sweep(
     q_list,
     alphas,
     p: float = 0.0,
-    method: str = "auto",
     policy: SolverPolicy = DEFAULT_POLICY,
-    threads: int = 1,
 ) -> list[SpectrumRecord]:
     """One SpectrumRecord per (q, alpha), sorted by (q, alpha).
 
@@ -223,49 +218,25 @@ def sweep(
     """
     alphas = sorted(float(a) for a in alphas)
     q_list = sorted(set(int(q) for q in q_list))
-    cache: dict = {}  # full boundaries and snapshots, shared by every job
-    jobs = [(q, a) for q in q_list for a in alphas]
-    results: list = [None] * len(jobs)
-    sig_cache: dict = {}
-
-    def signature(q, a):
-        s_t = _snapshot(complex, a, cache)
-        s_p = _snapshot(complex, a + p, cache)
-        return (q, s_t.counts, s_p.counts)
-
-    def run(idx):
-        q, a = jobs[idx]
-        sig = signature(q, a)
-        hit = sig_cache.get(sig)
-        if hit is not None:
-            rec = hit
-            results[idx] = SpectrumRecord(
-                q, a, p, rec.eigenvalues, rec.betti, rec.lambda_min_nonzero,
-                rec.n_simplices, rec.flags,
-            )
-            return
-        try:
-            lap = persistent_laplacian(complex, q, a, p, method=method, _cache=cache)
-            rec = spectrum(lap, policy)
-        except PslapError as exc:
-            results[idx] = SpectrumRecord(
-                q, a, p, (), 0, None, _snapshot(complex, a, cache).count(q),
-                flags=("failed:" + type(exc).__name__,),
-            )
-            return
-        sig_cache[sig] = rec
-        results[idx] = SpectrumRecord(
-            q, a, p, rec.eigenvalues, rec.betti, rec.lambda_min_nonzero,
-            rec.n_simplices, rec.flags,
-        )
-
-    if threads > 1:
-        # thread-safe: caches only ever grow and recomputation is harmless
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(len(jobs))))
-    else:
-        for i in range(len(jobs)):
-            run(i)
+    cache: dict = {}  # full boundaries and snapshots, shared by every record
+    sig_cache: dict = {}  # (q, counts at alpha, counts at alpha + p) -> record
+    results = []
+    for q in q_list:
+        for a in alphas:
+            snap_t = _snapshot(complex, a, cache)
+            sig = (q, snap_t.counts, _snapshot(complex, a + p, cache).counts)
+            rec = sig_cache.get(sig)
+            if rec is None:
+                try:
+                    rec = sig_cache[sig] = spectrum(
+                        persistent_laplacian(complex, q, a, p, _cache=cache), policy
+                    )
+                except PslapError as exc:
+                    rec = SpectrumRecord(
+                        q, a, p, (), 0, None, snap_t.count(q),
+                        flags=("failed:" + type(exc).__name__,),
+                    )
+            results.append(replace(rec, alpha=a))
     return results
 
 

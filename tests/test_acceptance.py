@@ -10,7 +10,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import random_cloud
+from conftest import harmonic_eigenvalues, random_cloud
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.boundary import full_boundary
 from pslap.cli import main
@@ -140,7 +140,7 @@ CLOUDS_5 = [(300 + i, 8 + (i * 5) % 13, 2 if i % 2 == 0 else 3) for i in range(2
 
 
 def test_criterion_5_cross_method_spectra():
-    with criterion(5, 120.0, "nullspace vs harmonic-extension spectra agree to rel 1e-8"):
+    with criterion(5, 120.0, "spectra agree with the harmonic-extension reference to rel 1e-8"):
         for seed, n, d in CLOUDS_5:
             pts = random_cloud(seed, n, d)
             cx = alpha_complex(pts, seed=seed)
@@ -150,14 +150,12 @@ def test_criterion_5_cross_method_spectra():
             a = float(rng.choice(crit[: max(1, len(crit) // 2)]))
             p = float(span * rng.uniform(0.3, 0.9))
             for q in range(0, min(cx.max_dim, 2) + 1):
-                r1 = spectrum_at(cx, q, a, p, method="nullspace")
-                r2 = spectrum_at(cx, q, a, p, method="harmonic-extension")
-                assert r1.n_simplices == r2.n_simplices
+                r1 = spectrum_at(cx, q, a, p)
+                ref = harmonic_eigenvalues(cx, q, a, p)
+                assert r1.n_simplices == len(ref)
                 if r1.eigenvalues:
                     scale = max(1.0, r1.eigenvalues[-1])
-                    diff = max(
-                        abs(x - y) for x, y in zip(r1.eigenvalues, r2.eigenvalues)
-                    )
+                    diff = max(abs(x - y) for x, y in zip(r1.eigenvalues, ref))
                     assert diff <= 1e-8 * scale, (seed, q, a, p, diff)
 
 

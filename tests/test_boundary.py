@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_cloud
+from conftest import harmonic_persistent_boundary, harmonic_projector, random_cloud
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.boundary import (
-    _kernel_projector_harmonic,
+    _kernel_projector,
     _row_count,
     dense_block,
     diff_operator,
@@ -203,26 +203,19 @@ def test_null_space_failure_is_typed(monkeypatch):
     full = full_boundary(c, 1)
     s_t, s_tp = snapshot(c, 1.0), snapshot(c, 2.0)
     with pytest.raises(LinearSolveFailure):
-        persistent_boundary(full, s_t, s_tp, method="nullspace")
-    with pytest.raises(LinearSolveFailure):
-        persistent_boundary(
-            full, s_t, s_tp, method="harmonic-extension", full_down=full_boundary(c, 0)
-        )
-    for method in ("nullspace", "harmonic-extension"):
-        (rec,) = sweep(c, [0], [1.0], p=1.0, method=method)
-        assert rec.flags == ("failed:LinearSolveFailure",)
+        persistent_boundary(full, s_t, s_tp)
+    (rec,) = sweep(c, [0], [1.0], p=1.0)
+    assert rec.flags == ("failed:LinearSolveFailure",)
 
 
 def test_projector_idempotent_and_symmetric():
     rng = np.random.default_rng(0)
     for d_rows, d_cols in [(4, 7), (6, 3), (5, 5)]:
         d_tail = rng.integers(-1, 2, size=(d_rows, d_cols)).astype(float)
-        kernel = scipy.linalg.null_space(d_tail)
-        proj = kernel @ kernel.T
+        proj = _kernel_projector(d_tail)
         assert np.allclose(proj @ proj, proj, atol=1e-10)
         assert np.allclose(proj, proj.T, atol=1e-10)
-        harm = _kernel_projector_harmonic(d_tail, None)
-        assert np.allclose(harm, proj, atol=1e-9)
+        assert np.allclose(harmonic_projector(d_tail), proj, atol=1e-9)
 
 
 def test_persistent_rank_matches_exact_formula():
@@ -258,12 +251,8 @@ def test_methods_agree_on_random_clouds():
         p = float(span * 0.5)
         s_t, s_tp = snapshot(c, a), snapshot(c, a + p)
         for q in range(1, c.max_dim + 1):
-            full = full_boundary(c, q)
-            down = full_boundary(c, q - 1)
-            m1 = persistent_boundary(full, s_t, s_tp, method="nullspace").matrix
-            m2 = persistent_boundary(
-                full, s_t, s_tp, method="harmonic-extension", full_down=down
-            ).matrix
+            m1 = persistent_boundary(full_boundary(c, q), s_t, s_tp).matrix
+            m2 = harmonic_persistent_boundary(c, q, s_t, s_tp)
             assert m1.shape == m2.shape
             assert np.allclose(m1, m2, atol=1e-8)
             # columns are coordinates in the alpha+p basis, rows in the alpha one

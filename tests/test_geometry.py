@@ -91,6 +91,10 @@ def test_min_circumsphere_examples():
     assert np.allclose(cs.center, (2, -3.75)) and np.isclose(cs.radius_sq, 18.0625)
     cs = min_circumsphere([(5.0, 6.0)])
     assert cs.radius_sq == 0.0
+    # needle triangle: affinely independent in exact arithmetic, singular to
+    # the floating-point solve
+    cs = min_circumsphere([(0, 0, 0), (1, 0, 0), (2, 1e-9, 0)])
+    assert np.allclose(cs.center, (0.5, 1e9, 0)) and np.isclose(cs.radius_sq, 1e18)
 
 
 def test_min_circumsphere_equidistance_property():

@@ -135,13 +135,6 @@ def test_sweep_grid_vs_critical_consistency(six_complex):
         assert grid_recs[(q, a)].betti == rc.betti
 
 
-def test_sweep_threads_do_not_change_results(six_complex):
-    crit = critical_alphas(six_complex)
-    one = sweep(six_complex, [0, 1, 2], crit, p=0.2, threads=1)
-    four = sweep(six_complex, [0, 1, 2], crit, p=0.2, threads=4)
-    assert one == four
-
-
 def test_sweep_identical_between_critical_values(six_complex):
     # no critical value lies in (0.46, 0.50): records there must coincide
     crit = critical_alphas(six_complex)
