@@ -78,14 +78,31 @@ def _alpha_values(args, complex) -> np.ndarray:
     return dataio._grid(args.alpha_min, args.alpha_max, args.step)
 
 
+def _parse_list(option: str, text: str, convert) -> list:
+    try:
+        return [convert(t) for t in text.split(",") if t != ""]
+    except ValueError:
+        raise ParseError(f"{option}: cannot parse {text!r}") from None
+
+
 def _parse_q(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t != ""]
+    q_list = _parse_list("--q", text, int)
+    if any(q < 0 for q in q_list):
+        raise ParseError(f"--q: dimensions must be non-negative, got {text!r}")
+    return q_list
+
+
+def _check_p(p: float) -> float:
+    if not (math.isfinite(p) and p >= 0):
+        raise ParseError(f"--p: persistence must be finite and non-negative, got {p}")
+    return p
 
 
 def cmd_spectra(args) -> int:
+    q_list, p = _parse_q(args.q), _check_p(args.p)
     points, complex = _build(args)
     alphas = _alpha_values(args, complex)
-    records = sweep(complex, _parse_q(args.q), alphas, p=args.p)
+    records = sweep(complex, q_list, alphas, p=p)
     dataio.write_spectra_csv(records, args.out)
     if args.json:
         meta = {
@@ -110,12 +127,12 @@ def cmd_spectra(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    q_list = _parse_q(args.q)
+    p_values = [_check_p(p) for p in _parse_list("--p", args.p, float)]
     points, complex = _build(args)
     crit = critical_alphas(complex)
-    p_values = [float(t) for t in args.p.split(",")]
     barcode = reduce(complex)
     oracle = BettiOracle(complex)
-    q_list = _parse_q(args.q)
     print("q     p        alphas  mismatches  status")
     failures = 0
     for q in q_list:

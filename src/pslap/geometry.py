@@ -1,18 +1,43 @@
 """Geometric predicates, circumspheres, and Delaunay tessellation in 2D/3D.
 
-Predicates are evaluated with a floating-point filter backed by an exact
-rational fallback, so a sign is never wrong due to rounding.  Cospherical
-degeneracies are broken by a symbolic perturbation of the lifted weights
-(point i lowered by an infinitesimal eps**(n-i), so the highest-index point
-dominates ties); the tessellation built from the perturbed predicate is the
-regular triangulation of the perturbed lift and is therefore independent of
-insertion order.
+Every predicate sign comes from one kernel, ``_exact_signs``, applied to two
+polynomials in the coordinate differences ``p_i - a`` from a base point ``a``:
+
+- the orientation determinant (2x2 or 3x3), and
+- the Gram signs of k+1 points, k = 1..d: ``det(G)``, positive iff the points
+  are affinely independent, and the power ``b_q^T adj(G) b - det(G)|q - a|^2``
+  of a query q, positive iff q lies strictly inside the minimal circumsphere.
+  G is the Gram matrix of the edge vectors from a, b its diagonal and b_q the
+  dot products of q - a with the edge vectors.
+
+Each polynomial is closed-form straight-line code in ``+``, ``*`` and a
+subtraction passed in as ``sub``, so one body evaluates the float value, its
+magnitude (leaves replaced by their absolute values, ``sub`` by addition) and,
+when needed, the exact value in ``Fraction``.  The float sign is accepted when
+``|value| > 2**-48 * magnitude``.  The bound: with unit roundoff u = 2**-53,
+count the roundings on the worst path from a leaf to the result, one for each
+coordinate difference, addition and subtraction, and for a product the sum of
+both factors' counts plus one.  The deepest polynomial, the power for k = 3,
+has D = 29.  Expanding the expression into monomials, each picks up at most D
+factors (1 + delta), |delta| <= u, so the float value differs from the exact
+one by at most gamma_D = D*u / (1 - D*u) times the exact magnitude, and the
+float magnitude is at least (1 - u)**D times the exact one; 32u covers both and
+the rounding of the bound itself.  This assumes no product underflows, which holds when every
+nonzero coordinate difference exceeds 1e-30 in magnitude (the polynomials have
+degree at most 8).  An overflow or NaN fails the comparison and goes to the
+exact path.
+
+Cospherical degeneracies are broken by a symbolic perturbation of the lifted
+weights (point i lowered by an infinitesimal eps**(n-i), so the highest-index
+point dominates ties); the tessellation built from the perturbed predicate is
+the regular triangulation of the perturbed lift and is therefore independent
+of insertion order.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,12 +53,11 @@ from .errors import (
 )
 from .simplices import FilteredComplex, closure_of_cells
 
-_EPS = 2.220446049250313e-16
-_ORIENT_FILTER = 16.0 * _EPS
-_INSPHERE_FILTER = 64.0 * _EPS
+_ERR = 2.0**-48  # relative error bound of every kernel polynomial; see above
 
-# Sign fix so that in_sphere is +1 for interior points in either dimension
-# (the translated lifted determinant flips parity between 2D and 3D).
+# Sign fix relating in_sphere_indexed's tie-break, a term of the perturbed
+# lifted determinant, to +1 for interior points (the translated lifted
+# determinant flips parity between 2D and 3D).
 _INSPHERE_CAL = {2: 1, 3: -1}
 
 
@@ -68,35 +92,6 @@ class Circumsphere:
     radius_sq: float
 
 
-def _det(m):
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    total = m[0][0] * 0
-    sign = 1
-    for j in range(n):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1:] for row in m[1:]]
-            total += sign * m[0][j] * _det(minor)
-        sign = -sign
-    return total
-
-
-def _perm(m):
-    n = len(m)
-    if n == 1:
-        return abs(m[0][0])
-    if n == 2:
-        return abs(m[0][0] * m[1][1]) + abs(m[0][1] * m[1][0])
-    total = 0.0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1:] for row in m[1:]]
-        total += abs(m[0][j]) * _perm(minor)
-    return total
-
-
 def _sign(x) -> int:
     if x > 0:
         return 1
@@ -105,12 +100,74 @@ def _sign(x) -> int:
     return 0
 
 
-def _filtered_sign(rows_float, rows_exact, filter_const) -> int:
-    det = _det(rows_float)
-    bound = filter_const * _perm(rows_float)
-    if abs(det) > bound:
-        return _sign(det)
-    return _sign(_det(rows_exact()))
+def _dot(x, y):
+    return sum(map(operator.mul, x, y))  # the start value 0 adds no rounding
+
+
+def _orient(rows, sub):
+    """(det of the 2x2 or 3x3 matrix with the given rows,)"""
+    if len(rows) == 2:
+        (a, b), (c, d) = rows
+        return (sub(a * d, b * c),)
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return (sub(a * sub(e * i, f * h) + c * sub(d * h, e * g), b * sub(d * i, f * g)),)
+
+
+def _gram(vectors, sub):
+    """det(G) and adj(G) b for the Gram matrix G of the vectors, b = diag(G)."""
+    G = [[_dot(x, y) for y in vectors] for x in vectors]
+    b = [G[i][i] for i in range(len(G))]
+    if len(G) == 1:
+        return b[0], b
+    if len(G) == 2:
+        det = sub(G[0][0] * G[1][1], G[0][1] * G[1][0])
+        return det, [sub(G[1][1] * b[0], G[0][1] * b[1]), sub(G[0][0] * b[1], G[1][0] * b[0])]
+    # 3x3 cofactors in cyclic form, sign (-1)**(i+j) built in; G is symmetric,
+    # so C is too and equals adj(G)
+    C = [
+        [
+            sub(G[(i + 1) % 3][(j + 1) % 3] * G[(i + 2) % 3][(j + 2) % 3],
+                G[(i + 1) % 3][(j + 2) % 3] * G[(i + 2) % 3][(j + 1) % 3])
+            for j in range(3)
+        ]
+        for i in range(3)
+    ]
+    return _dot(G[0], C[0]), [_dot(row, b) for row in C]
+
+
+def _gram_det(rows, sub):
+    """(det(G),) for the edge vectors in rows."""
+    return _gram(rows, sub)[:1]
+
+
+def _gram_power(rows, sub):
+    """det(G) and the power b_q^T adj(G) b - det(G)|w|^2, for the edge vectors
+    in rows[:-1] and the query offset w = rows[-1]."""
+    *vectors, w = rows
+    det, adj_b = _gram(vectors, sub)
+    return det, sub(_dot([_dot(v, w) for v in vectors], adj_b), det * _dot(w, w))
+
+
+def _exact_signs(poly, points) -> tuple[int, ...]:
+    """Exact signs of poly's values on the differences points[1:] - points[0]."""
+    base, *rest = points
+    diffs = [[x - y for x, y in zip(p, base)] for p in rest]
+    values = poly(diffs, operator.sub)
+    mags = poly([[abs(x) for x in row] for row in diffs], operator.add)
+    if all(abs(v) > _ERR * m for v, m in zip(values, mags)):
+        return tuple(_sign(v) for v in values)
+    fbase = [Fraction(x) for x in base]
+    exact = poly([[Fraction(x) - y for x, y in zip(p, fbase)] for p in rest], operator.sub)
+    return tuple(_sign(v) for v in exact)
+
+
+def _simplex_rows(simplex_points) -> np.ndarray:
+    pts = np.asarray(simplex_points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    if pts.shape[0] > pts.shape[1] + 1:
+        raise DegenerateSimplex(f"{pts.shape[0]} points in {pts.shape[1]}D are affinely dependent")
+    return pts
 
 
 def orientation(points) -> int:
@@ -119,50 +176,20 @@ def orientation(points) -> int:
     d = pts.shape[1]
     if pts.shape[0] != d + 1:
         raise ValueError(f"orientation needs {d + 1} points in {d}D, got {pts.shape[0]}")
-    rows = [(pts[i] - pts[0]).tolist() for i in range(1, d + 1)]
-
-    def exact_rows():
-        base = [Fraction(x) for x in pts[0]]
-        return [
-            [Fraction(pts[i][k]) - base[k] for k in range(d)]
-            for i in range(1, d + 1)
-        ]
-
-    return _filtered_sign(rows, exact_rows, _ORIENT_FILTER)
+    return _exact_signs(_orient, pts.tolist())[0]
 
 
-def _lifted_rows_float(pts, q):
-    rows = []
-    for p in pts:
-        diff = [p[k] - q[k] for k in range(len(q))]
-        rows.append(diff + [sum(x * x for x in diff)])
-    return rows
-
-
-def _lifted_rows_exact(pts, q):
-    qf = [Fraction(x) for x in q]
-    rows = []
-    for p in pts:
-        diff = [Fraction(p[k]) - qf[k] for k in range(len(qf))]
-        rows.append(diff + [sum(x * x for x in diff)])
-    return rows
-
-
-def in_sphere(simplex_points, query) -> int:
-    """+1 if query is strictly inside the circumsphere of the d+1 simplex
-    points, -1 outside, 0 on it; exact, independent of vertex order."""
-    pts = np.asarray(simplex_points, dtype=float)
+def side_of_circumsphere(simplex_points, query) -> int:
+    """+1 if query lies strictly inside the minimal circumsphere of the given
+    points, -1 strictly outside, 0 on it; exact."""
+    pts = _simplex_rows(simplex_points)
     q = np.asarray(query, dtype=float)
-    d = q.shape[0]
-    s_or = orientation(pts)
-    if s_or == 0:
-        raise DegenerateSimplex("in_sphere of an affinely dependent simplex")
-    raw = _filtered_sign(
-        _lifted_rows_float(pts.tolist(), q.tolist()),
-        lambda: _lifted_rows_exact(pts.tolist(), q.tolist()),
-        _INSPHERE_FILTER,
-    )
-    return raw * s_or * _INSPHERE_CAL[d]
+    if pts.shape[0] == 1:
+        return -1 if np.any(q != pts[0]) else 0
+    independent, power = _exact_signs(_gram_power, pts.tolist() + [q.tolist()])
+    if not independent:
+        raise DegenerateSimplex("affinely dependent circumsphere input")
+    return power
 
 
 def in_sphere_indexed(coords: np.ndarray, simplex: tuple[int, ...], query: int) -> int:
@@ -173,19 +200,14 @@ def in_sphere_indexed(coords: np.ndarray, simplex: tuple[int, ...], query: int) 
     """
     d = coords.shape[1]
     simplex = tuple(simplex)
-    s_or = orientation(coords[list(simplex)])
-    if s_or == 0:
-        raise DegenerateSimplex(f"degenerate cell {simplex}")
-    pts = [coords[i].tolist() for i in simplex]
-    q = coords[query].tolist()
-    raw = _filtered_sign(
-        _lifted_rows_float(pts, q),
-        lambda: _lifted_rows_exact(pts, q),
-        _INSPHERE_FILTER,
+    independent, raw = _exact_signs(
+        _gram_power, [coords[i].tolist() for i in simplex + (query,)]
     )
-    cal = s_or * _INSPHERE_CAL[d]
+    if not independent:
+        raise DegenerateSimplex(f"degenerate cell {simplex}")
     if raw != 0:
-        return raw * cal
+        return raw
+    cal = orientation(coords[list(simplex)]) * _INSPHERE_CAL[d]
     row_idx = simplex + (query,)
     for r in sorted(range(d + 2), key=lambda r: row_idx[r], reverse=True):
         others = [row_idx[i] for i in range(d + 2) if i != r]
@@ -199,15 +221,13 @@ def in_sphere_indexed(coords: np.ndarray, simplex: tuple[int, ...], query: int) 
 def min_circumsphere(simplex_points) -> Circumsphere:
     """Smallest sphere through k+1 affinely independent points (center in
     their affine hull); a single point has radius 0."""
-    pts = np.asarray(simplex_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
+    pts = _simplex_rows(simplex_points)
     if pts.shape[0] == 1:
         return Circumsphere(center=pts[0].copy(), radius_sq=0.0)
+    if not _exact_signs(_gram_det, pts.tolist())[0]:
+        raise DegenerateSimplex("affinely dependent circumsphere input")
     V = pts[1:] - pts[0]
     G = 2.0 * (V @ V.T)
-    if _gram_det_exact(pts) == 0:
-        raise DegenerateSimplex("affinely dependent circumsphere input")
     b = np.einsum("ij,ij->i", V, V)
     try:
         t = np.linalg.solve(G, b)
@@ -222,13 +242,6 @@ def min_circumsphere(simplex_points) -> Circumsphere:
 
 def circumradius_sq(simplex_points) -> float:
     return min_circumsphere(simplex_points).radius_sq
-
-
-def _gram_det_exact(pts) -> Fraction:
-    base = [Fraction(x) for x in pts[0]]
-    V = [[Fraction(p[k]) - base[k] for k in range(len(base))] for p in pts[1:]]
-    G = [[2 * sum(vi[k] * vj[k] for k in range(len(base))) for vj in V] for vi in V]
-    return _det(G)
 
 
 def _circumsphere_exact(pts):
@@ -264,37 +277,6 @@ def _solve_exact(A, b):
     return [M[i][n] / M[i][i] for i in range(n)]
 
 
-def side_of_circumsphere(simplex_points, query) -> int:
-    """+1 if query lies strictly inside the minimal circumsphere of the given
-    points, -1 strictly outside, 0 on it; exact."""
-    pts = np.asarray(simplex_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    q = np.asarray(query, dtype=float)
-    if pts.shape[0] == 1:
-        return -1 if np.any(q != pts[0]) else 0
-    sphere = min_circumsphere(pts)
-    diff = q - sphere.center
-    margin = sphere.radius_sq - float(diff @ diff)
-    scale = max(sphere.radius_sq, float(diff @ diff), 1e-300)
-    if abs(margin) > 1e-9 * scale:
-        return _sign(margin)
-    center, r2 = _circumsphere_exact(pts.tolist())
-    qf = [Fraction(x) for x in q]
-    d2 = sum((qf[m] - center[m]) ** 2 for m in range(len(qf)))
-    return _sign(r2 - d2)
-
-
-def _point_in_open_segment_exact(a, b, p) -> bool:
-    af = [Fraction(x) for x in a]
-    bf = [Fraction(x) for x in b]
-    pf = [Fraction(x) for x in p]
-    ab = [y - x for x, y in zip(af, bf)]
-    ap = [y - x for x, y in zip(af, pf)]
-    dot = sum(x * y for x, y in zip(ab, ap))
-    return 0 < dot < sum(x * x for x in ab)
-
-
 def _cross3(u, v):
     return (
         u[1] * v[2] - u[2] * v[1],
@@ -320,11 +302,13 @@ def _barycentric_exact(tri, p):
 
 
 def _in_circumdisk_perturbed(coords, facet, p_idx) -> bool:
-    """Perturbed in-circumcircle test for a point coplanar with a 3D facet.
+    """Perturbed test for a point in the affine hull of a hull facet: inside
+    the facet's circumdisk (in 2D, the open segment).
 
-    Ties (p on the facet circumcircle) are broken consistently with the
-    lifted-weight perturbation: conflict iff sum(lambda_i * delta_i) < delta_p
-    with delta dominated by the largest involved point index.
+    Ties (p on the facet circumcircle, possible only in 3D) are broken
+    consistently with the lifted-weight perturbation: conflict iff
+    sum(lambda_i * delta_i) < delta_p with delta dominated by the largest
+    involved point index.
     """
     fpts = coords[list(facet)]
     s = side_of_circumsphere(fpts, coords[p_idx])
@@ -395,8 +379,6 @@ class _Triangulation:
             s_x = orientation(np.vstack([fpts, coords[x]]))
             return s_p == -s_x
         # p on the facet's affine hull: conflict iff inside the facet's disk
-        if self.d == 2:
-            return _point_in_open_segment_exact(coords[facet[0]], coords[facet[1]], coords[p_idx])
         return _in_circumdisk_perturbed(coords, facet, p_idx)
 
     def insert(self, p_idx):
@@ -440,26 +422,11 @@ def _bootstrap_simplex(coords: np.ndarray):
                 continue
             pts = coords[chosen + [j]]
             if k == d:
-                if orientation(pts) != 0:
-                    found = j
+                independent = orientation(pts)
             else:
-                # affine independence of k+1 < d+1 points: some k x k minor nonzero
-                base = pts[0]
-                V = pts[1:] - base
-                for cols in itertools.combinations(range(d), k):
-                    sub = np.vstack([V[:, list(cols)]])
-                    rows = [sub[i].tolist() for i in range(k)]
-                    if _filtered_sign(
-                        rows,
-                        lambda p=pts, c=cols: [
-                            [Fraction(p[i + 1][m]) - Fraction(p[0][m]) for m in c]
-                            for i in range(k)
-                        ],
-                        _ORIENT_FILTER,
-                    ) != 0:
-                        found = j
-                        break
-            if found is not None:
+                independent = _exact_signs(_gram_det, pts.tolist())[0]
+            if independent:
+                found = j
                 break
         if found is None:
             raise err(f"no full-dimensional simplex among the {n} input points")

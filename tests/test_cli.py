@@ -1,6 +1,7 @@
 import pathlib
 
 import numpy as np
+import pytest
 
 from pslap.cli import main
 from pslap.dataio import read_spectra_csv
@@ -47,6 +48,23 @@ def test_spectra_missing_input(tmp_path, capsys):
     assert code == 1
     assert not out.exists()
     assert "input error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectra", "--q", "0,x"],
+    ["spectra", "--q", "-1"],
+    ["spectra", "--p", "-0.5"],
+    ["spectra", "--p", "nan"],
+    ["validate", "--q", "0,x"],
+    ["validate", "--p", "0,x"],
+    ["validate", "--p", "nan"],
+    ["validate", "--p", "0,-0.3"],
+])
+def test_bad_q_and_p_are_input_errors(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where spectra's default output would land
+    assert run(argv[0], "--input", SIX, *argv[1:]) == 1
+    assert not list(tmp_path.iterdir())
+    assert "pslap: input error:" in capsys.readouterr().err
 
 
 def test_spectra_geometry_error(tmp_path, capsys):

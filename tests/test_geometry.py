@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,9 +9,9 @@ from conftest import random_cloud
 from pslap.errors import AllCollinear, AllCoplanar, DegenerateSimplex, DuplicatePoints
 from pslap.geometry import (
     PointSet,
+    _circumsphere_exact,
     audit_empty_circumspheres,
     delaunay,
-    in_sphere,
     in_sphere_indexed,
     min_circumsphere,
     orientation,
@@ -51,26 +53,26 @@ def test_orientation_permutation_parity():
         assert orientation(pts[list(perm)]) == sign * base
 
 
-def test_in_sphere_2d_examples():
+def test_side_of_circumsphere_2d_examples():
     tri = [(0, 0), (1, 0), (0, 1)]
-    assert in_sphere(tri, (1, 1)) == 0
-    assert in_sphere(tri, (0.3, 0.3)) == 1
-    assert in_sphere(tri, (2, 2)) == -1
+    assert side_of_circumsphere(tri, (1, 1)) == 0
+    assert side_of_circumsphere(tri, (0.3, 0.3)) == 1
+    assert side_of_circumsphere(tri, (2, 2)) == -1
 
 
-def test_in_sphere_orientation_independent():
+def test_side_of_circumsphere_orientation_independent():
     rng = np.random.default_rng(1)
     tet = rng.normal(size=(4, 3))
     q_in = tet.mean(axis=0)
     q_out = tet.mean(axis=0) + 100.0
     for perm in itertools.permutations(range(4)):
-        assert in_sphere(tet[list(perm)], q_in) == 1
-        assert in_sphere(tet[list(perm)], q_out) == -1
+        assert side_of_circumsphere(tet[list(perm)], q_in) == 1
+        assert side_of_circumsphere(tet[list(perm)], q_out) == -1
 
 
-def test_in_sphere_degenerate_raises():
+def test_side_of_circumsphere_degenerate_raises():
     with pytest.raises(DegenerateSimplex):
-        in_sphere([(0, 0), (1, 1), (2, 2)], (0, 1))
+        side_of_circumsphere([(0, 0), (1, 1), (2, 2)], (0, 1))
 
 
 def test_in_sphere_indexed_breaks_ties_consistently():
@@ -118,6 +120,110 @@ def test_side_of_circumsphere_lower_dim():
     assert side_of_circumsphere(edge, (1, 0.5, 0)) == 1
     assert side_of_circumsphere(edge, (1, 5, 0)) == -1
     assert side_of_circumsphere(edge, (1, 1, 0)) == 0
+    # needle triangle with a far query near its circumsphere
+    needle = [(0.098, 3.472, 1.397), (2.418, -4.085, 0.411), (4.739, -11.643, -0.575)]
+    assert side_of_circumsphere(needle, (146539.326, 4875.563, 90800.682)) == -1
+
+
+# Near-tie inputs for the predicate kernel.  Vertices and queries are points of
+# the 0.001 grid on a common sphere around a grid center, so each tie is exact
+# in decimal; the binary floats of those decimals are not, so the true signs
+# hinge on the last bits and a float sign without its bound or exact fallback
+# gets many of them wrong.  The spheres are lattice circles of squared radius
+# _TIE_N (in grid units), placed in 3D as great circles through the rows of an
+# orthogonal integer basis of squared norm 9.
+_TIE_N = 5**4 * 13**2 * 17**2 * 29  # 360 lattice points, radius ~29.75 in 0.001 units
+_FRAME = np.array([(1, 2, 2), (2, 1, -2), (2, -2, 1)])
+
+
+def _tie_circle() -> np.ndarray:
+    """Integer points on x^2 + y^2 = _TIE_N, ordered by angle."""
+    x = np.arange(-math.isqrt(_TIE_N), math.isqrt(_TIE_N) + 1)
+    y = np.sqrt(_TIE_N - x * x).round().astype(np.int64)
+    x, y = x[x * x + y * y == _TIE_N], y[x * x + y * y == _TIE_N]
+    pts = np.unique(np.concatenate([np.stack([x, y], 1), np.stack([x, -y], 1)]), axis=0)
+    return pts[np.argsort(np.arctan2(pts[:, 1], pts[:, 0]))]
+
+
+def _exact_det(rows):
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _exact_orientation(pts):
+    base = [Fraction(x) for x in pts[0]]
+    return int(np.sign(_exact_det([[Fraction(x) - b for x, b in zip(p, base)] for p in pts[1:]])))
+
+
+def _exact_side(pts, q):
+    center, r2 = _circumsphere_exact(pts.tolist())
+    d2 = sum((Fraction(x) - c) ** 2 for x, c in zip(q.tolist(), center))
+    return int(np.sign(r2 - d2))
+
+
+def _near_tie_cases(rng, d, k, count):
+    """(simplex, query, orientation points) on the 0.001 grid; every third
+    simplex with k >= 2 is a needle cut from neighbouring circle points."""
+    circle = _tie_circle()
+    m = len(circle)
+    circles = [circle]
+    if d == 3:  # great circles of the sphere of squared radius 9 * _TIE_N
+        circles = [circle @ _FRAME[[a, b]] for a, b in ((0, 1), (0, 2), (1, 2))]
+    sphere = np.concatenate(circles)
+    for case in range(count):
+        needle = k >= 2 and case % 3 == 0
+        ring = circles[rng.integers(len(circles))]
+        start = int(rng.integers(m))
+        if k == 1:
+            u = ring[start]
+            verts = np.stack([u, -u])
+        elif k < 3:
+            idx = [start, start + 1, start + 2] if needle else rng.choice(m, 3, replace=False)
+            verts = ring[np.asarray(idx) % m]
+        elif needle:  # a needle triangle and the sphere point nearest its plane
+            tri = ring[np.arange(start, start + 3) % m]
+            height = np.cross(tri[1] - tri[0], tri[2] - tri[0]) @ (sphere - tri[0]).T
+            nearest = np.argmin(np.where(height == 0, np.inf, np.abs(height)))
+            verts = np.vstack([tri, sphere[nearest]])
+        else:
+            while True:
+                verts = sphere[rng.choice(len(sphere), 4, replace=False)]
+                if abs(np.linalg.det((verts[1:] - verts[0]).astype(float))) > 0.5:
+                    break
+        # coplanar queries from the simplex's own great circle half of the time
+        pool = ring if (d == 3 and k == 2 and case % 2) else sphere
+        query = pool[rng.integers(len(pool))]
+        while any((query == v).all() for v in verts):
+            query = pool[rng.integers(len(pool))]
+        center = rng.integers(-5000, 5001, size=d)
+        verts, query = (verts + center) / 1000.0, (query + center) / 1000.0
+        if k == d:
+            orient = verts
+        elif k == 1:  # collinear through the center
+            orient = np.vstack([verts[0], center / 1000.0, verts[1], query][: d + 1])
+        else:
+            orient = np.vstack([verts, query])
+        yield verts, query, orient
+
+
+@pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
+def test_predicate_kernel_matches_exact_reference(d, k):
+    rng = np.random.default_rng(100 * d + k)
+    for verts, query, orient in _near_tie_cases(rng, d, k, 600):
+        side = _exact_side(verts, query)
+        assert side_of_circumsphere(verts, query) == side, (verts, query)
+        if k == d:
+            coords = np.vstack([verts, query])
+            s = in_sphere_indexed(coords, tuple(range(d + 1)), d + 1)
+            assert s == side or (side == 0 and abs(s) == 1), (verts, query)
+        assert orientation(orient) == _exact_orientation(orient), orient
 
 
 def test_delaunay_square():
