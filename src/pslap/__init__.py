@@ -1,12 +1,7 @@
 """Persistent spectral Laplacians of point clouds over alpha-complex filtrations."""
 
 from .alpha import alpha_complex, assign_filtration, critical_alphas
-from .boundary import (
-    PersistentBoundary,
-    SparseBoundaryMatrix,
-    full_boundary,
-    persistent_boundary,
-)
+from .boundary import SparseBoundaryMatrix, full_boundary, persistent_boundary
 from .dataio import (
     read_pdb_ca,
     read_spectra_csv,
@@ -33,7 +28,6 @@ from .simplices import (
 )
 from .spectra import (
     PersistentLaplacian,
-    SolverPolicy,
     SpectrumRecord,
     accumulated_laplacian_diagonal,
     assemble_laplacian,
@@ -51,12 +45,10 @@ __all__ = [
     "BettiOracle",
     "Circumsphere",
     "FilteredComplex",
-    "PersistentBoundary",
     "PersistentLaplacian",
     "PointSet",
     "Simplex",
     "Snapshot",
-    "SolverPolicy",
     "SparseBoundaryMatrix",
     "SpectrumRecord",
     "accumulated_laplacian_diagonal",

@@ -16,7 +16,6 @@ object is built per snapshot pair.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,21 +39,6 @@ class SparseBoundaryMatrix:
     @property
     def shape(self):
         return self.matrix.shape
-
-
-@dataclass
-class PersistentBoundary:
-    """Matrix of the p-persistent boundary operator in the C_q^{alpha+p} basis.
-
-    Rows are the (q-1)-simplices of the earlier snapshot; columns are all
-    q-simplices of the later snapshot, with the orthogonal projection onto
-    the persistent chain subspace already applied.
-    """
-
-    q: int
-    alpha: float
-    p: float
-    matrix: np.ndarray
 
 
 def full_boundary(complex: FilteredComplex, q: int) -> SparseBoundaryMatrix:
@@ -141,8 +125,10 @@ def persistent_boundary(
     full: SparseBoundaryMatrix,
     snap_t: Snapshot,
     snap_tp: Snapshot,
-) -> PersistentBoundary:
-    """Persistent boundary matrix for the snapshot pair.
+) -> np.ndarray:
+    """Persistent boundary matrix for the snapshot pair: rows are the
+    (q-1)-simplices of the earlier snapshot, columns all q-simplices of the
+    later one.
 
     The columns of q-simplices added after the earlier snapshot are projected
     onto the kernel of the Diff operator through an orthonormal basis of that
@@ -150,10 +136,6 @@ def persistent_boundary(
     """
     _check_order(snap_t, snap_tp)
     q = full.q
-    alpha = math.sqrt(snap_t.alpha_sq) if not math.isinf(snap_t.alpha_sq) else math.inf
-    alpha_p = math.sqrt(snap_tp.alpha_sq) if not math.isinf(snap_tp.alpha_sq) else math.inf
-    p = max(alpha_p - alpha, 0.0)
-
     r_t = _row_count(q, snap_t)
     r_p = _row_count(q, snap_tp)
     c_t = snap_t.count(q)
@@ -162,11 +144,10 @@ def persistent_boundary(
     if c_p == c_t:
         # no new q-simplices: the projector is the identity and the result is
         # exactly the earlier restriction
-        return PersistentBoundary(q, alpha, p, b_top)
+        return b_top
 
     d_tail = dense_block(full, r_t, r_p, c_t, c_p)
     if d_tail.shape[0] == 0 or not d_tail.any():
-        return PersistentBoundary(q, alpha, p, b_top)
-    out = b_top.copy()
-    out[:, c_t:] = b_top[:, c_t:] @ _kernel_projector(d_tail)
-    return PersistentBoundary(q, alpha, p, out)
+        return b_top
+    b_top[:, c_t:] = b_top[:, c_t:] @ _kernel_projector(d_tail)
+    return b_top

@@ -9,43 +9,28 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .boundary import (
-    PersistentBoundary,
-    _row_count,
-    dense_block,
-    full_boundary,
-    persistent_boundary,
-)
+from .boundary import _row_count, dense_block, full_boundary, persistent_boundary
 from .errors import DimensionMismatch, EigensolveFailure, PslapError
 from .simplices import REL_TOL, FilteredComplex, Snapshot, snapshot
 
-
-@dataclass(frozen=True)
-class SolverPolicy:
-    """Eigensolver and zero-threshold configuration."""
-
-    dense_cutoff: int = 2000
-    zero_abs: float = 1e-8
-    zero_rel: float = 1e-10
-    gap_factor: float = 1e3
-    extra_k: int = 16
-
-    def zero_threshold(self, lambda_max: float) -> float:
-        return max(self.zero_abs, self.zero_rel * lambda_max)
-
-
-DEFAULT_POLICY = SolverPolicy()
+# The eigensolver policy (see spectrum).  An eigenvalue below
+# max(ZERO_ABS, ZERO_REL * lambda_max) counts as zero, and a nonzero/zero
+# ratio below GAP_FACTOR flags the record gap_ambiguous.
+DENSE_CUTOFF = 2000
+ZERO_ABS = 1e-8
+ZERO_REL = 1e-10
+GAP_FACTOR = 1e3
+SHIFT_INVERT_K = 16
 
 
 @dataclass
 class PersistentLaplacian:
-    """Symmetric PSD matrix of the q-th persistent Laplacian plus provenance."""
+    """Symmetric PSD matrix of the q-th persistent Laplacian L_q^{alpha,p}."""
 
     matrix: np.ndarray
     q: int
     alpha: float
     p: float
-    n_up: int  # number of (q+1)-simplices at alpha + p feeding the up-term
 
     @property
     def n_simplices(self) -> int:
@@ -66,43 +51,39 @@ class SpectrumRecord:
     flags: tuple[str, ...] = field(default=())
 
 
-def assemble_laplacian(bq: np.ndarray, bq1p: PersistentBoundary) -> PersistentLaplacian:
+def assemble_laplacian(bq: np.ndarray, bup: np.ndarray) -> np.ndarray:
     """L_q = B_{q+1}^{a,p} (B_{q+1}^{a,p})^T + (B_q^a)^T B_q^a, with B_q^a a
     dense block; its integer Gram matrix is exact in floating point."""
     n = bq.shape[1]
-    if bq1p.matrix.shape[0] != n:
-        raise DimensionMismatch(
-            f"up-term rows {bq1p.matrix.shape[0]} != down-term columns {n}"
-        )
-    up = bq1p.matrix @ bq1p.matrix.T
-    down = bq.T @ bq
-    lap = up + down
-    lap = 0.5 * (lap + lap.T)
-    return PersistentLaplacian(
-        matrix=lap, q=bq1p.q - 1, alpha=bq1p.alpha, p=bq1p.p, n_up=bq1p.matrix.shape[1]
-    )
+    if bup.shape[0] != n:
+        raise DimensionMismatch(f"up-term rows {bup.shape[0]} != down-term columns {n}")
+    lap = bup @ bup.T + bq.T @ bq
+    return 0.5 * (lap + lap.T)
 
 
-def _dense_spectrum(lap: PersistentLaplacian, policy: SolverPolicy) -> SpectrumRecord:
+def _dense_spectrum(lap: PersistentLaplacian) -> SpectrumRecord:
     try:
         eigs = np.linalg.eigvalsh(lap.matrix)
     except np.linalg.LinAlgError as exc:
         raise EigensolveFailure(str(exc)) from exc
-    return _record_from_eigs(lap, np.sort(eigs), policy, partial=False)
+    return _record_from_eigs(lap, np.sort(eigs), partial=False)
 
 
-def _record_from_eigs(lap, eigs, policy, partial, lambda_max=None) -> SpectrumRecord:
-    n = lap.n_simplices
+def _zero_threshold(lambda_max: float) -> float:
+    return max(ZERO_ABS, ZERO_REL * max(lambda_max, 0.0))
+
+
+def _record_from_eigs(lap, eigs, partial, lambda_max=None) -> SpectrumRecord:
     if lambda_max is None:
         lambda_max = float(eigs[-1]) if len(eigs) else 0.0
-    tau = policy.zero_threshold(max(lambda_max, 0.0))
+    tau = _zero_threshold(lambda_max)
     betti = int(np.sum(eigs < tau))
     nonzero = eigs[eigs >= tau]
     lam_min = float(nonzero[0]) if len(nonzero) else None
     flags = []
     if betti > 0 and lam_min is not None:
         largest_zero = float(eigs[betti - 1])
-        if largest_zero > 0 and lam_min / largest_zero < policy.gap_factor:
+        if largest_zero > 0 and lam_min / largest_zero < GAP_FACTOR:
             flags.append("gap_ambiguous")
     if partial:
         flags.append("partial_spectrum")
@@ -113,50 +94,45 @@ def _record_from_eigs(lap, eigs, policy, partial, lambda_max=None) -> SpectrumRe
         eigenvalues=tuple(float(x) for x in eigs),
         betti=betti,
         lambda_min_nonzero=lam_min,
-        n_simplices=n,
+        n_simplices=lap.n_simplices,
         flags=tuple(flags),
     )
 
 
-def _iterative_spectrum(lap: PersistentLaplacian, policy: SolverPolicy) -> SpectrumRecord:
-    """Shift-invert Lanczos for the lowest eigenvalues of a large Laplacian."""
-    n = lap.n_simplices
-    mat = sp.csc_array(lap.matrix)
-    try:
-        lambda_max = float(
-            scipy.sparse.linalg.eigsh(mat, k=1, which="LA", return_eigenvectors=False)[0]
-        )
-    except scipy.sparse.linalg.ArpackError as exc:
-        raise EigensolveFailure(str(exc)) from exc
-    tau = policy.zero_threshold(max(lambda_max, 0.0))
-    k = min(n - 1, policy.extra_k)
-    while True:
-        try:
-            eigs = scipy.sparse.linalg.eigsh(
-                mat, k=k, sigma=-1.0, which="LM", return_eigenvectors=False
-            )
-        except scipy.sparse.linalg.ArpackError as exc:
-            raise EigensolveFailure(str(exc)) from exc
-        eigs = np.sort(eigs)
-        if np.any(eigs >= tau) or k >= n - 1:
-            break
-        k = min(n - 1, 2 * k)
-    return _record_from_eigs(lap, eigs, policy, partial=len(eigs) < n, lambda_max=lambda_max)
+def _iterative_spectrum(lap: PersistentLaplacian) -> SpectrumRecord:
+    """lambda_max and the lowest eigenvalues of a large Laplacian by Lanczos.
 
-
-def spectrum(lap: PersistentLaplacian, policy: SolverPolicy = DEFAULT_POLICY) -> SpectrumRecord:
-    """Eigenvalues of the persistent Laplacian with zero/nonzero separation.
-
-    Matrices up to the policy's dense cutoff get a full symmetric
-    eigendecomposition; larger ones get the lowest eigenvalues by
-    shift-invert iteration (record flagged partial_spectrum).
+    The record is certified only when one of the lowest eigenvalues reaches
+    the zero threshold, so the zero/nonzero split is in view.  Otherwise, or
+    when ARPACK fails (it does on a zero matrix), the dense path computes it.
     """
     n = lap.n_simplices
-    if n == 0:
-        return SpectrumRecord(lap.q, lap.alpha, lap.p, (), 0, None, 0)
-    if n <= policy.dense_cutoff:
-        return _dense_spectrum(lap, policy)
-    return _iterative_spectrum(lap, policy)
+    mat = sp.csc_array(lap.matrix)
+    eigsh = scipy.sparse.linalg.eigsh
+    try:
+        lambda_max = float(eigsh(mat, k=1, which="LA", return_eigenvectors=False)[0])
+        eigs = np.sort(eigsh(
+            mat, k=min(n - 1, SHIFT_INVERT_K), sigma=-1.0, which="LM",
+            return_eigenvectors=False,
+        ))
+    except scipy.sparse.linalg.ArpackError:
+        return _dense_spectrum(lap)
+    if not np.any(eigs >= _zero_threshold(lambda_max)):
+        return _dense_spectrum(lap)
+    return _record_from_eigs(lap, eigs, partial=len(eigs) < n, lambda_max=lambda_max)
+
+
+def spectrum(lap: PersistentLaplacian) -> SpectrumRecord:
+    """Eigenvalues of the persistent Laplacian with zero/nonzero separation.
+
+    Matrices up to DENSE_CUTOFF get a full symmetric eigendecomposition;
+    larger ones get their SHIFT_INVERT_K lowest eigenvalues by shift-invert
+    iteration (record flagged partial_spectrum), unless those cannot certify
+    the split.
+    """
+    if lap.n_simplices <= DENSE_CUTOFF:
+        return _dense_spectrum(lap)
+    return _iterative_spectrum(lap)
 
 
 def _snapshot(complex: FilteredComplex, alpha: float, cache: dict) -> Snapshot:
@@ -188,28 +164,15 @@ def persistent_laplacian(
         return cache[key]
 
     bq = dense_block(full(q), 0, _row_count(q, snap_t), 0, snap_t.count(q))
-    bq1p = persistent_boundary(full(q + 1), snap_t, snap_tp)
-    lap = assemble_laplacian(bq, bq1p)
-    return PersistentLaplacian(lap.matrix, q, alpha, p, lap.n_up)
+    bup = persistent_boundary(full(q + 1), snap_t, snap_tp)
+    return PersistentLaplacian(assemble_laplacian(bq, bup), q, alpha, p)
 
 
-def spectrum_at(
-    complex: FilteredComplex,
-    q: int,
-    alpha: float,
-    p: float = 0.0,
-    policy: SolverPolicy = DEFAULT_POLICY,
-) -> SpectrumRecord:
-    return spectrum(persistent_laplacian(complex, q, alpha, p), policy)
+def spectrum_at(complex: FilteredComplex, q: int, alpha: float, p: float = 0.0) -> SpectrumRecord:
+    return spectrum(persistent_laplacian(complex, q, alpha, p))
 
 
-def sweep(
-    complex: FilteredComplex,
-    q_list,
-    alphas,
-    p: float = 0.0,
-    policy: SolverPolicy = DEFAULT_POLICY,
-) -> list[SpectrumRecord]:
+def sweep(complex: FilteredComplex, q_list, alphas, p: float = 0.0) -> list[SpectrumRecord]:
     """One SpectrumRecord per (q, alpha), sorted by (q, alpha).
 
     Snapshots with identical simplex counts at alpha and alpha + p produce
@@ -229,7 +192,7 @@ def sweep(
             if rec is None:
                 try:
                     rec = sig_cache[sig] = spectrum(
-                        persistent_laplacian(complex, q, a, p, _cache=cache), policy
+                        persistent_laplacian(complex, q, a, p, _cache=cache)
                     )
                 except PslapError as exc:
                     rec = SpectrumRecord(

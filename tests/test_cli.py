@@ -3,6 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from pslap import spectra
 from pslap.cli import main
 from pslap.dataio import read_spectra_csv
 
@@ -59,6 +60,13 @@ def test_spectra_missing_input(tmp_path, capsys):
     ["validate", "--p", "0,x"],
     ["validate", "--p", "nan"],
     ["validate", "--p", "0,-0.3"],
+    ["spectra", "--step", "0"],
+    ["spectra", "--alpha-max", "nan"],
+    ["spectra", "--alpha-min", "-1"],
+    ["accumulate", "--step", "inf"],
+    ["anomaly", "--threshold", "nan"],
+    ["spectra", "--p", "x"],
+    ["spectra", "--step", "abc"],
 ])
 def test_bad_q_and_p_are_input_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # where spectra's default output would land
@@ -116,7 +124,10 @@ def test_spectra_json_and_svg(tmp_path):
     assert (tmp_path / "s_q1.svg").exists()
 
 
-def test_validate_six_points(capsys):
+@pytest.mark.parametrize("cutoff", [None, 3], ids=["default", "cutoff3"])
+def test_validate_six_points(cutoff, monkeypatch, capsys):
+    if cutoff is not None:  # shift-invert records are flagged partial_spectrum
+        monkeypatch.setattr(spectra, "DENSE_CUTOFF", cutoff)
     assert run("validate", "--input", SIX, "--p", "0,0.2") == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out
@@ -183,3 +194,10 @@ def test_pdb_input(tmp_path):
     ) == 0
     lines = out.read_text().strip().splitlines()
     assert lines[1].startswith("0,A1,")
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("spectra", "--help")
+    assert exc.value.code == 0
+    assert "--alpha-min" in capsys.readouterr().out

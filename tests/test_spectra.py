@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from pslap import spectra
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.boundary import full_boundary, persistent_boundary, restrict
 from pslap.errors import DimensionMismatch
+from pslap.oracle import BettiOracle
 from pslap.simplices import build_complex, snapshot
 from pslap.spectra import (
-    SolverPolicy,
     accumulated_laplacian_diagonal,
     assemble_laplacian,
     detect_anomalies,
@@ -143,13 +144,26 @@ def test_sweep_identical_between_critical_values(six_complex):
     assert r[0].eigenvalues == r[1].eigenvalues == r[2].eigenvalues
 
 
-def test_iterative_solver_matches_dense(six_complex):
-    dense = spectrum_at(six_complex, 1, 0.6)
-    tiny = SolverPolicy(dense_cutoff=3)
-    it = spectrum(persistent_laplacian(six_complex, 1, 0.6), tiny)
-    assert it.betti == dense.betti
-    assert "partial_spectrum" in it.flags
-    assert np.isclose(it.lambda_min_nonzero, dense.lambda_min_nonzero, rtol=1e-6)
+def test_iterative_solver_matches_dense(six_complex, monkeypatch):
+    # above the cutoff every record must keep the dense path's zero/nonzero
+    # split, including a zero Laplacian (q=0 at alpha=0, where ARPACK fails)
+    # and Betti 5 of 6 (q=0 at alpha=0.4383, past the shift-invert window)
+    oracle = BettiOracle(six_complex)
+    monkeypatch.setattr(spectra, "DENSE_CUTOFF", 3)
+    shift_invert = 0
+    for q in (0, 1, 2):
+        for p in (0.0, 0.3):
+            for a in critical_alphas(six_complex):
+                lap = persistent_laplacian(six_complex, q, a, p)
+                dense = spectra._dense_spectrum(lap)
+                it = spectrum(lap)
+                assert it.betti == dense.betti == oracle.betti(q, a, p)
+                if dense.lambda_min_nonzero is None:
+                    assert it.lambda_min_nonzero is None
+                else:
+                    assert np.isclose(it.lambda_min_nonzero, dense.lambda_min_nonzero, rtol=1e-6)
+                shift_invert += "partial_spectrum" in it.flags
+    assert shift_invert > 0
 
 
 def test_accumulated_diagonal_rules():
