@@ -96,6 +96,13 @@ def _build(args):
     return points, alpha_complex(points, seed=args.seed)
 
 
+def _check_grid(args) -> None:
+    if args.alpha_min > args.alpha_max:
+        raise ParseError(
+            f"--alpha-min {args.alpha_min:g} is above --alpha-max {args.alpha_max:g}"
+        )
+
+
 def _alpha_values(args, complex) -> np.ndarray:
     if args.critical:
         return critical_alphas(complex)
@@ -118,6 +125,7 @@ def _parse_q(text: str) -> list[int]:
 
 def cmd_spectra(args) -> int:
     q_list = _parse_q(args.q)
+    _check_grid(args)
     points, complex = _build(args)
     alphas = _alpha_values(args, complex)
     records = sweep(complex, q_list, alphas, p=args.p)
@@ -187,6 +195,7 @@ def cmd_anomaly(args) -> int:
 
 
 def cmd_accumulate(args) -> int:
+    _check_grid(args)
     points, complex = _build(args)
     alphas = _alpha_values(args, complex)
     values = accumulated_laplacian_diagonal(complex, alphas)

@@ -32,6 +32,17 @@ weights (point i lowered by an infinitesimal eps**(n-i), so the highest-index
 point dominates ties); the tessellation built from the perturbed predicate is
 the regular triangulation of the perturbed lift and is therefore independent
 of insertion order.
+
+Points are inserted one at a time (Bowyer-Watson, with an infinite cell on
+each hull facet).  The cells in conflict with a new point p are found
+locally.  Take the nearest inserted vertex v: the edge pv has an empty closed
+diametral ball, so it is an edge of every Delaunay triangulation of the
+inserted points and p, the perturbed one included.  Hence v lies on the
+cavity boundary and some cell of its star conflicts with p.  The conflict
+region is connected, so a search over shared facets from that cell finds all
+of it, testing each cell once.  The nearest vertex is chosen by floating-point
+distance; only rounding between near-equidistant vertices could pick one whose
+star has no conflict, and insertion then raises ``PslapError``.
 """
 
 from __future__ import annotations
@@ -240,10 +251,6 @@ def min_circumsphere(simplex_points) -> Circumsphere:
     return Circumsphere(center=pts[0] + offset, radius_sq=float(offset @ offset))
 
 
-def circumradius_sq(simplex_points) -> float:
-    return min_circumsphere(simplex_points).radius_sq
-
-
 def _circumsphere_exact(pts):
     """Circumcenter (affine-hull) and squared radius as exact rationals."""
     base = [Fraction(x) for x in pts[0]]
@@ -328,13 +335,20 @@ _INF = -1  # sentinel vertex of the unbounded cells
 
 
 class _Triangulation:
-    """Incremental insertion state: finite + infinite cells with facet adjacency."""
+    """Incremental insertion state: finite + infinite cells with facet
+    adjacency, and the star (incident cells) of every vertex."""
 
-    def __init__(self, coords: np.ndarray):
+    def __init__(self, coords: np.ndarray, first):
         self.coords = coords
         self.d = coords.shape[1]
         self.cells: set[tuple[int, ...]] = set()
         self.facet_map: dict[tuple[int, ...], set] = {}
+        self.star: dict[int, set] = {}
+        self.vertices = list(first)
+        base = tuple(sorted(first))
+        self.add_cell(base)
+        for i in range(self.d + 1):
+            self.add_cell(base[:i] + base[i + 1:] + (_INF,))
 
     def _facets(self, cell):
         if cell[-1] == _INF:
@@ -349,11 +363,15 @@ class _Triangulation:
 
     def add_cell(self, cell):
         self.cells.add(cell)
+        for v in cell:
+            self.star.setdefault(v, set()).add(cell)
         for f in self._facets(cell):
             self.facet_map.setdefault(f, set()).add(cell)
 
     def remove_cell(self, cell):
         self.cells.remove(cell)
+        for v in cell:
+            self.star[v].remove(cell)
         for f in self._facets(cell):
             owners = self.facet_map[f]
             owners.discard(cell)
@@ -381,12 +399,33 @@ class _Triangulation:
         # p on the facet's affine hull: conflict iff inside the facet's disk
         return _in_circumdisk_perturbed(coords, facet, p_idx)
 
-    def insert(self, p_idx):
-        conflicts = [c for c in self.cells if self.in_conflict(c, p_idx)]
-        if not conflicts:
+    def _conflict_region(self, p_idx):
+        """The cells in conflict with p: the first found in the star of the
+        nearest inserted vertex, then the rest by search over shared facets,
+        each cell tested once (the region is connected)."""
+        dist_sq = ((self.coords[self.vertices] - self.coords[p_idx]) ** 2).sum(axis=1)
+        nearest = self.vertices[int(np.argmin(dist_sq))]
+        tested = set()
+        for cell in self.star[nearest]:
+            tested.add(cell)
+            if self.in_conflict(cell, p_idx):
+                conflicts = [cell]
+                break
+        else:
             raise PslapError(
                 f"point {p_idx} conflicts with no cell; configuration too degenerate"
             )
+        for cell in conflicts:  # grows while it is walked
+            for f in self._facets(cell):
+                for other in self.facet_map[f]:
+                    if other not in tested:
+                        tested.add(other)
+                        if self.in_conflict(other, p_idx):
+                            conflicts.append(other)
+        return conflicts
+
+    def insert(self, p_idx):
+        conflicts = self._conflict_region(p_idx)
         conflict_set = set(conflicts)
         boundary = []
         for cell in conflicts:
@@ -404,6 +443,7 @@ class _Triangulation:
                 if orientation(self.coords[list(new)]) == 0:
                     raise PslapError(f"degenerate cell {new} produced during insertion")
             self.add_cell(new)
+        self.vertices.append(p_idx)
 
 
 def _bootstrap_simplex(coords: np.ndarray):
@@ -455,13 +495,7 @@ def delaunay(points: PointSet, seed: int = 0) -> FilteredComplex:
         seen[key] = i
 
     first = _bootstrap_simplex(coords)
-    tri = _Triangulation(coords)
-    base = tuple(sorted(first))
-    tri.add_cell(base)
-    for i in range(d + 1):
-        facet = base[:i] + base[i + 1:]
-        tri.add_cell(tuple(sorted(facet)) + (_INF,))
-
+    tri = _Triangulation(coords, first)
     rest = [i for i in range(n) if i not in set(first)]
     random.Random(seed).shuffle(rest)
     for p in rest:

@@ -105,14 +105,16 @@ def _iterative_spectrum(lap: PersistentLaplacian) -> SpectrumRecord:
     The record is certified only when one of the lowest eigenvalues reaches
     the zero threshold, so the zero/nonzero split is in view.  Otherwise, or
     when ARPACK fails (it does on a zero matrix), the dense path computes it.
+    Both calls start from one seeded vector, so the record is reproducible.
     """
     n = lap.n_simplices
     mat = sp.csc_array(lap.matrix)
     eigsh = scipy.sparse.linalg.eigsh
+    v0 = np.random.default_rng(0).standard_normal(n)
     try:
-        lambda_max = float(eigsh(mat, k=1, which="LA", return_eigenvectors=False)[0])
+        lambda_max = float(eigsh(mat, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
         eigs = np.sort(eigsh(
-            mat, k=min(n - 1, SHIFT_INVERT_K), sigma=-1.0, which="LM",
+            mat, k=min(n - 1, SHIFT_INVERT_K), sigma=-1.0, which="LM", v0=v0,
             return_eigenvectors=False,
         ))
     except scipy.sparse.linalg.ArpackError:

@@ -67,6 +67,8 @@ def test_spectra_missing_input(tmp_path, capsys):
     ["anomaly", "--threshold", "nan"],
     ["spectra", "--p", "x"],
     ["spectra", "--step", "abc"],
+    ["spectra", "--alpha-min", "2", "--alpha-max", "1"],
+    ["accumulate", "--alpha-min", "2", "--alpha-max", "1"],
 ])
 def test_bad_q_and_p_are_input_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # where spectra's default output would land
@@ -93,15 +95,33 @@ def test_spectra_deterministic_output(tmp_path):
 def test_spectra_golden_bytes(tmp_path):
     # a 20-point 3D cloud is large enough for a change in the rounding of the
     # projector or the assembly (such as a block's memory order) to reach the
-    # last digits of the output; the smaller fixtures do not show it
+    # last digits of the output; the smaller fixtures do not show it.  Those
+    # digits also depend on the BLAS thread count, so the CLI runs in a child
+    # process at the count the fixture was written at.
     import json
+    import os
+    import subprocess
+    import sys
 
+    import pslap
+
+    threads = (DATA / "cloud20_3d_q012_p0.3.blas_threads").read_text().strip()
+    src = str(pathlib.Path(pslap.__file__).parents[1])
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS=threads,
+        OMP_NUM_THREADS=threads,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
     out = tmp_path / "s.csv"
     js = tmp_path / "s.json"
-    assert run(
-        "spectra", "--input", str(DATA / "cloud20_3d.xyz"), "--critical",
-        "--q", "0,1,2", "--p", "0.3", "--out", str(out), "--json", str(js),
-    ) == 0
+    proc = subprocess.run(
+        [sys.executable, "-m", "pslap.cli",
+         "spectra", "--input", str(DATA / "cloud20_3d.xyz"), "--critical",
+         "--q", "0,1,2", "--p", "0.3", "--out", str(out), "--json", str(js)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
     assert out.read_bytes() == (DATA / "cloud20_3d_q012_p0.3.csv").read_bytes()
     # metadata embeds the input path, so only the records are compared
     golden = json.loads((DATA / "cloud20_3d_q012_p0.3_records.json").read_text())

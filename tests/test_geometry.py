@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_cloud
+from pslap import geometry
 from pslap.errors import AllCollinear, AllCoplanar, DegenerateSimplex, DuplicatePoints
 from pslap.geometry import (
     PointSet,
@@ -296,3 +297,20 @@ def test_delaunay_cospherical_icosahedron(icosahedron_points):
     # hull of the icosahedron: 20 faces and 30 edges among the surface simplices
     assert c.n_simplices(2) >= 20
     assert c.n_simplices(1) >= 30
+
+
+def test_delaunay_conflict_search_is_local(monkeypatch):
+    # a scan of every cell per insertion runs about 62 300 conflict tests here
+    ps = random_cloud(2, 150, 3)
+    calls = 0
+    in_conflict = geometry._Triangulation.in_conflict
+
+    def counted(self, cell, p_idx):
+        nonlocal calls
+        calls += 1
+        return in_conflict(self, cell, p_idx)
+
+    monkeypatch.setattr(geometry._Triangulation, "in_conflict", counted)
+    c = delaunay(ps)
+    assert calls < 10_000
+    assert not audit_empty_circumspheres(c)
