@@ -15,12 +15,23 @@ from .spectra import SpectrumRecord
 CSV_HEADER = "q,alpha,p,n_simplices,betti,lambda_min_nonzero,flags"
 
 
+def _check_finite(row, path, lineno) -> None:
+    if not all(math.isfinite(x) for x in row):
+        raise ParseError(f"{path}:{lineno}: coordinates must be finite, got {row}")
+
+
 def read_xyz(path) -> PointSet:
     """Read one 2D or 3D point per non-empty, non-comment line."""
     coords = []
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes are kept as surrogates so that the error can name
+    # their line
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            try:
+                raw.encode("utf-8")
+            except UnicodeEncodeError:
+                raise ParseError(f"{path}:{lineno}: not valid UTF-8 text") from None
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -31,6 +42,7 @@ def read_xyz(path) -> PointSet:
                 row = [float(x) for x in fields]
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            _check_finite(row, path, lineno)
             if dim is None:
                 dim = len(row)
             elif len(row) != dim:
@@ -67,6 +79,7 @@ def read_pdb_ca(path, chain_filter: str | None = None) -> PointSet:
                 xyz = [float(line[30:38]), float(line[38:46]), float(line[46:54])]
             except (ValueError, IndexError) as exc:
                 raise ParseError(f"{path}:{lineno}: bad coordinate field: {exc}") from exc
+            _check_finite(xyz, path, lineno)
             coords.append(xyz)
             labels.append(f"{chain.strip() or '_'}{line[22:26].strip()}")
     if not coords:

@@ -42,15 +42,11 @@ class DimensionMismatch(PslapError):
 
 
 class LinearSolveFailure(PslapError):
-    """The gauge-fixed linear system could not be solved."""
+    """The SVD behind the persistent projector's kernel basis failed."""
 
 
 class EigensolveFailure(PslapError):
     """The eigenvalue solver did not converge."""
-
-
-class SizeLimitExceeded(PslapError):
-    """Instance too large for the exact-arithmetic path."""
 
 
 class ParseError(PslapError):

@@ -1,12 +1,10 @@
 """Independent persistent-homology oracles.
 
 Two validation routes that never touch the Laplacian code path: a Z2
-boundary-matrix reduction producing barcodes, and exact-rank Betti numbers
-over the rationals.  The rational route exists in two forms: a direct
-fraction-free elimination per query, and a bulk oracle that reduces each
-full boundary matrix once and reads every snapshot rank off the pivot rows
-(valid because snapshot restrictions are corner blocks of the filtration-
-ordered matrices).
+boundary-matrix reduction producing barcodes, and exact Betti numbers over
+the rationals from :class:`BettiOracle`, which reduces each full boundary
+matrix once and reads every snapshot rank off the pivot rows (valid because
+snapshot boundaries are corner blocks of the filtration-ordered matrices).
 """
 
 from __future__ import annotations
@@ -15,12 +13,7 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
-from .errors import SizeLimitExceeded
 from .simplices import MAX_DIM, REL_TOL, FilteredComplex, snapshot
-
-EXACT_SIZE_LIMIT = 500
 
 
 @dataclass
@@ -87,83 +80,14 @@ def betti_from_barcode(barcode: Barcode, q: int, alpha: float, p: float = 0.0) -
     return sum(1 for b, d in barcode.bars(q) if b <= born and d > dead)
 
 
-def _exact_rank_int(matrix: np.ndarray) -> int:
-    """Rank over Q of an integer matrix by fraction-free (Bareiss) elimination.
-
-    Runs on int64 with an overflow guard; restarts with arbitrary-precision
-    Python integers if entries outgrow the safe range.
-    """
-    m = np.array(matrix, dtype=np.int64, copy=True)
-    try:
-        return _bareiss(m, guard=True)
-    except OverflowError:
-        m = np.array(matrix, dtype=object, copy=True)
-        return _bareiss(m, guard=False)
-
-
-def _bareiss(m, guard: bool) -> int:
-    rows, cols = m.shape
-    rank = 0
-    prev = 1
-    r = 0
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i, c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            m[[r, piv], :] = m[[piv, r], :]
-        pivot = m[r, c]
-        if r + 1 < rows and c + 1 < cols:
-            block = m[r + 1:, c + 1:]
-            m[r + 1:, c + 1:] = (pivot * block - np.outer(m[r + 1:, c], m[r, c + 1:])) // prev
-            # products must stay within int64 on the fast path
-            if guard and np.abs(m[r + 1:, c + 1:]).max(initial=0) > 2**30:
-                raise OverflowError
-        m[r + 1:, c] = 0
-        prev = pivot
-        rank += 1
-        r += 1
-        if r == rows:
-            break
-    return rank
-
-
-def exact_rank_betti(complex: FilteredComplex, q: int, alpha: float, p: float = 0.0) -> int:
-    """beta_q^{alpha,p} by exact rational ranks: dim ker B_q^alpha minus the
-    rank of the persistent boundary image.
-
-    The image rank is rank(B_{q+1}^{alpha+p}) - rank(Diff_{q+1}^{alpha,p}),
-    both integer matrices, so no rational kernel basis is ever formed.
-    """
-    from .boundary import diff_operator, full_boundary, restrict
-
-    snap_t = snapshot(complex, alpha)
-    snap_tp = snapshot(complex, alpha + p)
-    n_q = snap_t.count(q)
-    if n_q > EXACT_SIZE_LIMIT or snap_tp.count(q + 1) > 4 * EXACT_SIZE_LIMIT:
-        raise SizeLimitExceeded(f"snapshot too large for exact arithmetic (N={n_q})")
-    if n_q == 0:
-        return 0
-    bq = restrict(full_boundary(complex, q), snap_t).matrix.toarray()
-    rank_bq = _exact_rank_int(bq)
-    full_up = full_boundary(complex, q + 1)
-    b_up = restrict(full_up, snap_tp).matrix.toarray()
-    diff = diff_operator(full_up, snap_t, snap_tp).toarray()
-    rank_image = _exact_rank_int(b_up) - _exact_rank_int(diff)
-    return (n_q - rank_bq) - rank_image
-
-
 class BettiOracle:
     """Bulk exact Betti numbers for every snapshot pair of one complex.
 
     Each boundary matrix is reduced once over the rationals with
     integer-preserving column operations; the recorded pivot rows then give
     rank(B_q^alpha), rank(B_q^{alpha+p}), and rank(Diff_q^{alpha,p}) for any
-    snapshot pair as O(1) pivot counts.
+    snapshot pair as pivot counts over the snapshot's columns, so a query
+    costs O(columns) and no elimination.
     """
 
     def __init__(self, complex: FilteredComplex):

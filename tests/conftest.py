@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from pslap.alpha import alpha_complex
-from pslap.boundary import _row_count, full_boundary, restrict
+from pslap.boundary import dense_block, full_boundary
 from pslap.dataio import read_xyz
 from pslap.geometry import PointSet
 from pslap.simplices import snapshot
@@ -38,6 +38,115 @@ def random_cloud(seed: int, n: int, d: int) -> PointSet:
     return PointSet(rng.uniform(0.0, 2.0, size=(n, d)))
 
 
+# Reference boundary matrices.  They are built from the simplex lists alone,
+# without pslap.boundary's face-index arrays or sign table, so the tests can
+# check the production blocks against them.
+
+
+def reference_boundary(cx, q: int) -> np.ndarray:
+    """Dense integer boundary matrix B_q of the whole filtration: column j is
+    the boundary of ``cx.simplices(q)[j]``, face i carrying (-1)^i; q=0 gives
+    a (1, N_0) zero matrix."""
+    if q == 0:
+        return np.zeros((1, cx.n_simplices(0)), dtype=np.int64)
+    out = np.zeros((cx.n_simplices(q - 1), cx.n_simplices(q)), dtype=np.int64)
+    for j, s in enumerate(cx.simplices(q)):
+        for i in range(len(s)):
+            out[cx.index_of(s[:i] + s[i + 1:]), j] = (-1) ** i
+    return out
+
+
+def production_boundary(cx, q: int) -> np.ndarray:
+    """The full boundary matrix B_q as pslap's sweep reads it: one dense block
+    from the face-index array."""
+    rows = 1 if q == 0 else cx.n_simplices(q - 1)
+    return dense_block(full_boundary(cx, q), 0, rows, 0, cx.n_simplices(q))
+
+
+def row_count(q: int, snap) -> int:
+    """Rows of B_q at a snapshot: its (q-1)-simplices, or one zero row for q=0."""
+    return 1 if q == 0 else snap.count(q - 1)
+
+
+def reference_restriction(cx, q: int, snap) -> np.ndarray:
+    """B_q at a snapshot: the top-left block of :func:`reference_boundary`."""
+    return reference_boundary(cx, q)[: row_count(q, snap), : snap.count(q)]
+
+
+def reference_diff(cx, q: int, snap_t, snap_tp) -> np.ndarray:
+    """Diff_q for the snapshot pair: the rows of B_q at the later snapshot for
+    (q-1)-simplices absent from the earlier one.  Its kernel is the persistent
+    chain space."""
+    return reference_restriction(cx, q, snap_tp)[row_count(q, snap_t):]
+
+
+# Exact rational ranks by fraction-free elimination, the per-query reference
+# for pslap.oracle.BettiOracle.
+
+
+def exact_rank_int(matrix: np.ndarray) -> int:
+    """Rank over Q of an integer matrix by fraction-free (Bareiss) elimination.
+
+    Runs on int64 with an overflow guard; restarts with arbitrary-precision
+    Python integers if entries outgrow the safe range.
+    """
+    m = np.array(matrix, dtype=np.int64, copy=True)
+    try:
+        return _bareiss(m, guard=True)
+    except OverflowError:
+        m = np.array(matrix, dtype=object, copy=True)
+        return _bareiss(m, guard=False)
+
+
+def _bareiss(m, guard: bool) -> int:
+    rows, cols = m.shape
+    rank = 0
+    prev = 1
+    r = 0
+    for c in range(cols):
+        piv = None
+        for i in range(r, rows):
+            if m[i, c] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            m[[r, piv], :] = m[[piv, r], :]
+        pivot = m[r, c]
+        if r + 1 < rows and c + 1 < cols:
+            block = m[r + 1:, c + 1:]
+            m[r + 1:, c + 1:] = (pivot * block - np.outer(m[r + 1:, c], m[r, c + 1:])) // prev
+            # products must stay within int64 on the fast path
+            if guard and np.abs(m[r + 1:, c + 1:]).max(initial=0) > 2**30:
+                raise OverflowError
+        m[r + 1:, c] = 0
+        prev = pivot
+        rank += 1
+        r += 1
+        if r == rows:
+            break
+    return rank
+
+
+def exact_rank_betti(cx, q: int, alpha: float, p: float = 0.0) -> int:
+    """beta_q^{alpha,p} by exact rational ranks: dim ker B_q^alpha minus the
+    rank of the persistent boundary image.
+
+    The image rank is rank(B_{q+1}^{alpha+p}) - rank(Diff_{q+1}^{alpha,p}),
+    both integer matrices, so no rational kernel basis is ever formed.
+    """
+    snap_t, snap_tp = snapshot(cx, alpha), snapshot(cx, alpha + p)
+    n_q = snap_t.count(q)
+    if n_q == 0:
+        return 0
+    rank_bq = exact_rank_int(reference_restriction(cx, q, snap_t))
+    rank_image = exact_rank_int(reference_restriction(cx, q + 1, snap_tp)) - exact_rank_int(
+        reference_diff(cx, q + 1, snap_t, snap_tp)
+    )
+    return (n_q - rank_bq) - rank_image
+
+
 # Harmonic-extension reference for the persistent boundary.  It shares no
 # projector code with pslap.boundary, which projects through an orthonormal
 # kernel basis of the Diff tail, so the tests use it as an independent check.
@@ -60,13 +169,13 @@ def harmonic_projector(d_tail: np.ndarray, down_tail: np.ndarray | None = None) 
 
 def harmonic_persistent_boundary(cx, q: int, snap_t, snap_tp) -> np.ndarray:
     """Persistent boundary B_q for the snapshot pair (q >= 1) through
-    :func:`harmonic_projector`, read from the sparse snapshot restrictions."""
-    r_t, c_t = _row_count(q, snap_t), snap_t.count(q)
-    up = restrict(full_boundary(cx, q), snap_tp).matrix.toarray().astype(float)
-    down = restrict(full_boundary(cx, q - 1), snap_tp).matrix.toarray().astype(float)
+    :func:`harmonic_projector`, read from the reference boundaries."""
+    r_t, c_t = row_count(q, snap_t), snap_t.count(q)
+    up = reference_restriction(cx, q, snap_tp).astype(float)
+    down = reference_restriction(cx, q - 1, snap_tp).astype(float)
     out = up[:r_t].copy()
     out[:, c_t:] = up[:r_t, c_t:] @ harmonic_projector(
-        up[r_t:, c_t:], down[_row_count(q - 1, snap_t):, r_t:]
+        up[r_t:, c_t:], down[row_count(q - 1, snap_t):, r_t:]
     )
     return out
 
@@ -76,5 +185,5 @@ def harmonic_eigenvalues(cx, q: int, alpha: float, p: float) -> np.ndarray:
     up-term built from :func:`harmonic_persistent_boundary`."""
     snap_t, snap_tp = snapshot(cx, alpha), snapshot(cx, alpha + p)
     up = harmonic_persistent_boundary(cx, q + 1, snap_t, snap_tp)
-    bq = restrict(full_boundary(cx, q), snap_t).matrix.toarray().astype(float)
+    bq = reference_restriction(cx, q, snap_t).astype(float)
     return np.linalg.eigvalsh(up @ up.T + bq.T @ bq)

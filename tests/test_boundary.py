@@ -4,16 +4,23 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import harmonic_persistent_boundary, harmonic_projector, random_cloud
+from conftest import (
+    exact_rank_int,
+    harmonic_persistent_boundary,
+    harmonic_projector,
+    production_boundary,
+    random_cloud,
+    reference_boundary,
+    reference_diff,
+    reference_restriction,
+    row_count,
+)
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.boundary import (
     _kernel_projector,
-    _row_count,
     dense_block,
-    diff_operator,
     full_boundary,
     persistent_boundary,
-    restrict,
 )
 from pslap.errors import LinearSolveFailure, SnapshotOrderViolation
 from pslap.simplices import build_complex, snapshot
@@ -37,27 +44,23 @@ def test_edge_column_signs():
     c = build_complex(
         [(0,), (1,), (0, 1)], {(0,): 0.0, (1,): 0.0, (0, 1): 1.0}
     )
-    b1 = full_boundary(c, 1).matrix.toarray()
+    b1 = production_boundary(c, 1)
     assert b1.tolist() == [[-1], [1]]
-
-
-def test_b0_is_zero_row():
-    c = build_complex([(0,), (1,)], {(0,): 0.0, (1,): 0.0})
-    b0 = full_boundary(c, 0)
-    assert b0.shape == (1, 2)
-    assert b0.matrix.count_nonzero() == 0
+    assert np.array_equal(b1, reference_boundary(c, 1))
 
 
 def test_table1_boundary_matrices(six_complex):
     snap = snapshot(six_complex, 0.6)
-    b1 = restrict(full_boundary(six_complex, 1), snap).matrix.toarray()
+    b1 = reference_restriction(six_complex, 1, snap)
     assert b1.shape == (6, 7)
+    assert np.array_equal(dense_block(full_boundary(six_complex, 1), 0, 6, 0, 7), b1)
     # vertex rows are index order A..F; edge columns via the complex's order
     col = {e: six_complex.index_of(e) for e in TABLE1_EDGES}
     reordered = b1[:, [col[e] for e in TABLE1_EDGES]]
     assert np.array_equal(reordered, TABLE1_B1)
-    b2 = restrict(full_boundary(six_complex, 2), snap).matrix.toarray()
+    b2 = reference_restriction(six_complex, 2, snap)
     assert b2.shape == (7, 1)
+    assert np.array_equal(dense_block(full_boundary(six_complex, 2), 0, 7, 0, 1), b2)
     for e, val in TABLE1_B2.items():
         assert b2[col[e], 0] == val
 
@@ -65,16 +68,15 @@ def test_table1_boundary_matrices(six_complex):
 def test_boundary_of_boundary_is_zero(six_complex, icosahedron_complex):
     for c in (six_complex, icosahedron_complex):
         for q in range(1, c.max_dim + 1):
-            bq = full_boundary(c, q).matrix
-            bq1 = full_boundary(c, q + 1).matrix
-            prod = (bq @ bq1).toarray()
+            bq, bq1 = (production_boundary(c, k).astype(np.int64) for k in (q, q + 1))
+            prod = bq @ bq1
             assert prod.dtype.kind == "i"
             assert not prod.any()
 
 
 def test_column_structure(six_complex):
     for q in range(1, six_complex.max_dim + 1):
-        b = full_boundary(six_complex, q).matrix.toarray()
+        b = production_boundary(six_complex, q)
         for j in range(b.shape[1]):
             col = b[:, j]
             assert np.sum(col != 0) == q + 1
@@ -82,12 +84,14 @@ def test_column_structure(six_complex):
 
 
 def test_restrict_blocks(six_complex):
+    # a snapshot's boundary is the top-left block of the full matrix
     full = full_boundary(six_complex, 1)
-    low = restrict(full, snapshot(six_complex, 0.1))
-    assert low.shape == (6, 0)
-    everything = restrict(full, snapshot(six_complex, math.inf))
-    assert everything.shape == full.shape
-    assert (everything.matrix != full.matrix).nnz == 0
+    low = snapshot(six_complex, 0.1)
+    assert dense_block(full, 0, row_count(1, low), 0, low.count(1)).shape == (6, 0)
+    everything = snapshot(six_complex, math.inf)
+    block = dense_block(full, 0, row_count(1, everything), 0, everything.count(1))
+    assert block.shape == reference_boundary(six_complex, 1).shape
+    assert np.array_equal(block, reference_boundary(six_complex, 1))
 
 
 def _snapshot_pairs(c):
@@ -102,38 +106,50 @@ def test_dense_block_matches_sparse_blocks(six_complex):
         for q in range(4):
             full = full_boundary(c, q)
             for s_t, s_tp in _snapshot_pairs(c):
-                r_t, r_p = _row_count(q, s_t), _row_count(q, s_tp)
+                r_t, r_p = row_count(q, s_t), row_count(q, s_tp)
                 c_t, c_p = s_t.count(q), s_tp.count(q)
                 for s in (s_t, s_tp):
-                    block = dense_block(full, 0, _row_count(q, s), 0, s.count(q))
+                    block = dense_block(full, 0, row_count(q, s), 0, s.count(q))
                     assert block.dtype == np.float64 and block.flags.f_contiguous
-                    assert np.array_equal(block, restrict(full, s).matrix.toarray())
-                # Diff is zero outside its tail rows, and earlier simplices
-                # have no faces among the later rows
-                diff = diff_operator(full, s_t, s_tp).toarray()
-                assert not diff[:r_t].any() and not diff[:, :c_t].any()
+                    assert np.array_equal(block, reference_restriction(c, q, s))
+                # earlier simplices have no faces among the later rows, so
+                # Diff is zero outside its tail columns
+                diff = reference_diff(c, q, s_t, s_tp)
+                assert not diff[:, :c_t].any()
                 tail = dense_block(full, r_t, r_p, c_t, c_p)
                 assert tail.shape == (r_p - r_t, c_p - c_t) and tail.flags.f_contiguous
-                assert np.array_equal(tail, diff[r_t:, c_t:])
+                assert np.array_equal(tail, diff[:, c_t:])
                 top = dense_block(full, 0, r_t, 0, c_p)
-                assert np.array_equal(top, restrict(full, s_tp).matrix.toarray()[:r_t])
+                assert np.array_equal(top, reference_restriction(c, q, s_tp)[:r_t])
 
 
 def test_dense_block_empty_and_q0(six_complex):
     full0 = full_boundary(six_complex, 0)
     assert full0.faces.shape == (6, 0)
     assert np.array_equal(dense_block(full0, 0, 1, 0, 6), np.zeros((1, 6)))
+    # B_0 is a single zero row
+    c = build_complex([(0,), (1,)], {(0,): 0.0, (1,): 0.0})
+    b0 = production_boundary(c, 0)
+    assert b0.shape == (1, 2)
+    assert not b0.any()
     full1 = full_boundary(six_complex, 1)
-    assert full1.faces.shape == (full1.shape[1], 2)
+    assert full1.faces.shape == (six_complex.n_simplices(1), 2)
     assert dense_block(full1, 3, 3, 0, 5).shape == (0, 5)
     assert dense_block(full1, 0, 6, 4, 4).shape == (6, 0)
     assert dense_block(full1, 2, 2, 4, 4).shape == (0, 0)
 
 
+def _tail(c, q: int, s_t, s_tp) -> np.ndarray:
+    """The production Diff tail block: later rows, later columns."""
+    return dense_block(
+        full_boundary(c, q), row_count(q, s_t), row_count(q, s_tp), s_t.count(q), s_tp.count(q)
+    )
+
+
 def test_diff_operator_p0_is_zero(six_complex):
     snap = snapshot(six_complex, 0.6)
-    d = diff_operator(full_boundary(six_complex, 1), snap, snap)
-    assert d.count_nonzero() == 0
+    assert not _tail(six_complex, 1, snap, snap).any()
+    assert not reference_diff(six_complex, 1, snap, snap).any()
 
 
 def test_diff_operator_table2_case(six_complex):
@@ -141,9 +157,9 @@ def test_diff_operator_table2_case(six_complex):
     # space is everything
     s_t = snapshot(six_complex, 0.2)
     s_tp = snapshot(six_complex, 0.6)
-    d = diff_operator(full_boundary(six_complex, 1), s_t, s_tp)
-    assert d.shape == (6, 7)
-    assert d.count_nonzero() == 0
+    assert reference_restriction(six_complex, 1, s_tp).shape == (6, 7)
+    assert reference_diff(six_complex, 1, s_t, s_tp).shape == (0, 7)
+    assert _tail(six_complex, 1, s_t, s_tp).shape == (0, 7 - s_t.count(1))
 
 
 def _two_edge_complex():
@@ -159,18 +175,22 @@ def test_diff_operator_two_edges():
     c = _two_edge_complex()
     s_t = snapshot(c, 1.0)
     s_tp = snapshot(c, 2.0)
-    d = diff_operator(full_boundary(c, 1), s_t, s_tp).toarray()
-    assert d.shape == (4, 2)
+    d = reference_diff(c, 1, s_t, s_tp)
+    assert d.shape == (1, 2)  # the row of vertex 3
     e2_col = c.index_of((2, 3))
     assert d[:, e2_col].any()
     assert not d[:, c.index_of((0, 1))].any()
     kernel = scipy.linalg.null_space(d)
     assert kernel.shape[1] == 1  # e2 excluded from the persistent chain space
+    # production reads only the new edge's column of Diff, and it is nonzero
+    tail = _tail(c, 1, s_t, s_tp)
+    assert np.array_equal(tail, d[:, s_t.count(1):])
+    assert scipy.linalg.null_space(tail).shape[1] == 0
 
 
 def test_diff_operator_order_violation(six_complex):
     with pytest.raises(SnapshotOrderViolation):
-        diff_operator(
+        persistent_boundary(
             full_boundary(six_complex, 1),
             snapshot(six_complex, 0.6),
             snapshot(six_complex, 0.2),
@@ -181,7 +201,7 @@ def test_persistent_boundary_p0_equals_restriction(six_complex):
     snap = snapshot(six_complex, 0.6)
     full = full_boundary(six_complex, 1)
     pb = persistent_boundary(full, snap, snap)
-    assert np.array_equal(pb, restrict(full, snap).matrix.toarray())
+    assert np.array_equal(pb, reference_restriction(six_complex, 1, snap))
 
 
 def test_persistent_boundary_table2(six_complex):
@@ -190,8 +210,8 @@ def test_persistent_boundary_table2(six_complex):
         snapshot(six_complex, 0.2),
         snapshot(six_complex, 0.6),
     )
-    b_full = restrict(full_boundary(six_complex, 1), snapshot(six_complex, 0.6))
-    assert np.array_equal(pb, b_full.matrix.toarray())
+    b_full = reference_restriction(six_complex, 1, snapshot(six_complex, 0.6))
+    assert np.array_equal(pb, b_full)
 
 
 def test_null_space_failure_is_typed(monkeypatch):
@@ -221,8 +241,6 @@ def test_projector_idempotent_and_symmetric():
 def test_persistent_rank_matches_exact_formula():
     # numerical rank of the projected operator equals the exact rational rank
     # of the restriction to ker(Diff): rank(B^{a+p}) - rank(Diff)
-    from pslap.oracle import _exact_rank_int
-
     for seed, n, d in [(41, 10, 2), (42, 11, 3)]:
         pts = random_cloud(seed, n, d)
         c = alpha_complex(pts, seed=seed)
@@ -235,9 +253,9 @@ def test_persistent_rank_matches_exact_formula():
             full = full_boundary(c, q)
             pb = persistent_boundary(full, s_t, s_tp)
             num_rank = np.linalg.matrix_rank(pb) if pb.size else 0
-            b_up = restrict(full, s_tp).matrix.toarray()
-            diff = diff_operator(full, s_t, s_tp).toarray()
-            assert num_rank == _exact_rank_int(b_up) - _exact_rank_int(diff)
+            b_up = reference_restriction(c, q, s_tp)
+            diff = reference_diff(c, q, s_t, s_tp)
+            assert num_rank == exact_rank_int(b_up) - exact_rank_int(diff)
 
 
 def test_methods_agree_on_random_clouds():

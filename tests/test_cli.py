@@ -51,6 +51,21 @@ def test_spectra_missing_input(tmp_path, capsys):
     assert "input error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name,content", [
+    ("nan.xyz", b"0 0\n1 nan\n0 1\n"),
+    ("bytes.xyz", b"0 0\n1 0\xff\n0 1\n"),
+    ("nan.pdb", b"ATOM      1  CA  ALA A   1      11.639     nan  -5.147  1.00  0.00           C\n"),
+], ids=["nan-xyz", "bytes-xyz", "nan-pdb"])
+def test_bad_coordinates_are_input_errors(name, content, tmp_path, capsys):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    out = tmp_path / "o.csv"
+    assert run("spectra", "--input", str(bad), "--out", str(out)) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("pslap: input error:") and f"{bad}:" in err
+
+
 @pytest.mark.parametrize("argv", [
     ["spectra", "--q", "0,x"],
     ["spectra", "--q", "-1"],

@@ -47,6 +47,17 @@ def test_read_xyz_parse_error_reports_line(tmp_path):
     p.write_text("0 0 0 0\n")
     with pytest.raises(ParseError, match=":1"):
         read_xyz(p)
+    # non-finite coordinates and undecodable bytes are parse errors too
+    for bad in ("nan 0", "0 inf", "-inf 1 2", "1e999 0"):
+        p.write_text(f"0 0\n# ok\n{bad}\n")
+        with pytest.raises(ParseError, match=":3"):
+            read_xyz(p)
+    p.write_bytes(b"0 0\n1 \xff\n")
+    with pytest.raises(ParseError, match=":2"):
+        read_xyz(p)
+    p.write_bytes(b"# caf\xe9\n0 0\n")
+    with pytest.raises(ParseError, match=":1"):
+        read_xyz(p)
 
 
 def test_read_pdb_ca_fixture():
@@ -83,6 +94,15 @@ def test_read_pdb_touching_columns(tmp_path):
     p.write_text(line + "\n")
     ps = read_pdb_ca(p)
     assert np.allclose(ps.coords[0], [1234.567, 8901.234, 5678.901])
+
+
+def test_read_pdb_non_finite_coordinate(tmp_path):
+    p = tmp_path / "n.pdb"
+    good = "ATOM      1  CA  ALA A   1      11.639   6.071  -5.147  1.00  0.00           C"
+    bad = "ATOM      2  CA  GLY A   2         nan   6.586  -2.910  1.00  0.00           C"
+    p.write_text(good + "\n" + bad + "\n")
+    with pytest.raises(ParseError, match=":2"):
+        read_pdb_ca(p)
 
 
 def _records():

@@ -1,37 +1,29 @@
 import math
 
 import numpy as np
-import pytest
 
-from conftest import random_cloud
+from conftest import exact_rank_betti, exact_rank_int, random_cloud
 from pslap.alpha import alpha_complex, critical_alphas
-from pslap.errors import SizeLimitExceeded
-from pslap.oracle import (
-    BettiOracle,
-    _exact_rank_int,
-    betti_from_barcode,
-    exact_rank_betti,
-    reduce,
-)
+from pslap.oracle import BettiOracle, betti_from_barcode, reduce
 from pslap.simplices import build_complex, euler_characteristic, snapshot
 from pslap.spectra import spectrum_at
 
 
 def test_exact_rank_int_basics():
-    assert _exact_rank_int(np.array([[1, 0], [0, 1]])) == 2
-    assert _exact_rank_int(np.array([[1, 2], [2, 4]])) == 1
-    assert _exact_rank_int(np.zeros((3, 4), dtype=np.int64)) == 0
+    assert exact_rank_int(np.array([[1, 0], [0, 1]])) == 2
+    assert exact_rank_int(np.array([[1, 2], [2, 4]])) == 1
+    assert exact_rank_int(np.zeros((3, 4), dtype=np.int64)) == 0
     rng = np.random.default_rng(0)
     for _ in range(20):
         m = rng.integers(-3, 4, size=(8, 11))
-        assert _exact_rank_int(m) == np.linalg.matrix_rank(m.astype(float))
+        assert exact_rank_int(m) == np.linalg.matrix_rank(m.astype(float))
 
 
 def test_exact_rank_int_bigint_fallback():
     # ill-conditioned for floats, trivial for exact arithmetic
     n = 12
     m = np.array([[(i + 1) ** j for j in range(n)] for i in range(n)], dtype=np.int64)
-    assert _exact_rank_int(m) == n
+    assert exact_rank_int(m) == n
 
 
 def test_six_point_barcode(six_complex):
@@ -69,14 +61,6 @@ def test_exact_rank_betti_table1(six_complex):
 
 def test_exact_rank_betti_empty_snapshot(six_complex):
     assert exact_rank_betti(six_complex, 1, 0.05, 0.0) == 0
-
-
-def test_exact_rank_size_limit(six_complex, monkeypatch):
-    import pslap.oracle as oracle
-
-    monkeypatch.setattr(oracle, "EXACT_SIZE_LIMIT", 3)
-    with pytest.raises(SizeLimitExceeded):
-        oracle.exact_rank_betti(six_complex, 1, 0.6, 0.0)
 
 
 def test_bulk_oracle_matches_direct(six_complex):

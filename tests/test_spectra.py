@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import reference_restriction
 from pslap import spectra
 from pslap.alpha import alpha_complex, critical_alphas
-from pslap.boundary import full_boundary, persistent_boundary, restrict
+from pslap.boundary import full_boundary, persistent_boundary
 from pslap.errors import DimensionMismatch
 from pslap.oracle import BettiOracle
 from pslap.simplices import build_complex, snapshot
@@ -78,7 +79,7 @@ def test_psd_and_symmetry(six_complex):
 
 def test_assemble_dimension_mismatch(six_complex):
     snap = snapshot(six_complex, 0.6)
-    b1 = restrict(full_boundary(six_complex, 1), snap).matrix.toarray()
+    b1 = reference_restriction(six_complex, 1, snap)
     pb = persistent_boundary(full_boundary(six_complex, 1), snap, snap)
     with pytest.raises(DimensionMismatch):
         assemble_laplacian(b1, pb)  # up-term rows are edge-counted, not q+1
