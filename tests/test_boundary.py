@@ -49,6 +49,13 @@ def test_edge_column_signs():
     assert np.array_equal(b1, reference_boundary(c, 1))
 
 
+def test_b0_is_zero_row():
+    c = build_complex([(0,), (1,)], {(0,): 0.0, (1,): 0.0})
+    b0 = production_boundary(c, 0)
+    assert b0.shape == (1, 2)
+    assert not b0.any()
+
+
 def test_table1_boundary_matrices(six_complex):
     snap = snapshot(six_complex, 0.6)
     b1 = reference_restriction(six_complex, 1, snap)
@@ -127,11 +134,6 @@ def test_dense_block_empty_and_q0(six_complex):
     full0 = full_boundary(six_complex, 0)
     assert full0.faces.shape == (6, 0)
     assert np.array_equal(dense_block(full0, 0, 1, 0, 6), np.zeros((1, 6)))
-    # B_0 is a single zero row
-    c = build_complex([(0,), (1,)], {(0,): 0.0, (1,): 0.0})
-    b0 = production_boundary(c, 0)
-    assert b0.shape == (1, 2)
-    assert not b0.any()
     full1 = full_boundary(six_complex, 1)
     assert full1.faces.shape == (six_complex.n_simplices(1), 2)
     assert dense_block(full1, 3, 3, 0, 5).shape == (0, 5)
