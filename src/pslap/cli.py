@@ -111,9 +111,12 @@ def _alpha_values(args, complex) -> np.ndarray:
 
 def _parse_list(option: str, text: str, convert) -> list:
     try:
-        return [convert(t) for t in text.split(",") if t != ""]
+        values = [convert(t) for t in text.split(",") if t != ""]
     except ValueError:
         raise ParseError(f"{option}: invalid value in {text!r}") from None
+    if not values:
+        raise ParseError(f"{option}: no values in {text!r}")
+    return values
 
 
 def _parse_q(text: str) -> list[int]:

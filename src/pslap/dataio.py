@@ -26,7 +26,7 @@ def read_xyz(path) -> PointSet:
     dim = None
     # undecodable bytes are kept as surrogates so that the error can name
     # their line
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 raw.encode("utf-8")
@@ -61,7 +61,7 @@ def read_pdb_ca(path, chain_filter: str | None = None) -> PointSet:
     """
     coords = []
     labels = []
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
         for lineno, line in enumerate(fh, start=1):
             rec = line[:6]
             if rec in ("ENDMDL", "END   ") or line.rstrip() == "END":

@@ -43,6 +43,13 @@ region is connected, so a search over shared facets from that cell finds all
 of it, testing each cell once.  The nearest vertex is chosen by floating-point
 distance; only rounding between near-equidistant vertices could pick one whose
 star has no conflict, and insertion then raises ``PslapError``.
+
+A point p on the affine hull of a hull facet conflicts with the facet's
+infinite cell iff it lies inside the facet's circumsphere, which is where any
+sphere through the facet meets that hull, so the perturbed in-sphere test of
+the facet's finite cell decides.  On a tie the opposite vertex's cofactor is
+orient(facet + p) = 0 and facet vertex i's is lambda_i * orient(cell), lambda
+the affine coordinates of p, so the facet vertices and p alone break it.
 """
 
 from __future__ import annotations
@@ -252,83 +259,14 @@ def min_circumsphere(simplex_points) -> Circumsphere:
 
 
 def _circumsphere_exact(pts):
-    """Circumcenter (affine-hull) and squared radius as exact rationals."""
+    """Circumcenter (affine hull) and squared radius as exact rationals: the
+    offset from pts[0] is V^T t with t = adj(G) b / (2 det G)."""
     base = [Fraction(x) for x in pts[0]]
-    dim = len(base)
-    V = [[Fraction(p[k]) - base[k] for k in range(dim)] for p in pts[1:]]
-    k = len(V)
-    if k == 0:
-        return base, Fraction(0)
-    G = [[2 * sum(vi[m] * vj[m] for m in range(dim)) for vj in V] for vi in V]
-    rhs = [sum(v[m] * v[m] for m in range(dim)) for v in V]
-    t = _solve_exact(G, rhs)
-    offset = [sum(t[j] * V[j][m] for j in range(k)) for m in range(dim)]
-    center = [base[m] + offset[m] for m in range(dim)]
-    r2 = sum(o * o for o in offset)
-    return center, r2
-
-
-def _solve_exact(A, b):
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise DegenerateSimplex("singular exact circumsphere system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col] / inv
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] / M[i][i] for i in range(n)]
-
-
-def _cross3(u, v):
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
-
-
-def _barycentric_exact(tri, p):
-    """Exact affine coordinates of p (coplanar with the triangle) wrt tri."""
-    a, b, c = ([Fraction(x) for x in row] for row in tri)
-    pf = [Fraction(x) for x in p]
-    v0 = [y - x for x, y in zip(a, b)]
-    v1 = [y - x for x, y in zip(a, c)]
-    vp = [y - x for x, y in zip(a, pf)]
-    n = _cross3(v0, v1)
-    nn = sum(x * x for x in n)
-    if nn == 0:
-        raise DegenerateSimplex("degenerate facet in barycentric computation")
-    s = sum(x * y for x, y in zip(_cross3(vp, v1), n)) / nn
-    t = sum(x * y for x, y in zip(_cross3(v0, vp), n)) / nn
-    return (1 - s - t, s, t)
-
-
-def _in_circumdisk_perturbed(coords, facet, p_idx) -> bool:
-    """Perturbed test for a point in the affine hull of a hull facet: inside
-    the facet's circumdisk (in 2D, the open segment).
-
-    Ties (p on the facet circumcircle, possible only in 3D) are broken
-    consistently with the lifted-weight perturbation: conflict iff
-    sum(lambda_i * delta_i) < delta_p with delta dominated by the largest
-    involved point index.
-    """
-    fpts = coords[list(facet)]
-    s = side_of_circumsphere(fpts, coords[p_idx])
-    if s != 0:
-        return s > 0
-    lam = _barycentric_exact(fpts.tolist(), coords[p_idx].tolist())
-    for idx in sorted(tuple(facet) + (p_idx,), reverse=True):
-        if idx == p_idx:
-            return True
-        l = lam[facet.index(idx)]
-        if l != 0:
-            return l < 0
-    return False
+    V = [[Fraction(x) - y for x, y in zip(p, base)] for p in pts[1:]]
+    det, adj_b = _gram(V, operator.sub)
+    t = [x / (2 * det) for x in adj_b]
+    offset = [_dot(t, column) for column in zip(*V)]
+    return [a + o for a, o in zip(base, offset)], _dot(offset, offset)
 
 
 _INF = -1  # sentinel vertex of the unbounded cells
@@ -378,11 +316,11 @@ class _Triangulation:
             if not owners:
                 del self.facet_map[f]
 
-    def _finite_neighbor_vertex(self, facet):
-        # the vertex opposite a hull facet in its unique finite cell
+    def _finite_neighbor(self, facet):
+        # the unique finite cell on a hull facet
         for cell in self.facet_map[facet]:
             if cell[-1] != _INF:
-                return next(v for v in cell if v not in facet)
+                return cell
         raise PslapError(f"hull facet {facet} has no finite cell")
 
     def in_conflict(self, cell, p_idx) -> bool:
@@ -390,14 +328,17 @@ class _Triangulation:
         if cell[-1] != _INF:
             return in_sphere_indexed(coords, cell, p_idx) > 0
         facet = cell[:-1]
-        x = self._finite_neighbor_vertex(facet)
+        finite = self._finite_neighbor(facet)
         fpts = coords[list(facet)]
         s_p = orientation(np.vstack([fpts, coords[p_idx]]))
         if s_p != 0:
+            x = next(v for v in finite if v not in facet)
             s_x = orientation(np.vstack([fpts, coords[x]]))
             return s_p == -s_x
-        # p on the facet's affine hull: conflict iff inside the facet's disk
-        return _in_circumdisk_perturbed(coords, facet, p_idx)
+        # p on the facet's affine hull, where the finite cell's circumsphere
+        # is the facet's; on a tie the opposite vertex's cofactor,
+        # orient(facet + p), is 0, so only the facet and p break it
+        return in_sphere_indexed(coords, finite, p_idx) > 0
 
     def _conflict_region(self, p_idx):
         """The cells in conflict with p: the first found in the star of the
@@ -448,29 +389,17 @@ class _Triangulation:
 
 def _bootstrap_simplex(coords: np.ndarray):
     n, d = coords.shape
-    err = AllCollinear if d == 2 else AllCoplanar
     chosen = [0]
-    for j in range(1, n):
-        if not np.array_equal(coords[j], coords[0]):
-            chosen.append(j)
-            break
     while len(chosen) < d + 1:
-        k = len(chosen)
-        found = None
         for j in range(n):
-            if j in chosen:
-                continue
-            pts = coords[chosen + [j]]
-            if k == d:
-                independent = orientation(pts)
-            else:
-                independent = _exact_signs(_gram_det, pts.tolist())[0]
-            if independent:
-                found = j
+            # det(G) > 0 iff chosen + [j] are affinely independent
+            if j not in chosen and _exact_signs(_gram_det, coords[chosen + [j]].tolist())[0]:
+                chosen.append(j)
                 break
-        if found is None:
-            raise err(f"no full-dimensional simplex among the {n} input points")
-        chosen.append(found)
+        else:
+            raise (AllCollinear if d == 2 else AllCoplanar)(
+                f"no full-dimensional simplex among the {n} input points"
+            )
     return chosen
 
 

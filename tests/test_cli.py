@@ -84,6 +84,10 @@ def test_bad_coordinates_are_input_errors(name, content, tmp_path, capsys):
     ["spectra", "--step", "abc"],
     ["spectra", "--alpha-min", "2", "--alpha-max", "1"],
     ["accumulate", "--alpha-min", "2", "--alpha-max", "1"],
+    ["spectra", "--q", ","],
+    ["spectra", "--q", ""],
+    ["validate", "--q", ","],
+    ["validate", "--p", ","],
 ])
 def test_bad_q_and_p_are_input_errors(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)  # where spectra's default output would land

@@ -22,6 +22,8 @@ def test_read_xyz_basic(tmp_path):
     p.write_text("0 0\n1 0\n0 1\n")
     ps = read_xyz(p)
     assert ps.coords.shape == (3, 2)
+    p.write_bytes(b"\xef\xbb\xbf0 0\n1 0\n0 1\n")  # UTF-8 byte-order mark
+    assert np.array_equal(read_xyz(p).coords, ps.coords)
 
 
 def test_read_xyz_comments(tmp_path):
@@ -94,6 +96,9 @@ def test_read_pdb_touching_columns(tmp_path):
     p.write_text(line + "\n")
     ps = read_pdb_ca(p)
     assert np.allclose(ps.coords[0], [1234.567, 8901.234, 5678.901])
+    # a UTF-8 byte-order mark must not hide the record on line 1
+    p.write_bytes(b"\xef\xbb\xbf" + line.encode() + b"\n")
+    assert np.array_equal(read_pdb_ca(p).coords, ps.coords)
 
 
 def test_read_pdb_non_finite_coordinate(tmp_path):
