@@ -4,7 +4,6 @@ from .alpha import alpha_complex, assign_filtration, critical_alphas
 from .boundary import SparseBoundaryMatrix, full_boundary, persistent_boundary
 from .dataio import (
     read_pdb_ca,
-    read_spectra_csv,
     read_xyz,
     write_curves_svg,
     write_spectra_csv,
@@ -18,14 +17,7 @@ from .geometry import (
     orientation,
 )
 from .oracle import Barcode, BettiOracle, betti_from_barcode, reduce
-from .simplices import (
-    FilteredComplex,
-    Simplex,
-    Snapshot,
-    build_complex,
-    euler_characteristic,
-    snapshot,
-)
+from .simplices import FilteredComplex, Snapshot, snapshot
 from .spectra import (
     PersistentLaplacian,
     SpectrumRecord,
@@ -47,7 +39,6 @@ __all__ = [
     "FilteredComplex",
     "PersistentLaplacian",
     "PointSet",
-    "Simplex",
     "Snapshot",
     "SparseBoundaryMatrix",
     "SpectrumRecord",
@@ -56,18 +47,15 @@ __all__ = [
     "assemble_laplacian",
     "assign_filtration",
     "betti_from_barcode",
-    "build_complex",
     "critical_alphas",
     "delaunay",
     "detect_anomalies",
-    "euler_characteristic",
     "full_boundary",
     "min_circumsphere",
     "orientation",
     "persistent_boundary",
     "persistent_laplacian",
     "read_pdb_ca",
-    "read_spectra_csv",
     "read_xyz",
     "reduce",
     "snapshot",

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import NotADelaunayComplex
+from .errors import NegativeFiltration
 from .geometry import (
     PointSet,
     delaunay,
@@ -22,44 +22,18 @@ from .geometry import (
 )
 from .simplices import REL_TOL, FilteredComplex
 
-__all__ = ["is_gabriel", "assign_filtration", "critical_alphas", "alpha_complex"]
-
-
-def is_gabriel(complex: FilteredComplex, points: PointSet, simplex) -> bool:
-    """True iff the open ball of the simplex's minimal circumsphere contains
-    no input point.  Vertices (radius 0) are always Gabriel."""
-    verts = tuple(simplex.vertices) if hasattr(simplex, "vertices") else tuple(simplex)
-    if len(verts) == 1:
-        return True
-    coords = points.coords
-    members = set(verts)
-    spts = coords[list(verts)]
-    for idx in range(coords.shape[0]):
-        if idx in members:
-            continue
-        if side_of_circumsphere(spts, coords[idx]) > 0:
-            return False
-    return True
+__all__ = ["assign_filtration", "critical_alphas", "alpha_complex"]
 
 
 def assign_filtration(complex: FilteredComplex, points: PointSet) -> FilteredComplex:
     """Return a new complex with alpha filtration values (squared) assigned."""
     coords = points.coords
     values: dict[tuple, float] = {}
-    spheres: dict[tuple, object] = {}
-
-    def sphere(s):
-        cs = spheres.get(s)
-        if cs is None:
-            cs = min_circumsphere(coords[list(s)])
-            spheres[s] = cs
-        return cs
-
     top = complex.max_dim
     for q in range(top, -1, -1):
         for s in complex.simplices(q):
             if s not in values:
-                values[s] = 0.0 if q == 0 else sphere(s).radius_sq
+                values[s] = 0.0 if q == 0 else min_circumsphere(coords[list(s)]).radius_sq
             if q == 0:
                 continue
             v_s = values[s]
@@ -80,23 +54,14 @@ def assign_filtration(complex: FilteredComplex, points: PointSet) -> FilteredCom
             if values[s] < face_max:
                 values[s] = face_max
 
-    by_dim = {q: complex.simplices(q) for q in range(top + 1)}
-    out = FilteredComplex(by_dim, values, points=coords)
-    _check_monotone(out)
-    return out
-
-
-def _check_monotone(complex: FilteredComplex) -> None:
-    for q in range(1, complex.max_dim + 1):
-        for s in complex.simplices(q):
-            v = complex.filtration_sq(s)
-            for i in range(q + 1):
-                tau = s[:i] + s[i + 1:]
-                vt = complex.filtration_sq(tau)
-                if vt > v:
-                    raise NotADelaunayComplex(
-                        f"face {tau} has value {vt} above coface {s} value {v}"
-                    )
+    # squared distances beyond double range come out inf or NaN, and NaN
+    # passes every comparison above unnoticed
+    for s, v in values.items():
+        if not math.isfinite(v):
+            raise NegativeFiltration(
+                f"filtration value {v} for simplex {s}: squared distances overflow"
+            )
+    return FilteredComplex({q: complex.simplices(q) for q in range(top + 1)}, values)
 
 
 def critical_alphas(complex: FilteredComplex) -> np.ndarray:
@@ -122,12 +87,11 @@ def alpha_complex(points: PointSet, seed: int = 0) -> FilteredComplex:
     coords = points.coords
     n = coords.shape[0]
     if n == 1:
-        return FilteredComplex({0: [(0,)]}, {(0,): 0.0}, points=coords)
+        return FilteredComplex({0: [(0,)]}, {(0,): 0.0})
     if n == 2:
         d_sq = float(np.sum((coords[1] - coords[0]) ** 2))
         return FilteredComplex(
             {0: [(0,), (1,)], 1: [(0, 1)]},
             {(0,): 0.0, (1,): 0.0, (0, 1): d_sq / 4.0},
-            points=coords,
         )
     return assign_filtration(delaunay(points, seed=seed), points)

@@ -106,35 +106,6 @@ def write_spectra_csv(records: list[SpectrumRecord], path) -> None:
             )
 
 
-def read_spectra_csv(path) -> list[SpectrumRecord]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != CSV_HEADER:
-            raise ParseError(f"{path}:1: unexpected header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 7:
-                raise ParseError(f"{path}:{lineno}: expected 7 fields")
-            q, alpha, p, n, betti, lam, flags = parts
-            records.append(
-                SpectrumRecord(
-                    q=int(q),
-                    alpha=float(alpha),
-                    p=float(p),
-                    eigenvalues=(),
-                    betti=int(betti),
-                    lambda_min_nonzero=float(lam) if lam else None,
-                    n_simplices=int(n),
-                    flags=tuple(f for f in flags.split(";") if f),
-                )
-            )
-    return records
-
-
 def write_spectra_json(records, path, metadata=None) -> None:
     """CSV-equivalent records (plus full eigenvalue lists) in a JSON envelope."""
     payload = {

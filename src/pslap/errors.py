@@ -9,12 +9,8 @@ class NegativeFiltration(PslapError):
     """A filtration value is negative or not finite."""
 
 
-class DimensionTooHigh(PslapError):
-    """A simplex of dimension greater than 3 was requested."""
-
-
 class DegenerateSimplex(PslapError):
-    """Simplex vertices are affinely dependent."""
+    """The vertices of a simplex are affinely dependent."""
 
 
 class DuplicatePoints(PslapError):
@@ -27,10 +23,6 @@ class AllCollinear(PslapError):
 
 class AllCoplanar(PslapError):
     """3D input admits no full-dimensional tessellation."""
-
-
-class NotADelaunayComplex(PslapError):
-    """Filtration assignment produced a non-monotone complex."""
 
 
 class SnapshotOrderViolation(PslapError):

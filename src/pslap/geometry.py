@@ -433,19 +433,4 @@ def delaunay(points: PointSet, seed: int = 0) -> FilteredComplex:
     finite = [c for c in tri.cells if c[-1] != _INF]
     by_dim = closure_of_cells(finite)
     values = {s: math.inf for sims in by_dim.values() for s in sims}
-    return FilteredComplex(by_dim, values, points=coords)
-
-
-def audit_empty_circumspheres(complex: FilteredComplex) -> list:
-    """All (cell, point) pairs violating the perturbed empty-sphere property."""
-    coords = complex.points
-    d = coords.shape[1]
-    violations = []
-    for cell in complex.simplices(d):
-        members = set(cell)
-        for idx in range(coords.shape[0]):
-            if idx in members:
-                continue
-            if in_sphere_indexed(coords, cell, idx) > 0:
-                violations.append((cell, idx))
-    return violations
+    return FilteredComplex(by_dim, values)

@@ -14,50 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionTooHigh, NegativeFiltration
-
 MAX_DIM = 3
 
 # Relative slack used whenever a squared filtration value is compared against
 # a squared threshold; prevents a simplex from missing its own critical alpha
 # after a sqrt/square round trip.
 REL_TOL = 1e-12
-
-
-def _leq(value_sq: float, alpha_sq: float) -> bool:
-    return value_sq <= alpha_sq * (1.0 + REL_TOL) + 1e-300
-
-
-@dataclass(frozen=True)
-class Simplex:
-    """A q-simplex as a strictly increasing tuple of vertex indices."""
-
-    vertices: tuple[int, ...]
-
-    def __post_init__(self):
-        v = tuple(int(i) for i in self.vertices)
-        object.__setattr__(self, "vertices", v)
-        if not v:
-            raise ValueError("empty simplex")
-        if len(v) > MAX_DIM + 1:
-            raise DimensionTooHigh(f"simplex {v} has dimension {len(v) - 1} > {MAX_DIM}")
-        if any(a >= b for a, b in zip(v, v[1:])):
-            raise ValueError(f"vertices must be strictly increasing, got {v}")
-
-    @property
-    def dim(self) -> int:
-        return len(self.vertices) - 1
-
-    def faces(self):
-        """Codimension-1 faces, in the (-1)^i order of the boundary formula."""
-        v = self.vertices
-        return [v[:i] + v[i + 1:] for i in range(len(v))]
-
-
-def _as_tuple(simplex) -> tuple[int, ...]:
-    if isinstance(simplex, Simplex):
-        return simplex.vertices
-    return tuple(int(i) for i in simplex)
 
 
 @dataclass(frozen=True)
@@ -78,9 +40,8 @@ class FilteredComplex:
     vertex tuples in filtration order.
     """
 
-    def __init__(self, simplices_by_dim, filtration_sq, points=None):
+    def __init__(self, simplices_by_dim, filtration_sq):
         self._filtration = dict(filtration_sq)
-        self.points = None if points is None else np.asarray(points, dtype=float)
         self._simplices = {}
         self._index = {}
         self._values = {}
@@ -95,29 +56,20 @@ class FilteredComplex:
     def max_dim(self) -> int:
         return max((q for q in range(MAX_DIM + 1) if self._simplices[q]), default=-1)
 
-    @property
-    def ambient_dim(self):
-        return None if self.points is None else self.points.shape[1]
-
     def simplices(self, q: int) -> list[tuple[int, ...]]:
         return self._simplices.get(q, [])
 
     def n_simplices(self, q: int) -> int:
         return len(self._simplices.get(q, ()))
 
-    def index_of(self, simplex) -> int:
-        s = _as_tuple(simplex)
-        return self._index[len(s) - 1][s]
+    def index_of(self, simplex: tuple[int, ...]) -> int:
+        return self._index[len(simplex) - 1][simplex]
 
-    def filtration_sq(self, simplex) -> float:
-        return self._filtration[_as_tuple(simplex)]
+    def filtration_sq(self, simplex: tuple[int, ...]) -> float:
+        return self._filtration[simplex]
 
     def filtration_values_sq(self, q: int) -> np.ndarray:
         return self._values[q]
-
-    def __contains__(self, simplex) -> bool:
-        s = _as_tuple(simplex)
-        return s in self._index.get(len(s) - 1, {})
 
     def counts_at(self, alpha_sq: float) -> tuple[int, int, int, int]:
         """Number of simplices per dimension with value <= alpha_sq."""
@@ -130,49 +82,12 @@ class FilteredComplex:
         )
 
 
-def build_complex(simplices, filtration_sq, points=None) -> FilteredComplex:
-    """Assemble a FilteredComplex, completing closure and enforcing monotonicity.
-
-    Missing faces are inserted with the minimum value over their cofaces;
-    a face whose given value exceeds a coface's value is clamped down to it.
-    """
-    values: dict[tuple[int, ...], float] = {}
-    fmap = {_as_tuple(k): float(v) for k, v in filtration_sq.items()}
-    for s in simplices:
-        t = _as_tuple(s)
-        Simplex(t)  # validates ordering and dimension cap
-        if t not in fmap:
-            raise KeyError(f"no filtration value given for simplex {t}")
-        values[t] = fmap[t]
-    for t, v in values.items():
-        if not math.isfinite(v) or v < 0:
-            raise NegativeFiltration(f"filtration value {v} for simplex {t}")
-
-    by_dim: dict[int, set] = {q: set() for q in range(MAX_DIM + 1)}
-    for t in values:
-        by_dim[len(t) - 1].add(t)
-    # top-down: inserts missing faces and clamps non-monotone given values
-    for q in range(MAX_DIM, 0, -1):
-        for t in list(by_dim[q]):
-            for i in range(q + 1):
-                face = t[:i] + t[i + 1:]
-                by_dim[q - 1].add(face)
-                fv = values.get(face, math.inf)
-                values[face] = min(fv, values[t])
-    return FilteredComplex(by_dim, values, points=points)
-
-
 def snapshot(complex: FilteredComplex, alpha: float) -> Snapshot:
     """Snapshot of the filtration at (unsquared) threshold alpha >= 0."""
     if alpha < 0:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
     alpha_sq = math.inf if math.isinf(alpha) else alpha * alpha
     return Snapshot(alpha_sq=alpha_sq, counts=complex.counts_at(alpha_sq))
-
-
-def euler_characteristic(snap: Snapshot) -> int:
-    """Alternating sum of simplex counts."""
-    return sum((-1) ** q * n for q, n in enumerate(snap.counts))
 
 
 def closure_of_cells(cells) -> dict[int, set]:

@@ -11,7 +11,7 @@ import scipy.sparse.linalg
 
 from .boundary import _row_count, dense_block, full_boundary, persistent_boundary
 from .errors import DimensionMismatch, EigensolveFailure, PslapError
-from .simplices import REL_TOL, FilteredComplex, Snapshot, snapshot
+from .simplices import FilteredComplex, Snapshot, snapshot
 
 # The eigensolver policy (see spectrum).  An eigenvalue below
 # max(ZERO_ABS, ZERO_REL * lambda_max) counts as zero, and a nonzero/zero
@@ -210,17 +210,15 @@ def accumulated_laplacian_diagonal(complex: FilteredComplex, alphas) -> np.ndarr
 
     The diagonal of L_0 at one alpha is the vertex degree in the edge set
     present there; the sum over the grid reduces to counting, per edge, the
-    grid values at or past its filtration value.  An all-zero accumulation
-    normalizes to all ones.
+    grid values at which it is present, which are those whose snapshot edge
+    count exceeds its position in filtration order.  An all-zero
+    accumulation normalizes to all ones.
     """
-    alphas_sq = np.sort(np.asarray([float(a) ** 2 for a in alphas]))
+    edge_counts = np.sort([complex.counts_at(float(a) ** 2)[1] for a in alphas])
     n = complex.n_simplices(0)
     acc = np.zeros(n)
-    edge_vals = complex.filtration_values_sq(1)
-    for (u, v), val in zip(complex.simplices(1), edge_vals):
-        hits = len(alphas_sq) - int(
-            np.searchsorted(alphas_sq, val / (1.0 + REL_TOL) - 1e-300, side="left")
-        )
+    for j, (u, v) in enumerate(complex.simplices(1)):
+        hits = len(edge_counts) - int(np.searchsorted(edge_counts, j, side="right"))
         acc[u] += hits
         acc[v] += hits
     top = acc.max()

@@ -1,3 +1,4 @@
+import math
 import pathlib
 
 import numpy as np
@@ -6,9 +7,11 @@ import scipy.linalg
 
 from pslap.alpha import alpha_complex
 from pslap.boundary import dense_block, full_boundary
-from pslap.dataio import read_xyz
-from pslap.geometry import PointSet
-from pslap.simplices import snapshot
+from pslap.dataio import CSV_HEADER, read_xyz
+from pslap.errors import ParseError
+from pslap.geometry import PointSet, in_sphere_indexed
+from pslap.simplices import MAX_DIM, FilteredComplex, snapshot
+from pslap.spectra import SpectrumRecord
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -36,6 +39,74 @@ def icosahedron_complex(icosahedron_points):
 def random_cloud(seed: int, n: int, d: int) -> PointSet:
     rng = np.random.default_rng(seed)
     return PointSet(rng.uniform(0.0, 2.0, size=(n, d)))
+
+
+def build_complex(simplices, filtration_sq) -> FilteredComplex:
+    """A hand-built complex from vertex tuples and their squared values,
+    completed to its closure.
+
+    Missing faces are inserted with the minimum value over their cofaces;
+    a face whose given value exceeds a coface's value is clamped down to it.
+    """
+    values = {s: float(filtration_sq[s]) for s in simplices}
+    by_dim: dict[int, set] = {q: set() for q in range(MAX_DIM + 1)}
+    for s in values:
+        by_dim[len(s) - 1].add(s)
+    # top-down: inserts missing faces and clamps non-monotone given values
+    for q in range(MAX_DIM, 0, -1):
+        for s in list(by_dim[q]):
+            for i in range(q + 1):
+                face = s[:i] + s[i + 1:]
+                by_dim[q - 1].add(face)
+                values[face] = min(values.get(face, math.inf), values[s])
+    return FilteredComplex(by_dim, values)
+
+
+def euler_characteristic(snap) -> int:
+    """Alternating sum of simplex counts."""
+    return sum((-1) ** q * n for q, n in enumerate(snap.counts))
+
+
+def audit_empty_circumspheres(cx, coords: np.ndarray) -> list:
+    """All (cell, point) pairs of a tessellation of ``coords`` violating the
+    perturbed empty-sphere property."""
+    violations = []
+    for cell in cx.simplices(coords.shape[1]):
+        members = set(cell)
+        for idx in range(coords.shape[0]):
+            if idx not in members and in_sphere_indexed(coords, cell, idx) > 0:
+                violations.append((cell, idx))
+    return violations
+
+
+def read_spectra_csv(path) -> list[SpectrumRecord]:
+    """Records back from a ``write_spectra_csv`` file, without eigenvalues."""
+    records = []
+    with open(path, "r", encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != CSV_HEADER:
+            raise ParseError(f"{path}:1: unexpected header {header!r}")
+        for lineno, line in enumerate(fh, start=2):
+            line = line.strip()
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != 7:
+                raise ParseError(f"{path}:{lineno}: expected 7 fields")
+            q, alpha, p, n, betti, lam, flags = parts
+            records.append(
+                SpectrumRecord(
+                    q=int(q),
+                    alpha=float(alpha),
+                    p=float(p),
+                    eigenvalues=(),
+                    betti=int(betti),
+                    lambda_min_nonzero=float(lam) if lam else None,
+                    n_simplices=int(n),
+                    flags=tuple(f for f in flags.split(";") if f),
+                )
+            )
+    return records
 
 
 # Reference boundary matrices.  They are built from the simplex lists alone,

@@ -10,13 +10,19 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from conftest import exact_rank_betti, harmonic_eigenvalues, production_boundary, random_cloud
+from conftest import (
+    audit_empty_circumspheres,
+    euler_characteristic,
+    exact_rank_betti,
+    harmonic_eigenvalues,
+    production_boundary,
+    random_cloud,
+)
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.cli import main
 from pslap.dataio import read_pdb_ca, read_xyz
-from pslap.geometry import audit_empty_circumspheres
 from pslap.oracle import BettiOracle, betti_from_barcode, reduce
-from pslap.simplices import euler_characteristic, snapshot
+from pslap.simplices import snapshot
 from pslap.spectra import detect_anomalies, persistent_laplacian, spectrum_at, sweep
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -158,16 +164,20 @@ def test_criterion_5_cross_method_spectra():
                     assert diff <= 1e-8 * scale, (seed, q, a, p, diff)
 
 
-def test_criterion_6_invariant_suite(six_complex, icosahedron_complex):
+def test_criterion_6_invariant_suite(
+    six_points, six_complex, icosahedron_points, icosahedron_complex
+):
     with criterion(6, 120.0, "dd=0, PSD, Euler-Poincare, p-monotonicity, Delaunay audit"):
+        chain = read_xyz(DATA / "chain_defect.xyz")
+        cloud2, cloud3 = random_cloud(61, 50, 2), random_cloud(62, 45, 3)
         fixtures = [
-            six_complex,
-            icosahedron_complex,
-            alpha_complex(read_xyz(DATA / "chain_defect.xyz")),
-            alpha_complex(random_cloud(61, 50, 2), seed=61),
-            alpha_complex(random_cloud(62, 45, 3), seed=62),
+            (six_points, six_complex),
+            (icosahedron_points, icosahedron_complex),
+            (chain, alpha_complex(chain)),
+            (cloud2, alpha_complex(cloud2, seed=61)),
+            (cloud3, alpha_complex(cloud3, seed=62)),
         ]
-        for cx in fixtures:
+        for points, cx in fixtures:
             # boundary composite vanishes exactly in integer arithmetic, on
             # the face-index blocks the sweep reads
             for q in range(1, cx.max_dim + 1):
@@ -176,8 +186,8 @@ def test_criterion_6_invariant_suite(six_complex, icosahedron_complex):
                 assert prod.dtype.kind == "i"
                 assert np.count_nonzero(prod) == 0
             # Delaunay audit under the same perturbed predicate
-            if cx.points is not None and cx.n_simplices(0) <= 50:
-                assert not audit_empty_circumspheres(cx)
+            if cx.n_simplices(0) <= 50:
+                assert not audit_empty_circumspheres(cx, points.coords)
             crit = critical_alphas(cx)
             span = crit[-1] - crit[0]
             # PSD bound and Euler-Poincare at every critical alpha, p = 0

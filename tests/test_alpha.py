@@ -1,22 +1,37 @@
 import numpy as np
 import pytest
 
-from conftest import random_cloud
-from pslap.alpha import alpha_complex, assign_filtration, critical_alphas, is_gabriel
-from pslap.geometry import PointSet, min_circumsphere
+from conftest import DATA, random_cloud
+from pslap.alpha import alpha_complex, assign_filtration, critical_alphas
+from pslap.dataio import read_xyz
+from pslap.errors import NegativeFiltration
+from pslap.geometry import PointSet, min_circumsphere, side_of_circumsphere
 from pslap.simplices import snapshot
 
 NAMES = "ABCDEF"
 
 
+def is_gabriel(points: PointSet, simplex) -> bool:
+    """Brute-force reference: True iff the open ball of the simplex's minimal
+    circumsphere contains no input point.  Vertices (radius 0) are always
+    Gabriel."""
+    if len(simplex) == 1:
+        return True
+    coords = points.coords
+    spts = coords[list(simplex)]
+    return not any(
+        side_of_circumsphere(spts, coords[idx]) > 0
+        for idx in range(coords.shape[0])
+        if idx not in simplex
+    )
+
+
 def test_gabriel_examples():
     pts = PointSet(np.array([(0, 0), (2, 0), (1, 5)], float))
-    c = alpha_complex(pts)
-    assert is_gabriel(c, pts, (0, 1))  # ball radius 1 excludes (1,5)
-    assert is_gabriel(c, pts, (0,))  # vertices always
+    assert is_gabriel(pts, (0, 1))  # ball radius 1 excludes (1,5)
+    assert is_gabriel(pts, (0,))  # vertices always
     tri = PointSet(np.array([(0, 0), (4, 0), (2, 0.5)], float))
-    c2 = alpha_complex(tri)
-    assert not is_gabriel(c2, tri, (0, 1))  # (2,0.5) inside the radius-2 ball
+    assert not is_gabriel(tri, (0, 1))  # (2,0.5) inside the radius-2 ball
 
 
 def test_assign_filtration_equilateral():
@@ -94,7 +109,7 @@ def test_gabriel_value_assignment_rule():
         for q in range(1, c.max_dim + 1):
             for s in c.simplices(q):
                 own = min_circumsphere(pts.coords[list(s)]).radius_sq
-                if is_gabriel(c, pts, s):
+                if is_gabriel(pts, s):
                     assert np.isclose(c.filtration_sq(s), own, rtol=1e-10)
                 else:
                     cofaces = [
@@ -159,6 +174,12 @@ def test_alpha_complex_tiny_inputs():
     c2 = alpha_complex(PointSet(np.array([(-1.0, 0.0), (1.0, 0.0)])))
     assert c2.n_simplices(1) == 1
     assert np.isclose(c2.filtration_sq((0, 1)), 1.0)
+
+
+def test_overflowing_filtration_is_an_error():
+    # squared circumradii overflow to inf and NaN; no value may pass as finite
+    with pytest.raises(NegativeFiltration), np.errstate(over="ignore", invalid="ignore"):
+        alpha_complex(read_xyz(DATA / "overflow.xyz"))
 
 
 def test_snapshot_counts_at_critical_values(six_complex):

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import (
+    build_complex,
     exact_rank_int,
     harmonic_persistent_boundary,
     harmonic_projector,
@@ -23,7 +24,7 @@ from pslap.boundary import (
     persistent_boundary,
 )
 from pslap.errors import LinearSolveFailure, SnapshotOrderViolation
-from pslap.simplices import build_complex, snapshot
+from pslap.simplices import snapshot
 from pslap.spectra import sweep
 
 TABLE1_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (0, 4)]

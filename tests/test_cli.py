@@ -3,9 +3,9 @@ import pathlib
 import numpy as np
 import pytest
 
+from conftest import read_spectra_csv
 from pslap import spectra
 from pslap.cli import main
-from pslap.dataio import read_spectra_csv
 
 DATA = pathlib.Path(__file__).parent / "data"
 SIX = str(DATA / "six_points.xyz")
@@ -101,6 +101,19 @@ def test_spectra_geometry_error(tmp_path, capsys):
     bad.write_text("0 0\n1 1\n2 2\n3 3\n")
     code = run("spectra", "--input", str(bad), "--out", str(tmp_path / "o.csv"))
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectra", "--critical", "--out", "o.csv"],
+    ["validate"],
+], ids=["spectra", "validate"])
+def test_overflowing_input_is_an_error(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run(*argv, "--input", str(DATA / "overflow.xyz"))
+    assert code == 2
+    assert not list(tmp_path.iterdir())
+    assert "pslap: error:" in capsys.readouterr().err
 
 
 def test_spectra_deterministic_output(tmp_path):

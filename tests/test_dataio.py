@@ -3,9 +3,9 @@ import pathlib
 import numpy as np
 import pytest
 
+from conftest import read_spectra_csv
 from pslap.dataio import (
     read_pdb_ca,
-    read_spectra_csv,
     read_xyz,
     write_curves_svg,
     write_spectra_csv,

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 
-from conftest import exact_rank_betti, exact_rank_int, random_cloud
+from conftest import (
+    build_complex,
+    euler_characteristic,
+    exact_rank_betti,
+    exact_rank_int,
+    random_cloud,
+)
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.oracle import BettiOracle, betti_from_barcode, reduce
-from pslap.simplices import build_complex, euler_characteristic, snapshot
+from pslap.simplices import snapshot
 from pslap.spectra import spectrum_at
 
 

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import reference_restriction
+from conftest import build_complex, reference_restriction
 from pslap import spectra
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.boundary import full_boundary, persistent_boundary
 from pslap.errors import DimensionMismatch
 from pslap.oracle import BettiOracle
-from pslap.simplices import build_complex, snapshot
+from pslap.simplices import snapshot
 from pslap.spectra import (
     accumulated_laplacian_diagonal,
     assemble_laplacian,
@@ -200,6 +200,21 @@ def test_accumulated_diagonal_rules():
     assert out[1] == 1.0
     assert out[0] < 1.0 and out[2] < 1.0
     assert np.allclose(out, [0.5, 1.0, 0.5])
+
+    # an edge is credited at its own value even after the sqrt/square round
+    # trip loses it (sqrt(v)**2 < v for both values), and not just below it,
+    # exactly as its snapshot counts it
+    v1, v2 = 0.3700000000000001, 0.7400000000000002
+    path = build_complex(
+        [(0,), (1,), (2,), (0, 1), (1, 2)],
+        {(0,): 0.0, (1,): 0.0, (2,): 0.0, (0, 1): v1, (1, 2): v2},
+    )
+    at = [np.sqrt(v1), np.sqrt(v2)]
+    below = [np.sqrt(v1), np.sqrt(v2) * (1 - 1e-9)]
+    assert [snapshot(path, a).count(1) for a in at] == [1, 2]
+    assert [snapshot(path, a).count(1) for a in below] == [1, 1]
+    assert np.array_equal(accumulated_laplacian_diagonal(path, at), [2 / 3, 1.0, 1 / 3])
+    assert np.array_equal(accumulated_laplacian_diagonal(path, below), [1.0, 1.0, 0.0])
 
 
 def test_detect_anomalies_fixture():
