@@ -38,12 +38,7 @@ def full_boundary(complex: FilteredComplex, q: int) -> SparseBoundaryMatrix:
     """Boundary matrix of the entire filtration for dimension q."""
     if q == 0:
         return SparseBoundaryMatrix(0, np.empty((complex.n_simplices(0), 0), dtype=np.int64))
-    face_index = complex._index.get(q - 1, {})
-    faces = np.array(
-        [[face_index[s[:i] + s[i + 1:]] for i in range(q + 1)] for s in complex.simplices(q)],
-        dtype=np.int64,
-    ).reshape(-1, q + 1)
-    return SparseBoundaryMatrix(q, faces)
+    return SparseBoundaryMatrix(q, complex.face_rows(q))
 
 
 def _signs(k: int) -> np.ndarray:

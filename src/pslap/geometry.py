@@ -13,8 +13,10 @@ polynomials in the coordinate differences ``p_i - a`` from a base point ``a``:
 Each polynomial is closed-form straight-line code in ``+``, ``*`` and a
 subtraction passed in as ``sub``, so one body evaluates the float value, its
 magnitude (leaves replaced by their absolute values, ``sub`` by addition) and,
-when needed, the exact value in ``Fraction``.  The float sign is accepted when
-``|value| > 2**-48 * magnitude``.  The bound: with unit roundoff u = 2**-53,
+when needed, the exact value in ``Fraction``.  The same body evaluates a whole
+batch of point lists at once on per-coordinate numpy columns
+(``_batch_signs``), with the same roundings as one list on Python floats.
+The float sign is accepted when ``|value| > 2**-48 * magnitude``.  The bound: with unit roundoff u = 2**-53,
 count the roundings on the worst path from a leaf to the result, one for each
 coordinate difference, addition and subtraction, and for a product the sum of
 both factors' counts plus one.  The deepest polynomial, the power for k = 3,
@@ -197,17 +199,40 @@ def orientation(points) -> int:
     return _exact_signs(_orient, pts.tolist())[0]
 
 
+def _batch_signs(poly, points: np.ndarray) -> np.ndarray:
+    """``_exact_signs`` row by row on an (M, m, d) stack of point lists, as an
+    (n_values, M) array: the float value and magnitude are evaluated on
+    per-coordinate (M,) columns, and only the uncertain rows are recomputed
+    by ``_exact_signs``."""
+    base, rest = points[:, 0].T, points[:, 1:].T  # per-coordinate columns
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow goes to the exact path
+        diffs = [[x - y for x, y in zip(p, base)] for p in rest.swapaxes(0, 1)]
+        values = np.array(poly(diffs, operator.sub))
+        mags = np.array(poly([[abs(x) for x in row] for row in diffs], operator.add))
+        certain = np.all(abs(values) > _ERR * mags, axis=0)
+        signs = np.sign(values).astype(np.int64)
+    for r in np.flatnonzero(~certain):
+        signs[:, r] = _exact_signs(poly, points[r].tolist())
+    return signs
+
+
+def side_of_circumsphere_batch(simplices: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """side_of_circumsphere for an (M, k+1, d) stack of simplices and the
+    (M, d) queries, one sign per row; exact."""
+    if simplices.shape[1] == 1:
+        return np.where(np.any(queries != simplices[:, 0], axis=1), -1, 0)
+    independent, power = _batch_signs(_gram_power, np.concatenate([simplices, queries[:, None]], 1))
+    if not np.all(independent):
+        raise DegenerateSimplex("affinely dependent circumsphere input")
+    return power
+
+
 def side_of_circumsphere(simplex_points, query) -> int:
     """+1 if query lies strictly inside the minimal circumsphere of the given
     points, -1 strictly outside, 0 on it; exact."""
     pts = _simplex_rows(simplex_points)
     q = np.asarray(query, dtype=float)
-    if pts.shape[0] == 1:
-        return -1 if np.any(q != pts[0]) else 0
-    independent, power = _exact_signs(_gram_power, pts.tolist() + [q.tolist()])
-    if not independent:
-        raise DegenerateSimplex("affinely dependent circumsphere input")
-    return power
+    return int(side_of_circumsphere_batch(pts[None], q[None])[0])
 
 
 def in_sphere_indexed(coords: np.ndarray, simplex: tuple[int, ...], query: int) -> int:
@@ -236,26 +261,49 @@ def in_sphere_indexed(coords: np.ndarray, simplex: tuple[int, ...], query: int) 
     raise DegenerateSimplex(f"fully degenerate configuration {row_idx}")
 
 
+def min_circumsphere_batch(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centers (M, d) and squared radii (M,) of the smallest spheres through
+    an (M, k+1, d) stack of affinely independent point lists.
+
+    The stacked matmul and solve treat each row as its own matrix, so a row's
+    result does not depend on the rest of the batch; ``einsum`` rounds
+    differently from matmul for G, the offset and r², so it forms b only."""
+    m, k = simplices.shape[0], simplices.shape[1] - 1
+    if k == 0:
+        return simplices[:, 0].copy(), np.zeros(m)
+    if not np.all(_batch_signs(_gram_det, simplices)):
+        raise DegenerateSimplex("affinely dependent circumsphere input")
+    with np.errstate(over="ignore", invalid="ignore"):
+        V = simplices[:, 1:] - simplices[:, :1]
+        G = 2.0 * (V @ V.transpose(0, 2, 1))
+        b = np.einsum("mij,mij->mi", V, V)
+        needles = []
+        try:
+            t = np.linalg.solve(G, b[..., None])[..., 0]
+        except np.linalg.LinAlgError:
+            # a needle simplex can pass the exact test and still be singular
+            # in floating point; solve row by row and mark the singular ones
+            t = np.zeros((m, k))
+            for r in range(m):
+                try:
+                    t[r] = np.linalg.solve(G[r], b[r])
+                except np.linalg.LinAlgError:
+                    needles.append(r)
+        offset = t[:, None] @ V
+        centers = simplices[:, 0] + offset[:, 0]
+        radius_sq = (offset @ offset.transpose(0, 2, 1))[:, 0, 0]
+    for r in needles:
+        center, r2 = _circumsphere_exact(simplices[r].tolist())
+        centers[r], radius_sq[r] = np.array(center, dtype=float), float(r2)
+    return centers, radius_sq
+
+
 def min_circumsphere(simplex_points) -> Circumsphere:
     """Smallest sphere through k+1 affinely independent points (center in
     their affine hull); a single point has radius 0."""
     pts = _simplex_rows(simplex_points)
-    if pts.shape[0] == 1:
-        return Circumsphere(center=pts[0].copy(), radius_sq=0.0)
-    if not _exact_signs(_gram_det, pts.tolist())[0]:
-        raise DegenerateSimplex("affinely dependent circumsphere input")
-    V = pts[1:] - pts[0]
-    G = 2.0 * (V @ V.T)
-    b = np.einsum("ij,ij->i", V, V)
-    try:
-        t = np.linalg.solve(G, b)
-    except np.linalg.LinAlgError:
-        # a needle simplex can pass the exact test and still be singular in
-        # floating point
-        center, r2 = _circumsphere_exact(pts.tolist())
-        return Circumsphere(center=np.array(center, dtype=float), radius_sq=float(r2))
-    offset = t @ V
-    return Circumsphere(center=pts[0] + offset, radius_sq=float(offset @ offset))
+    centers, radius_sq = min_circumsphere_batch(pts[None])
+    return Circumsphere(center=centers[0], radius_sq=float(radius_sq[0]))
 
 
 def _circumsphere_exact(pts):
@@ -344,7 +392,8 @@ class _Triangulation:
         """The cells in conflict with p: the first found in the star of the
         nearest inserted vertex, then the rest by search over shared facets,
         each cell tested once (the region is connected)."""
-        dist_sq = ((self.coords[self.vertices] - self.coords[p_idx]) ** 2).sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by alpha
+            dist_sq = ((self.coords[self.vertices] - self.coords[p_idx]) ** 2).sum(axis=1)
         nearest = self.vertices[int(np.argmin(dist_sq))]
         tested = set()
         for cell in self.star[nearest]:

@@ -59,6 +59,15 @@ class FilteredComplex:
     def simplices(self, q: int) -> list[tuple[int, ...]]:
         return self._simplices.get(q, [])
 
+    def face_rows(self, q: int) -> np.ndarray:
+        """(N_q, q+1) positions in ``simplices(q-1)`` of the faces of each
+        q-simplex, face i omitting vertex i; q >= 1."""
+        index = self._index.get(q - 1, {})
+        return np.array(
+            [[index[s[:i] + s[i + 1:]] for i in range(q + 1)] for s in self.simplices(q)],
+            dtype=np.int64,
+        ).reshape(-1, q + 1)
+
     def n_simplices(self, q: int) -> int:
         return len(self._simplices.get(q, ()))
 

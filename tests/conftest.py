@@ -8,8 +8,8 @@ import scipy.linalg
 from pslap.alpha import alpha_complex
 from pslap.boundary import dense_block, full_boundary
 from pslap.dataio import CSV_HEADER, read_xyz
-from pslap.errors import ParseError
-from pslap.geometry import PointSet, in_sphere_indexed
+from pslap.errors import NegativeFiltration, ParseError
+from pslap.geometry import PointSet, in_sphere_indexed, min_circumsphere, side_of_circumsphere
 from pslap.simplices import MAX_DIM, FilteredComplex, snapshot
 from pslap.spectra import SpectrumRecord
 
@@ -77,6 +77,49 @@ def audit_empty_circumspheres(cx, coords: np.ndarray) -> list:
             if idx not in members and in_sphere_indexed(coords, cell, idx) > 0:
                 violations.append((cell, idx))
     return violations
+
+
+# Per-simplex reference for pslap.alpha.assign_filtration, which computes the
+# same values one dimension at a time on arrays.
+
+
+def reference_assign_filtration(complex: FilteredComplex, points: PointSet) -> FilteredComplex:
+    """Return a new complex with alpha filtration values (squared) assigned."""
+    coords = points.coords
+    values: dict[tuple, float] = {}
+    top = complex.max_dim
+    for q in range(top, -1, -1):
+        for s in complex.simplices(q):
+            if s not in values:
+                values[s] = 0.0 if q == 0 else min_circumsphere(coords[list(s)]).radius_sq
+            if q == 0:
+                continue
+            v_s = values[s]
+            for i in range(q + 1):
+                tau = s[:i] + s[i + 1:]
+                opposite = s[i]
+                if side_of_circumsphere(coords[list(tau)], coords[opposite]) > 0:
+                    prior = values.get(tau, math.inf)
+                    if v_s < prior:
+                        values[tau] = v_s
+
+    # circumsphere solves of mathematically equal spheres can disagree by an
+    # ulp across dimensions; repair bottom-up so monotonicity holds exactly
+    # (face values stay authoritative, cofaces are clamped up)
+    for q in range(1, top + 1):
+        for s in complex.simplices(q):
+            face_max = max(values[s[:i] + s[i + 1:]] for i in range(q + 1))
+            if values[s] < face_max:
+                values[s] = face_max
+
+    # squared distances beyond double range come out inf or NaN, and NaN
+    # passes every comparison above unnoticed
+    for s, v in values.items():
+        if not math.isfinite(v):
+            raise NegativeFiltration(
+                f"filtration value {v} for simplex {s}: squared distances overflow"
+            )
+    return FilteredComplex({q: complex.simplices(q) for q in range(top + 1)}, values)
 
 
 def read_spectra_csv(path) -> list[SpectrumRecord]:

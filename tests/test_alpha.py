@@ -1,11 +1,15 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
-from conftest import DATA, random_cloud
+from conftest import DATA, random_cloud, reference_assign_filtration
+from pslap import geometry
 from pslap.alpha import alpha_complex, assign_filtration, critical_alphas
 from pslap.dataio import read_xyz
 from pslap.errors import NegativeFiltration
-from pslap.geometry import PointSet, min_circumsphere, side_of_circumsphere
+from pslap.geometry import PointSet, delaunay, min_circumsphere, side_of_circumsphere
 from pslap.simplices import snapshot
 
 NAMES = "ABCDEF"
@@ -178,8 +182,70 @@ def test_alpha_complex_tiny_inputs():
 
 def test_overflowing_filtration_is_an_error():
     # squared circumradii overflow to inf and NaN; no value may pass as finite
-    with pytest.raises(NegativeFiltration), np.errstate(over="ignore", invalid="ignore"):
+    with pytest.raises(NegativeFiltration):
         alpha_complex(read_xyz(DATA / "overflow.xyz"))
+    # the two-point complex skips the tessellation, not the finiteness check
+    with pytest.raises(NegativeFiltration, match=r"value inf for simplex \(0, 1\)"):
+        alpha_complex(read_xyz(DATA / "overflow_two.xyz"))
+
+
+# -- the batched filtration against the per-simplex reference -------------------
+
+
+def _assert_same_filtration(pts: PointSet, seed: int = 0):
+    """assign_filtration equals the per-simplex reference: the same simplex
+    order and == on every value, or the same error."""
+    cx = delaunay(pts, seed=seed)
+    try:
+        ref = reference_assign_filtration(cx, pts)
+    except NegativeFiltration as exc:
+        with pytest.raises(NegativeFiltration, match=re.escape(str(exc))):
+            assign_filtration(cx, pts)
+        return
+    got = assign_filtration(cx, pts)
+    assert got.max_dim == ref.max_dim
+    for q in range(ref.max_dim + 1):
+        assert got.simplices(q) == ref.simplices(q)
+        assert [got.filtration_sq(s) for s in got.simplices(q)] == [
+            ref.filtration_sq(s) for s in ref.simplices(q)
+        ]
+
+
+GRID = PointSet(np.array(list(itertools.product(range(3), repeat=3)), float))
+# the two-point files never reach assign_filtration (no tessellation)
+DATA_FILES = [f for f in sorted(DATA.glob("*.xyz")) if len(read_xyz(f)) > 2]
+
+
+@pytest.mark.parametrize("path", DATA_FILES, ids=[f.stem for f in DATA_FILES])
+def test_batched_filtration_matches_reference_on_data(path):
+    _assert_same_filtration(read_xyz(path))
+
+
+def test_batched_filtration_matches_reference_on_cospherical(icosahedron_points):
+    _assert_same_filtration(GRID)
+    _assert_same_filtration(icosahedron_points)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_batched_filtration_matches_reference_on_random_clouds(d):
+    for seed in range(20):
+        _assert_same_filtration(random_cloud(seed, 10 + seed, d), seed=seed)
+
+
+def test_batched_exact_fallback_runs_on_cospherical_input(monkeypatch):
+    # the grid's cube faces are cospherical with their opposite vertices, so
+    # the float power is within its error bound and the exact kernel decides
+    cx = delaunay(GRID)
+    polys = []
+    exact_signs = geometry._exact_signs
+
+    def spy(poly, points):
+        polys.append(poly)
+        return exact_signs(poly, points)
+
+    monkeypatch.setattr(geometry, "_exact_signs", spy)
+    assign_filtration(cx, GRID)
+    assert geometry._gram_power in polys
 
 
 def test_snapshot_counts_at_critical_values(six_complex):

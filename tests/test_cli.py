@@ -109,11 +109,35 @@ def test_spectra_geometry_error(tmp_path, capsys):
 ], ids=["spectra", "validate"])
 def test_overflowing_input_is_an_error(argv, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = run(*argv, "--input", str(DATA / "overflow.xyz"))
-    assert code == 2
-    assert not list(tmp_path.iterdir())
-    assert "pslap: error:" in capsys.readouterr().err
+    # two points skip the tessellation, not the finiteness check
+    for name in ("overflow.xyz", "overflow_two.xyz"):
+        assert run(*argv, "--input", str(DATA / name)) == 2, name
+        assert not list(tmp_path.iterdir())
+        assert "pslap: error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["overflow", "overflow_two"])
+def test_overflow_error_is_the_only_stderr_line(name):
+    # in a child process, so that numpy's RuntimeWarnings would reach stderr
+    import os
+    import subprocess
+    import sys
+
+    import pslap
+
+    src = str(pathlib.Path(pslap.__file__).parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pslap.cli", "spectra", "--input", str(DATA / f"{name}.xyz"),
+         "--critical", "--out", os.devnull],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pslap: error:"), proc.stderr
 
 
 def test_spectra_deterministic_output(tmp_path):

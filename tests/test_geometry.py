@@ -250,14 +250,35 @@ def _near_tie_cases(rng, d, k, count):
 @pytest.mark.parametrize("d,k", [(2, 1), (2, 2), (3, 1), (3, 2), (3, 3)])
 def test_predicate_kernel_matches_exact_reference(d, k):
     rng = np.random.default_rng(100 * d + k)
+    cases, sides = [], []
     for verts, query, orient in _near_tie_cases(rng, d, k, 600):
         side = _exact_side(verts, query)
+        cases.append((verts, query))
+        sides.append(side)
         assert side_of_circumsphere(verts, query) == side, (verts, query)
         if k == d:
             coords = np.vstack([verts, query])
             s = in_sphere_indexed(coords, tuple(range(d + 1)), d + 1)
             assert s == side or (side == 0 and abs(s) == 1), (verts, query)
         assert orientation(orient) == _exact_orientation(orient), orient
+    # the same cases as one batch, whose uncertain rows take the exact path
+    batch = geometry.side_of_circumsphere_batch(
+        np.array([v for v, _ in cases]), np.array([q for _, q in cases])
+    )
+    assert batch.tolist() == sides
+
+
+def test_min_circumsphere_batch_with_a_needle_row():
+    # the needle makes the stacked solve singular; its row takes the exact
+    # path and every other row keeps the radius it gets alone
+    needle = [(0, 0, 0), (1, 0, 0), (2, 1e-9, 0)]
+    tris = [[(0, 0, 0), (2, 0, 0), (0, 1, 0)], needle, [(1, 1, 1), (2, 1, 0), (0, 3, 1)]]
+    centers, radius_sq = geometry.min_circumsphere_batch(np.array(tris, float))
+    for row, tri in enumerate(tris):
+        alone = min_circumsphere(tri)
+        assert radius_sq[row] == alone.radius_sq
+        assert np.array_equal(centers[row], alone.center)
+    assert radius_sq[1] == float(_circumsphere_exact(needle)[1])
 
 
 def test_delaunay_square():
