@@ -218,9 +218,7 @@ def _batch_signs(poly, points: np.ndarray) -> np.ndarray:
 
 def side_of_circumsphere_batch(simplices: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """side_of_circumsphere for an (M, k+1, d) stack of simplices and the
-    (M, d) queries, one sign per row; exact."""
-    if simplices.shape[1] == 1:
-        return np.where(np.any(queries != simplices[:, 0], axis=1), -1, 0)
+    (M, d) queries, one sign per row, for k >= 1; exact."""
     independent, power = _batch_signs(_gram_power, np.concatenate([simplices, queries[:, None]], 1))
     if not np.all(independent):
         raise DegenerateSimplex("affinely dependent circumsphere input")
@@ -232,6 +230,8 @@ def side_of_circumsphere(simplex_points, query) -> int:
     points, -1 strictly outside, 0 on it; exact."""
     pts = _simplex_rows(simplex_points)
     q = np.asarray(query, dtype=float)
+    if pts.shape[0] == 1:
+        return -1 if np.any(q != pts[0]) else 0
     return int(side_of_circumsphere_batch(pts[None], q[None])[0])
 
 
@@ -263,14 +263,12 @@ def in_sphere_indexed(coords: np.ndarray, simplex: tuple[int, ...], query: int) 
 
 def min_circumsphere_batch(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centers (M, d) and squared radii (M,) of the smallest spheres through
-    an (M, k+1, d) stack of affinely independent point lists.
+    an (M, k+1, d) stack of affinely independent point lists, k >= 1.
 
     The stacked matmul and solve treat each row as its own matrix, so a row's
     result does not depend on the rest of the batch; ``einsum`` rounds
     differently from matmul for G, the offset and r², so it forms b only."""
     m, k = simplices.shape[0], simplices.shape[1] - 1
-    if k == 0:
-        return simplices[:, 0].copy(), np.zeros(m)
     if not np.all(_batch_signs(_gram_det, simplices)):
         raise DegenerateSimplex("affinely dependent circumsphere input")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -302,6 +300,8 @@ def min_circumsphere(simplex_points) -> Circumsphere:
     """Smallest sphere through k+1 affinely independent points (center in
     their affine hull); a single point has radius 0."""
     pts = _simplex_rows(simplex_points)
+    if pts.shape[0] == 1:
+        return Circumsphere(center=pts[0].copy(), radius_sq=0.0)
     centers, radius_sq = min_circumsphere_batch(pts[None])
     return Circumsphere(center=centers[0], radius_sq=float(radius_sq[0]))
 

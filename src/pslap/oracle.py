@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-import numpy as np
-
 from .simplices import MAX_DIM, REL_TOL, FilteredComplex, snapshot
 
 
@@ -94,15 +92,14 @@ class BettiOracle:
 
     def __init__(self, complex: FilteredComplex):
         self.complex = complex
-        # per dimension, the pivot row of each reduced column, -1 for none
-        self._lows: dict[int, np.ndarray] = {}
+        self._lows: dict[int, list] = {}
         for q in range(1, complex.max_dim + 1):
             self._lows[q] = self._reduce_rational(q)
 
     def _reduce_rational(self, q: int):
         cx = self.complex
         faces_idx = cx._index[q - 1]
-        lows: list[int] = []
+        lows: list = []
         low_to_col: dict[int, int] = {}
         columns: dict[int, dict] = {}
         for s in cx.simplices(q):
@@ -135,15 +132,17 @@ class BettiOracle:
                 columns[len(lows)] = col
                 lows.append(low)
             else:
-                lows.append(-1)
-        return np.array(lows, dtype=np.int64)
+                lows.append(None)
+        return lows
 
     def _ranks(self, q: int, n_cols: int, row_lo: int, row_hi: int) -> int:
         """Pivots among the first n_cols columns with row_lo <= low < row_hi."""
         if q not in self._lows:
             return 0
-        lows = self._lows[q][:n_cols]
-        return int(np.count_nonzero((lows >= row_lo) & (lows < row_hi)))
+        lows = self._lows[q]
+        return sum(
+            1 for low in lows[:n_cols] if low is not None and row_lo <= low < row_hi
+        )
 
     def betti(self, q: int, alpha: float, p: float = 0.0) -> int:
         snap_t = snapshot(self.complex, alpha)

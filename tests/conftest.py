@@ -8,8 +8,16 @@ import scipy.linalg
 from pslap.alpha import alpha_complex
 from pslap.boundary import dense_block, full_boundary
 from pslap.dataio import CSV_HEADER, read_xyz
-from pslap.errors import NegativeFiltration, ParseError
-from pslap.geometry import PointSet, in_sphere_indexed, min_circumsphere, side_of_circumsphere
+from pslap.errors import DegenerateSimplex, NegativeFiltration, ParseError
+from pslap.geometry import (
+    Circumsphere,
+    PointSet,
+    _circumsphere_exact,
+    _exact_signs,
+    _gram_det,
+    _gram_power,
+    in_sphere_indexed,
+)
 from pslap.simplices import MAX_DIM, FilteredComplex, snapshot
 from pslap.spectra import SpectrumRecord
 
@@ -80,7 +88,38 @@ def audit_empty_circumspheres(cx, coords: np.ndarray) -> list:
 
 
 # Per-simplex reference for pslap.alpha.assign_filtration, which computes the
-# same values one dimension at a time on arrays.
+# same values one dimension at a time on arrays, and the scalar predicates it
+# uses: the float circumradius formula row by row and the exact side test
+# straight through _exact_signs, independent of the batched geometry code.
+
+
+def reference_side_of_circumsphere(simplex_points, query) -> int:
+    pts = np.asarray(simplex_points, dtype=float)
+    q = np.asarray(query, dtype=float)
+    if pts.shape[0] == 1:
+        return -1 if np.any(q != pts[0]) else 0
+    independent, power = _exact_signs(_gram_power, pts.tolist() + [q.tolist()])
+    if not independent:
+        raise DegenerateSimplex("affinely dependent circumsphere input")
+    return power
+
+
+def reference_min_circumsphere(simplex_points) -> Circumsphere:
+    pts = np.asarray(simplex_points, dtype=float)
+    if pts.shape[0] == 1:
+        return Circumsphere(center=pts[0].copy(), radius_sq=0.0)
+    if not _exact_signs(_gram_det, pts.tolist())[0]:
+        raise DegenerateSimplex("affinely dependent circumsphere input")
+    V = pts[1:] - pts[0]
+    G = 2.0 * (V @ V.T)
+    b = np.einsum("ij,ij->i", V, V)
+    try:
+        t = np.linalg.solve(G, b)
+    except np.linalg.LinAlgError:
+        center, r2 = _circumsphere_exact(pts.tolist())
+        return Circumsphere(center=np.array(center, dtype=float), radius_sq=float(r2))
+    offset = t @ V
+    return Circumsphere(center=pts[0] + offset, radius_sq=float(offset @ offset))
 
 
 def reference_assign_filtration(complex: FilteredComplex, points: PointSet) -> FilteredComplex:
@@ -91,14 +130,14 @@ def reference_assign_filtration(complex: FilteredComplex, points: PointSet) -> F
     for q in range(top, -1, -1):
         for s in complex.simplices(q):
             if s not in values:
-                values[s] = 0.0 if q == 0 else min_circumsphere(coords[list(s)]).radius_sq
+                values[s] = 0.0 if q == 0 else reference_min_circumsphere(coords[list(s)]).radius_sq
             if q == 0:
                 continue
             v_s = values[s]
             for i in range(q + 1):
                 tau = s[:i] + s[i + 1:]
                 opposite = s[i]
-                if side_of_circumsphere(coords[list(tau)], coords[opposite]) > 0:
+                if reference_side_of_circumsphere(coords[list(tau)], coords[opposite]) > 0:
                     prior = values.get(tau, math.inf)
                     if v_s < prior:
                         values[tau] = v_s

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import audit_empty_circumspheres, random_cloud
+from conftest import audit_empty_circumspheres, random_cloud, reference_min_circumsphere
 from pslap import geometry
 from pslap.errors import AllCollinear, AllCoplanar, DegenerateSimplex, DuplicatePoints
 from pslap.geometry import (
@@ -270,12 +270,12 @@ def test_predicate_kernel_matches_exact_reference(d, k):
 
 def test_min_circumsphere_batch_with_a_needle_row():
     # the needle makes the stacked solve singular; its row takes the exact
-    # path and every other row keeps the radius it gets alone
+    # path and every other row keeps the radius the scalar formula gives it
     needle = [(0, 0, 0), (1, 0, 0), (2, 1e-9, 0)]
     tris = [[(0, 0, 0), (2, 0, 0), (0, 1, 0)], needle, [(1, 1, 1), (2, 1, 0), (0, 3, 1)]]
     centers, radius_sq = geometry.min_circumsphere_batch(np.array(tris, float))
     for row, tri in enumerate(tris):
-        alone = min_circumsphere(tri)
+        alone = reference_min_circumsphere(tri)
         assert radius_sq[row] == alone.radius_sq
         assert np.array_equal(centers[row], alone.center)
     assert radius_sq[1] == float(_circumsphere_exact(needle)[1])

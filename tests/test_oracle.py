@@ -78,32 +78,6 @@ def test_bulk_oracle_matches_direct(six_complex):
                 assert orc.betti(q, a, p) == exact_rank_betti(six_complex, q, a, p)
 
 
-def _generator_ranks(self, q, n_cols, row_lo, row_hi):
-    """The pivot count as a Python sum over the lows, None for no pivot: the
-    reference for BettiOracle._ranks's array count."""
-    if q not in self._lows:
-        return 0
-    lows = [None if low < 0 else int(low) for low in self._lows[q]]
-    return sum(1 for low in lows[:n_cols] if low is not None and row_lo <= low < row_hi)
-
-
-def test_array_ranks_match_generator_count(monkeypatch):
-    for seed, n, d in [(41, 16, 2), (42, 14, 3)]:
-        c = alpha_complex(random_cloud(seed, n, d), seed=seed)
-        orc = BettiOracle(c)
-        crit = critical_alphas(c)
-        queries = [
-            (q, a, p)
-            for q in range(c.max_dim + 2)
-            for a in crit
-            for p in (0.0, 0.1, 0.3, 1.0, math.inf)
-        ]
-        got = [orc.betti(*query) for query in queries]
-        monkeypatch.setattr(BettiOracle, "_ranks", _generator_ranks)
-        assert [orc.betti(*query) for query in queries] == got
-        monkeypatch.undo()
-
-
 def test_triple_agreement_random(six_complex):
     for seed, n, d in [(31, 9, 2), (32, 14, 3), (33, 18, 2)]:
         pts = random_cloud(seed, n, d)
