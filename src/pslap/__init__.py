@@ -9,20 +9,13 @@ from .dataio import (
     write_spectra_csv,
     write_spectra_json,
 )
-from .geometry import (
-    Circumsphere,
-    PointSet,
-    delaunay,
-    min_circumsphere,
-    orientation,
-)
+from .geometry import PointSet, delaunay, orientation
 from .oracle import Barcode, BettiOracle, betti_from_barcode, reduce
 from .simplices import FilteredComplex, Snapshot, snapshot
 from .spectra import (
     PersistentLaplacian,
     SpectrumRecord,
     accumulated_laplacian_diagonal,
-    assemble_laplacian,
     detect_anomalies,
     persistent_laplacian,
     spectrum,
@@ -35,7 +28,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Barcode",
     "BettiOracle",
-    "Circumsphere",
     "FilteredComplex",
     "PersistentLaplacian",
     "PointSet",
@@ -44,14 +36,12 @@ __all__ = [
     "SpectrumRecord",
     "accumulated_laplacian_diagonal",
     "alpha_complex",
-    "assemble_laplacian",
     "assign_filtration",
     "betti_from_barcode",
     "critical_alphas",
     "delaunay",
     "detect_anomalies",
     "full_boundary",
-    "min_circumsphere",
     "orientation",
     "persistent_boundary",
     "persistent_laplacian",

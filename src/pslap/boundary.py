@@ -5,20 +5,25 @@ top-left block of the full one, and the simplices added between two
 snapshots occupy a contiguous tail block.  The persistent boundary for a
 snapshot pair is the later boundary matrix on the kernel of the Diff
 operator (its rows for the (q-1)-simplices absent from the earlier
-snapshot), applied through the orthogonal projector onto that kernel.
+snapshot); only its new columns differ from the earlier boundary, and
+:func:`persistent_boundary` returns them in an orthonormal kernel basis.
 
 A boundary is stored once per dimension as a face-index array: row j holds
 the row indices of the q+1 faces of q-simplex j, in the (-1)^i sign order of
-the boundary formula.  Every block the sweep needs is read from it as a dense
-Fortran-ordered array through :func:`dense_block`.
+the boundary formula.  Blocks are read from it as dense Fortran-ordered
+arrays through :func:`dense_block`, and its integer Gram matrices B^T B and
+B B^T as entry lists, computed once per boundary, of which every snapshot
+needs only a prefix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import LinearSolveFailure, SnapshotOrderViolation
 from .simplices import FilteredComplex, Snapshot
@@ -33,12 +38,59 @@ class SparseBoundaryMatrix:
     # q=0, whose boundary is a (1, N_0) zero matrix
     faces: np.ndarray
 
+    def down_gram(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entries (rows, cols, values) of B^T B on the first c columns, the
+        down-term of L_q at a snapshot with c q-simplices; their faces are
+        all present there, so it is a leading block of the whole B^T B."""
+        key, rows, cols, values = self._column_gram
+        m = np.searchsorted(key, c)
+        return rows[:m], cols[:m], values[:m]
+
+    def up_gram(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Entries (rows, cols, values) summing to B B^T over the first c
+        columns, the up-term of L_{q-1} at a snapshot with c q-simplices;
+        repeated (row, col) pairs add up."""
+        m = c * self.faces.shape[1] ** 2
+        return tuple(a[:m] for a in self._column_outers)
+
+    @cached_property
+    def _column_gram(self) -> tuple[np.ndarray, ...]:
+        """Nonzero entries of the whole B^T B as (key, rows, cols, values),
+        ordered by key = max(row, col)."""
+        n, k = self.faces.shape
+        b = scipy.sparse.csr_array(
+            (np.tile(_signs(k), n), (self.faces.ravel(), np.repeat(np.arange(n), k))),
+            shape=(int(self.faces.max(initial=-1)) + 1, n),
+        )
+        gram = (b.T @ b).tocoo()
+        rows, cols = gram.row.astype(np.int64), gram.col.astype(np.int64)
+        key = np.maximum(rows, cols)
+        order = np.argsort(key, kind="stable")
+        return key[order], rows[order], cols[order], gram.data[order]
+
+    @cached_property
+    def _column_outers(self) -> tuple[np.ndarray, ...]:
+        """The entries of b_j b_j^T of every column j as (rows, cols, values),
+        column by column, (q+1)^2 per column."""
+        k = self.faces.shape[1]
+        signs = _signs(k)
+        return (
+            np.repeat(self.faces, k, axis=1).ravel(),
+            np.tile(self.faces, k).ravel(),
+            np.tile(np.outer(signs, signs).ravel(), self.faces.shape[0]),
+        )
+
 
 def full_boundary(complex: FilteredComplex, q: int) -> SparseBoundaryMatrix:
-    """Boundary matrix of the entire filtration for dimension q."""
-    if q == 0:
-        return SparseBoundaryMatrix(0, np.empty((complex.n_simplices(0), 0), dtype=np.int64))
-    return SparseBoundaryMatrix(q, complex.face_rows(q))
+    """Boundary matrix of the entire filtration for dimension q, built once
+    per complex."""
+
+    def build():
+        if q == 0:
+            return SparseBoundaryMatrix(0, np.empty((complex.n_simplices(0), 0), dtype=np.int64))
+        return SparseBoundaryMatrix(q, complex.face_rows(q))
+
+    return complex.derived(("boundary", q), build)
 
 
 def _signs(k: int) -> np.ndarray:
@@ -71,14 +123,13 @@ def _check_order(snap_t: Snapshot, snap_tp: Snapshot) -> None:
         )
 
 
-def _kernel_projector(d_tail: np.ndarray) -> np.ndarray:
-    """Orthogonal projector onto ker(d_tail) through an orthonormal kernel
-    basis from the SVD; non-convergence is a LinearSolveFailure."""
+def _null_space(d_tail: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker(d_tail) from the SVD; non-convergence is a
+    LinearSolveFailure."""
     try:
-        kernel = scipy.linalg.null_space(d_tail)
+        return scipy.linalg.null_space(d_tail)
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise LinearSolveFailure(str(exc)) from exc
-    return kernel @ kernel.T
 
 
 def persistent_boundary(
@@ -86,28 +137,25 @@ def persistent_boundary(
     snap_t: Snapshot,
     snap_tp: Snapshot,
 ) -> np.ndarray:
-    """Persistent boundary matrix for the snapshot pair: rows are the
-    (q-1)-simplices of the earlier snapshot, columns all q-simplices of the
-    later one.
+    """The columns the persistent boundary adds to the earlier snapshot's
+    boundary matrix, in an orthonormal basis of the persistent chains.
 
-    The columns of q-simplices added after the earlier snapshot are projected
-    onto the kernel of the Diff operator through an orthonormal basis of that
-    kernel.
+    The persistent boundary B for the snapshot pair has the earlier
+    snapshot's (q-1)-simplices as rows.  On the earlier q-simplices it is
+    their boundary B_old; on the new ones it is their boundary B_new on the
+    kernel of Diff (their rows for the (q-1)-simplices absent from the
+    earlier snapshot).  With K an orthonormal basis of that kernel, the
+    result is U = B_new K and B B^T = B_old B_old^T + U U^T.  When Diff
+    vanishes, K is the identity and U = B_new is an integer block.
     """
     _check_order(snap_t, snap_tp)
     q = full.q
     r_t = _row_count(q, snap_t)
-    r_p = _row_count(q, snap_tp)
-    c_t = snap_t.count(q)
-    c_p = snap_tp.count(q)
-    b_top = dense_block(full, 0, r_t, 0, c_p)
+    c_t, c_p = snap_t.count(q), snap_tp.count(q)
     if c_p == c_t:
-        # no new q-simplices: the projector is the identity and the result is
-        # exactly the earlier snapshot's block
-        return b_top
-
-    d_tail = dense_block(full, r_t, r_p, c_t, c_p)
-    if d_tail.shape[0] == 0 or not d_tail.any():
-        return b_top
-    b_top[:, c_t:] = b_top[:, c_t:] @ _kernel_projector(d_tail)
-    return b_top
+        return np.zeros((r_t, 0))
+    new = dense_block(full, 0, _row_count(q, snap_tp), c_t, c_p)
+    b_new, d_tail = new[:r_t], new[r_t:]
+    if not d_tail.any():
+        return b_new
+    return b_new @ _null_space(d_tail)

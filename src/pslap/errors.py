@@ -29,10 +29,6 @@ class SnapshotOrderViolation(PslapError):
     """Snapshot pair passed in the wrong order (alpha > alpha + p)."""
 
 
-class DimensionMismatch(PslapError):
-    """Matrix shapes are not conformable."""
-
-
 class LinearSolveFailure(PslapError):
     """The SVD behind the persistent projector's kernel basis failed."""
 

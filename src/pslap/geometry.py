@@ -106,12 +106,6 @@ class PointSet:
         return self.coords.shape[1]
 
 
-@dataclass(frozen=True)
-class Circumsphere:
-    center: np.ndarray
-    radius_sq: float
-
-
 def _sign(x) -> int:
     if x > 0:
         return 1
@@ -181,15 +175,6 @@ def _exact_signs(poly, points) -> tuple[int, ...]:
     return tuple(_sign(v) for v in exact)
 
 
-def _simplex_rows(simplex_points) -> np.ndarray:
-    pts = np.asarray(simplex_points, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[None, :]
-    if pts.shape[0] > pts.shape[1] + 1:
-        raise DegenerateSimplex(f"{pts.shape[0]} points in {pts.shape[1]}D are affinely dependent")
-    return pts
-
-
 def orientation(points) -> int:
     """Sign of the orientation determinant of d+1 points in R^d; exact."""
     pts = np.asarray(points, dtype=float)
@@ -217,22 +202,13 @@ def _batch_signs(poly, points: np.ndarray) -> np.ndarray:
 
 
 def side_of_circumsphere_batch(simplices: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """side_of_circumsphere for an (M, k+1, d) stack of simplices and the
-    (M, d) queries, one sign per row, for k >= 1; exact."""
+    """For an (M, k+1, d) stack of simplices and the (M, d) queries, k >= 1:
+    per row +1 if the query lies strictly inside the minimal circumsphere of
+    the simplex, -1 strictly outside, 0 on it; exact."""
     independent, power = _batch_signs(_gram_power, np.concatenate([simplices, queries[:, None]], 1))
     if not np.all(independent):
         raise DegenerateSimplex("affinely dependent circumsphere input")
     return power
-
-
-def side_of_circumsphere(simplex_points, query) -> int:
-    """+1 if query lies strictly inside the minimal circumsphere of the given
-    points, -1 strictly outside, 0 on it; exact."""
-    pts = _simplex_rows(simplex_points)
-    q = np.asarray(query, dtype=float)
-    if pts.shape[0] == 1:
-        return -1 if np.any(q != pts[0]) else 0
-    return int(side_of_circumsphere_batch(pts[None], q[None])[0])
 
 
 def in_sphere_indexed(coords: np.ndarray, simplex: tuple[int, ...], query: int) -> int:
@@ -294,16 +270,6 @@ def min_circumsphere_batch(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarra
         center, r2 = _circumsphere_exact(simplices[r].tolist())
         centers[r], radius_sq[r] = np.array(center, dtype=float), float(r2)
     return centers, radius_sq
-
-
-def min_circumsphere(simplex_points) -> Circumsphere:
-    """Smallest sphere through k+1 affinely independent points (center in
-    their affine hull); a single point has radius 0."""
-    pts = _simplex_rows(simplex_points)
-    if pts.shape[0] == 1:
-        return Circumsphere(center=pts[0].copy(), radius_sq=0.0)
-    centers, radius_sq = min_circumsphere_batch(pts[None])
-    return Circumsphere(center=centers[0], radius_sq=float(radius_sq[0]))
 
 
 def _circumsphere_exact(pts):

@@ -41,6 +41,8 @@ class FilteredComplex:
     """
 
     def __init__(self, simplices_by_dim, filtration_sq):
+        self._counts: dict[float, tuple[int, int, int, int]] = {}  # counts_at memo
+        self._derived: dict = {}  # derived() memo
         self._filtration = dict(filtration_sq)
         self._simplices = {}
         self._index = {}
@@ -80,15 +82,25 @@ class FilteredComplex:
     def filtration_values_sq(self, q: int) -> np.ndarray:
         return self._values[q]
 
+    def derived(self, key, build):
+        """``build()``, computed once per key: the complex is immutable, so
+        data computed from it alone is shared by every sweep and query."""
+        value = self._derived.get(key)
+        if value is None:
+            value = self._derived[key] = build()
+        return value
+
     def counts_at(self, alpha_sq: float) -> tuple[int, int, int, int]:
-        """Number of simplices per dimension with value <= alpha_sq."""
-        if math.isinf(alpha_sq):
-            return tuple(len(self._simplices[q]) for q in range(MAX_DIM + 1))
-        bound = alpha_sq * (1.0 + REL_TOL) + 1e-300
-        return tuple(
-            int(np.searchsorted(self._values[q], bound, side="right"))
-            for q in range(MAX_DIM + 1)
-        )
+        """Number of simplices per dimension with value <= alpha_sq, computed
+        once per value: sweeps and oracle queries ask for the same ones."""
+        counts = self._counts.get(alpha_sq)
+        if counts is None:
+            bound = alpha_sq * (1.0 + REL_TOL) + 1e-300
+            counts = self._counts[alpha_sq] = tuple(
+                int(np.searchsorted(self._values[q], bound, side="right"))
+                for q in range(MAX_DIM + 1)
+            )
+        return counts
 
 
 def snapshot(complex: FilteredComplex, alpha: float) -> Snapshot:

@@ -9,9 +9,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
 
-from .boundary import _row_count, dense_block, full_boundary, persistent_boundary
-from .errors import DimensionMismatch, EigensolveFailure, PslapError
-from .simplices import FilteredComplex, Snapshot, snapshot
+from .boundary import full_boundary, persistent_boundary
+from .errors import EigensolveFailure, PslapError
+from .simplices import FilteredComplex, snapshot
 
 # The eigensolver policy (see spectrum).  An eigenvalue below
 # max(ZERO_ABS, ZERO_REL * lambda_max) counts as zero, and a nonzero/zero
@@ -51,16 +51,6 @@ class SpectrumRecord:
     flags: tuple[str, ...] = field(default=())
 
 
-def assemble_laplacian(bq: np.ndarray, bup: np.ndarray) -> np.ndarray:
-    """L_q = B_{q+1}^{a,p} (B_{q+1}^{a,p})^T + (B_q^a)^T B_q^a, with B_q^a a
-    dense block; its integer Gram matrix is exact in floating point."""
-    n = bq.shape[1]
-    if bup.shape[0] != n:
-        raise DimensionMismatch(f"up-term rows {bup.shape[0]} != down-term columns {n}")
-    lap = bup @ bup.T + bq.T @ bq
-    return 0.5 * (lap + lap.T)
-
-
 def _dense_spectrum(lap: PersistentLaplacian) -> SpectrumRecord:
     try:
         eigs = np.linalg.eigvalsh(lap.matrix)
@@ -91,7 +81,7 @@ def _record_from_eigs(lap, eigs, partial, lambda_max=None) -> SpectrumRecord:
         q=lap.q,
         alpha=lap.alpha,
         p=lap.p,
-        eigenvalues=tuple(float(x) for x in eigs),
+        eigenvalues=tuple(eigs.tolist()),
         betti=betti,
         lambda_min_nonzero=lam_min,
         n_simplices=lap.n_simplices,
@@ -137,37 +127,36 @@ def spectrum(lap: PersistentLaplacian) -> SpectrumRecord:
     return _iterative_spectrum(lap)
 
 
-def _snapshot(complex: FilteredComplex, alpha: float, cache: dict) -> Snapshot:
-    """snapshot() memoised in a sweep's cache, so each distinct alpha is
-    resolved once however many (q, alpha) jobs touch it."""
-    key = ("snap", alpha)
-    snap = cache.get(key)
-    if snap is None:
-        snap = cache[key] = snapshot(complex, alpha)
-    return snap
-
-
 def persistent_laplacian(
     complex: FilteredComplex,
     q: int,
     alpha: float,
     p: float = 0.0,
-    _cache: dict | None = None,
 ) -> PersistentLaplacian:
-    """Assemble L_q^{alpha,p} from the complex."""
-    cache = _cache if _cache is not None else {}
-    snap_t = _snapshot(complex, alpha, cache)
-    snap_tp = _snapshot(complex, alpha + p, cache)
+    """Assemble L_q^{alpha,p} = B_q^T B_q + B_old B_old^T + U U^T.
 
-    def full(dim):
-        key = ("full", dim)
-        if key not in cache:
-            cache[key] = full_boundary(complex, dim)
-        return cache[key]
-
-    bq = dense_block(full(q), 0, _row_count(q, snap_t), 0, snap_t.count(q))
-    bup = persistent_boundary(full(q + 1), snap_t, snap_tp)
-    return PersistentLaplacian(assemble_laplacian(bq, bup), q, alpha, p)
+    The first two terms are integer Gram matrices of the earlier snapshot,
+    read as prefixes of the boundaries' entry lists and exact in floating
+    point; U holds the persistent boundary's new columns (see
+    :func:`persistent_boundary`).  Without new (q+1)-simplices U is empty and
+    the Laplacian is an exact integer matrix.
+    """
+    snap_t = snapshot(complex, alpha)
+    snap_tp = snapshot(complex, alpha + p)
+    n = snap_t.count(q)
+    down = full_boundary(complex, q).down_gram(n)
+    up = full_boundary(complex, q + 1)
+    rows, cols, values = (
+        np.concatenate(pair) for pair in zip(down, up.up_gram(snap_t.count(q + 1)))
+    )
+    # bincount sums the integer entries exactly; without entries it gives int
+    lap = np.bincount(rows * n + cols, weights=values, minlength=n * n)
+    lap = lap.reshape(n, n).astype(float, copy=False)
+    u = persistent_boundary(up, snap_t, snap_tp)
+    if u.shape[1]:
+        lap += u @ u.T
+        lap = 0.5 * (lap + lap.T)
+    return PersistentLaplacian(lap, q, alpha, p)
 
 
 def spectrum_at(complex: FilteredComplex, q: int, alpha: float, p: float = 0.0) -> SpectrumRecord:
@@ -183,19 +172,16 @@ def sweep(complex: FilteredComplex, q_list, alphas, p: float = 0.0) -> list[Spec
     """
     alphas = sorted(float(a) for a in alphas)
     q_list = sorted(set(int(q) for q in q_list))
-    cache: dict = {}  # full boundaries and snapshots, shared by every record
     sig_cache: dict = {}  # (q, counts at alpha, counts at alpha + p) -> record
     results = []
     for q in q_list:
         for a in alphas:
-            snap_t = _snapshot(complex, a, cache)
-            sig = (q, snap_t.counts, _snapshot(complex, a + p, cache).counts)
+            snap_t = snapshot(complex, a)
+            sig = (q, snap_t.counts, snapshot(complex, a + p).counts)
             rec = sig_cache.get(sig)
             if rec is None:
                 try:
-                    rec = sig_cache[sig] = spectrum(
-                        persistent_laplacian(complex, q, a, p, _cache=cache)
-                    )
+                    rec = sig_cache[sig] = spectrum(persistent_laplacian(complex, q, a, p))
                 except PslapError as exc:
                     rec = SpectrumRecord(
                         q, a, p, (), 0, None, snap_t.count(q),

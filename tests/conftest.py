@@ -1,5 +1,6 @@
 import math
 import pathlib
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from pslap.boundary import dense_block, full_boundary
 from pslap.dataio import CSV_HEADER, read_xyz
 from pslap.errors import DegenerateSimplex, NegativeFiltration, ParseError
 from pslap.geometry import (
-    Circumsphere,
     PointSet,
     _circumsphere_exact,
     _exact_signs,
     _gram_det,
     _gram_power,
     in_sphere_indexed,
+    min_circumsphere_batch,
+    side_of_circumsphere_batch,
 )
 from pslap.simplices import MAX_DIM, FilteredComplex, snapshot
 from pslap.spectra import SpectrumRecord
@@ -85,6 +87,45 @@ def audit_empty_circumspheres(cx, coords: np.ndarray) -> list:
             if idx not in members and in_sphere_indexed(coords, cell, idx) > 0:
                 violations.append((cell, idx))
     return violations
+
+
+# Scalar circumsphere predicates: one-row calls of the batched geometry code,
+# which pslap.alpha runs on whole dimensions at a time.
+
+
+@dataclass(frozen=True)
+class Circumsphere:
+    center: np.ndarray
+    radius_sq: float
+
+
+def _simplex_rows(simplex_points) -> np.ndarray:
+    pts = np.asarray(simplex_points, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[None, :]
+    if pts.shape[0] > pts.shape[1] + 1:
+        raise DegenerateSimplex(f"{pts.shape[0]} points in {pts.shape[1]}D are affinely dependent")
+    return pts
+
+
+def side_of_circumsphere(simplex_points, query) -> int:
+    """+1 if query lies strictly inside the minimal circumsphere of the given
+    points, -1 strictly outside, 0 on it; exact."""
+    pts = _simplex_rows(simplex_points)
+    q = np.asarray(query, dtype=float)
+    if pts.shape[0] == 1:
+        return -1 if np.any(q != pts[0]) else 0
+    return int(side_of_circumsphere_batch(pts[None], q[None])[0])
+
+
+def min_circumsphere(simplex_points) -> Circumsphere:
+    """Smallest sphere through k+1 affinely independent points (center in
+    their affine hull); a single point has radius 0."""
+    pts = _simplex_rows(simplex_points)
+    if pts.shape[0] == 1:
+        return Circumsphere(center=pts[0].copy(), radius_sq=0.0)
+    centers, radius_sq = min_circumsphere_batch(pts[None])
+    return Circumsphere(center=centers[0], radius_sq=float(radius_sq[0]))
 
 
 # Per-simplex reference for pslap.alpha.assign_filtration, which computes the
@@ -340,3 +381,44 @@ def harmonic_eigenvalues(cx, q: int, alpha: float, p: float) -> np.ndarray:
     up = harmonic_persistent_boundary(cx, q + 1, snap_t, snap_tp)
     bq = reference_restriction(cx, q, snap_t).astype(float)
     return np.linalg.eigvalsh(up @ up.T + bq.T @ bq)
+
+
+# Dense projector reference for the persistent Laplacian.  pslap.spectra adds
+# the integer Gram terms of the earlier snapshot and a rank-k term U U^T of the
+# new columns; this route projects every new column through the n x n
+# projector K K^T and multiplies the full dense blocks, sharing only
+# dense_block with it.
+
+
+def kernel_projector(d_tail: np.ndarray) -> np.ndarray:
+    """Orthogonal projector onto ker(d_tail) through an orthonormal kernel
+    basis from the SVD."""
+    kernel = scipy.linalg.null_space(d_tail)
+    return kernel @ kernel.T
+
+
+def reference_persistent_boundary(full, snap_t, snap_tp) -> np.ndarray:
+    """The full persistent boundary matrix for the snapshot pair: rows the
+    (q-1)-simplices of the earlier snapshot, columns all q-simplices of the
+    later one, the new columns projected onto ker(Diff)."""
+    q = full.q
+    r_t, r_p = row_count(q, snap_t), row_count(q, snap_tp)
+    c_t, c_p = snap_t.count(q), snap_tp.count(q)
+    b_top = dense_block(full, 0, r_t, 0, c_p)
+    if c_p == c_t:
+        return b_top
+    d_tail = dense_block(full, r_t, r_p, c_t, c_p)
+    if d_tail.shape[0] == 0 or not d_tail.any():
+        return b_top
+    b_top[:, c_t:] = b_top[:, c_t:] @ kernel_projector(d_tail)
+    return b_top
+
+
+def reference_laplacian(cx, q: int, alpha: float, p: float = 0.0) -> np.ndarray:
+    """L_q^{alpha,p} = B_up B_up^T + B_q^T B_q by dense products, with B_up
+    from :func:`reference_persistent_boundary`."""
+    snap_t, snap_tp = snapshot(cx, alpha), snapshot(cx, alpha + p)
+    bq = dense_block(full_boundary(cx, q), 0, row_count(q, snap_t), 0, snap_t.count(q))
+    bup = reference_persistent_boundary(full_boundary(cx, q + 1), snap_t, snap_tp)
+    lap = bup @ bup.T + bq.T @ bq
+    return 0.5 * (lap + lap.T)

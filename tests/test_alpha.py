@@ -4,12 +4,18 @@ import re
 import numpy as np
 import pytest
 
-from conftest import DATA, random_cloud, reference_assign_filtration
+from conftest import (
+    DATA,
+    min_circumsphere,
+    random_cloud,
+    reference_assign_filtration,
+    side_of_circumsphere,
+)
 from pslap import geometry
 from pslap.alpha import alpha_complex, assign_filtration, critical_alphas
 from pslap.dataio import read_xyz
 from pslap.errors import NegativeFiltration
-from pslap.geometry import PointSet, delaunay, min_circumsphere, side_of_circumsphere
+from pslap.geometry import PointSet, delaunay
 from pslap.simplices import snapshot
 
 NAMES = "ABCDEF"

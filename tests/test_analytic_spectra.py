@@ -1,0 +1,116 @@
+"""Persistent Laplacian spectra against closed forms and the Hodge split.
+
+The expected values come from no code in pslap: graph spectra of regular
+polygons and polyhedra, and, for the persistent term of a filled shape, the
+one chain in ker(Diff), the oriented sum of the fill's top simplices, whose
+eigenvalue is |boundary of the sum|^2 / (number of top simplices).
+"""
+
+import math
+
+import numpy as np
+import pytest
+import scipy.linalg
+
+from conftest import random_cloud, reference_boundary, row_count
+from pslap.alpha import alpha_complex, critical_alphas
+from pslap.geometry import PointSet
+from pslap.simplices import snapshot
+from pslap.spectra import persistent_laplacian
+from test_acceptance import CLOUDS_4
+
+# every eigenvalue must match within TOL * lambda_max, lambda_max being the
+# largest eigenvalue of the Laplacian under test
+TOL = 1e-12
+
+
+def _assert_spectrum(matrix, expected):
+    eigs = np.linalg.eigvalsh(matrix)
+    expected = np.sort(expected)
+    assert eigs.shape == expected.shape
+    assert np.max(np.abs(eigs - expected)) <= TOL * eigs[-1]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 9])
+def test_regular_polygon_spectra(n):
+    # the vertices of a regular n-gon on the unit circle: its sides enter at
+    # half the side length, its triangles and diagonals at the circumradius 1
+    t = 2 * math.pi * np.arange(n) / n
+    cx = alpha_complex(PointSet(np.c_[np.cos(t), np.sin(t)]))
+    alpha = (math.sin(math.pi / n) + 1) / 2
+    assert snapshot(cx, alpha).counts == (n, n, 0, 0)
+    assert snapshot(cx, 2.0).counts == (n, 2 * n - 3, n - 2, 0)
+    cycle = 2 - 2 * np.cos(2 * math.pi * np.arange(1, n) / n)
+    # the bare cycle: the cycle graph's nonzero spectrum and its one 1-cycle
+    _assert_spectrum(persistent_laplacian(cx, 1, alpha, 0.0).matrix, np.r_[cycle, 0.0])
+    # filled by alpha + p: the n - 2 triangles sum to a chain with the n-cycle
+    # as boundary
+    _assert_spectrum(persistent_laplacian(cx, 1, alpha, 2.0).matrix, np.r_[cycle, n / (n - 2)])
+
+
+def test_icosahedron_graph_spectra(icosahedron_complex):
+    cx = icosahedron_complex
+    alpha = 1.53  # the surface: 12 vertices, 30 edges, 20 triangles
+    assert snapshot(cx, alpha).counts == (12, 30, 20, 0)
+    r5 = math.sqrt(5)
+    # L_0 is the icosahedral graph Laplacian, 5 - (5, sqrt5 x3, -1 x5, -sqrt5 x3)
+    _assert_spectrum(
+        persistent_laplacian(cx, 0, alpha).matrix,
+        [0.0] + [5 - r5] * 3 + [6.0] * 5 + [5 + r5] * 3,
+    )
+    # L_2 is the Laplacian of the dual graph, the dodecahedron:
+    # 3 - (3, sqrt5 x3, 1 x5, 0 x4, -2 x4, -sqrt5 x3)
+    dodecahedral = [3 - r5] * 3 + [2.0] * 5 + [3.0] * 4 + [5.0] * 4 + [3 + r5] * 3
+    _assert_spectrum(persistent_laplacian(cx, 2, alpha).matrix, [0.0] + dodecahedral)
+    # filled by alpha + p: the sum of the tetrahedra has the 20 surface
+    # triangles as boundary
+    n_tets = snapshot(cx, 3.0).count(3)
+    _assert_spectrum(
+        persistent_laplacian(cx, 2, alpha, 3.0 - alpha).matrix, [20 / n_tets] + dodecahedral
+    )
+
+
+def _hodge_parts(boundaries, q, s_t, s_tp):
+    """B_q^T B_q and B_up B_up^T from the reference boundaries, B_up being the
+    later B_{q+1} on an orthonormal basis of ker(Diff): the unit vectors of
+    the columns Diff is zero on, and a kernel basis of the other columns."""
+    bq = boundaries[q][: row_count(q, s_t), : s_t.count(q)]
+    r_t = s_t.count(q)
+    later = boundaries[q + 1][: s_tp.count(q), : s_tp.count(q + 1)]
+    zero = ~later[r_t:].any(axis=0)
+    b_up = np.hstack([
+        later[:r_t, zero],
+        later[:r_t, ~zero] @ scipy.linalg.null_space(later[r_t:, ~zero]),
+    ])
+    return bq.T @ bq, b_up @ b_up.T
+
+
+def test_hodge_split_on_oracle_clouds():
+    # B_q B_up = 0 for the persistent boundary too, so the nonzero spectrum of
+    # L_q^{alpha,p} is the union of those of B_q^T B_q and B_up B_up^T; it
+    # checks the projector and the assembly at every third critical value
+    checked = 0
+    for seed, n, d in CLOUDS_4:
+        cx = alpha_complex(random_cloud(seed, n, d), seed=seed)
+        boundaries = [reference_boundary(cx, k).astype(float) for k in range(4)]
+        crit = critical_alphas(cx)
+        span = crit[-1] - crit[0]
+        seen = set()
+        for p in (span / 3.0,):
+            for q in (0, 1, 2):
+                for a in crit[::3]:
+                    s_t, s_tp = snapshot(cx, a), snapshot(cx, a + p)
+                    key = (q, s_t.counts, s_tp.counts)
+                    if s_t.count(q) == 0 or key in seen:
+                        continue
+                    seen.add(key)
+                    down, up = _hodge_parts(boundaries, q, s_t, s_tp)
+                    eigs = np.linalg.eigvalsh(persistent_laplacian(cx, q, a, p).matrix)
+                    # the parts hold at least n zeros between them; the rest,
+                    # with the zeros of L, is L's spectrum
+                    union = np.sort(np.r_[np.linalg.eigvalsh(down), np.linalg.eigvalsh(up)])
+                    assert np.max(np.abs(eigs - union[len(eigs):])) <= TOL * eigs[-1], (
+                        seed, q, a, p,
+                    )
+                    checked += 1
+    assert checked > 3000, checked

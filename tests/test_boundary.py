@@ -9,20 +9,17 @@ from conftest import (
     exact_rank_int,
     harmonic_persistent_boundary,
     harmonic_projector,
+    kernel_projector,
     production_boundary,
     random_cloud,
     reference_boundary,
     reference_diff,
+    reference_persistent_boundary,
     reference_restriction,
     row_count,
 )
 from pslap.alpha import alpha_complex, critical_alphas
-from pslap.boundary import (
-    _kernel_projector,
-    dense_block,
-    full_boundary,
-    persistent_boundary,
-)
+from pslap.boundary import dense_block, full_boundary, persistent_boundary
 from pslap.errors import LinearSolveFailure, SnapshotOrderViolation
 from pslap.simplices import snapshot
 from pslap.spectra import sweep
@@ -200,21 +197,34 @@ def test_diff_operator_order_violation(six_complex):
         )
 
 
+def _factored(full, s_t, s_tp) -> np.ndarray:
+    """[B_old | U]: the persistent boundary with its new columns in the
+    orthonormal kernel basis production returns them in; same Gram matrix
+    B B^T and same rank as the persistent boundary."""
+    b_old = dense_block(full, 0, row_count(full.q, s_t), 0, s_t.count(full.q))
+    return np.hstack([b_old, persistent_boundary(full, s_t, s_tp)])
+
+
 def test_persistent_boundary_p0_equals_restriction(six_complex):
     snap = snapshot(six_complex, 0.6)
     full = full_boundary(six_complex, 1)
-    pb = persistent_boundary(full, snap, snap)
-    assert np.array_equal(pb, reference_restriction(six_complex, 1, snap))
+    assert persistent_boundary(full, snap, snap).shape == (6, 0)  # no new columns
+    assert np.array_equal(_factored(full, snap, snap), reference_restriction(six_complex, 1, snap))
+    assert np.array_equal(
+        reference_persistent_boundary(full, snap, snap),
+        reference_restriction(six_complex, 1, snap),
+    )
 
 
 def test_persistent_boundary_table2(six_complex):
-    pb = persistent_boundary(
-        full_boundary(six_complex, 1),
-        snapshot(six_complex, 0.2),
-        snapshot(six_complex, 0.6),
-    )
-    b_full = reference_restriction(six_complex, 1, snapshot(six_complex, 0.6))
-    assert np.array_equal(pb, b_full)
+    # every vertex exists at 0.2, so Diff has no rows and the new edges enter
+    # unprojected, as integer columns
+    s_t, s_tp = snapshot(six_complex, 0.2), snapshot(six_complex, 0.6)
+    full = full_boundary(six_complex, 1)
+    b_full = reference_restriction(six_complex, 1, s_tp)
+    assert np.array_equal(persistent_boundary(full, s_t, s_tp), b_full[:, s_t.count(1):])
+    assert np.array_equal(_factored(full, s_t, s_tp), b_full)
+    assert np.array_equal(reference_persistent_boundary(full, s_t, s_tp), b_full)
 
 
 def test_null_space_failure_is_typed(monkeypatch):
@@ -235,7 +245,7 @@ def test_projector_idempotent_and_symmetric():
     rng = np.random.default_rng(0)
     for d_rows, d_cols in [(4, 7), (6, 3), (5, 5)]:
         d_tail = rng.integers(-1, 2, size=(d_rows, d_cols)).astype(float)
-        proj = _kernel_projector(d_tail)
+        proj = kernel_projector(d_tail)
         assert np.allclose(proj @ proj, proj, atol=1e-10)
         assert np.allclose(proj, proj.T, atol=1e-10)
         assert np.allclose(harmonic_projector(d_tail), proj, atol=1e-9)
@@ -254,7 +264,7 @@ def test_persistent_rank_matches_exact_formula():
         s_t, s_tp = snapshot(c, a), snapshot(c, a + p)
         for q in range(1, c.max_dim + 1):
             full = full_boundary(c, q)
-            pb = persistent_boundary(full, s_t, s_tp)
+            pb = _factored(full, s_t, s_tp)
             num_rank = np.linalg.matrix_rank(pb) if pb.size else 0
             b_up = reference_restriction(c, q, s_tp)
             diff = reference_diff(c, q, s_t, s_tp)
@@ -272,10 +282,15 @@ def test_methods_agree_on_random_clouds():
         p = float(span * 0.5)
         s_t, s_tp = snapshot(c, a), snapshot(c, a + p)
         for q in range(1, c.max_dim + 1):
-            m1 = persistent_boundary(full_boundary(c, q), s_t, s_tp)
+            full = full_boundary(c, q)
+            m1 = reference_persistent_boundary(full, s_t, s_tp)
             m2 = harmonic_persistent_boundary(c, q, s_t, s_tp)
             assert m1.shape == m2.shape
             assert np.allclose(m1, m2, atol=1e-8)
+            # production's new columns differ by an orthogonal change of
+            # basis, which leaves B B^T unchanged
+            factored = _factored(full, s_t, s_tp)
+            assert np.allclose(factored @ factored.T, m2 @ m2.T, atol=1e-8)
             # columns are coordinates in the alpha+p basis, rows in the alpha one
             assert m1.shape == (
                 1 if q == 0 else s_t.count(q - 1),

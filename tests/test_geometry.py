@@ -5,17 +5,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import audit_empty_circumspheres, random_cloud, reference_min_circumsphere
-from pslap import geometry
-from pslap.errors import AllCollinear, AllCoplanar, DegenerateSimplex, DuplicatePoints
-from pslap.geometry import (
-    PointSet,
-    delaunay,
-    in_sphere_indexed,
+from conftest import (
+    audit_empty_circumspheres,
     min_circumsphere,
-    orientation,
+    random_cloud,
+    reference_min_circumsphere,
     side_of_circumsphere,
 )
+from pslap import geometry
+from pslap.errors import AllCollinear, AllCoplanar, DegenerateSimplex, DuplicatePoints
+from pslap.geometry import PointSet, delaunay, in_sphere_indexed, orientation
 
 
 def test_orientation_2d():

@@ -1,22 +1,26 @@
 import numpy as np
 import pytest
 
-from conftest import build_complex, reference_restriction
+from conftest import (
+    build_complex,
+    random_cloud,
+    reference_boundary,
+    reference_laplacian,
+    row_count,
+)
 from pslap import spectra
 from pslap.alpha import alpha_complex, critical_alphas
-from pslap.boundary import full_boundary, persistent_boundary
-from pslap.errors import DimensionMismatch
 from pslap.oracle import BettiOracle
 from pslap.simplices import snapshot
 from pslap.spectra import (
     accumulated_laplacian_diagonal,
-    assemble_laplacian,
     detect_anomalies,
     persistent_laplacian,
     spectrum,
     spectrum_at,
     sweep,
 )
+from test_acceptance import CLOUDS_4
 
 TABLE1_L0 = np.array(
     [
@@ -66,23 +70,52 @@ def test_spectrum_record_invariants(six_complex):
             assert rec.lambda_min_nonzero >= 1e-8
 
 
-def test_psd_and_symmetry(six_complex):
-    for q in range(3):
-        for a in critical_alphas(six_complex):
-            lap = persistent_laplacian(six_complex, q, a)
-            if lap.n_simplices == 0:
-                continue
-            assert np.allclose(lap.matrix, lap.matrix.T, atol=1e-12)
-            eigs = np.linalg.eigvalsh(lap.matrix)
-            assert eigs[0] >= -1e-9 * max(1.0, eigs[-1])
+# projected records must match the dense projector reference within
+# PIN_TOL * lambda_max
+PIN_TOL = 1e-12
 
 
-def test_assemble_dimension_mismatch(six_complex):
-    snap = snapshot(six_complex, 0.6)
-    b1 = reference_restriction(six_complex, 1, snap)
-    pb = persistent_boundary(full_boundary(six_complex, 1), snap, snap)
-    with pytest.raises(DimensionMismatch):
-        assemble_laplacian(b1, pb)  # up-term rows are edge-counted, not q+1
+def _integer_laplacian(boundaries, q: int, snap) -> np.ndarray:
+    """B_{q+1} B_{q+1}^T + B_q^T B_q at the snapshot, in integer arithmetic
+    from the reference boundaries."""
+    n = snap.count(q)
+    bq = boundaries[q][: row_count(q, snap), :n]
+    bup = boundaries[q + 1][:n, : snap.count(q + 1)]
+    return bup @ bup.T + bq.T @ bq
+
+
+def test_psd_and_symmetry(six_complex, icosahedron_complex):
+    # every record is a symmetric matrix; one without new (q+1)-simplices is
+    # the exact integer Laplacian, and a projected one is PSD and agrees with
+    # the dense projector route.  The 50 clouds check every third critical
+    # value; their SVDs and eigensolves would otherwise take most of a minute
+    complexes = [(six_complex, 1), (icosahedron_complex, 1)] + [
+        (alpha_complex(random_cloud(seed, n, d), seed=seed), 3) for seed, n, d in CLOUDS_4
+    ]
+    exact, projected = {}, 0
+    for i, (cx, stride) in enumerate(complexes):
+        boundaries = [reference_boundary(cx, k) for k in range(cx.max_dim + 2)]
+        crit = critical_alphas(cx)
+        for p in (0.0, (crit[-1] - crit[0]) / 3.0):
+            for q in range(min(cx.max_dim, 2) + 1):
+                for a in crit[::stride]:
+                    lap = persistent_laplacian(cx, q, a, p).matrix
+                    if lap.shape[0] == 0:
+                        continue
+                    assert np.array_equal(lap, lap.T)
+                    s_t, s_tp = snapshot(cx, a), snapshot(cx, a + p)
+                    if s_tp.count(q + 1) == s_t.count(q + 1):
+                        key = (i, q, s_t.counts)
+                        if key not in exact:
+                            exact[key] = _integer_laplacian(boundaries, q, s_t)
+                        assert np.array_equal(lap, exact[key])
+                        continue
+                    eigs = np.linalg.eigvalsh(lap)
+                    assert eigs[0] >= -1e-9 * max(1.0, eigs[-1])
+                    ref = reference_laplacian(cx, q, a, p)
+                    assert np.max(np.abs(lap - ref)) <= PIN_TOL * eigs[-1]
+                    projected += 1
+    assert len(exact) > 1000 and projected > 1000, (len(exact), projected)
 
 
 def test_empty_spectrum():
