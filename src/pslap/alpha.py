@@ -18,7 +18,7 @@ from .geometry import (
     min_circumsphere_batch,
     side_of_circumsphere_batch,
 )
-from .simplices import REL_TOL, FilteredComplex
+from .simplices import FilteredComplex, bound_sq
 
 __all__ = ["assign_filtration", "critical_alphas", "alpha_complex"]
 
@@ -80,15 +80,16 @@ def _checked_complex(simplices: dict, values: dict) -> FilteredComplex:
 
 
 def critical_alphas(complex: FilteredComplex) -> np.ndarray:
-    """Sorted unique alpha values (unsquared) at which the complex changes."""
-    vals = np.concatenate(
+    """Sorted alpha values (unsquared) at which the complex changes: a squared
+    value v starts a new one, sqrt(v), only beyond the previous one's
+    bound_sq, so every value lies in the snapshot of its own critical alpha."""
+    vals = np.unique(np.concatenate(
         [complex.filtration_values_sq(q) for q in range(complex.max_dim + 1)]
-    )
-    vals = np.sqrt(np.sort(vals))
+    ))
     out = []
-    for v in vals:
-        if not out or v > out[-1] * (1.0 + REL_TOL) + 1e-300:
-            out.append(float(v))
+    for v in vals.tolist():
+        if not out or v > bound_sq(out[-1]):
+            out.append(float(np.sqrt(v)))
     return np.array(out)
 
 

@@ -106,7 +106,8 @@ def _check_grid(args) -> None:
 def _alpha_values(args, complex) -> np.ndarray:
     if args.critical:
         return critical_alphas(complex)
-    return dataio._grid(args.alpha_min, args.alpha_max, args.step)
+    count = int(math.floor((args.alpha_max - args.alpha_min) / args.step + 1e-9)) + 1
+    return args.alpha_min + args.step * np.arange(max(count, 1))
 
 
 def _parse_list(option: str, text: str, convert) -> list:

@@ -252,8 +252,3 @@ def write_curves_svg(records: list[SpectrumRecord], path, title: str = "") -> No
     parts.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(parts) + "\n")
-
-
-def _grid(alpha_min: float, alpha_max: float, step: float) -> np.ndarray:
-    count = int(math.floor((alpha_max - alpha_min) / step + 1e-9)) + 1
-    return alpha_min + step * np.arange(max(count, 1))

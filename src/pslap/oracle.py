@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from math import gcd
 
-from .simplices import MAX_DIM, REL_TOL, FilteredComplex, snapshot
+from .simplices import MAX_DIM, FilteredComplex, bound_sq, snapshot
 
 
 @dataclass
@@ -74,10 +74,10 @@ def reduce(complex: FilteredComplex) -> Barcode:
 
 
 def betti_from_barcode(barcode: Barcode, q: int, alpha: float, p: float = 0.0) -> int:
-    """Number of dimension-q bars with birth <= alpha and death > alpha + p."""
-    born = alpha * (1.0 + REL_TOL) + 1e-300
-    dead = (alpha + p) * (1.0 + REL_TOL) + 1e-300
-    return sum(1 for b, d in barcode.bars(q) if b <= born and d > dead)
+    """Number of dimension-q bars born in the snapshot at alpha and dying
+    after the one at alpha + p, by the snapshots' rule on squared values."""
+    born, dead = bound_sq(alpha), bound_sq(alpha + p)
+    return sum(1 for b, d in barcode.bars(q) if b * b <= born and d * d > dead)
 
 
 class BettiOracle:

@@ -9,17 +9,22 @@ is what makes boundary-matrix restriction a top-left block read.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 MAX_DIM = 3
 
-# Relative slack used whenever a squared filtration value is compared against
-# a squared threshold; prevents a simplex from missing its own critical alpha
-# after a sqrt/square round trip.
+# Relative slack on a squared threshold; keeps a simplex in the snapshot of
+# its own critical alpha after a sqrt/square round trip.
 REL_TOL = 1e-12
+
+
+def bound_sq(alpha: float) -> float:
+    """The largest squared filtration value threshold alpha admits.  Every
+    membership question (snapshots, critical values, the barcode oracle)
+    is answered by comparing a squared value against this bound."""
+    return alpha * alpha * (1.0 + REL_TOL) + 1e-300
 
 
 @dataclass(frozen=True)
@@ -41,7 +46,6 @@ class FilteredComplex:
     """
 
     def __init__(self, simplices_by_dim, filtration_sq):
-        self._counts: dict[float, tuple[int, int, int, int]] = {}  # counts_at memo
         self._derived: dict = {}  # derived() memo
         self._filtration = dict(filtration_sq)
         self._simplices = {}
@@ -90,25 +94,22 @@ class FilteredComplex:
             value = self._derived[key] = build()
         return value
 
-    def counts_at(self, alpha_sq: float) -> tuple[int, int, int, int]:
-        """Number of simplices per dimension with value <= alpha_sq, computed
-        once per value: sweeps and oracle queries ask for the same ones."""
-        counts = self._counts.get(alpha_sq)
-        if counts is None:
-            bound = alpha_sq * (1.0 + REL_TOL) + 1e-300
-            counts = self._counts[alpha_sq] = tuple(
-                int(np.searchsorted(self._values[q], bound, side="right"))
-                for q in range(MAX_DIM + 1)
-            )
-        return counts
-
 
 def snapshot(complex: FilteredComplex, alpha: float) -> Snapshot:
-    """Snapshot of the filtration at (unsquared) threshold alpha >= 0."""
-    if alpha < 0:
+    """Snapshot of the filtration at (unsquared) threshold alpha >= 0: the
+    simplices with squared value <= ``bound_sq(alpha)``.  Built once per
+    alpha, as sweeps and oracle queries ask for the same ones."""
+    if not alpha >= 0:  # also rejects NaN
         raise ValueError(f"alpha must be non-negative, got {alpha}")
-    alpha_sq = math.inf if math.isinf(alpha) else alpha * alpha
-    return Snapshot(alpha_sq=alpha_sq, counts=complex.counts_at(alpha_sq))
+
+    def build():
+        bound = bound_sq(alpha)
+        return Snapshot(alpha * alpha, tuple(
+            int(np.searchsorted(complex.filtration_values_sq(q), bound, side="right"))
+            for q in range(MAX_DIM + 1)
+        ))
+
+    return complex.derived(("snapshot", alpha), build)
 
 
 def closure_of_cells(cells) -> dict[int, set]:

@@ -200,7 +200,7 @@ def accumulated_laplacian_diagonal(complex: FilteredComplex, alphas) -> np.ndarr
     count exceeds its position in filtration order.  An all-zero
     accumulation normalizes to all ones.
     """
-    edge_counts = np.sort([complex.counts_at(float(a) ** 2)[1] for a in alphas])
+    edge_counts = np.sort([snapshot(complex, a).count(1) for a in alphas])
     n = complex.n_simplices(0)
     acc = np.zeros(n)
     for j, (u, v) in enumerate(complex.simplices(1)):

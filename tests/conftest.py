@@ -77,6 +77,16 @@ def euler_characteristic(snap) -> int:
     return sum((-1) ** q * n for q, n in enumerate(snap.counts))
 
 
+def prefix_states(cx) -> list:
+    """Sorted distinct snapshot counts at each simplex's own alpha: the states
+    a sweep over the critical values visits, each exactly once."""
+    return sorted({
+        snapshot(cx, math.sqrt(v)).counts
+        for q in range(cx.max_dim + 1)
+        for v in cx.filtration_values_sq(q).tolist()
+    })
+
+
 def audit_empty_circumspheres(cx, coords: np.ndarray) -> list:
     """All (cell, point) pairs of a tessellation of ``coords`` violating the
     perturbed empty-sphere property."""

@@ -15,6 +15,7 @@ from conftest import (
     euler_characteristic,
     exact_rank_betti,
     harmonic_eigenvalues,
+    prefix_states,
     production_boundary,
     random_cloud,
 )
@@ -190,6 +191,8 @@ def test_criterion_6_invariant_suite(
                 assert not audit_empty_circumspheres(cx, points.coords)
             crit = critical_alphas(cx)
             span = crit[-1] - crit[0]
+            # each critical alpha is a distinct state, and no state is skipped
+            assert [snapshot(cx, a).counts for a in crit] == prefix_states(cx)
             # PSD bound and Euler-Poincare at every critical alpha, p = 0
             by_q = {
                 q: {round(r.alpha, 12): r for r in sweep(cx, [q], crit, p=0.0)}

@@ -7,6 +7,7 @@ import pytest
 from conftest import (
     DATA,
     min_circumsphere,
+    prefix_states,
     random_cloud,
     reference_assign_filtration,
     side_of_circumsphere,
@@ -256,10 +257,11 @@ def test_batched_exact_fallback_runs_on_cospherical_input(monkeypatch):
 
 
 def test_snapshot_counts_at_critical_values(six_complex):
-    # every critical alpha admits at least one simplex exactly at that value
-    crit = critical_alphas(six_complex)
-    prev = None
-    for a in crit:
-        counts = snapshot(six_complex, a).counts
-        assert prev is None or counts != prev
-        prev = counts
+    # the critical alphas visit every prefix state once; near_tie's two
+    # shortest edges differ by 1.5e-12 relative in squared value, beyond the
+    # slack, so both states (one edge, two edges) must be visited
+    near_tie = alpha_complex(read_xyz(DATA / "near_tie.xyz"))
+    for cx in (six_complex, near_tie):
+        states = [snapshot(cx, a).counts for a in critical_alphas(cx)]
+        assert states == prefix_states(cx)
+    assert (4, 1, 0, 0) in states and (4, 2, 0, 0) in states

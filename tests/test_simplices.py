@@ -1,9 +1,11 @@
 import math
 
 import numpy as np
+import pytest
 
 from conftest import build_complex, euler_characteristic
 from pslap.simplices import Snapshot, snapshot
+from pslap.spectra import spectrum_at
 
 
 def test_build_single_vertex():
@@ -60,6 +62,18 @@ def test_snapshot_monotone_in_alpha(six_complex):
         cur = snapshot(six_complex, a).counts
         assert all(x >= y for x, y in zip(cur, prev))
         prev = cur
+
+
+def test_snapshot_threshold_domain(six_complex):
+    # infinity admits everything; NaN and negative thresholds are errors,
+    # not a full or empty complex, and they reach spectrum_at's caller
+    full = tuple(six_complex.n_simplices(q) for q in range(4))
+    assert snapshot(six_complex, math.inf).counts == full
+    for bad in (math.nan, -0.1, -math.inf):
+        with pytest.raises(ValueError):
+            snapshot(six_complex, bad)
+        with pytest.raises(ValueError):
+            spectrum_at(six_complex, 1, bad)
 
 
 def test_snapshot_includes_its_own_critical_value():
