@@ -80,17 +80,17 @@ def _checked_complex(simplices: dict, values: dict) -> FilteredComplex:
 
 
 def critical_alphas(complex: FilteredComplex) -> np.ndarray:
-    """Sorted alpha values (unsquared) at which the complex changes: a squared
-    value v starts a new one, sqrt(v), only beyond the previous one's
-    bound_sq, so every value lies in the snapshot of its own critical alpha."""
+    """Sorted alpha values (unsquared) at which the complex changes, one per
+    snapshot state: sqrt(v) for each distinct squared value v whose snapshot
+    holds more values than that of the value before it, so every value lies
+    in the snapshot of its own critical alpha and no state is skipped, even
+    where near-ties chain across more than one slack."""
     vals = np.unique(np.concatenate(
         [complex.filtration_values_sq(q) for q in range(complex.max_dim + 1)]
     ))
-    out = []
-    for v in vals.tolist():
-        if not out or v > bound_sq(out[-1]):
-            out.append(float(np.sqrt(v)))
-    return np.array(out)
+    roots = np.sqrt(vals)
+    held = np.searchsorted(vals, bound_sq(roots), side="right")
+    return roots[np.r_[True, held[1:] > held[:-1]]]
 
 
 def alpha_complex(points: PointSet, seed: int = 0) -> FilteredComplex:

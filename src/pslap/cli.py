@@ -132,7 +132,7 @@ def cmd_spectra(args) -> int:
     _check_grid(args)
     points, complex = _build(args)
     alphas = _alpha_values(args, complex)
-    records = sweep(complex, q_list, alphas, p=args.p)
+    records = sweep(complex, q_list, alphas, p=args.p, full=args.json is not None)
     dataio.write_spectra_csv(records, args.out)
     if args.json:
         meta = {

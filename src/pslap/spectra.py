@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg
+from scipy.linalg import lapack
 
 from .boundary import full_boundary, persistent_boundary
 from .errors import EigensolveFailure, PslapError
@@ -51,16 +52,27 @@ class SpectrumRecord:
     flags: tuple[str, ...] = field(default=())
 
 
-def _dense_spectrum(lap: PersistentLaplacian) -> SpectrumRecord:
-    try:
-        eigs = np.linalg.eigvalsh(lap.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolveFailure(str(exc)) from exc
-    return _record_from_eigs(lap, np.sort(eigs), partial=False)
-
-
 def _zero_threshold(lambda_max: float) -> float:
     return max(ZERO_ABS, ZERO_REL * max(lambda_max, 0.0))
+
+
+def _record(lap, eigenvalues, betti, lam_min, largest_zero, partial=False) -> SpectrumRecord:
+    flags = []
+    if betti > 0 and lam_min is not None:
+        if largest_zero > 0 and lam_min / largest_zero < GAP_FACTOR:
+            flags.append("gap_ambiguous")
+    if partial:
+        flags.append("partial_spectrum")
+    return SpectrumRecord(
+        q=lap.q,
+        alpha=lap.alpha,
+        p=lap.p,
+        eigenvalues=tuple(eigenvalues),
+        betti=betti,
+        lambda_min_nonzero=lam_min,
+        n_simplices=lap.n_simplices,
+        flags=tuple(flags),
+    )
 
 
 def _record_from_eigs(lap, eigs, partial, lambda_max=None) -> SpectrumRecord:
@@ -70,26 +82,66 @@ def _record_from_eigs(lap, eigs, partial, lambda_max=None) -> SpectrumRecord:
     betti = int(np.sum(eigs < tau))
     nonzero = eigs[eigs >= tau]
     lam_min = float(nonzero[0]) if len(nonzero) else None
-    flags = []
-    if betti > 0 and lam_min is not None:
-        largest_zero = float(eigs[betti - 1])
-        if largest_zero > 0 and lam_min / largest_zero < GAP_FACTOR:
-            flags.append("gap_ambiguous")
-    if partial:
-        flags.append("partial_spectrum")
-    return SpectrumRecord(
-        q=lap.q,
-        alpha=lap.alpha,
-        p=lap.p,
-        eigenvalues=tuple(eigs.tolist()),
-        betti=betti,
-        lambda_min_nonzero=lam_min,
-        n_simplices=lap.n_simplices,
-        flags=tuple(flags),
-    )
+    largest_zero = float(eigs[betti - 1]) if betti else None
+    return _record(lap, eigs.tolist(), betti, lam_min, largest_zero, partial)
 
 
-def _iterative_spectrum(lap: PersistentLaplacian) -> SpectrumRecord:
+def _lapack(name: str, *args, **kwargs):
+    """scipy's LAPACK routine ``name`` on the arguments; its trailing info
+    output, when nonzero, is an EigensolveFailure."""
+    *out, info = getattr(lapack, name)(*args, **kwargs)
+    if info != 0:
+        raise EigensolveFailure(f"LAPACK {name} failed (info={info})")
+    return out
+
+
+# dstebz ranges: the eigenvalues in (vl, vu], or those with indices il..iu
+_VALUES, _INDICES = 1, 2
+
+
+def _bisect(d, e, which, vl=-np.inf, vu=np.inf, il=0, iu=0) -> np.ndarray:
+    """Ascending eigenvalues of the tridiagonal (d, e) in one range, by
+    Sturm-sequence bisection (LAPACK dstebz) to its default absolute
+    tolerance.  An index range comes back short (info 2) where eigenvalues
+    closer than the tolerance straddle a split of the tridiagonal; any other
+    nonzero info is an EigensolveFailure."""
+    m, w, _, _, info = lapack.dstebz(d, e, which, vl, vu, il, iu, 0.0, b"E")
+    if info not in (0, 2):
+        raise EigensolveFailure(f"LAPACK dstebz failed (info={info})")
+    return w[:m]
+
+
+def _dense_spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRecord:
+    """The record from one tridiagonal reduction of the matrix (LAPACK
+    dsytrd, the first half of numpy's eigvalsh) and three bisections: for
+    the eigenvalues above ZERO_ABS / ZERO_REL, the only ones that move the
+    zero threshold; for those below the threshold, whose count is the Betti
+    number; and for the next one, lambda_min_nonzero.  With ``full``, the
+    record also lists every eigenvalue, from the same tridiagonal by dsterf,
+    eigvalsh's second half and bytes."""
+    n = lap.n_simplices
+    if n <= 1:  # the matrix is its spectrum; the dstebz wrapper wants order 2
+        rec = _record_from_eigs(lap, np.diag(lap.matrix), partial=False)
+        return rec if full else replace(rec, eigenvalues=())
+    lwork, = _lapack("dsytrd_lwork", n, lower=1)
+    _, d, e, _ = _lapack("dsytrd", lap.matrix, lower=1, lwork=int(lwork))
+    top = _bisect(d, e, _VALUES, vl=ZERO_ABS / ZERO_REL)
+    # the largest value below the threshold: zeros lie in (-inf, zero_max]
+    zero_max = np.nextafter(_zero_threshold(top[-1] if len(top) else 0.0), -np.inf)
+    zeros = _bisect(d, e, _VALUES, vu=zero_max)
+    betti = len(zeros)
+    lam_min = None
+    if betti < n:
+        nonzero = _bisect(d, e, _INDICES, il=betti + 1, iu=betti + 1)
+        if not len(nonzero):  # short: bisect every nonzero eigenvalue
+            nonzero = _bisect(d, e, _VALUES, vl=zero_max)
+        lam_min = float(nonzero[0])
+    largest_zero = float(zeros[-1]) if betti else None
+    eigenvalues = _lapack("dsterf", d, e)[0].tolist() if full else ()
+    return _record(lap, eigenvalues, betti, lam_min, largest_zero)
+
+
+def _iterative_spectrum(lap: PersistentLaplacian, full: bool) -> SpectrumRecord:
     """lambda_max and the lowest eigenvalues of a large Laplacian by Lanczos.
 
     The record is certified only when one of the lowest eigenvalues reaches
@@ -108,23 +160,25 @@ def _iterative_spectrum(lap: PersistentLaplacian) -> SpectrumRecord:
             return_eigenvectors=False,
         ))
     except scipy.sparse.linalg.ArpackError:
-        return _dense_spectrum(lap)
+        return _dense_spectrum(lap, full)
     if not np.any(eigs >= _zero_threshold(lambda_max)):
-        return _dense_spectrum(lap)
+        return _dense_spectrum(lap, full)
     return _record_from_eigs(lap, eigs, partial=len(eigs) < n, lambda_max=lambda_max)
 
 
-def spectrum(lap: PersistentLaplacian) -> SpectrumRecord:
-    """Eigenvalues of the persistent Laplacian with zero/nonzero separation.
+def spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRecord:
+    """Betti number and smallest nonzero eigenvalue of the persistent
+    Laplacian, with zero/nonzero separation flags.
 
-    Matrices up to DENSE_CUTOFF get a full symmetric eigendecomposition;
-    larger ones get their SHIFT_INVERT_K lowest eigenvalues by shift-invert
-    iteration (record flagged partial_spectrum), unless those cannot certify
-    the split.
+    Matrices up to DENSE_CUTOFF are reduced to tridiagonal form once and
+    bisected for the eigenvalues the record reports; ``full`` adds every
+    eigenvalue, from the same tridiagonal.  Larger ones get their
+    SHIFT_INVERT_K lowest eigenvalues by shift-invert iteration (record
+    flagged partial_spectrum), unless those cannot certify the split.
     """
     if lap.n_simplices <= DENSE_CUTOFF:
-        return _dense_spectrum(lap)
-    return _iterative_spectrum(lap)
+        return _dense_spectrum(lap, full)
+    return _iterative_spectrum(lap, full)
 
 
 def persistent_laplacian(
@@ -141,8 +195,11 @@ def persistent_laplacian(
     :func:`persistent_boundary`).  Without new (q+1)-simplices U is empty and
     the Laplacian is an exact integer matrix.
     """
-    snap_t = snapshot(complex, alpha)
-    snap_tp = snapshot(complex, alpha + p)
+    return _laplacian(complex, q, alpha, p, snapshot(complex, alpha), snapshot(complex, alpha + p))
+
+
+def _laplacian(complex, q, alpha, p, snap_t, snap_tp) -> PersistentLaplacian:
+    """persistent_laplacian on the snapshots at alpha and alpha + p."""
     n = snap_t.count(q)
     down = full_boundary(complex, q).down_gram(n)
     up = full_boundary(complex, q + 1)
@@ -159,29 +216,35 @@ def persistent_laplacian(
     return PersistentLaplacian(lap, q, alpha, p)
 
 
-def spectrum_at(complex: FilteredComplex, q: int, alpha: float, p: float = 0.0) -> SpectrumRecord:
-    return spectrum(persistent_laplacian(complex, q, alpha, p))
+def spectrum_at(
+    complex: FilteredComplex, q: int, alpha: float, p: float = 0.0, full: bool = False
+) -> SpectrumRecord:
+    return spectrum(persistent_laplacian(complex, q, alpha, p), full)
 
 
-def sweep(complex: FilteredComplex, q_list, alphas, p: float = 0.0) -> list[SpectrumRecord]:
-    """One SpectrumRecord per (q, alpha), sorted by (q, alpha).
+def sweep(
+    complex: FilteredComplex, q_list, alphas, p: float = 0.0, full: bool = False
+) -> list[SpectrumRecord]:
+    """One SpectrumRecord per (q, alpha), sorted by (q, alpha); ``full``
+    lists every eigenvalue of each record (see :func:`spectrum`).
 
-    Snapshots with identical simplex counts at alpha and alpha + p produce
-    identical Laplacians, so their records are computed once and re-labelled.
-    Failed records are flagged and the sweep continues.
+    L_q^{alpha,p} depends only on the q- and (q+1)-simplex counts at alpha
+    and at alpha + p, so records with equal counts are computed once and
+    re-labelled.  Failed records are flagged and the sweep continues.
     """
     alphas = sorted(float(a) for a in alphas)
     q_list = sorted(set(int(q) for q in q_list))
-    sig_cache: dict = {}  # (q, counts at alpha, counts at alpha + p) -> record
+    snaps = [(a, snapshot(complex, a), snapshot(complex, a + p)) for a in alphas]
+    sig_cache: dict = {}  # (q, N_q and N_{q+1} at alpha, at alpha + p) -> record
     results = []
     for q in q_list:
-        for a in alphas:
-            snap_t = snapshot(complex, a)
-            sig = (q, snap_t.counts, snapshot(complex, a + p).counts)
+        for a, snap_t, snap_tp in snaps:
+            sig = (q, *(s.count(k) for s in (snap_t, snap_tp) for k in (q, q + 1)))
             rec = sig_cache.get(sig)
             if rec is None:
                 try:
-                    rec = sig_cache[sig] = spectrum(persistent_laplacian(complex, q, a, p))
+                    lap = _laplacian(complex, q, a, p, snap_t, snap_tp)
+                    rec = sig_cache[sig] = spectrum(lap, full)
                 except PslapError as exc:
                     rec = SpectrumRecord(
                         q, a, p, (), 0, None, snap_t.count(q),

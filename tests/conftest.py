@@ -21,7 +21,7 @@ from pslap.geometry import (
     side_of_circumsphere_batch,
 )
 from pslap.simplices import MAX_DIM, FilteredComplex, snapshot
-from pslap.spectra import SpectrumRecord
+from pslap.spectra import GAP_FACTOR, ZERO_ABS, ZERO_REL, SpectrumRecord
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -391,6 +391,21 @@ def harmonic_eigenvalues(cx, q: int, alpha: float, p: float) -> np.ndarray:
     up = harmonic_persistent_boundary(cx, q + 1, snap_t, snap_tp)
     bq = reference_restriction(cx, q, snap_t).astype(float)
     return np.linalg.eigvalsh(up @ up.T + bq.T @ bq)
+
+
+def reference_spectrum(matrix: np.ndarray) -> tuple:
+    """(eigenvalues, betti, lambda_min_nonzero, flags) of a dense Laplacian
+    from every eigenvalue by numpy's eigvalsh, under pslap.spectra's zero
+    threshold and gap rule: the record its targeted solve must give."""
+    eigs = np.linalg.eigvalsh(matrix)
+    tau = max(ZERO_ABS, ZERO_REL * max(float(eigs[-1]), 0.0))
+    betti = int(np.sum(eigs < tau))
+    lam_min = float(eigs[betti]) if betti < len(eigs) else None
+    largest_zero = float(eigs[betti - 1]) if betti else 0.0
+    flags = ()
+    if lam_min is not None and largest_zero > 0 and lam_min / largest_zero < GAP_FACTOR:
+        flags = ("gap_ambiguous",)
+    return tuple(eigs.tolist()), betti, lam_min, flags
 
 
 # Dense projector reference for the persistent Laplacian.  pslap.spectra adds

@@ -90,7 +90,7 @@ def test_criterion_2_table2(six_complex):
         l_06 = persistent_laplacian(six_complex, 0, 0.6, 0.0).matrix
         l_0204 = persistent_laplacian(six_complex, 0, 0.2, 0.4).matrix
         assert np.array_equal(l_06, l_0204)
-        rec = spectrum_at(six_complex, 0, 0.2, 0.4)
+        rec = spectrum_at(six_complex, 0, 0.2, 0.4, full=True)
         assert rec.betti == 1
         assert max(abs(a - b) for a, b in zip(rec.eigenvalues, TABLE1[0][0])) <= 5e-5
 
@@ -156,7 +156,7 @@ def test_criterion_5_cross_method_spectra():
             a = float(rng.choice(crit[: max(1, len(crit) // 2)]))
             p = float(span * rng.uniform(0.3, 0.9))
             for q in range(0, min(cx.max_dim, 2) + 1):
-                r1 = spectrum_at(cx, q, a, p)
+                r1 = spectrum_at(cx, q, a, p, full=True)
                 ref = harmonic_eigenvalues(cx, q, a, p)
                 assert r1.n_simplices == len(ref)
                 if r1.eigenvalues:
@@ -195,7 +195,7 @@ def test_criterion_6_invariant_suite(
             assert [snapshot(cx, a).counts for a in crit] == prefix_states(cx)
             # PSD bound and Euler-Poincare at every critical alpha, p = 0
             by_q = {
-                q: {round(r.alpha, 12): r for r in sweep(cx, [q], crit, p=0.0)}
+                q: {round(r.alpha, 12): r for r in sweep(cx, [q], crit, p=0.0, full=True)}
                 for q in range(cx.max_dim + 1)
             }
             for recs in by_q.values():

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import (
     DATA,
+    build_complex,
     min_circumsphere,
     prefix_states,
     random_cloud,
@@ -265,3 +266,17 @@ def test_snapshot_counts_at_critical_values(six_complex):
         states = [snapshot(cx, a).counts for a in critical_alphas(cx)]
         assert states == prefix_states(cx)
     assert (4, 1, 0, 0) in states and (4, 2, 0, 0) in states
+
+
+def test_critical_alphas_follow_chained_near_ties():
+    # a path of four edges whose squared values step by less than the slack:
+    # each lies within the slack of the one before it but not of the one two
+    # before, so the snapshots at their own alphas hold 2, 3, 4 and 4 edges,
+    # and each of the three states needs its own critical value
+    values = {(v,): 0.0 for v in range(5)}
+    values.update({(0, 1): 1.0, (1, 2): 1 + 0.8e-12, (2, 3): 1 + 1.6e-12, (3, 4): 1 + 2.2e-12})
+    cx = build_complex(list(values), values)
+    crit = critical_alphas(cx)
+    states = [snapshot(cx, a).counts for a in crit]
+    assert states == prefix_states(cx)
+    assert [s[1] for s in states] == [0, 2, 3, 4]

@@ -16,7 +16,7 @@ from conftest import random_cloud, reference_boundary, row_count
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.geometry import PointSet
 from pslap.simplices import snapshot
-from pslap.spectra import persistent_laplacian
+from pslap.spectra import persistent_laplacian, spectrum
 from test_acceptance import CLOUDS_4
 
 # every eigenvalue must match within TOL * lambda_max, lambda_max being the
@@ -24,11 +24,16 @@ from test_acceptance import CLOUDS_4
 TOL = 1e-12
 
 
-def _assert_spectrum(matrix, expected):
-    eigs = np.linalg.eigvalsh(matrix)
+def _assert_spectrum(lap, expected):
+    # every eigenvalue by eigvalsh, and the record pslap reports: as many
+    # harmonic chains as zeros, and the smallest nonzero value
+    eigs = np.linalg.eigvalsh(lap.matrix)
     expected = np.sort(expected)
     assert eigs.shape == expected.shape
     assert np.max(np.abs(eigs - expected)) <= TOL * eigs[-1]
+    rec = spectrum(lap)
+    assert rec.betti == np.count_nonzero(expected == 0)
+    assert abs(rec.lambda_min_nonzero - expected[expected > 0][0]) <= TOL * eigs[-1]
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 9])
@@ -42,10 +47,10 @@ def test_regular_polygon_spectra(n):
     assert snapshot(cx, 2.0).counts == (n, 2 * n - 3, n - 2, 0)
     cycle = 2 - 2 * np.cos(2 * math.pi * np.arange(1, n) / n)
     # the bare cycle: the cycle graph's nonzero spectrum and its one 1-cycle
-    _assert_spectrum(persistent_laplacian(cx, 1, alpha, 0.0).matrix, np.r_[cycle, 0.0])
+    _assert_spectrum(persistent_laplacian(cx, 1, alpha, 0.0), np.r_[cycle, 0.0])
     # filled by alpha + p: the n - 2 triangles sum to a chain with the n-cycle
     # as boundary
-    _assert_spectrum(persistent_laplacian(cx, 1, alpha, 2.0).matrix, np.r_[cycle, n / (n - 2)])
+    _assert_spectrum(persistent_laplacian(cx, 1, alpha, 2.0), np.r_[cycle, n / (n - 2)])
 
 
 def test_icosahedron_graph_spectra(icosahedron_complex):
@@ -55,18 +60,18 @@ def test_icosahedron_graph_spectra(icosahedron_complex):
     r5 = math.sqrt(5)
     # L_0 is the icosahedral graph Laplacian, 5 - (5, sqrt5 x3, -1 x5, -sqrt5 x3)
     _assert_spectrum(
-        persistent_laplacian(cx, 0, alpha).matrix,
+        persistent_laplacian(cx, 0, alpha),
         [0.0] + [5 - r5] * 3 + [6.0] * 5 + [5 + r5] * 3,
     )
     # L_2 is the Laplacian of the dual graph, the dodecahedron:
     # 3 - (3, sqrt5 x3, 1 x5, 0 x4, -2 x4, -sqrt5 x3)
     dodecahedral = [3 - r5] * 3 + [2.0] * 5 + [3.0] * 4 + [5.0] * 4 + [3 + r5] * 3
-    _assert_spectrum(persistent_laplacian(cx, 2, alpha).matrix, [0.0] + dodecahedral)
+    _assert_spectrum(persistent_laplacian(cx, 2, alpha), [0.0] + dodecahedral)
     # filled by alpha + p: the sum of the tetrahedra has the 20 surface
     # triangles as boundary
     n_tets = snapshot(cx, 3.0).count(3)
     _assert_spectrum(
-        persistent_laplacian(cx, 2, alpha, 3.0 - alpha).matrix, [20 / n_tets] + dodecahedral
+        persistent_laplacian(cx, 2, alpha, 3.0 - alpha), [20 / n_tets] + dodecahedral
     )
 
 

@@ -2,10 +2,12 @@ import pathlib
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import read_spectra_csv
 from pslap import spectra
-from pslap.cli import main
+from pslap.cli import _SOLVER_ERRORS, EXIT_SOLVER, main
+from pslap.errors import EigensolveFailure
 
 DATA = pathlib.Path(__file__).parent / "data"
 SIX = str(DATA / "six_points.xyz")
@@ -182,6 +184,37 @@ def test_spectra_golden_bytes(tmp_path):
     # metadata embeds the input path, so only the records are compared
     golden = json.loads((DATA / "cloud20_3d_q012_p0.3_records.json").read_text())
     assert json.loads(js.read_text())["records"] == golden
+
+
+def test_spectra_csv_does_not_depend_on_json(tmp_path):
+    # the CSV fields come from the same bisections with or without --json,
+    # which only adds every eigenvalue
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    args = ["spectra", "--input", str(DATA / "cloud20_3d.xyz"), "--critical", "--q", "0,1,2",
+            "--p", "0.3"]
+    assert run(*args, "--out", str(a)) == 0
+    assert run(*args, "--out", str(b), "--json", str(tmp_path / "b.json")) == 0
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_eigensolve_failure_is_typed(six_complex, tmp_path, monkeypatch):
+    # LAPACK reporting no convergence (info > 0) is an EigensolveFailure, the
+    # solver error of exit code 3; a sweep flags the record instead, so
+    # spectra writes the flag and validate counts it as a disagreement
+    real = scipy.linalg.lapack.dstebz
+
+    def no_convergence(*args):
+        return (*real(*args)[:-1], 1)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", no_convergence)
+    with pytest.raises(EigensolveFailure):
+        spectra.spectrum_at(six_complex, 1, 0.6)
+    assert EigensolveFailure in _SOLVER_ERRORS and EXIT_SOLVER == 3
+    out = tmp_path / "s.csv"
+    assert run("spectra", "--input", SIX, "--q", "1", "--alpha-min", "0.6", "--alpha-max",
+               "0.6", "--out", str(out)) == 0
+    assert [r.flags for r in read_spectra_csv(out)] == [("failed:EigensolveFailure",)]
+    assert run("validate", "--input", SIX, "--q", "1") == 4
 
 
 def test_spectra_json_and_svg(tmp_path):

@@ -1,11 +1,17 @@
+import itertools
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import (
     build_complex,
     random_cloud,
     reference_boundary,
     reference_laplacian,
+    reference_spectrum,
     row_count,
 )
 from pslap import spectra
@@ -45,7 +51,7 @@ def test_table1_l0_matrix(six_complex):
 
 def test_table1_spectra(six_complex):
     for q, expected, betti in [(0, SPEC_L0, 1), (1, SPEC_L1, 1), (2, [3.0], 0)]:
-        rec = spectrum_at(six_complex, q, 0.6)
+        rec = spectrum_at(six_complex, q, 0.6, full=True)
         assert rec.betti == betti
         assert rec.n_simplices == len(expected)
         assert np.allclose(rec.eigenvalues, expected, atol=5e-5)
@@ -55,14 +61,14 @@ def test_table1_spectra(six_complex):
 def test_table2_matrix_and_spectrum(six_complex):
     lap = persistent_laplacian(six_complex, 0, 0.2, 0.4)
     assert np.array_equal(lap.matrix, TABLE1_L0)
-    rec = spectrum_at(six_complex, 0, 0.2, 0.4)
+    rec = spectrum_at(six_complex, 0, 0.2, 0.4, full=True)
     assert rec.betti == 1
     assert np.allclose(rec.eigenvalues, SPEC_L0, atol=5e-5)
 
 
 def test_spectrum_record_invariants(six_complex):
     for q in range(3):
-        rec = spectrum_at(six_complex, q, 0.6)
+        rec = spectrum_at(six_complex, q, 0.6, full=True)
         nonzero = sum(1 for x in rec.eigenvalues if x >= 1e-8)
         assert rec.betti + nonzero == rec.n_simplices
         assert list(rec.eigenvalues) == sorted(rec.eigenvalues)
@@ -174,8 +180,85 @@ def test_sweep_identical_between_critical_values(six_complex):
     # no critical value lies in (0.46, 0.50): records there must coincide
     crit = critical_alphas(six_complex)
     assert not [a for a in crit if 0.46 <= a <= 0.50]
-    r = sweep(six_complex, [1], [0.46, 0.48, 0.50], p=0.0)
+    r = sweep(six_complex, [1], [0.46, 0.48, 0.50], p=0.0, full=True)
     assert r[0].eigenvalues == r[1].eigenvalues == r[2].eigenvalues
+
+
+def test_targeted_solve_matches_dense_reference():
+    # on every third critical value of the 50 oracle clouds at p = 0 and
+    # span/3: the Betti number and flags equal those of a full eigvalsh, so do
+    # the full eigenvalues to the last bit, lambda_min_nonzero agrees within
+    # PIN_TOL * lambda_max, and without full only the eigenvalues are left out
+    checked = 0
+    for seed, n, d in CLOUDS_4:
+        cx = alpha_complex(random_cloud(seed, n, d), seed=seed)
+        crit = critical_alphas(cx)
+        for p in (0.0, (crit[-1] - crit[0]) / 3.0):
+            for q in (0, 1, 2):
+                for a in crit[::3]:
+                    lap = persistent_laplacian(cx, q, a, p)
+                    if lap.n_simplices == 0:
+                        continue
+                    eigs, betti, lam_min, flags = reference_spectrum(lap.matrix)
+                    rec = spectrum(lap, full=True)
+                    assert rec.eigenvalues == eigs, (seed, q, a, p)
+                    assert (rec.betti, rec.flags) == (betti, flags), (seed, q, a, p)
+                    if lam_min is None:
+                        assert rec.lambda_min_nonzero is None
+                    else:
+                        assert abs(rec.lambda_min_nonzero - lam_min) <= PIN_TOL * eigs[-1]
+                    assert spectrum(lap) == replace(rec, eigenvalues=())
+                    checked += 1
+    assert checked > 5000, checked
+
+
+def test_clustered_top_eigenvalues(monkeypatch):
+    # criterion 4's cloud 120 at its 14th critical value, q = 1, p = 2 span/3:
+    # the four largest eigenvalues lie within 4e-15 of 4 and the tridiagonal
+    # splits there, where an index bisection for lambda_max comes back short
+    # (LAPACK dstebz info 2).  A short index range for lambda_min_nonzero
+    # falls back to bisecting every nonzero eigenvalue, to the same record
+    cx = alpha_complex(random_cloud(120, 28, 2), seed=120)
+    crit = critical_alphas(cx)
+    lap = persistent_laplacian(cx, 1, crit[13], 2 * (crit[-1] - crit[0]) / 3)
+    eigs, betti, lam_min, flags = reference_spectrum(lap.matrix)
+    rec = spectrum(lap)
+    assert (rec.betti, rec.flags) == (betti, flags)
+    assert abs(rec.lambda_min_nonzero - lam_min) <= PIN_TOL * eigs[-1]
+    real = scipy.linalg.lapack.dstebz
+
+    def short_by_index(d, e, which, *args):
+        m, w, iblock, isplit, info = real(d, e, which, *args)
+        if which == spectra._INDICES:
+            m, info = 0, 2
+        return m, w, iblock, isplit, info
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", short_by_index)
+    fallback = spectrum(lap)
+    assert (fallback.betti, fallback.flags) == (betti, flags)
+    assert abs(fallback.lambda_min_nonzero - lam_min) <= PIN_TOL * eigs[-1]
+
+
+def test_sweep_builds_one_laplacian_per_count_key(monkeypatch):
+    # L_1 depends only on the edge and triangle counts at alpha and alpha + p,
+    # so a tetrahedron entering alone leaves it unchanged: one solve serves
+    # both alphas
+    values = {
+        s: float(len(s) - 1) for k in range(1, 5) for s in itertools.combinations(range(4), k)
+    }
+    cx = build_complex(list(values), values)
+    alphas = [math.sqrt(2.0), math.sqrt(3.0)]
+    assert [snapshot(cx, a).counts for a in alphas] == [(4, 6, 4, 0), (4, 6, 4, 1)]
+    real, solved = spectra.spectrum, []
+
+    def counted(lap, *args):
+        solved.append(lap.alpha)
+        return real(lap, *args)
+
+    monkeypatch.setattr(spectra, "spectrum", counted)
+    first, second = sweep(cx, [1], alphas)
+    assert solved == alphas[:1]
+    assert replace(first, alpha=alphas[1]) == second
 
 
 def test_iterative_solver_matches_dense(six_complex, monkeypatch):
