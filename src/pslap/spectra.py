@@ -75,7 +75,7 @@ def _record(lap, eigenvalues, betti, lam_min, largest_zero, partial=False) -> Sp
     )
 
 
-def _record_from_eigs(lap, eigs, partial, lambda_max=None) -> SpectrumRecord:
+def _record_from_eigs(lap, eigs, full, partial=False, lambda_max=None) -> SpectrumRecord:
     if lambda_max is None:
         lambda_max = float(eigs[-1]) if len(eigs) else 0.0
     tau = _zero_threshold(lambda_max)
@@ -83,7 +83,8 @@ def _record_from_eigs(lap, eigs, partial, lambda_max=None) -> SpectrumRecord:
     nonzero = eigs[eigs >= tau]
     lam_min = float(nonzero[0]) if len(nonzero) else None
     largest_zero = float(eigs[betti - 1]) if betti else None
-    return _record(lap, eigs.tolist(), betti, lam_min, largest_zero, partial)
+    eigenvalues = eigs.tolist() if full else ()
+    return _record(lap, eigenvalues, betti, lam_min, largest_zero, partial)
 
 
 def _lapack(name: str, *args, **kwargs):
@@ -121,8 +122,7 @@ def _dense_spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRec
     eigvalsh's second half and bytes."""
     n = lap.n_simplices
     if n <= 1:  # the matrix is its spectrum; the dstebz wrapper wants order 2
-        rec = _record_from_eigs(lap, np.diag(lap.matrix), partial=False)
-        return rec if full else replace(rec, eigenvalues=())
+        return _record_from_eigs(lap, np.diag(lap.matrix), full)
     lwork, = _lapack("dsytrd_lwork", n, lower=1)
     _, d, e, _ = _lapack("dsytrd", lap.matrix, lower=1, lwork=int(lwork))
     top = _bisect(d, e, _VALUES, vl=ZERO_ABS / ZERO_REL)
@@ -163,7 +163,7 @@ def _iterative_spectrum(lap: PersistentLaplacian, full: bool) -> SpectrumRecord:
         return _dense_spectrum(lap, full)
     if not np.any(eigs >= _zero_threshold(lambda_max)):
         return _dense_spectrum(lap, full)
-    return _record_from_eigs(lap, eigs, partial=len(eigs) < n, lambda_max=lambda_max)
+    return _record_from_eigs(lap, eigs, full, partial=len(eigs) < n, lambda_max=lambda_max)
 
 
 def spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRecord:
@@ -171,10 +171,11 @@ def spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRecord:
     Laplacian, with zero/nonzero separation flags.
 
     Matrices up to DENSE_CUTOFF are reduced to tridiagonal form once and
-    bisected for the eigenvalues the record reports; ``full`` adds every
-    eigenvalue, from the same tridiagonal.  Larger ones get their
+    bisected for the eigenvalues the record reports.  Larger ones get their
     SHIFT_INVERT_K lowest eigenvalues by shift-invert iteration (record
-    flagged partial_spectrum), unless those cannot certify the split.
+    flagged partial_spectrum), unless those cannot certify the split.  Only
+    with ``full`` does the record list the eigenvalues it computed: every
+    one on the dense path, the lowest ones on the iterative path.
     """
     if lap.n_simplices <= DENSE_CUTOFF:
         return _dense_spectrum(lap, full)
@@ -195,11 +196,7 @@ def persistent_laplacian(
     :func:`persistent_boundary`).  Without new (q+1)-simplices U is empty and
     the Laplacian is an exact integer matrix.
     """
-    return _laplacian(complex, q, alpha, p, snapshot(complex, alpha), snapshot(complex, alpha + p))
-
-
-def _laplacian(complex, q, alpha, p, snap_t, snap_tp) -> PersistentLaplacian:
-    """persistent_laplacian on the snapshots at alpha and alpha + p."""
+    snap_t, snap_tp = snapshot(complex, alpha), snapshot(complex, alpha + p)
     n = snap_t.count(q)
     down = full_boundary(complex, q).down_gram(n)
     up = full_boundary(complex, q + 1)
@@ -219,18 +216,20 @@ def _laplacian(complex, q, alpha, p, snap_t, snap_tp) -> PersistentLaplacian:
 def spectrum_at(
     complex: FilteredComplex, q: int, alpha: float, p: float = 0.0, full: bool = False
 ) -> SpectrumRecord:
+    """The record of L_q^{alpha,p}: :func:`persistent_laplacian`, then :func:`spectrum`."""
     return spectrum(persistent_laplacian(complex, q, alpha, p), full)
 
 
 def sweep(
     complex: FilteredComplex, q_list, alphas, p: float = 0.0, full: bool = False
 ) -> list[SpectrumRecord]:
-    """One SpectrumRecord per (q, alpha), sorted by (q, alpha); ``full``
-    lists every eigenvalue of each record (see :func:`spectrum`).
+    """One :func:`spectrum_at` record per (q, alpha), sorted by (q, alpha).
 
     L_q^{alpha,p} depends only on the q- and (q+1)-simplex counts at alpha
     and at alpha + p, so records with equal counts are computed once and
-    re-labelled.  Failed records are flagged and the sweep continues.
+    re-labelled.  A solve that raises a PslapError becomes a record flagged
+    ``failed:<ErrorType>`` and the sweep goes on: ``spectra`` writes it as a
+    row and exits 0, and ``validate`` counts it as a disagreement (exit 4).
     """
     alphas = sorted(float(a) for a in alphas)
     q_list = sorted(set(int(q) for q in q_list))
@@ -243,8 +242,7 @@ def sweep(
             rec = sig_cache.get(sig)
             if rec is None:
                 try:
-                    lap = _laplacian(complex, q, a, p, snap_t, snap_tp)
-                    rec = sig_cache[sig] = spectrum(lap, full)
+                    rec = sig_cache[sig] = spectrum_at(complex, q, a, p, full)
                 except PslapError as exc:
                     rec = SpectrumRecord(
                         q, a, p, (), 0, None, snap_t.count(q),

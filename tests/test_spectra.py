@@ -249,15 +249,22 @@ def test_sweep_builds_one_laplacian_per_count_key(monkeypatch):
     cx = build_complex(list(values), values)
     alphas = [math.sqrt(2.0), math.sqrt(3.0)]
     assert [snapshot(cx, a).counts for a in alphas] == [(4, 6, 4, 0), (4, 6, 4, 1)]
-    real, solved = spectra.spectrum, []
+    # a sweep assembles and solves through the public call chain
+    assembled, solved = [], []
+    real_assemble, real_solve = spectra.persistent_laplacian, spectra.spectrum
 
-    def counted(lap, *args):
+    def assemble(cx, q, alpha, p):
+        assembled.append(alpha)
+        return real_assemble(cx, q, alpha, p)
+
+    def solve(lap, *args):
         solved.append(lap.alpha)
-        return real(lap, *args)
+        return real_solve(lap, *args)
 
-    monkeypatch.setattr(spectra, "spectrum", counted)
+    monkeypatch.setattr(spectra, "persistent_laplacian", assemble)
+    monkeypatch.setattr(spectra, "spectrum", solve)
     first, second = sweep(cx, [1], alphas)
-    assert solved == alphas[:1]
+    assert assembled == solved == alphas[:1]
     assert replace(first, alpha=alphas[1]) == second
 
 
@@ -290,9 +297,13 @@ def test_iterative_solver_is_reproducible(six_complex, monkeypatch):
     for q in (0, 1, 2):
         for a in critical_alphas(six_complex):
             lap = persistent_laplacian(six_complex, q, a, 0.3)
-            first = spectrum(lap)
-            assert spectrum(lap) == first  # every field, eigenvalues included
-            shift_invert += "partial_spectrum" in first.flags
+            first = spectrum(lap, full=True)
+            assert spectrum(lap, full=True) == first  # every field, eigenvalues included
+            # both solver paths list eigenvalues only with full
+            assert spectrum(lap) == replace(first, eigenvalues=())
+            if "partial_spectrum" in first.flags:
+                assert spectrum(lap).eigenvalues == ()
+                shift_invert += 1
     assert shift_invert > 0
 
 
