@@ -5,8 +5,9 @@ top-left block of the full one, and the simplices added between two
 snapshots occupy a contiguous tail block.  The persistent boundary for a
 snapshot pair is the later boundary matrix on the kernel of the Diff
 operator (its rows for the (q-1)-simplices absent from the earlier
-snapshot); only its new columns differ from the earlier boundary, and
-:func:`persistent_boundary` returns them in an orthonormal kernel basis.
+snapshot).  Diff vanishes on the longest prefix of columns whose faces all
+lie in the earlier snapshot's rows; :func:`persistent_boundary` returns
+that split point and the columns after it in an orthonormal kernel basis.
 
 A boundary is stored once per dimension as a face-index array: row j holds
 the row indices of the q+1 faces of q-simplex j, in the (-1)^i sign order of
@@ -22,8 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
+from scipy.linalg import lapack
 
 from .errors import LinearSolveFailure, SnapshotOrderViolation
 from .simplices import FilteredComplex, Snapshot
@@ -52,6 +53,12 @@ class SparseBoundaryMatrix:
         repeated (row, col) pairs add up."""
         m = c * self.faces.shape[1] ** 2
         return tuple(a[:m] for a in self._column_outers)
+
+    @cached_property
+    def reach(self) -> np.ndarray:
+        """Entry j is 1 + the largest face row of columns 0..j: the rows the
+        first j + 1 columns span."""
+        return np.maximum.accumulate(self.faces.max(axis=1, initial=-1), axis=0) + 1
 
     @cached_property
     def _column_gram(self) -> tuple[np.ndarray, ...]:
@@ -123,39 +130,48 @@ def _check_order(snap_t: Snapshot, snap_tp: Snapshot) -> None:
         )
 
 
-def _null_space(d_tail: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of ker(d_tail) from the SVD; non-convergence is a
-    LinearSolveFailure."""
-    try:
-        return scipy.linalg.null_space(d_tail)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise LinearSolveFailure(str(exc)) from exc
+def _null_space(d: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker(d), bit for bit as ``scipy.linalg.null_space``
+    computes it: the right singular vectors of one full LAPACK dgesdd whose
+    singular values are at most max(m, n) * eps * s_max.  A nonzero info
+    is a LinearSolveFailure."""
+    m, n = d.shape
+    lwork, info = lapack.dgesdd_lwork(m, n)
+    if info == 0:
+        _, s, vt, info = lapack.dgesdd(d, lwork=int(lwork))
+    if info != 0:
+        raise LinearSolveFailure(f"LAPACK dgesdd failed (info={info})")
+    rank = np.sum(s > s.max(initial=0.0) * (np.finfo(float).eps * max(m, n)))
+    return vt[rank:].T
 
 
 def persistent_boundary(
     full: SparseBoundaryMatrix,
     snap_t: Snapshot,
     snap_tp: Snapshot,
-) -> np.ndarray:
-    """The columns the persistent boundary adds to the earlier snapshot's
-    boundary matrix, in an orthonormal basis of the persistent chains.
+) -> tuple[int, np.ndarray]:
+    """The split point c and the persistent boundary's columns after it,
+    in an orthonormal basis of the persistent chains.
 
     The persistent boundary B for the snapshot pair has the earlier
-    snapshot's (q-1)-simplices as rows.  On the earlier q-simplices it is
-    their boundary B_old; on the new ones it is their boundary B_new on the
-    kernel of Diff (their rows for the (q-1)-simplices absent from the
-    earlier snapshot).  With K an orthonormal basis of that kernel, the
-    result is U = B_new K and B B^T = B_old B_old^T + U U^T.  When Diff
-    vanishes, K is the identity and U = B_new is an integer block.
+    snapshot's (q-1)-simplices as rows and the later q-simplices as
+    columns.  Its first c columns are the longest prefix whose faces all
+    lie among those rows, c at least the earlier q-simplex count: on them B
+    is the integer boundary B_c.  On the columns c up to the later count it
+    is their boundary B_new on the kernel of Diff, here their rows from the
+    earlier snapshot's count up to 1 + their last face row.  With K an
+    orthonormal basis of that kernel, U = B_new K and
+    B B^T = B_c B_c^T + U U^T.  Both depend only on the earlier row count
+    and the later column count, so pairs with equal counts give equal
+    results.
     """
     _check_order(snap_t, snap_tp)
     q = full.q
-    r_t = _row_count(q, snap_t)
-    c_t, c_p = snap_t.count(q), snap_tp.count(q)
-    if c_p == c_t:
-        return np.zeros((r_t, 0))
-    new = dense_block(full, 0, _row_count(q, snap_tp), c_t, c_p)
-    b_new, d_tail = new[:r_t], new[r_t:]
-    if not d_tail.any():
-        return b_new
-    return b_new @ _null_space(d_tail)
+    r_t, c_p = _row_count(q, snap_t), snap_tp.count(q)
+    # the longest prefix of columns whose faces all lie in the first r_t rows
+    c = min(int(np.searchsorted(full.reach, r_t, side="right")), c_p)
+    if c == c_p:
+        return c, np.zeros((r_t, 0))
+    # column c has a face past row r_t, so Diff has rows and is nonzero
+    new = dense_block(full, 0, int(full.reach[c_p - 1]), c, c_p)
+    return c, new[:r_t] @ _null_space(new[r_t:])

@@ -188,25 +188,26 @@ def persistent_laplacian(
     alpha: float,
     p: float = 0.0,
 ) -> PersistentLaplacian:
-    """Assemble L_q^{alpha,p} = B_q^T B_q + B_old B_old^T + U U^T.
+    """Assemble L_q^{alpha,p} = B_q^T B_q + B_c B_c^T + U U^T.
 
-    The first two terms are integer Gram matrices of the earlier snapshot,
-    read as prefixes of the boundaries' entry lists and exact in floating
-    point; U holds the persistent boundary's new columns (see
-    :func:`persistent_boundary`).  Without new (q+1)-simplices U is empty and
-    the Laplacian is an exact integer matrix.
+    The first two terms are integer Gram matrices, read as prefixes of the
+    boundaries' entry lists and exact in floating point: the down-term of
+    the N_q(alpha) q-simplices, and the up-term of the first c
+    (q+1)-columns, those whose faces all lie at alpha.  U holds the
+    persistent boundary's columns after them (see
+    :func:`persistent_boundary`); without such columns the Laplacian is an
+    exact integer matrix.  The matrix depends only on q, N_q(alpha) and
+    N_{q+1}(alpha + p).
     """
     snap_t, snap_tp = snapshot(complex, alpha), snapshot(complex, alpha + p)
     n = snap_t.count(q)
     down = full_boundary(complex, q).down_gram(n)
     up = full_boundary(complex, q + 1)
-    rows, cols, values = (
-        np.concatenate(pair) for pair in zip(down, up.up_gram(snap_t.count(q + 1)))
-    )
+    c, u = persistent_boundary(up, snap_t, snap_tp)
+    rows, cols, values = (np.concatenate(pair) for pair in zip(down, up.up_gram(c)))
     # bincount sums the integer entries exactly; without entries it gives int
     lap = np.bincount(rows * n + cols, weights=values, minlength=n * n)
     lap = lap.reshape(n, n).astype(float, copy=False)
-    u = persistent_boundary(up, snap_t, snap_tp)
     if u.shape[1]:
         lap += u @ u.T
         lap = 0.5 * (lap + lap.T)
@@ -225,24 +226,27 @@ def sweep(
 ) -> list[SpectrumRecord]:
     """One :func:`spectrum_at` record per (q, alpha), sorted by (q, alpha).
 
-    L_q^{alpha,p} depends only on the q- and (q+1)-simplex counts at alpha
-    and at alpha + p, so records with equal counts are computed once and
-    re-labelled.  A solve that raises a PslapError becomes a record flagged
-    ``failed:<ErrorType>`` and the sweep goes on: ``spectra`` writes it as a
-    row and exits 0, and ``validate`` counts it as a disagreement (exit 4).
+    L_q^{alpha,p} depends only on its key, (q, N_q(alpha), N_{q+1}(alpha + p)):
+    the q-simplices at alpha and the (q+1)-simplices at alpha + p.  Each key
+    is solved once per call and its record re-labelled for the other alphas;
+    alphas with equal keys get equal matrices, so every record equals the
+    one :func:`spectrum_at` gives at its own (q, alpha, p).  A solve that
+    raises a PslapError becomes a record flagged ``failed:<ErrorType>`` and
+    the sweep goes on: ``spectra`` writes it as a row and exits 0, and
+    ``validate`` counts it as a disagreement (exit 4).
     """
     alphas = sorted(float(a) for a in alphas)
     q_list = sorted(set(int(q) for q in q_list))
     snaps = [(a, snapshot(complex, a), snapshot(complex, a + p)) for a in alphas]
-    sig_cache: dict = {}  # (q, N_q and N_{q+1} at alpha, at alpha + p) -> record
+    solved: dict = {}  # key -> record
     results = []
     for q in q_list:
         for a, snap_t, snap_tp in snaps:
-            sig = (q, *(s.count(k) for s in (snap_t, snap_tp) for k in (q, q + 1)))
-            rec = sig_cache.get(sig)
+            key = (q, snap_t.count(q), snap_tp.count(q + 1))
+            rec = solved.get(key)
             if rec is None:
                 try:
-                    rec = sig_cache[sig] = spectrum_at(complex, q, a, p, full)
+                    rec = solved[key] = spectrum_at(complex, q, a, p, full)
                 except PslapError as exc:
                     rec = SpectrumRecord(
                         q, a, p, (), 0, None, snap_t.count(q),

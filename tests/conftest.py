@@ -46,6 +46,16 @@ def icosahedron_complex(icosahedron_points):
     return alpha_complex(icosahedron_points)
 
 
+@pytest.fixture(scope="session")
+def cloud20_complex():
+    return alpha_complex(read_xyz(DATA / "cloud20_3d.xyz"))
+
+
+@pytest.fixture(scope="session")
+def chain_clean_complex():
+    return alpha_complex(read_xyz(DATA / "chain_clean.xyz"))
+
+
 def random_cloud(seed: int, n: int, d: int) -> PointSet:
     rng = np.random.default_rng(seed)
     return PointSet(rng.uniform(0.0, 2.0, size=(n, d)))
@@ -415,10 +425,16 @@ def reference_spectrum(matrix: np.ndarray) -> tuple:
 # dense_block with it.
 
 
+def reference_kernel(d_tail: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of ker(d_tail) from the SVD, by scipy's wrapper: the
+    basis pslap.boundary computes with one direct LAPACK call."""
+    return scipy.linalg.null_space(d_tail)
+
+
 def kernel_projector(d_tail: np.ndarray) -> np.ndarray:
     """Orthogonal projector onto ker(d_tail) through an orthonormal kernel
     basis from the SVD."""
-    kernel = scipy.linalg.null_space(d_tail)
+    kernel = reference_kernel(d_tail)
     return kernel @ kernel.T
 
 

@@ -75,6 +75,22 @@ def test_icosahedron_graph_spectra(icosahedron_complex):
     )
 
 
+def test_vertex_laplacian_at_alpha_plus_p(six_complex, icosahedron_complex, cloud20_complex):
+    # every vertex enters at 0, so Diff_1 has no rows and the persistent
+    # boundary is the whole later B_1: L_0^{alpha,p} is the graph Laplacian
+    # at alpha + p, L_0^{alpha+p,0}, as an exact integer matrix
+    checked = 0
+    for cx in (six_complex, icosahedron_complex, cloud20_complex):
+        crit = critical_alphas(cx)
+        span = crit[-1] - crit[0]
+        for p in (span / 7.0, span / 3.0, span):
+            for a in crit:
+                lap = persistent_laplacian(cx, 0, a, p).matrix
+                assert np.array_equal(lap, persistent_laplacian(cx, 0, a + p).matrix), (a, p)
+                checked += 1
+    assert checked > 300, checked
+
+
 def _hodge_parts(boundaries, q, s_t, s_tp):
     """B_q^T B_q and B_up B_up^T from the reference boundaries, B_up being the
     later B_{q+1} on an orthonormal basis of ker(Diff): the unit vectors of

@@ -14,10 +14,12 @@ from conftest import (
     random_cloud,
     reference_boundary,
     reference_diff,
+    reference_kernel,
     reference_persistent_boundary,
     reference_restriction,
     row_count,
 )
+from pslap import boundary
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.boundary import dense_block, full_boundary, persistent_boundary
 from pslap.errors import LinearSolveFailure, SnapshotOrderViolation
@@ -198,17 +200,19 @@ def test_diff_operator_order_violation(six_complex):
 
 
 def _factored(full, s_t, s_tp) -> np.ndarray:
-    """[B_old | U]: the persistent boundary with its new columns in the
-    orthonormal kernel basis production returns them in; same Gram matrix
-    B B^T and same rank as the persistent boundary."""
-    b_old = dense_block(full, 0, row_count(full.q, s_t), 0, s_t.count(full.q))
-    return np.hstack([b_old, persistent_boundary(full, s_t, s_tp)])
+    """[B_c | U]: the persistent boundary with its integer columns up to the
+    split point and the rest in the orthonormal kernel basis production
+    returns them in; same Gram matrix B B^T and same rank as the persistent
+    boundary."""
+    c, u = persistent_boundary(full, s_t, s_tp)
+    return np.hstack([dense_block(full, 0, row_count(full.q, s_t), 0, c), u])
 
 
 def test_persistent_boundary_p0_equals_restriction(six_complex):
     snap = snapshot(six_complex, 0.6)
     full = full_boundary(six_complex, 1)
-    assert persistent_boundary(full, snap, snap).shape == (6, 0)  # no new columns
+    c, u = persistent_boundary(full, snap, snap)
+    assert (c, u.shape) == (snap.count(1), (6, 0))  # no new columns
     assert np.array_equal(_factored(full, snap, snap), reference_restriction(six_complex, 1, snap))
     assert np.array_equal(
         reference_persistent_boundary(full, snap, snap),
@@ -217,21 +221,44 @@ def test_persistent_boundary_p0_equals_restriction(six_complex):
 
 
 def test_persistent_boundary_table2(six_complex):
-    # every vertex exists at 0.2, so Diff has no rows and the new edges enter
-    # unprojected, as integer columns
+    # every vertex exists at 0.2, so Diff has no rows: the split point is
+    # the later edge count and every new edge is an integer column
     s_t, s_tp = snapshot(six_complex, 0.2), snapshot(six_complex, 0.6)
     full = full_boundary(six_complex, 1)
     b_full = reference_restriction(six_complex, 1, s_tp)
-    assert np.array_equal(persistent_boundary(full, s_t, s_tp), b_full[:, s_t.count(1):])
+    c, u = persistent_boundary(full, s_t, s_tp)
+    assert (c, u.shape) == (s_tp.count(1), (6, 0))
     assert np.array_equal(_factored(full, s_t, s_tp), b_full)
     assert np.array_equal(reference_persistent_boundary(full, s_t, s_tp), b_full)
 
 
-def test_null_space_failure_is_typed(monkeypatch):
-    def no_convergence(*args, **kwargs):
-        raise scipy.linalg.LinAlgError("SVD did not converge")
+def test_split_point_is_longest_face_prefix():
+    # the split point is the longest prefix of columns whose faces are all
+    # among the earlier rows: never below the earlier column count, never
+    # past the later one, and Diff is nonzero on the first column after it
+    for seed, n, d in [(31, 12, 2), (32, 11, 3)]:
+        c = alpha_complex(random_cloud(seed, n, d), seed=seed)
+        for q in range(1, c.max_dim + 1):
+            full = full_boundary(c, q)
+            b = reference_boundary(c, q)
+            for s_t, s_tp in _snapshot_pairs(c):
+                r_t, c_p = row_count(q, s_t), s_tp.count(q)
+                split, u = persistent_boundary(full, s_t, s_tp)
+                assert s_t.count(q) <= split <= c_p
+                assert not b[r_t:, :split].any()
+                if split < c_p:
+                    assert b[r_t:, split].any()
+                # U has one column per dimension of ker(Diff) on the rest
+                kernel_dim = (c_p - split) - exact_rank_int(b[r_t:, split:c_p])
+                assert u.shape == (r_t, kernel_dim)
 
-    monkeypatch.setattr(scipy.linalg, "null_space", no_convergence)
+
+def test_null_space_failure_is_typed(monkeypatch):
+    # LAPACK dgesdd reporting no convergence (info > 0) is a LinearSolveFailure
+    def no_convergence(a, **kwargs):
+        return np.zeros((0, 0)), np.zeros(0), np.zeros((0, 0)), 1
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", no_convergence)
     c = _two_edge_complex()
     full = full_boundary(c, 1)
     s_t, s_tp = snapshot(c, 1.0), snapshot(c, 2.0)
@@ -239,6 +266,26 @@ def test_null_space_failure_is_typed(monkeypatch):
         persistent_boundary(full, s_t, s_tp)
     (rec,) = sweep(c, [0], [1.0], p=1.0)
     assert rec.flags == ("failed:LinearSolveFailure",)
+
+
+def test_kernel_basis_matches_null_space(cloud20_complex, chain_clean_complex, monkeypatch):
+    # the direct LAPACK call gives scipy.linalg.null_space's kernel basis bit
+    # for bit on every Diff block the sweeps of these inputs project
+    blocks = []
+    kernel = boundary._null_space
+
+    def record(d):
+        blocks.append(d.copy())
+        return kernel(d)
+
+    monkeypatch.setattr(boundary, "_null_space", record)
+    for cx, p_fixed in ((cloud20_complex, 0.3), (chain_clean_complex, 0.5)):
+        crit = critical_alphas(cx)
+        for p in (p_fixed, (crit[-1] - crit[0]) / 3.0):
+            sweep(cx, [0, 1, 2], crit, p=p)
+    assert len(blocks) > 400, len(blocks)
+    for d in blocks:
+        assert np.array_equal(kernel(d), reference_kernel(d))
 
 
 def test_projector_idempotent_and_symmetric():

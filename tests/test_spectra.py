@@ -267,6 +267,48 @@ def test_sweep_builds_one_laplacian_per_count_key(monkeypatch):
     assert assembled == solved == alphas[:1]
     assert replace(first, alpha=alphas[1]) == second
 
+    # L_0^{alpha,p} reads the edges at alpha + p, not those at alpha: a second
+    # edge entering between the two alphas, present at both alpha + p, leaves
+    # the key (0, N_0(alpha), N_1(alpha + p)) and the matrix unchanged
+    values = {(0,): 0.0, (1,): 0.0, (2,): 0.0, (0, 1): 1.0, (1, 2): 4.0}
+    cx = build_complex(list(values), values)
+    alphas, p = [1.0, 2.0], 3.0
+    assert [snapshot(cx, a).counts for a in alphas] == [(3, 1, 0, 0), (3, 2, 0, 0)]
+    assert [snapshot(cx, a + p).count(1) for a in alphas] == [2, 2]
+    assembled.clear()
+    solved.clear()
+    first, second = sweep(cx, [0], alphas, p=p)
+    assert assembled == solved == alphas[:1]
+    assert replace(first, alpha=alphas[1]) == second
+    assert second == real_solve(real_assemble(cx, 0, alphas[1], p))
+
+
+def test_equal_keys_give_equal_laplacians(cloud20_complex, chain_clean_complex):
+    # every two (alpha, p) with equal (q, N_q(alpha), N_{q+1}(alpha + p)), at
+    # p = 0 or span/3, assemble the same matrix bit for bit and solve to the
+    # same record up to alpha and p; a sweep's record is the spectrum_at one
+    complexes = [cloud20_complex, chain_clean_complex] + [
+        alpha_complex(random_cloud(seed, n, d), seed=seed) for seed, n, d in CLOUDS_4
+    ]
+    repeats = 0
+    for cx in complexes:
+        crit = critical_alphas(cx)
+        first = {}  # key -> (matrix, record)
+        for p in (0.0, (crit[-1] - crit[0]) / 3.0):
+            for q in (0, 1, 2):
+                for a, from_sweep in zip(crit, sweep(cx, [q], crit, p)):
+                    key = (q, snapshot(cx, a).count(q), snapshot(cx, a + p).count(q + 1))
+                    lap = persistent_laplacian(cx, q, a, p)
+                    if key not in first:  # the sweep's record is spectrum_at's
+                        first[key] = lap.matrix, from_sweep
+                        continue
+                    matrix, rec0 = first[key]
+                    assert np.array_equal(lap.matrix, matrix), (key, a, p)
+                    # spectrum_at(cx, q, a, p) is spectrum(lap)
+                    assert from_sweep == spectrum(lap) == replace(rec0, alpha=a, p=p), (key, a, p)
+                    repeats += 1
+    assert repeats > 10000, repeats
+
 
 def test_iterative_solver_matches_dense(six_complex, monkeypatch):
     # above the cutoff every record must keep the dense path's zero/nonzero
