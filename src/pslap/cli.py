@@ -172,7 +172,6 @@ def cmd_validate(args) -> int:
             for rec in records:
                 b_bar = betti_from_barcode(barcode, q, rec.alpha, p)
                 b_exact = oracle.betti(q, rec.alpha, p)
-                # partial_spectrum only names the solver path
                 if not (rec.betti == b_bar == b_exact) or any(
                     f == "gap_ambiguous" or f.startswith("failed:") for f in rec.flags
                 ):

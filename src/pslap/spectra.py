@@ -6,8 +6,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg
 from scipy.linalg import lapack
 
 from .boundary import full_boundary, persistent_boundary
@@ -17,11 +15,9 @@ from .simplices import FilteredComplex, snapshot
 # The eigensolver policy (see spectrum).  An eigenvalue below
 # max(ZERO_ABS, ZERO_REL * lambda_max) counts as zero, and a nonzero/zero
 # ratio below GAP_FACTOR flags the record gap_ambiguous.
-DENSE_CUTOFF = 2000
 ZERO_ABS = 1e-8
 ZERO_REL = 1e-10
 GAP_FACTOR = 1e3
-SHIFT_INVERT_K = 16
 
 
 @dataclass
@@ -56,37 +52,6 @@ def _zero_threshold(lambda_max: float) -> float:
     return max(ZERO_ABS, ZERO_REL * max(lambda_max, 0.0))
 
 
-def _record(lap, eigenvalues, betti, lam_min, largest_zero, partial=False) -> SpectrumRecord:
-    flags = []
-    if betti > 0 and lam_min is not None:
-        if largest_zero > 0 and lam_min / largest_zero < GAP_FACTOR:
-            flags.append("gap_ambiguous")
-    if partial:
-        flags.append("partial_spectrum")
-    return SpectrumRecord(
-        q=lap.q,
-        alpha=lap.alpha,
-        p=lap.p,
-        eigenvalues=tuple(eigenvalues),
-        betti=betti,
-        lambda_min_nonzero=lam_min,
-        n_simplices=lap.n_simplices,
-        flags=tuple(flags),
-    )
-
-
-def _record_from_eigs(lap, eigs, full, partial=False, lambda_max=None) -> SpectrumRecord:
-    if lambda_max is None:
-        lambda_max = float(eigs[-1]) if len(eigs) else 0.0
-    tau = _zero_threshold(lambda_max)
-    betti = int(np.sum(eigs < tau))
-    nonzero = eigs[eigs >= tau]
-    lam_min = float(nonzero[0]) if len(nonzero) else None
-    largest_zero = float(eigs[betti - 1]) if betti else None
-    eigenvalues = eigs.tolist() if full else ()
-    return _record(lap, eigenvalues, betti, lam_min, largest_zero, partial)
-
-
 def _lapack(name: str, *args, **kwargs):
     """scipy's LAPACK routine ``name`` on the arguments; its trailing info
     output, when nonzero, is an EigensolveFailure."""
@@ -112,19 +77,30 @@ def _bisect(d, e, which, vl=-np.inf, vu=np.inf, il=0, iu=0) -> np.ndarray:
     return w[:m]
 
 
-def _dense_spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRecord:
-    """The record from one tridiagonal reduction of the matrix (LAPACK
+def spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRecord:
+    """Betti number and smallest nonzero eigenvalue of the persistent
+    Laplacian, with zero/nonzero separation flags.
+
+    The record comes from one tridiagonal reduction of the matrix (LAPACK
     dsytrd, the first half of numpy's eigvalsh) and three bisections: for
     the eigenvalues above ZERO_ABS / ZERO_REL, the only ones that move the
     zero threshold; for those below the threshold, whose count is the Betti
     number; and for the next one, lambda_min_nonzero.  With ``full``, the
     record also lists every eigenvalue, from the same tridiagonal by dsterf,
-    eigvalsh's second half and bytes."""
+    eigvalsh's second half and bytes.
+
+    Every order takes this path.  Sturm counts see every copy of a repeated
+    zero, where Lanczos from one start vector (ARPACK) misses some; a block
+    method would need a block of at least beta + 2 vectors.
+    """
     n = lap.n_simplices
-    if n <= 1:  # the matrix is its spectrum; the dstebz wrapper wants order 2
-        return _record_from_eigs(lap, np.diag(lap.matrix), full)
-    lwork, = _lapack("dsytrd_lwork", n, lower=1)
-    _, d, e, _ = _lapack("dsytrd", lap.matrix, lower=1, lwork=int(lwork))
+    if n == 0:
+        return SpectrumRecord(lap.q, lap.alpha, lap.p, (), 0, None, 0)
+    if n == 1:  # already tridiagonal; dstebz and dsterf want e as long as d
+        d, e = lap.matrix[0], np.zeros(1)
+    else:
+        lwork, = _lapack("dsytrd_lwork", n, lower=1)
+        _, d, e, _ = _lapack("dsytrd", lap.matrix, lower=1, lwork=int(lwork))
     top = _bisect(d, e, _VALUES, vl=ZERO_ABS / ZERO_REL)
     # the largest value below the threshold: zeros lie in (-inf, zero_max]
     zero_max = np.nextafter(_zero_threshold(top[-1] if len(top) else 0.0), -np.inf)
@@ -136,50 +112,12 @@ def _dense_spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRec
         if not len(nonzero):  # short: bisect every nonzero eigenvalue
             nonzero = _bisect(d, e, _VALUES, vl=zero_max)
         lam_min = float(nonzero[0])
-    largest_zero = float(zeros[-1]) if betti else None
-    eigenvalues = _lapack("dsterf", d, e)[0].tolist() if full else ()
-    return _record(lap, eigenvalues, betti, lam_min, largest_zero)
-
-
-def _iterative_spectrum(lap: PersistentLaplacian, full: bool) -> SpectrumRecord:
-    """lambda_max and the lowest eigenvalues of a large Laplacian by Lanczos.
-
-    The record is certified only when one of the lowest eigenvalues reaches
-    the zero threshold, so the zero/nonzero split is in view.  Otherwise, or
-    when ARPACK fails (it does on a zero matrix), the dense path computes it.
-    Both calls start from one seeded vector, so the record is reproducible.
-    """
-    n = lap.n_simplices
-    mat = sp.csc_array(lap.matrix)
-    eigsh = scipy.sparse.linalg.eigsh
-    v0 = np.random.default_rng(0).standard_normal(n)
-    try:
-        lambda_max = float(eigsh(mat, k=1, which="LA", v0=v0, return_eigenvectors=False)[0])
-        eigs = np.sort(eigsh(
-            mat, k=min(n - 1, SHIFT_INVERT_K), sigma=-1.0, which="LM", v0=v0,
-            return_eigenvectors=False,
-        ))
-    except scipy.sparse.linalg.ArpackError:
-        return _dense_spectrum(lap, full)
-    if not np.any(eigs >= _zero_threshold(lambda_max)):
-        return _dense_spectrum(lap, full)
-    return _record_from_eigs(lap, eigs, full, partial=len(eigs) < n, lambda_max=lambda_max)
-
-
-def spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRecord:
-    """Betti number and smallest nonzero eigenvalue of the persistent
-    Laplacian, with zero/nonzero separation flags.
-
-    Matrices up to DENSE_CUTOFF are reduced to tridiagonal form once and
-    bisected for the eigenvalues the record reports.  Larger ones get their
-    SHIFT_INVERT_K lowest eigenvalues by shift-invert iteration (record
-    flagged partial_spectrum), unless those cannot certify the split.  Only
-    with ``full`` does the record list the eigenvalues it computed: every
-    one on the dense path, the lowest ones on the iterative path.
-    """
-    if lap.n_simplices <= DENSE_CUTOFF:
-        return _dense_spectrum(lap, full)
-    return _iterative_spectrum(lap, full)
+    flags = ()
+    if betti and lam_min is not None and zeros[-1] > 0:
+        if lam_min / float(zeros[-1]) < GAP_FACTOR:
+            flags = ("gap_ambiguous",)
+    eigenvalues = tuple(_lapack("dsterf", d, e)[0].tolist()) if full else ()
+    return SpectrumRecord(lap.q, lap.alpha, lap.p, eigenvalues, betti, lam_min, n, flags)
 
 
 def persistent_laplacian(

@@ -75,6 +75,30 @@ def test_icosahedron_graph_spectra(icosahedron_complex):
     )
 
 
+def test_octahedron_spectra():
+    # the vertices +-e_x, +-e_y, +-e_z: cospherical, so the Delaunay
+    # triangulation breaks a tie to fill the solid with 4 tetrahedra about
+    # one diagonal; at 0.9 only the surface is present, its sides entering
+    # at sqrt(2)/2 and its faces at sqrt(2/3)
+    cx = alpha_complex(PointSet(np.vstack([np.eye(3), -np.eye(3)])))
+    alpha = 0.9
+    assert snapshot(cx, alpha).counts == (6, 12, 8, 0)
+    n_tets = snapshot(cx, alpha + 0.5).count(3)
+    assert n_tets == 4
+    # L_0 is the octahedral graph Laplacian, 4 - (4, 0 x3, -2 x2)
+    _assert_spectrum(persistent_laplacian(cx, 0, alpha), [0.0] + [4.0] * 3 + [6.0] * 2)
+    # L_1 = B_1^T B_1 + B_2 B_2^T has no zeros, the surface having no 1-cycle
+    _assert_spectrum(
+        persistent_laplacian(cx, 1, alpha), [2.0] * 3 + [4.0] * 6 + [6.0] * 3
+    )
+    # L_2 is the Laplacian of the dual graph, the cube: 3 - (3, 1 x3, -1 x3, -3)
+    cubical = [2.0] * 3 + [4.0] * 3 + [6.0]
+    _assert_spectrum(persistent_laplacian(cx, 2, alpha), [0.0] + cubical)
+    # filled by alpha + p: the sum of the tetrahedra has the 8 surface
+    # triangles as boundary
+    _assert_spectrum(persistent_laplacian(cx, 2, alpha, 0.5), [8 / n_tets] + cubical)
+
+
 def test_vertex_laplacian_at_alpha_plus_p(six_complex, icosahedron_complex, cloud20_complex):
     # every vertex enters at 0, so Diff_1 has no rows and the persistent
     # boundary is the whole later B_1: L_0^{alpha,p} is the graph Laplacian

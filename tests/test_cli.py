@@ -233,10 +233,7 @@ def test_spectra_json_and_svg(tmp_path):
     assert (tmp_path / "s_q1.svg").exists()
 
 
-@pytest.mark.parametrize("cutoff", [None, 3], ids=["default", "cutoff3"])
-def test_validate_six_points(cutoff, monkeypatch, capsys):
-    if cutoff is not None:  # shift-invert records are flagged partial_spectrum
-        monkeypatch.setattr(spectra, "DENSE_CUTOFF", cutoff)
+def test_validate_six_points(capsys):
     assert run("validate", "--input", SIX, "--p", "0,0.2") == 0
     out = capsys.readouterr().out
     assert "PASS" in out and "FAIL" not in out

@@ -1,5 +1,9 @@
 import itertools
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +20,7 @@ from conftest import (
 )
 from pslap import spectra
 from pslap.alpha import alpha_complex, critical_alphas
+from pslap.geometry import PointSet
 from pslap.oracle import BettiOracle
 from pslap.simplices import snapshot
 from pslap.spectra import (
@@ -310,43 +315,34 @@ def test_equal_keys_give_equal_laplacians(cloud20_complex, chain_clean_complex):
     assert repeats > 10000, repeats
 
 
-def test_iterative_solver_matches_dense(six_complex, monkeypatch):
-    # above the cutoff every record must keep the dense path's zero/nonzero
-    # split, including a zero Laplacian (q=0 at alpha=0, where ARPACK fails)
-    # and Betti 5 of 6 (q=0 at alpha=0.4383, past the shift-invert window)
-    oracle = BettiOracle(six_complex)
-    monkeypatch.setattr(spectra, "DENSE_CUTOFF", 3)
-    shift_invert = 0
-    for q in (0, 1, 2):
-        for p in (0.0, 0.3):
-            for a in critical_alphas(six_complex):
-                lap = persistent_laplacian(six_complex, q, a, p)
-                dense = spectra._dense_spectrum(lap)
-                it = spectrum(lap)
-                assert it.betti == dense.betti == oracle.betti(q, a, p)
-                if dense.lambda_min_nonzero is None:
-                    assert it.lambda_min_nonzero is None
-                else:
-                    assert np.isclose(it.lambda_min_nonzero, dense.lambda_min_nonzero, rtol=1e-6)
-                shift_invert += "partial_spectrum" in it.flags
-    assert shift_invert > 0
+def test_repeated_zero_above_order_2000():
+    # 2100 vertices, so L_0 has order 2100: beta_0 is 21 at alpha = 1.45 and
+    # 4 at 1.65, one zero eigenvalue per component.  The Sturm count sees
+    # every copy of the repeated zero; Lanczos from one start vector found
+    # 3 at both alphas
+    points = np.round(np.random.default_rng(5).uniform(0, 100, (2100, 2)), 3)
+    cx = alpha_complex(PointSet(points))
+    oracle = BettiOracle(cx)
+    records = sweep(cx, [0], [1.45, 1.65])
+    assert [rec.n_simplices for rec in records] == [2100, 2100]
+    assert [rec.betti for rec in records] == [oracle.betti(0, a, 0.0) for a in (1.45, 1.65)]
+    assert [rec.betti for rec in records] == [21, 4]
+    assert all(rec.flags == () for rec in records)
 
 
-def test_iterative_solver_is_reproducible(six_complex, monkeypatch):
-    # an unseeded ARPACK start vector moves the last digits from call to call
-    monkeypatch.setattr(spectra, "DENSE_CUTOFF", 3)
-    shift_invert = 0
-    for q in (0, 1, 2):
-        for a in critical_alphas(six_complex):
-            lap = persistent_laplacian(six_complex, q, a, 0.3)
-            first = spectrum(lap, full=True)
-            assert spectrum(lap, full=True) == first  # every field, eigenvalues included
-            # both solver paths list eigenvalues only with full
-            assert spectrum(lap) == replace(first, eigenvalues=())
-            if "partial_spectrum" in first.flags:
-                assert spectrum(lap).eigenvalues == ()
-                shift_invert += 1
-    assert shift_invert > 0
+def test_import_loads_no_sparse_eigensolver():
+    # no solver path uses ARPACK, so importing pslap leaves scipy.sparse.linalg
+    # (and its import time and memory) out; checked in a fresh interpreter
+    src = str(pathlib.Path(spectra.__file__).parents[1])
+    env = dict(
+        os.environ,
+        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, pslap; print('scipy.sparse.linalg' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert proc.stdout.split() == ["False"]
 
 
 def test_accumulated_diagonal_rules():
