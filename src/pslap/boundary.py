@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse
-from scipy.linalg import lapack
 
 from .errors import LinearSolveFailure, SnapshotOrderViolation
 from .simplices import FilteredComplex, Snapshot
@@ -62,18 +60,35 @@ class SparseBoundaryMatrix:
 
     @cached_property
     def _column_gram(self) -> tuple[np.ndarray, ...]:
-        """Nonzero entries of the whole B^T B as (key, rows, cols, values),
-        ordered by key = max(row, col)."""
+        """Entries of the whole B^T B as (key, rows, cols, values), ordered by
+        key = max(row, col): one per pair of columns that share a face, the
+        products of their signs at the faces they share summed exactly by
+        bincount."""
         n, k = self.faces.shape
-        b = scipy.sparse.csr_array(
-            (np.tile(_signs(k), n), (self.faces.ravel(), np.repeat(np.arange(n), k))),
-            shape=(int(self.faces.max(initial=-1)) + 1, n),
-        )
-        gram = (b.T @ b).tocoo()
-        rows, cols = gram.row.astype(np.int64), gram.col.astype(np.int64)
+        # the entries of B sorted by face row, so the columns that share a
+        # face form one run
+        order = np.argsort(self.faces.ravel(), kind="stable")
+        face = self.faces.ravel()[order]
+        col = np.repeat(np.arange(n, dtype=np.int64), k)[order]
+        sign = np.tile(_signs(k), n)[order]
+        rows, cols, values = [col], [col], [sign * sign]
+        # the pairs of entries `shift` apart in one run, both ways round
+        for shift in range(1, len(face)):
+            same = np.flatnonzero(face[shift:] == face[:-shift])
+            if not len(same):  # every run is shorter than shift
+                break
+            a, b = col[same], col[same + shift]
+            product = sign[same] * sign[same + shift]
+            rows += [a, b]
+            cols += [b, a]
+            values += [product, product]
+        pair = np.concatenate(rows) * n + np.concatenate(cols)
+        pairs, inverse = np.unique(pair, return_inverse=True)
+        rows, cols = np.divmod(pairs, n)
+        values = np.bincount(inverse, weights=np.concatenate(values), minlength=len(pairs))
         key = np.maximum(rows, cols)
         order = np.argsort(key, kind="stable")
-        return key[order], rows[order], cols[order], gram.data[order]
+        return key[order], rows[order], cols[order], values[order]
 
     @cached_property
     def _column_outers(self) -> tuple[np.ndarray, ...]:
@@ -132,15 +147,14 @@ def _check_order(snap_t: Snapshot, snap_tp: Snapshot) -> None:
 
 def _null_space(d: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ker(d), bit for bit as ``scipy.linalg.null_space``
-    computes it: the right singular vectors of one full LAPACK dgesdd whose
-    singular values are at most max(m, n) * eps * s_max.  A nonzero info
-    is a LinearSolveFailure."""
+    computes it: the right singular vectors of one full SVD (LAPACK dgesdd,
+    through numpy) whose singular values are at most max(m, n) * eps *
+    s_max.  An SVD that does not converge is a LinearSolveFailure."""
     m, n = d.shape
-    lwork, info = lapack.dgesdd_lwork(m, n)
-    if info == 0:
-        _, s, vt, info = lapack.dgesdd(d, lwork=int(lwork))
-    if info != 0:
-        raise LinearSolveFailure(f"LAPACK dgesdd failed (info={info})")
+    try:
+        _, s, vt = np.linalg.svd(d, full_matrices=True)
+    except np.linalg.LinAlgError as exc:
+        raise LinearSolveFailure(f"SVD of the Diff block failed: {exc}") from exc
     rank = np.sum(s > s.max(initial=0.0) * (np.finfo(float).eps * max(m, n)))
     return vt[rank:].T
 

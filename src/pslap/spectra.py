@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import lapack
 
+from . import lapack
 from .boundary import full_boundary, persistent_boundary
 from .errors import EigensolveFailure, PslapError
 from .simplices import FilteredComplex, snapshot
@@ -52,29 +52,20 @@ def _zero_threshold(lambda_max: float) -> float:
     return max(ZERO_ABS, ZERO_REL * max(lambda_max, 0.0))
 
 
-def _lapack(name: str, *args, **kwargs):
-    """scipy's LAPACK routine ``name`` on the arguments; its trailing info
-    output, when nonzero, is an EigensolveFailure."""
-    *out, info = getattr(lapack, name)(*args, **kwargs)
-    if info != 0:
-        raise EigensolveFailure(f"LAPACK {name} failed (info={info})")
-    return out
-
-
 # dstebz ranges: the eigenvalues in (vl, vu], or those with indices il..iu
-_VALUES, _INDICES = 1, 2
+_VALUES, _INDICES = b"V", b"I"
 
 
-def _bisect(d, e, which, vl=-np.inf, vu=np.inf, il=0, iu=0) -> np.ndarray:
-    """Ascending eigenvalues of the tridiagonal (d, e) in one range, by
+def _bisect(t, which, vl=-np.inf, vu=np.inf, il=0, iu=0) -> np.ndarray:
+    """Ascending eigenvalues of the tridiagonal ``t`` in one range, by
     Sturm-sequence bisection (LAPACK dstebz) to its default absolute
     tolerance.  An index range comes back short (info 2) where eigenvalues
     closer than the tolerance straddle a split of the tridiagonal; any other
     nonzero info is an EigensolveFailure."""
-    m, w, _, _, info = lapack.dstebz(d, e, which, vl, vu, il, iu, 0.0, b"E")
+    w, info = lapack.dstebz(t, which, vl, vu, il, iu)
     if info not in (0, 2):
         raise EigensolveFailure(f"LAPACK dstebz failed (info={info})")
-    return w[:m]
+    return w
 
 
 def spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRecord:
@@ -96,27 +87,23 @@ def spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRecord:
     n = lap.n_simplices
     if n == 0:
         return SpectrumRecord(lap.q, lap.alpha, lap.p, (), 0, None, 0)
-    if n == 1:  # already tridiagonal; dstebz and dsterf want e as long as d
-        d, e = lap.matrix[0], np.zeros(1)
-    else:
-        lwork, = _lapack("dsytrd_lwork", n, lower=1)
-        _, d, e, _ = _lapack("dsytrd", lap.matrix, lower=1, lwork=int(lwork))
-    top = _bisect(d, e, _VALUES, vl=ZERO_ABS / ZERO_REL)
-    # the largest value below the threshold: zeros lie in (-inf, zero_max]
-    zero_max = np.nextafter(_zero_threshold(top[-1] if len(top) else 0.0), -np.inf)
-    zeros = _bisect(d, e, _VALUES, vu=zero_max)
-    betti = len(zeros)
-    lam_min = None
-    if betti < n:
-        nonzero = _bisect(d, e, _INDICES, il=betti + 1, iu=betti + 1)
-        if not len(nonzero):  # short: bisect every nonzero eigenvalue
-            nonzero = _bisect(d, e, _VALUES, vl=zero_max)
-        lam_min = float(nonzero[0])
+    with lapack.dsytrd(lap.matrix) as t:
+        top = _bisect(t, _VALUES, vl=ZERO_ABS / ZERO_REL)
+        # the largest value below the threshold: zeros lie in (-inf, zero_max]
+        zero_max = math.nextafter(_zero_threshold(top[-1] if len(top) else 0.0), -math.inf)
+        zeros = _bisect(t, _VALUES, vu=zero_max)
+        betti = len(zeros)
+        lam_min = None
+        if betti < n:
+            nonzero = _bisect(t, _INDICES, il=betti + 1, iu=betti + 1)
+            if not len(nonzero):  # short: bisect every nonzero eigenvalue
+                nonzero = _bisect(t, _VALUES, vl=zero_max)
+            lam_min = float(nonzero[0])
+        eigenvalues = tuple(lapack.dsterf(t).tolist()) if full else ()
     flags = ()
     if betti and lam_min is not None and zeros[-1] > 0:
         if lam_min / float(zeros[-1]) < GAP_FACTOR:
             flags = ("gap_ambiguous",)
-    eigenvalues = tuple(_lapack("dsterf", d, e)[0].tolist()) if full else ()
     return SpectrumRecord(lap.q, lap.alpha, lap.p, eigenvalues, betti, lam_min, n, flags)
 
 

@@ -2,10 +2,9 @@ import pathlib
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import read_spectra_csv
-from pslap import spectra
+from pslap import lapack, spectra
 from pslap.cli import _SOLVER_ERRORS, EXIT_SOLVER, main
 from pslap.errors import EigensolveFailure
 
@@ -201,12 +200,12 @@ def test_eigensolve_failure_is_typed(six_complex, tmp_path, monkeypatch):
     # LAPACK reporting no convergence (info > 0) is an EigensolveFailure, the
     # solver error of exit code 3; a sweep flags the record instead, so
     # spectra writes the flag and validate counts it as a disagreement
-    real = scipy.linalg.lapack.dstebz
+    real = lapack.dstebz
 
     def no_convergence(*args):
         return (*real(*args)[:-1], 1)
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", no_convergence)
+    monkeypatch.setattr(lapack, "dstebz", no_convergence)
     with pytest.raises(EigensolveFailure):
         spectra.spectrum_at(six_complex, 1, 0.6)
     assert EigensolveFailure in _SOLVER_ERRORS and EXIT_SOLVER == 3

@@ -8,7 +8,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from conftest import (
     build_complex,
@@ -18,12 +17,13 @@ from conftest import (
     reference_spectrum,
     row_count,
 )
-from pslap import spectra
+from pslap import lapack, spectra
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.geometry import PointSet
 from pslap.oracle import BettiOracle
 from pslap.simplices import snapshot
 from pslap.spectra import (
+    PersistentLaplacian,
     accumulated_laplacian_diagonal,
     detect_anomalies,
     persistent_laplacian,
@@ -135,6 +135,17 @@ def test_empty_spectrum():
     assert rec.n_simplices == 0
     assert rec.betti == 0
     assert rec.lambda_min_nonzero is None
+    # order 1 takes the same reduction and bisections as every other order:
+    # values on either side of the zero threshold 1e-8, and above 100, where
+    # the one eigenvalue moves the threshold itself
+    for value in (0.0, -1e-17, 3e-9, 1e-8, 2e-8, 1.0, 99.0, 150.0, 1e12):
+        lap = PersistentLaplacian(np.array([[value]]), 1, 0.5, 0.0)
+        eigs, betti, lam_min, flags = reference_spectrum(lap.matrix)
+        rec = spectrum(lap, full=True)
+        assert (rec.eigenvalues, rec.betti, rec.lambda_min_nonzero, rec.flags) == (
+            eigs, betti, lam_min, flags,
+        ), value
+        assert rec.n_simplices == 1
 
 
 def test_sweep_six_points(six_complex):
@@ -230,15 +241,15 @@ def test_clustered_top_eigenvalues(monkeypatch):
     rec = spectrum(lap)
     assert (rec.betti, rec.flags) == (betti, flags)
     assert abs(rec.lambda_min_nonzero - lam_min) <= PIN_TOL * eigs[-1]
-    real = scipy.linalg.lapack.dstebz
+    real = lapack.dstebz
 
-    def short_by_index(d, e, which, *args):
-        m, w, iblock, isplit, info = real(d, e, which, *args)
+    def short_by_index(t, which, *args):
+        w, info = real(t, which, *args)
         if which == spectra._INDICES:
-            m, info = 0, 2
-        return m, w, iblock, isplit, info
+            w, info = w[:0], 2
+        return w, info
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dstebz", short_by_index)
+    monkeypatch.setattr(lapack, "dstebz", short_by_index)
     fallback = spectrum(lap)
     assert (fallback.betti, fallback.flags) == (betti, flags)
     assert abs(fallback.lambda_min_nonzero - lam_min) <= PIN_TOL * eigs[-1]
@@ -330,16 +341,17 @@ def test_repeated_zero_above_order_2000():
     assert all(rec.flags == () for rec in records)
 
 
-def test_import_loads_no_sparse_eigensolver():
-    # no solver path uses ARPACK, so importing pslap leaves scipy.sparse.linalg
-    # (and its import time and memory) out; checked in a fresh interpreter
+def test_import_loads_no_scipy():
+    # LAPACK comes from numpy's bundled OpenBLAS, so importing pslap leaves
+    # scipy (and its import time and memory) out; checked in a fresh
+    # interpreter
     src = str(pathlib.Path(spectra.__file__).parents[1])
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, pslap; print('scipy.sparse.linalg' in sys.modules)"],
+        [sys.executable, "-c", "import sys, pslap; print('scipy' in sys.modules)"],
         env=env, capture_output=True, text=True, check=True,
     )
     assert proc.stdout.split() == ["False"]
