@@ -52,6 +52,11 @@ class SparseBoundaryMatrix:
         m = c * self.faces.shape[1] ** 2
         return tuple(a[:m] for a in self._column_outers)
 
+    def transpose_times(self, c: int, u: np.ndarray) -> np.ndarray:
+        """B^T u on the first c columns: row j is the signed sum of the rows
+        of ``u`` at the faces of column j."""
+        return (u[self.faces[:c]] * _signs(self.faces.shape[1])[:, None]).sum(axis=1)
+
     @cached_property
     def reach(self) -> np.ndarray:
         """Entry j is 1 + the largest face row of columns 0..j: the rows the
@@ -136,7 +141,8 @@ def _row_count(q: int, snap: Snapshot) -> int:
     return 1 if q == 0 else snap.count(q - 1)
 
 
-def _check_order(snap_t: Snapshot, snap_tp: Snapshot) -> None:
+def check_order(snap_t: Snapshot, snap_tp: Snapshot) -> None:
+    """Raise SnapshotOrderViolation unless ``snap_tp`` holds ``snap_t``."""
     if snap_t.alpha_sq > snap_tp.alpha_sq or any(
         a > b for a, b in zip(snap_t.counts, snap_tp.counts)
     ):
@@ -179,7 +185,7 @@ def persistent_boundary(
     and the later column count, so pairs with equal counts give equal
     results.
     """
-    _check_order(snap_t, snap_tp)
+    check_order(snap_t, snap_tp)
     q = full.q
     r_t, c_p = _row_count(q, snap_t), snap_tp.count(q)
     # the longest prefix of columns whose faces all lie in the first r_t rows

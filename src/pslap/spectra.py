@@ -1,16 +1,30 @@
-"""Persistent Laplacian assembly, spectra, sweeps, and per-vertex diagnostics."""
+"""Persistent Laplacian assembly, spectra, sweeps, and per-vertex diagnostics.
+
+A record is read off two Hodge parts of L_q^{alpha,p} = B_q^T B_q + B B^T,
+B the persistent boundary: the down part B_q^T B_q and the up part B B^T.
+Their images are orthogonal (B_q B = 0), so the nonzero spectrum of the
+Laplacian is the union of theirs (Memoli, Wan and Wang, *Persistent
+Laplacians*, 2022), and each part has the nonzero spectrum of its other
+side, M^T M for M M^T.  The down part depends only on (q, N_q(alpha)), and
+an up part without projected columns is the down part of q + 1, so one
+complex solves far fewer parts than a sweep has keys, each at its smaller
+side.  Solved parts are kept on the complex, as :class:`HodgePart` records
+of a few numbers each.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
 from . import lapack
-from .boundary import full_boundary, persistent_boundary
+from .boundary import SparseBoundaryMatrix, check_order, full_boundary, persistent_boundary
 from .errors import EigensolveFailure, PslapError
-from .simplices import FilteredComplex, snapshot
+from .simplices import FilteredComplex, Snapshot, snapshot
 
 # The eigensolver policy (see spectrum).  An eigenvalue below
 # max(ZERO_ABS, ZERO_REL * lambda_max) counts as zero, and a nonzero/zero
@@ -48,6 +62,30 @@ class SpectrumRecord:
     flags: tuple[str, ...] = field(default=())
 
 
+@dataclass(frozen=True)
+class HodgePart:
+    """What a record needs of the spectrum of one symmetric PSD matrix, and
+    no more: no matrix and no workspace is kept.
+
+    ``zeros`` counts the eigenvalues at most ``zero_max``, the bound that the
+    matrix's own largest eigenvalue sets; ``largest_zero`` is the largest of
+    them (0.0 without any) and ``lambda_min`` the next eigenvalue (None
+    without any).  A record whose other part sets a higher bound bisects
+    this one again, on the matrix that ``rebuild(complex)`` assembles anew.
+    """
+
+    order: int
+    lambda_top: float  # the largest eigenvalue above ZERO_ABS / ZERO_REL, else 0.0
+    zero_max: float
+    zeros: int
+    largest_zero: float
+    lambda_min: float | None
+    rebuild: Callable[[FilteredComplex], np.ndarray] | None = None
+
+
+_EMPTY_PART = HodgePart(0, 0.0, -math.inf, 0, 0.0, None)
+
+
 def _zero_threshold(lambda_max: float) -> float:
     return max(ZERO_ABS, ZERO_REL * max(lambda_max, 0.0))
 
@@ -68,17 +106,69 @@ def _bisect(t, which, vl=-np.inf, vu=np.inf, il=0, iu=0) -> np.ndarray:
     return w
 
 
+def _part(t: lapack.Tridiagonal, rebuild=None, zero_max: float | None = None) -> HodgePart:
+    """The :class:`HodgePart` of the tridiagonal ``t``, from three
+    bisections: for the eigenvalues above ZERO_ABS / ZERO_REL, the only ones
+    that move the zero threshold; for those below the threshold they set
+    (or below ``zero_max``), the zeros; and for the next one."""
+    top = _bisect(t, _VALUES, vl=ZERO_ABS / ZERO_REL)
+    lambda_top = float(top[-1]) if len(top) else 0.0
+    if zero_max is None:
+        # the largest value below the threshold: zeros lie in (-inf, zero_max]
+        zero_max = math.nextafter(_zero_threshold(lambda_top), -math.inf)
+    zeros = _bisect(t, _VALUES, vu=zero_max)
+    lam_min = None
+    if len(zeros) < t.n:
+        nonzero = _bisect(t, _INDICES, il=len(zeros) + 1, iu=len(zeros) + 1)
+        if not len(nonzero):  # short: bisect every nonzero eigenvalue
+            nonzero = _bisect(t, _VALUES, vl=zero_max)
+        lam_min = float(nonzero[0])
+    largest_zero = float(zeros[-1]) if len(zeros) else 0.0
+    return HodgePart(t.n, lambda_top, zero_max, len(zeros), largest_zero, lam_min, rebuild)
+
+
+def _at_bound(complex: FilteredComplex, part: HodgePart, zero_max: float) -> HodgePart:
+    """``part`` with its zeros counted under ``zero_max``, at least its own
+    bound: bisected again only if an eigenvalue lies between the two."""
+    if part.zero_max == zero_max or part.lambda_min is None or part.lambda_min > zero_max:
+        return part
+    with lapack.dsytrd(part.rebuild(complex)) as t:
+        return _part(t, part.rebuild, zero_max)
+
+
+def _combine(complex: FilteredComplex, n: int, parts) -> tuple[int, float | None, tuple[str, ...]]:
+    """Betti number, smallest nonzero eigenvalue and flags of an order-n
+    Laplacian whose nonzero spectrum is the union of the parts' nonzero
+    spectra.
+
+    The zero threshold comes from the larger lambda_max, and every part
+    counts its zeros under it.  The Betti number is n less each part's
+    nonzero count, lambda_min_nonzero is the smaller of the parts' minima,
+    and gap_ambiguous compares it with the largest zero of either part.
+    """
+    zero_max = math.nextafter(
+        _zero_threshold(max(part.lambda_top for part in parts)), -math.inf
+    )
+    parts = [_at_bound(complex, part, zero_max) for part in parts]
+    betti = n - sum(part.order - part.zeros for part in parts)
+    lam_min = min((part.lambda_min for part in parts if part.lambda_min is not None), default=None)
+    largest_zero = max(part.largest_zero for part in parts)
+    flags = ()
+    if betti and lam_min is not None and largest_zero > 0:
+        if lam_min / largest_zero < GAP_FACTOR:
+            flags = ("gap_ambiguous",)
+    return betti, lam_min, flags
+
+
 def spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRecord:
     """Betti number and smallest nonzero eigenvalue of the persistent
-    Laplacian, with zero/nonzero separation flags.
+    Laplacian, with zero/nonzero separation flags, from the whole matrix.
 
     The record comes from one tridiagonal reduction of the matrix (LAPACK
-    dsytrd, the first half of numpy's eigvalsh) and three bisections: for
-    the eigenvalues above ZERO_ABS / ZERO_REL, the only ones that move the
-    zero threshold; for those below the threshold, whose count is the Betti
-    number; and for the next one, lambda_min_nonzero.  With ``full``, the
-    record also lists every eigenvalue, from the same tridiagonal by dsterf,
-    eigvalsh's second half and bytes.
+    dsytrd, the first half of numpy's eigvalsh) and the three bisections of
+    :func:`_part`; the Betti number is the count of zeros.  With ``full``,
+    the record also lists every eigenvalue, from the same tridiagonal by
+    dsterf, eigvalsh's second half and bytes.
 
     Every order takes this path.  Sturm counts see every copy of a repeated
     zero, where Lanczos from one start vector (ARPACK) misses some; a block
@@ -88,23 +178,19 @@ def spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRecord:
     if n == 0:
         return SpectrumRecord(lap.q, lap.alpha, lap.p, (), 0, None, 0)
     with lapack.dsytrd(lap.matrix) as t:
-        top = _bisect(t, _VALUES, vl=ZERO_ABS / ZERO_REL)
-        # the largest value below the threshold: zeros lie in (-inf, zero_max]
-        zero_max = math.nextafter(_zero_threshold(top[-1] if len(top) else 0.0), -math.inf)
-        zeros = _bisect(t, _VALUES, vu=zero_max)
-        betti = len(zeros)
-        lam_min = None
-        if betti < n:
-            nonzero = _bisect(t, _INDICES, il=betti + 1, iu=betti + 1)
-            if not len(nonzero):  # short: bisect every nonzero eigenvalue
-                nonzero = _bisect(t, _VALUES, vl=zero_max)
-            lam_min = float(nonzero[0])
+        part = _part(t)
         eigenvalues = tuple(lapack.dsterf(t).tolist()) if full else ()
-    flags = ()
-    if betti and lam_min is not None and zeros[-1] > 0:
-        if lam_min / float(zeros[-1]) < GAP_FACTOR:
-            flags = ("gap_ambiguous",)
+    betti, lam_min, flags = _combine(None, n, [part])
     return SpectrumRecord(lap.q, lap.alpha, lap.p, eigenvalues, betti, lam_min, n, flags)
+
+
+def _gram(entries, n: int) -> np.ndarray:
+    """The n x n float matrix summing the integer entries (rows, cols,
+    values); bincount sums them exactly."""
+    rows, cols, values = entries
+    # without entries bincount gives int
+    lap = np.bincount(rows * n + cols, weights=values, minlength=n * n)
+    return lap.reshape(n, n).astype(float, copy=False)
 
 
 def persistent_laplacian(
@@ -122,28 +208,122 @@ def persistent_laplacian(
     persistent boundary's columns after them (see
     :func:`persistent_boundary`); without such columns the Laplacian is an
     exact integer matrix.  The matrix depends only on q, N_q(alpha) and
-    N_{q+1}(alpha + p).
+    N_{q+1}(alpha + p).  Records come from its Hodge parts; the whole
+    matrix gives the eigenvalues of ``full`` records and is the reference
+    the tests check the parts against.
     """
     snap_t, snap_tp = snapshot(complex, alpha), snapshot(complex, alpha + p)
     n = snap_t.count(q)
     down = full_boundary(complex, q).down_gram(n)
     up = full_boundary(complex, q + 1)
     c, u = persistent_boundary(up, snap_t, snap_tp)
-    rows, cols, values = (np.concatenate(pair) for pair in zip(down, up.up_gram(c)))
-    # bincount sums the integer entries exactly; without entries it gives int
-    lap = np.bincount(rows * n + cols, weights=values, minlength=n * n)
-    lap = lap.reshape(n, n).astype(float, copy=False)
+    lap = _gram([np.concatenate(pair) for pair in zip(down, up.up_gram(c))], n)
     if u.shape[1]:
         lap += u @ u.T
         lap = 0.5 * (lap + lap.T)
     return PersistentLaplacian(lap, q, alpha, p)
 
 
+def _solve(matrix: np.ndarray, rebuild) -> HodgePart:
+    if not len(matrix):
+        return _EMPTY_PART
+    with lapack.dsytrd(matrix) as t:
+        return _part(t, rebuild)
+
+
+def _down_matrix(complex: FilteredComplex, q: int, n: int) -> np.ndarray:
+    """B_q on its first n columns, at the smaller of its two sides: B^T B
+    (order n) or B B^T (order reach[n-1], the rows those columns span; 0
+    for q = 0)."""
+    b = full_boundary(complex, q)
+    m = int(b.reach[n - 1]) if n else 0
+    return _gram(b.up_gram(n), m) if m < n else _gram(b.down_gram(n), n)
+
+
+def _projected_matrix(up: SparseBoundaryMatrix, c: int, u: np.ndarray) -> np.ndarray:
+    """B = [B_c | U] (see :func:`persistent_boundary`) at the smaller of its
+    two sides:
+
+    - B B^T, order N_q(alpha): the integer B_c B_c^T, plus U U^T on the rows
+      where U is nonzero
+    - B^T B, order c + k: [B_c^T B_c, B_c^T U; U^T B_c, U^T U], its integer
+      block the (q+1) boundary's down-term on c columns; the block B_c^T U
+      above the diagonal is left zero, as dsytrd reads the lower triangle
+    """
+    r, k = u.shape
+    if r <= c + k:
+        a = _gram(up.up_gram(c), r)
+        rows = np.flatnonzero(u.any(axis=1))
+        nonzero = u[rows]
+        a[np.ix_(rows, rows)] += nonzero @ nonzero.T
+        return a
+    a = _gram(up.down_gram(c), c + k)
+    a[c:, :c] = up.transpose_times(c, u).T
+    a[c:, c:] = u.T @ u
+    return a
+
+
+def _projected_up_matrix(complex: FilteredComplex, q: int, snap_t: Snapshot, snap_tp: Snapshot):
+    up = full_boundary(complex, q + 1)
+    return _projected_matrix(up, *persistent_boundary(up, snap_t, snap_tp))
+
+
+def _down_part(complex: FilteredComplex, q: int, n: int) -> HodgePart:
+    """The down part of L_q at N_q(alpha) = n, B_q^T B_q, solved once per
+    complex."""
+
+    def build():
+        rebuild = partial(_down_matrix, q=q, n=n)
+        return _solve(rebuild(complex), rebuild)
+
+    return complex.derived(("down part", q, n), build)
+
+
+def _up_part(complex: FilteredComplex, q: int, snap_t: Snapshot, snap_tp: Snapshot) -> HodgePart:
+    """The up part of L_q^{alpha,p}, B B^T, solved once per complex and key
+    (q, N_q(alpha), N_{q+1}(alpha + p)).  Without columns after the split
+    c, B is B_c, and the part is the down part of q + 1 at c."""
+
+    def build():
+        up = full_boundary(complex, q + 1)
+        c, u = persistent_boundary(up, snap_t, snap_tp)
+        if not u.shape[1]:
+            return _down_part(complex, q + 1, c)
+        rebuild = partial(_projected_up_matrix, q=q, snap_t=snap_t, snap_tp=snap_tp)
+        return _solve(_projected_matrix(up, c, u), rebuild)
+
+    return complex.derived(("up part", q, snap_t.count(q), snap_tp.count(q + 1)), build)
+
+
+def _fields(complex, q, alpha, p, snap_t, snap_tp, full) -> tuple:
+    """A record's fields after q, alpha and p: eigenvalues (with ``full``,
+    by dsterf on the whole :func:`persistent_laplacian`), Betti number,
+    lambda_min_nonzero, n_simplices and flags, from the two Hodge parts."""
+    check_order(snap_t, snap_tp)
+    n = snap_t.count(q)
+    if n == 0:
+        return (), 0, None, 0, ()
+    parts = _down_part(complex, q, n), _up_part(complex, q, snap_t, snap_tp)
+    betti, lam_min, flags = _combine(complex, n, parts)
+    eigenvalues = ()
+    if full:
+        with lapack.dsytrd(persistent_laplacian(complex, q, alpha, p).matrix) as t:
+            eigenvalues = tuple(lapack.dsterf(t).tolist())
+    return eigenvalues, betti, lam_min, n, flags
+
+
 def spectrum_at(
     complex: FilteredComplex, q: int, alpha: float, p: float = 0.0, full: bool = False
 ) -> SpectrumRecord:
-    """The record of L_q^{alpha,p}: :func:`persistent_laplacian`, then :func:`spectrum`."""
-    return spectrum(persistent_laplacian(complex, q, alpha, p), full)
+    """The record of L_q^{alpha,p}, from its down and up Hodge parts.
+
+    It agrees with :func:`spectrum` on the whole :func:`persistent_laplacian`
+    in its Betti number, flags and n_simplices, and in lambda_min_nonzero to
+    rounding (the parts are other matrices); ``full`` eigenvalues are the
+    whole matrix's.
+    """
+    snap_t, snap_tp = snapshot(complex, alpha), snapshot(complex, alpha + p)
+    return SpectrumRecord(q, alpha, p, *_fields(complex, q, alpha, p, snap_t, snap_tp, full))
 
 
 def sweep(
@@ -153,31 +333,28 @@ def sweep(
 
     L_q^{alpha,p} depends only on its key, (q, N_q(alpha), N_{q+1}(alpha + p)):
     the q-simplices at alpha and the (q+1)-simplices at alpha + p.  Each key
-    is solved once per call and its record re-labelled for the other alphas;
-    alphas with equal keys get equal matrices, so every record equals the
-    one :func:`spectrum_at` gives at its own (q, alpha, p).  A solve that
-    raises a PslapError becomes a record flagged ``failed:<ErrorType>`` and
-    the sweep goes on: ``spectra`` writes it as a row and exits 0, and
-    ``validate`` counts it as a disagreement (exit 4).
+    is combined from its parts once per call and its fields reused for the
+    other alphas; alphas with equal keys get equal matrices, so every record
+    equals the one :func:`spectrum_at` gives at its own (q, alpha, p).  A
+    solve that raises a PslapError becomes a record flagged
+    ``failed:<ErrorType>`` and the sweep goes on: ``spectra`` writes it as a
+    row and exits 0, and ``validate`` counts it as a disagreement (exit 4).
     """
     alphas = sorted(float(a) for a in alphas)
     q_list = sorted(set(int(q) for q in q_list))
     snaps = [(a, snapshot(complex, a), snapshot(complex, a + p)) for a in alphas]
-    solved: dict = {}  # key -> record
+    solved: dict = {}  # key -> the record's fields after q, alpha and p
     results = []
     for q in q_list:
         for a, snap_t, snap_tp in snaps:
             key = (q, snap_t.count(q), snap_tp.count(q + 1))
-            rec = solved.get(key)
-            if rec is None:
+            fields = solved.get(key)
+            if fields is None:
                 try:
-                    rec = solved[key] = spectrum_at(complex, q, a, p, full)
+                    fields = solved[key] = _fields(complex, q, a, p, snap_t, snap_tp, full)
                 except PslapError as exc:
-                    rec = SpectrumRecord(
-                        q, a, p, (), 0, None, snap_t.count(q),
-                        flags=("failed:" + type(exc).__name__,),
-                    )
-            results.append(replace(rec, alpha=a))
+                    fields = ((), 0, None, snap_t.count(q), ("failed:" + type(exc).__name__,))
+            results.append(SpectrumRecord(q, a, p, *fields))
     return results
 
 

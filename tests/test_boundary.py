@@ -130,6 +130,19 @@ def test_dense_block_matches_sparse_blocks(six_complex):
                 assert np.array_equal(top, reference_restriction(c, q, s_tp)[:r_t])
 
 
+def test_transpose_times_matches_reference(six_complex):
+    # B^T u on every prefix of columns, against the reference boundary; u has
+    # integer entries, so both sums are exact
+    cloud = alpha_complex(random_cloud(51, 12, 3), seed=51)
+    rng = np.random.default_rng(0)
+    for c in (six_complex, cloud):
+        for q in range(1, 4):
+            full, ref = full_boundary(c, q), reference_boundary(c, q)
+            u = rng.integers(-3, 4, size=(ref.shape[0], 3)).astype(float)
+            for cols in range(ref.shape[1] + 1):
+                assert np.array_equal(full.transpose_times(cols, u), ref[:, :cols].T @ u)
+
+
 def test_dense_block_empty_and_q0(six_complex):
     full0 = full_boundary(six_complex, 0)
     assert full0.faces.shape == (6, 0)

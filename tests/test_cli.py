@@ -5,7 +5,9 @@ import pytest
 
 from conftest import read_spectra_csv
 from pslap import lapack, spectra
+from pslap.alpha import alpha_complex
 from pslap.cli import _SOLVER_ERRORS, EXIT_SOLVER, main
+from pslap.dataio import read_xyz
 from pslap.errors import EigensolveFailure
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -196,10 +198,11 @@ def test_spectra_csv_does_not_depend_on_json(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_eigensolve_failure_is_typed(six_complex, tmp_path, monkeypatch):
+def test_eigensolve_failure_is_typed(tmp_path, monkeypatch):
     # LAPACK reporting no convergence (info > 0) is an EigensolveFailure, the
     # solver error of exit code 3; a sweep flags the record instead, so
-    # spectra writes the flag and validate counts it as a disagreement
+    # spectra writes the flag and validate counts it as a disagreement.  The
+    # complex is a fresh one: a shared one may hold the solved Hodge parts
     real = lapack.dstebz
 
     def no_convergence(*args):
@@ -207,7 +210,7 @@ def test_eigensolve_failure_is_typed(six_complex, tmp_path, monkeypatch):
 
     monkeypatch.setattr(lapack, "dstebz", no_convergence)
     with pytest.raises(EigensolveFailure):
-        spectra.spectrum_at(six_complex, 1, 0.6)
+        spectra.spectrum_at(alpha_complex(read_xyz(SIX)), 1, 0.6)
     assert EigensolveFailure in _SOLVER_ERRORS and EXIT_SOLVER == 3
     out = tmp_path / "s.csv"
     assert run("spectra", "--input", SIX, "--q", "1", "--alpha-min", "0.6", "--alpha-max",

@@ -255,75 +255,140 @@ def test_clustered_top_eigenvalues(monkeypatch):
     assert abs(fallback.lambda_min_nonzero - lam_min) <= PIN_TOL * eigs[-1]
 
 
+def _count_reductions(monkeypatch) -> list:
+    """The orders of the matrices lapack.dsytrd reduces from now on."""
+    orders, real = [], lapack.dsytrd
+
+    def counting(a):
+        orders.append(a.shape[0])
+        return real(a)
+
+    monkeypatch.setattr(lapack, "dsytrd", counting)
+    return orders
+
+
+def _agrees_with_whole_matrix(rec, lap) -> None:
+    # a record from the Hodge parts against spectrum() on the whole matrix:
+    # equal Betti number, flags and n_simplices, lambda_min_nonzero within
+    # PIN_TOL * lambda_max
+    whole = spectrum(lap, full=True)
+    assert (rec.betti, rec.flags, rec.n_simplices) == (whole.betti, whole.flags, whole.n_simplices)
+    if whole.lambda_min_nonzero is None:
+        assert rec.lambda_min_nonzero is None
+    else:
+        tol = PIN_TOL * whole.eigenvalues[-1]
+        assert abs(rec.lambda_min_nonzero - whole.lambda_min_nonzero) <= tol
+
+
 def test_sweep_builds_one_laplacian_per_count_key(monkeypatch):
     # L_1 depends only on the edge and triangle counts at alpha and alpha + p,
-    # so a tetrahedron entering alone leaves it unchanged: one solve serves
-    # both alphas
+    # so a tetrahedron entering alone leaves it unchanged: the parts solved
+    # for the first alpha serve both, and a sweep over both alphas reduces
+    # as many matrices as one record at the first alpha on a fresh complex
     values = {
         s: float(len(s) - 1) for k in range(1, 5) for s in itertools.combinations(range(4), k)
     }
-    cx = build_complex(list(values), values)
     alphas = [math.sqrt(2.0), math.sqrt(3.0)]
+    cx = build_complex(list(values), values)
     assert [snapshot(cx, a).counts for a in alphas] == [(4, 6, 4, 0), (4, 6, 4, 1)]
-    # a sweep assembles and solves through the public call chain
-    assembled, solved = [], []
-    real_assemble, real_solve = spectra.persistent_laplacian, spectra.spectrum
-
-    def assemble(cx, q, alpha, p):
-        assembled.append(alpha)
-        return real_assemble(cx, q, alpha, p)
-
-    def solve(lap, *args):
-        solved.append(lap.alpha)
-        return real_solve(lap, *args)
-
-    monkeypatch.setattr(spectra, "persistent_laplacian", assemble)
-    monkeypatch.setattr(spectra, "spectrum", solve)
+    reduced = _count_reductions(monkeypatch)
+    spectrum_at(build_complex(list(values), values), 1, alphas[0])
+    alone = len(reduced)
+    reduced.clear()
     first, second = sweep(cx, [1], alphas)
-    assert assembled == solved == alphas[:1]
-    assert replace(first, alpha=alphas[1]) == second
+    # the down part B_1^T B_1 and the up part, the down part of q = 2
+    assert len(reduced) == alone == 2
+    assert replace(first, alpha=alphas[1]) == second == spectrum_at(cx, 1, alphas[1])
+    assert len(reduced) == 2
 
     # L_0^{alpha,p} reads the edges at alpha + p, not those at alpha: a second
     # edge entering between the two alphas, present at both alpha + p, leaves
-    # the key (0, N_0(alpha), N_1(alpha + p)) and the matrix unchanged
+    # the key (0, N_0(alpha), N_1(alpha + p)) and the matrix unchanged.  The
+    # down part of q = 0 is empty, and the up part is B_1^T B_1 on both edges
     values = {(0,): 0.0, (1,): 0.0, (2,): 0.0, (0, 1): 1.0, (1, 2): 4.0}
     cx = build_complex(list(values), values)
     alphas, p = [1.0, 2.0], 3.0
     assert [snapshot(cx, a).counts for a in alphas] == [(3, 1, 0, 0), (3, 2, 0, 0)]
     assert [snapshot(cx, a + p).count(1) for a in alphas] == [2, 2]
-    assembled.clear()
-    solved.clear()
+    reduced.clear()
     first, second = sweep(cx, [0], alphas, p=p)
-    assert assembled == solved == alphas[:1]
+    assert reduced == [2]
     assert replace(first, alpha=alphas[1]) == second
-    assert second == real_solve(real_assemble(cx, 0, alphas[1], p))
+    _agrees_with_whole_matrix(second, persistent_laplacian(cx, 0, alphas[1], p))
 
 
 def test_equal_keys_give_equal_laplacians(cloud20_complex, chain_clean_complex):
     # every two (alpha, p) with equal (q, N_q(alpha), N_{q+1}(alpha + p)), at
-    # p = 0 or span/3, assemble the same matrix bit for bit and solve to the
-    # same record up to alpha and p; a sweep's record is the spectrum_at one
+    # p = 0 or span/3, assemble the same matrix bit for bit.  Every sweep
+    # record equals the spectrum_at one, and agrees with spectrum() on the
+    # whole matrix (see _agrees_with_whole_matrix), checked once per key
     complexes = [cloud20_complex, chain_clean_complex] + [
         alpha_complex(random_cloud(seed, n, d), seed=seed) for seed, n, d in CLOUDS_4
     ]
-    repeats = 0
+    repeats = checked = 0
     for cx in complexes:
         crit = critical_alphas(cx)
-        first = {}  # key -> (matrix, record)
+        first = {}  # key -> matrix
         for p in (0.0, (crit[-1] - crit[0]) / 3.0):
             for q in (0, 1, 2):
                 for a, from_sweep in zip(crit, sweep(cx, [q], crit, p)):
+                    assert from_sweep == spectrum_at(cx, q, a, p), (q, a, p)
                     key = (q, snapshot(cx, a).count(q), snapshot(cx, a + p).count(q + 1))
                     lap = persistent_laplacian(cx, q, a, p)
-                    if key not in first:  # the sweep's record is spectrum_at's
-                        first[key] = lap.matrix, from_sweep
+                    if key in first:
+                        assert np.array_equal(lap.matrix, first[key]), (key, a, p)
+                        repeats += 1
                         continue
-                    matrix, rec0 = first[key]
-                    assert np.array_equal(lap.matrix, matrix), (key, a, p)
-                    # spectrum_at(cx, q, a, p) is spectrum(lap)
-                    assert from_sweep == spectrum(lap) == replace(rec0, alpha=a, p=p), (key, a, p)
-                    repeats += 1
-    assert repeats > 10000, repeats
+                    first[key] = lap.matrix
+                    _agrees_with_whole_matrix(from_sweep, lap)
+                    checked += 1
+    assert repeats > 10000 and checked > 5000, (repeats, checked)
+
+
+def test_parts_share_solves_across_keys_q_and_p(monkeypatch):
+    # validate on the 20-point cloud sweeps q = 0, 1, 2 at p = 0 and 0.3: the
+    # down part is shared by every key with the same (q, N_q(alpha)), and an
+    # up part without projected columns is a down part of q + 1, so the run
+    # reduces fewer matrices than it has distinct keys
+    import contextlib
+    import io
+
+    from pslap.cli import main
+    from pslap.dataio import read_xyz
+
+    path = str(pathlib.Path(__file__).parent / "data" / "cloud20_3d.xyz")
+    reduced = _count_reductions(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["validate", "--input", path, "--q", "0,1,2", "--p", "0,0.3"]) == 0
+    cx = alpha_complex(read_xyz(path))
+    keys = {
+        (q, snapshot(cx, a).count(q), snapshot(cx, a + p).count(q + 1))
+        for q in (0, 1, 2) for p in (0.0, 0.3) for a in critical_alphas(cx)
+    }
+    assert 0 < len(reduced) < len(keys), (len(reduced), len(keys))
+
+
+def test_larger_lambda_max_of_one_part_sets_the_threshold():
+    # the first part's lambda_max of 1e4 sets the zero threshold at 1e-6,
+    # above the second part's 1e-7, which its own threshold of 1e-8 counted
+    # as nonzero: the record bisects that part again and counts 1e-7 as a
+    # zero, and gap_ambiguous compares it with 1e-5, the second part's next
+    # value.  The record equals spectrum() on the block-diagonal whole
+    big, small = np.diag([1e4, 1.0]), np.diag([1e-7, 1e-5, 2.0])
+    parts = []
+    for matrix in (big, small):
+        with lapack.dsytrd(matrix) as t:
+            parts.append(spectra._part(t, lambda cx, m=matrix: m))
+    assert parts[1].zeros == 0 and parts[1].lambda_min == pytest.approx(1e-7)
+    n = 6  # one more simplex than the parts' orders: one harmonic chain
+    betti, lam_min, flags = spectra._combine(None, n, parts)
+    whole = np.zeros((n, n))
+    whole[:2, :2], whole[2:5, 2:5] = big, small
+    rec = spectrum(PersistentLaplacian(whole, 1, 0.0, 0.0))
+    assert (betti, flags) == (rec.betti, rec.flags) == (2, ("gap_ambiguous",))
+    assert lam_min == pytest.approx(rec.lambda_min_nonzero) == pytest.approx(1e-5)
+    # in the other order the parts combine alike
+    assert spectra._combine(None, n, parts[::-1]) == (betti, lam_min, flags)
 
 
 def test_repeated_zero_above_order_2000():
