@@ -70,6 +70,8 @@ def read_pdb_ca(path, chain_filter: str | None = None) -> PointSet:
                 continue
             if line[12:16].strip() != "CA":
                 continue
+            if len(line.rstrip("\r\n")) < 22:  # altLoc and chain id: columns 17 and 22
+                raise ParseError(f"{path}:{lineno}: truncated CA ATOM record")
             if line[16] not in (" ", "A"):
                 continue
             chain = line[21]

@@ -11,23 +11,30 @@ polynomials in the coordinate differences ``p_i - a`` from a base point ``a``:
   dot products of q - a with the edge vectors.
 
 Each polynomial is closed-form straight-line code in ``+``, ``*`` and a
-subtraction passed in as ``sub``, so one body evaluates the float value, its
+subtraction passed in as ``sub``, so one body defines the float value, its
 magnitude (leaves replaced by their absolute values, ``sub`` by addition) and,
-when needed, the exact value in ``Fraction``.  The same body evaluates a whole
-batch of point lists at once on per-coordinate numpy columns
-(``_batch_signs``), with the same roundings as one list on Python floats.
-The float sign is accepted when ``|value| > 2**-48 * magnitude``.  The bound: with unit roundoff u = 2**-53,
-count the roundings on the worst path from a leaf to the result, one for each
-coordinate difference, addition and subtraction, and for a product the sum of
-both factors' counts plus one.  The deepest polynomial, the power for k = 3,
-has D = 29.  Expanding the expression into monomials, each picks up at most D
-factors (1 + delta), |delta| <= u, so the float value differs from the exact
-one by at most gamma_D = D*u / (1 - D*u) times the exact magnitude, and the
-float magnitude is at least (1 - u)**D times the exact one; 32u covers both and
-the rounding of the bound itself.  This assumes no product underflows, which holds when every
-nonzero coordinate difference exceeds 1e-30 in magnitude (the polynomials have
-degree at most 8).  An overflow or NaN fails the comparison and goes to the
-exact path.
+when needed, the exact value in ``Fraction``.  For floats the body is not
+interpreted: ``_compiled`` traces it once per (polynomial, point count,
+dimension) into one straight-line function of the points' coordinates that
+returns the values and the magnitudes, one assignment per operation, in the
+body's order, so it rounds exactly as the body does.  The scalar path
+(``_exact_signs``, one point list on Python floats) and the batch path
+(``_batch_signs``, a whole batch of point lists on per-coordinate numpy
+columns) call the same function; the rational path still runs the body.
+
+The float sign is accepted when ``|value| > 2**-48 * magnitude``.  The bound:
+with unit roundoff u = 2**-53, count the roundings on the worst path from a
+leaf to the result, one for each coordinate difference, addition and
+subtraction, and for a product the sum of both factors' counts plus one.  The
+deepest polynomial, the power for k = 3, has D = 29.  Expanding the expression
+into monomials, each picks up at most D factors (1 + delta), |delta| <= u, so
+the float value differs from the exact one by at most
+gamma_D = D*u / (1 - D*u) times the exact magnitude, and the float magnitude
+is at least (1 - u)**D times the exact one; 32u covers both and the rounding
+of the bound itself.  This assumes no product underflows, which holds when
+every nonzero coordinate difference exceeds 1e-30 in magnitude (the
+polynomials have degree at most 8).  An overflow or NaN fails the comparison
+and goes to the exact path.
 
 Cospherical degeneracies are broken by a symbolic perturbation of the lifted
 weights (point i lowered by an infinitesimal eps**(n-i), so the highest-index
@@ -56,6 +63,7 @@ the affine coordinates of p, so the facet vertices and p alone break it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import random
@@ -115,7 +123,8 @@ def _sign(x) -> int:
 
 
 def _dot(x, y):
-    return sum(map(operator.mul, x, y))  # the start value 0 adds no rounding
+    # no start value: its addition would be one more operation to trace
+    return functools.reduce(operator.add, map(operator.mul, x, y))
 
 
 def _orient(rows, sub):
@@ -162,14 +171,68 @@ def _gram_power(rows, sub):
     return det, sub(_dot([_dot(v, w) for v in vectors], adj_b), det * _dot(w, w))
 
 
+class _Leaf:
+    """A named value in a trace: each ``+``, ``-``, ``*`` and ``abs`` appends
+    one assignment to the trace's lines and returns a leaf naming its result."""
+
+    __slots__ = ("lines", "name")
+
+    def __init__(self, lines: list[str], name: str):
+        self.lines, self.name = lines, name
+
+    def _emit(self, expr: str) -> _Leaf:
+        name = f"t{len(self.lines)}"
+        self.lines.append(f"    {name} = {expr}")
+        return _Leaf(self.lines, name)
+
+    def __add__(self, other):
+        return self._emit(f"{self.name} + {other.name}")
+
+    def __sub__(self, other):
+        return self._emit(f"{self.name} - {other.name}")
+
+    def __mul__(self, other):
+        return self._emit(f"{self.name} * {other.name}")
+
+    def __abs__(self):
+        return self._emit(f"abs({self.name})")
+
+
+_COMPILED: dict[tuple, object] = {}
+
+
+def _compiled(poly, m: int, d: int):
+    """poly on m points in R^d as one straight-line function of the points'
+    rows (each a sequence of d coordinates): it returns ``(values, mags)``,
+    poly's values on the differences points[1:] - points[0] and their
+    magnitudes, as the generic body evaluates them.  Traced on first use and
+    kept for the life of the process; the rows may hold Python floats or
+    per-coordinate numpy columns alike."""
+    fn = _COMPILED.get((poly, m, d))
+    if fn is None:
+        lines = []
+        coords = [[_Leaf(lines, f"x{i}_{j}") for j in range(d)] for i in range(m)]
+        base, *rest = coords
+        diffs = [[x - y for x, y in zip(p, base)] for p in rest]
+        values = poly(diffs, operator.sub)
+        mags = poly([[abs(x) for x in row] for row in diffs], operator.add)
+        name = f"{poly.__name__}_{m}x{d}"
+        params = ", ".join(f"r{i}" for i in range(m))
+        unpack = [f"    {', '.join(x.name for x in row)}, = r{i}" for i, row in enumerate(coords)]
+        returns = ", ".join("(" + "".join(f"{v.name}, " for v in out) + ")" for out in (values, mags))
+        namespace = {}
+        exec("\n".join([f"def {name}({params}):", *unpack, *lines, f"    return {returns}"]), namespace)
+        fn = _COMPILED[poly, m, d] = namespace[name]
+    return fn
+
+
 def _exact_signs(poly, points) -> tuple[int, ...]:
-    """Exact signs of poly's values on the differences points[1:] - points[0]."""
-    base, *rest = points
-    diffs = [[x - y for x, y in zip(p, base)] for p in rest]
-    values = poly(diffs, operator.sub)
-    mags = poly([[abs(x) for x in row] for row in diffs], operator.add)
+    """Exact signs of poly's values on the differences points[1:] - points[0],
+    for a list of m point rows (sequences of d floats)."""
+    values, mags = _compiled(poly, len(points), len(points[0]))(*points)
     if all(abs(v) > _ERR * m for v, m in zip(values, mags)):
         return tuple(_sign(v) for v in values)
+    base, *rest = points
     fbase = [Fraction(x) for x in base]
     exact = poly([[Fraction(x) - y for x, y in zip(p, fbase)] for p in rest], operator.sub)
     return tuple(_sign(v) for v in exact)
@@ -189,11 +252,10 @@ def _batch_signs(poly, points: np.ndarray) -> np.ndarray:
     (n_values, M) array: the float value and magnitude are evaluated on
     per-coordinate (M,) columns, and only the uncertain rows are recomputed
     by ``_exact_signs``."""
-    base, rest = points[:, 0].T, points[:, 1:].T  # per-coordinate columns
+    _, m, d = points.shape
     with np.errstate(over="ignore", invalid="ignore"):  # overflow goes to the exact path
-        diffs = [[x - y for x, y in zip(p, base)] for p in rest.swapaxes(0, 1)]
-        values = np.array(poly(diffs, operator.sub))
-        mags = np.array(poly([[abs(x) for x in row] for row in diffs], operator.add))
+        # per point, its d per-coordinate (M,) columns
+        values, mags = map(np.array, _compiled(poly, m, d)(*points.transpose(1, 2, 0)))
         certain = np.all(abs(values) > _ERR * mags, axis=0)
         signs = np.sign(values).astype(np.int64)
     for r in np.flatnonzero(~certain):
@@ -211,26 +273,24 @@ def side_of_circumsphere_batch(simplices: np.ndarray, queries: np.ndarray) -> np
     return power
 
 
-def in_sphere_indexed(coords: np.ndarray, simplex: tuple[int, ...], query: int) -> int:
+def in_sphere_indexed(coords, simplex: tuple[int, ...], query: int) -> int:
     """Perturbed circumsphere test on indexed points; never returns 0.
 
+    ``coords`` holds the point rows (``coords.tolist()`` of an (n, d) array).
     Ties (cospherical configurations) are resolved by the symbolic lift
     perturbation, dominated by the involved point with the largest index.
     """
-    d = coords.shape[1]
-    simplex = tuple(simplex)
-    independent, raw = _exact_signs(
-        _gram_power, [coords[i].tolist() for i in simplex + (query,)]
-    )
+    row_idx = tuple(simplex) + (query,)
+    pts = [coords[i] for i in row_idx]
+    independent, raw = _exact_signs(_gram_power, pts)
     if not independent:
-        raise DegenerateSimplex(f"degenerate cell {simplex}")
+        raise DegenerateSimplex(f"degenerate cell {row_idx[:-1]}")
     if raw != 0:
         return raw
-    cal = orientation(coords[list(simplex)]) * _INSPHERE_CAL[d]
-    row_idx = simplex + (query,)
+    d = len(pts[0])
+    cal = _exact_signs(_orient, pts[:-1])[0] * _INSPHERE_CAL[d]
     for r in sorted(range(d + 2), key=lambda r: row_idx[r], reverse=True):
-        others = [row_idx[i] for i in range(d + 2) if i != r]
-        o = orientation(coords[others])
+        o = _exact_signs(_orient, pts[:r] + pts[r + 1:])[0]
         if o != 0:
             # first-order term of the perturbed determinant: -(-1)^r * o
             return (o if r % 2 else -o) * cal
@@ -292,6 +352,7 @@ class _Triangulation:
 
     def __init__(self, coords: np.ndarray, first):
         self.coords = coords
+        self.rows = coords.tolist()  # the predicates read rows, not the array
         self.d = coords.shape[1]
         self.cells: set[tuple[int, ...]] = set()
         self.facet_map: dict[tuple[int, ...], set] = {}
@@ -338,21 +399,21 @@ class _Triangulation:
         raise PslapError(f"hull facet {facet} has no finite cell")
 
     def in_conflict(self, cell, p_idx) -> bool:
-        coords = self.coords
+        rows = self.rows
         if cell[-1] != _INF:
-            return in_sphere_indexed(coords, cell, p_idx) > 0
+            return in_sphere_indexed(rows, cell, p_idx) > 0
         facet = cell[:-1]
         finite = self._finite_neighbor(facet)
-        fpts = coords[list(facet)]
-        s_p = orientation(np.vstack([fpts, coords[p_idx]]))
+        fpts = [rows[v] for v in facet]
+        s_p = _exact_signs(_orient, fpts + [rows[p_idx]])[0]
         if s_p != 0:
             x = next(v for v in finite if v not in facet)
-            s_x = orientation(np.vstack([fpts, coords[x]]))
+            s_x = _exact_signs(_orient, fpts + [rows[x]])[0]
             return s_p == -s_x
         # p on the facet's affine hull, where the finite cell's circumsphere
         # is the facet's; on a tie the opposite vertex's cofactor,
         # orient(facet + p), is 0, so only the facet and p break it
-        return in_sphere_indexed(coords, finite, p_idx) > 0
+        return in_sphere_indexed(rows, finite, p_idx) > 0
 
     def _conflict_region(self, p_idx):
         """The cells in conflict with p: the first found in the star of the
@@ -396,7 +457,7 @@ class _Triangulation:
                 new = tuple(sorted(f[:-1] + (p_idx,))) + (_INF,)
             else:
                 new = tuple(sorted(f + (p_idx,)))
-                if orientation(self.coords[list(new)]) == 0:
+                if _exact_signs(_orient, [self.rows[v] for v in new])[0] == 0:
                     raise PslapError(f"degenerate cell {new} produced during insertion")
             self.add_cell(new)
         self.vertices.append(p_idx)

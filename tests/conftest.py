@@ -100,11 +100,11 @@ def prefix_states(cx) -> list:
 def audit_empty_circumspheres(cx, coords: np.ndarray) -> list:
     """All (cell, point) pairs of a tessellation of ``coords`` violating the
     perturbed empty-sphere property."""
-    violations = []
+    violations, rows = [], coords.tolist()
     for cell in cx.simplices(coords.shape[1]):
         members = set(cell)
         for idx in range(coords.shape[0]):
-            if idx not in members and in_sphere_indexed(coords, cell, idx) > 0:
+            if idx not in members and in_sphere_indexed(rows, cell, idx) > 0:
                 violations.append((cell, idx))
     return violations
 

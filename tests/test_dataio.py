@@ -110,6 +110,17 @@ def test_read_pdb_non_finite_coordinate(tmp_path):
         read_pdb_ca(p)
 
 
+def test_read_pdb_truncated_ca_record(tmp_path):
+    # a CA record that ends before the altLoc column, or before the chain id
+    p = tmp_path / "t.pdb"
+    good = "ATOM      1  CA  ALA A   1      11.639   6.071  -5.147  1.00  0.00           C"
+    for short in ("ATOM      2  CA", "ATOM      2  CA  GLY", "ATOM      2  CA  GLY "):
+        for end in ("\n", ""):
+            p.write_text(good + "\n" + short + end)
+            with pytest.raises(ParseError, match=r"t\.pdb:2: truncated"):
+                read_pdb_ca(p)
+
+
 def _records():
     return [
         SpectrumRecord(0, 0.6, 0.0, (0.0, 1.0), 1, 1.0, 6),

@@ -1,5 +1,7 @@
 import itertools
 import math
+import operator
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ from conftest import (
     side_of_circumsphere,
 )
 from pslap import geometry
+from pslap.alpha import alpha_complex
 from pslap.errors import AllCollinear, AllCoplanar, DegenerateSimplex, DuplicatePoints
 from pslap.geometry import PointSet, delaunay, in_sphere_indexed, orientation
 
@@ -73,13 +76,25 @@ def test_side_of_circumsphere_degenerate_raises():
         side_of_circumsphere([(0, 0), (1, 1), (2, 2)], (0, 1))
 
 
-def test_in_sphere_indexed_breaks_ties_consistently():
+def test_in_sphere_indexed_breaks_ties_consistently(icosahedron_points):
     # four cocircular points: opposite tie answers must complement each other
-    coords = np.array([(0, 0), (1, 0), (0, 1), (1, 1)], float)
-    s1 = in_sphere_indexed(coords, (0, 1, 2), 3)
-    s2 = in_sphere_indexed(coords, (0, 1, 3), 2)
+    rows = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+    s1 = in_sphere_indexed(rows, (0, 1, 2), 3)
+    s2 = in_sphere_indexed(rows, (0, 1, 3), 2)
     assert abs(s1) == 1 and abs(s2) == 1
     assert (s1 > 0) != (s2 > 0)
+    # on two cospherical inputs, every point tied with a Delaunay cell's
+    # circumsphere is put outside it by the perturbation
+    grid = np.array(list(itertools.product(range(3), repeat=3)), float)
+    for coords in (grid, icosahedron_points.coords):
+        rows, ties = coords.tolist(), 0
+        for cell in delaunay(PointSet(coords)).simplices(3):
+            for idx in set(range(len(rows))) - set(cell):
+                pts = [rows[i] for i in cell + (idx,)]
+                if geometry._exact_signs(geometry._gram_power, pts)[1] == 0:
+                    ties += 1
+                    assert in_sphere_indexed(rows, cell, idx) == -1, (cell, idx)
+        assert ties > 0
 
 
 def test_min_circumsphere_examples():
@@ -265,6 +280,83 @@ def test_predicate_kernel_matches_exact_reference(d, k):
         np.array([v for v, _ in cases]), np.array([q for _, q in cases])
     )
     assert batch.tolist() == sides
+
+
+# Every (polynomial, point count, dimension) the kernel is compiled for: the
+# orientation of d + 1 points, and the Gram signs of k + 1 points (det) and of
+# k + 1 points and a query (power), k = 1..d.
+_KERNEL_SHAPES = (
+    [(geometry._orient, d + 1, d) for d in (2, 3)]
+    + [(geometry._gram_det, k + 1, d) for d in (2, 3) for k in range(1, d + 1)]
+    + [(geometry._gram_power, k + 2, d) for d in (2, 3) for k in range(1, d + 1)]
+)
+
+
+def _generic_kernel(poly, rows):
+    """(values, mags) from the polynomial body itself, interpreted."""
+    base, *rest = rows
+    diffs = [[x - y for x, y in zip(p, base)] for p in rest]
+    return poly(diffs, operator.sub), poly([[abs(x) for x in row] for row in diffs], operator.add)
+
+
+def _bits(pair) -> list[bytes]:
+    """The IEEE bytes of (values, mags), each a tuple of floats or of
+    equal-length columns, so that NaN, its sign and -0.0 compare too."""
+    flat = [np.ravel(np.asarray(values, dtype=float)) for values in pair]
+    return [struct.pack(f"<{x.size}d", *x) for x in flat]
+
+
+def _kernel_rows(poly, m, d, rng):
+    """(name, (M, m, d) stack): random, small-integer (zero differences and
+    -0.0 products), near-tie and overflowing rows."""
+    k = m - 1 if poly is geometry._gram_det else m - 2
+    ties = []
+    for verts, query, orient in _near_tie_cases(rng, d, max(k, 1), 60):
+        ties.append(orient if poly is geometry._orient
+                    else verts if poly is geometry._gram_det else np.vstack([verts, query]))
+    return [
+        ("random", rng.normal(size=(60, m, d)) * 10.0 ** rng.integers(-3, 4, size=(60, 1, 1))),
+        ("integer", rng.integers(-2, 3, size=(60, m, d)).astype(float)),
+        ("near_tie", np.array(ties)),
+        ("overflow", rng.uniform(-1.0, 1.0, size=(60, m, d)) * 1e200),
+    ]
+
+
+@pytest.mark.parametrize("poly,m,d", _KERNEL_SHAPES,
+                         ids=[f"{p.__name__}-{m}x{d}" for p, m, d in _KERNEL_SHAPES])
+def test_compiled_kernel_is_the_polynomial_body(poly, m, d):
+    # bit for bit the generic body's values and magnitudes, on Python floats
+    # row by row and on the columns of the whole stack
+    compiled = geometry._compiled(poly, m, d)
+    rng = np.random.default_rng(7 * m + d)
+    for name, stack in _kernel_rows(poly, m, d, rng):
+        assert stack.shape[1:] == (m, d)
+        scalar = [compiled(*rows) for rows in stack.tolist()]
+        for rows, got in zip(stack.tolist(), scalar):
+            assert _bits(got) == _bits(_generic_kernel(poly, rows)), (name, rows)
+        columns = list(stack.transpose(1, 2, 0))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = compiled(*columns)
+            assert _bits(got) == _bits(_generic_kernel(poly, columns)), name
+        # entry r of each column is row r's value on Python floats
+        assert _bits(got) == _bits(np.transpose(scalar, (1, 2, 0))), name
+        if name == "overflow":
+            # inf or NaN fails the certainty test, so the signs come out exact
+            exact = []
+            for (values, mags), rows in zip(scalar, stack.tolist()):
+                assert not all(abs(v) > geometry._ERR * mg for v, mg in zip(values, mags))
+                base = [Fraction(x) for x in rows[0]]
+                diffs = [[Fraction(x) - y for x, y in zip(p, base)] for p in rows[1:]]
+                exact.append([int(np.sign(v)) for v in poly(diffs, operator.sub)])
+                assert list(geometry._exact_signs(poly, rows)) == exact[-1]
+            assert geometry._batch_signs(poly, stack).T.tolist() == exact
+
+
+def test_kernel_shapes_cover_every_compiled_shape():
+    # builds and filtrations in 2D and 3D compile no shape the test above skips
+    for d in (2, 3):
+        alpha_complex(random_cloud(4, 12, d))
+    assert set(geometry._COMPILED) <= set(_KERNEL_SHAPES)
 
 
 def test_min_circumsphere_batch_with_a_needle_row():
