@@ -13,8 +13,9 @@ A boundary is stored once per dimension as a face-index array: row j holds
 the row indices of the q+1 faces of q-simplex j, in the (-1)^i sign order of
 the boundary formula.  Blocks are read from it as dense Fortran-ordered
 arrays through :func:`dense_block`, and its integer Gram matrices B^T B and
-B B^T as entry lists, computed once per boundary, of which every snapshot
-needs only a prefix.
+B B^T as dense matrices, summed from entry lists that are computed once per
+boundary and of which every snapshot needs only a prefix; the entry lists
+stay inside this module.
 """
 
 from __future__ import annotations
@@ -37,20 +38,21 @@ class SparseBoundaryMatrix:
     # q=0, whose boundary is a (1, N_0) zero matrix
     faces: np.ndarray
 
-    def down_gram(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Entries (rows, cols, values) of B^T B on the first c columns, the
-        down-term of L_q at a snapshot with c q-simplices; their faces are
-        all present there, so it is a leading block of the whole B^T B."""
+    def down_gram(self, c: int, order: int) -> np.ndarray:
+        """B^T B on the first c columns as an order x order matrix (order >=
+        c, zero past c), the down-term of L_q at a snapshot with c
+        q-simplices; their faces are all present there, so it is a leading
+        block of the whole B^T B."""
         key, rows, cols, values = self._column_gram
         m = np.searchsorted(key, c)
-        return rows[:m], cols[:m], values[:m]
+        return _dense(rows[:m], cols[:m], values[:m], order)
 
-    def up_gram(self, c: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Entries (rows, cols, values) summing to B B^T over the first c
-        columns, the up-term of L_{q-1} at a snapshot with c q-simplices;
-        repeated (row, col) pairs add up."""
+    def up_gram(self, c: int, order: int) -> np.ndarray:
+        """B B^T over the first c columns as an order x order matrix (order
+        at least the rows they span), the up-term of L_{q-1} at a snapshot
+        with c q-simplices."""
         m = c * self.faces.shape[1] ** 2
-        return tuple(a[:m] for a in self._column_outers)
+        return _dense(*(a[:m] for a in self._column_outers), order)
 
     def transpose_times(self, c: int, u: np.ndarray) -> np.ndarray:
         """B^T u on the first c columns: row j is the signed sum of the rows
@@ -106,6 +108,15 @@ class SparseBoundaryMatrix:
             np.tile(self.faces, k).ravel(),
             np.tile(np.outer(signs, signs).ravel(), self.faces.shape[0]),
         )
+
+
+def _dense(rows, cols, values, order: int) -> np.ndarray:
+    """The order x order float matrix summing the integer entries (rows,
+    cols, values), repeated (row, col) pairs adding up; bincount sums them
+    exactly."""
+    # without entries bincount gives int
+    gram = np.bincount(rows * order + cols, weights=values, minlength=order * order)
+    return gram.reshape(order, order).astype(float, copy=False)
 
 
 def full_boundary(complex: FilteredComplex, q: int) -> SparseBoundaryMatrix:

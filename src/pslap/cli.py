@@ -36,6 +36,7 @@ EXIT_DISAGREEMENT = 4
 DEFAULT_ALPHA_MIN = math.sqrt(1.5)
 DEFAULT_ALPHA_MAX = math.sqrt(10.0)
 DEFAULT_STEP = 0.01
+MAX_GRID_POINTS = 10**6  # the default grid has 170
 
 _INPUT_ERRORS = (ParseError, MixedDimensions, NoCAAtoms, OSError)
 _GEOMETRY_ERRORS = (AllCollinear, AllCoplanar, DegenerateSimplex, DuplicatePoints)
@@ -96,18 +97,27 @@ def _build(args):
     return points, alpha_complex(points, seed=args.seed)
 
 
+def _grid_points(args):
+    """The count of grid values alpha_min + i * step up to alpha_max; inf
+    when the quotient overflows."""
+    span = (args.alpha_max - args.alpha_min) / args.step + 1e-9
+    return math.floor(span) + 1 if math.isfinite(span) else math.inf
+
+
 def _check_grid(args) -> None:
     if args.alpha_min > args.alpha_max:
         raise ParseError(
             f"--alpha-min {args.alpha_min:g} is above --alpha-max {args.alpha_max:g}"
         )
+    points = _grid_points(args)
+    if not args.critical and points > MAX_GRID_POINTS:
+        raise ParseError(f"the alpha grid has {points} points, above the cap of {MAX_GRID_POINTS}")
 
 
 def _alpha_values(args, complex) -> np.ndarray:
     if args.critical:
         return critical_alphas(complex)
-    count = int(math.floor((args.alpha_max - args.alpha_min) / args.step + 1e-9)) + 1
-    return args.alpha_min + args.step * np.arange(max(count, 1))
+    return args.alpha_min + args.step * np.arange(_grid_points(args))
 
 
 def _parse_list(option: str, text: str, convert) -> list:

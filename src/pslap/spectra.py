@@ -9,7 +9,7 @@ side, M^T M for M M^T.  The down part depends only on (q, N_q(alpha)), and
 an up part without projected columns is the down part of q + 1, so one
 complex solves far fewer parts than a sweep has keys, each at its smaller
 side.  Solved parts are kept on the complex, as :class:`HodgePart` records
-of a few numbers each.
+of a few numbers each, and so is each key's record.
 """
 
 from __future__ import annotations
@@ -184,15 +184,6 @@ def spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRecord:
     return SpectrumRecord(lap.q, lap.alpha, lap.p, eigenvalues, betti, lam_min, n, flags)
 
 
-def _gram(entries, n: int) -> np.ndarray:
-    """The n x n float matrix summing the integer entries (rows, cols,
-    values); bincount sums them exactly."""
-    rows, cols, values = entries
-    # without entries bincount gives int
-    lap = np.bincount(rows * n + cols, weights=values, minlength=n * n)
-    return lap.reshape(n, n).astype(float, copy=False)
-
-
 def persistent_laplacian(
     complex: FilteredComplex,
     q: int,
@@ -201,8 +192,8 @@ def persistent_laplacian(
 ) -> PersistentLaplacian:
     """Assemble L_q^{alpha,p} = B_q^T B_q + B_c B_c^T + U U^T.
 
-    The first two terms are integer Gram matrices, read as prefixes of the
-    boundaries' entry lists and exact in floating point: the down-term of
+    The first two terms are integer Gram matrices, exact in floating point
+    (see :class:`SparseBoundaryMatrix`): the down-term of
     the N_q(alpha) q-simplices, and the up-term of the first c
     (q+1)-columns, those whose faces all lie at alpha.  U holds the
     persistent boundary's columns after them (see
@@ -214,13 +205,12 @@ def persistent_laplacian(
     """
     snap_t, snap_tp = snapshot(complex, alpha), snapshot(complex, alpha + p)
     n = snap_t.count(q)
-    down = full_boundary(complex, q).down_gram(n)
     up = full_boundary(complex, q + 1)
     c, u = persistent_boundary(up, snap_t, snap_tp)
-    lap = _gram([np.concatenate(pair) for pair in zip(down, up.up_gram(c))], n)
+    lap = full_boundary(complex, q).down_gram(n, n)
+    lap += up.up_gram(c, n)
     if u.shape[1]:
-        lap += u @ u.T
-        lap = 0.5 * (lap + lap.T)
+        lap += u @ u.T  # exactly symmetric: numpy computes it by dsyrk
     return PersistentLaplacian(lap, q, alpha, p)
 
 
@@ -237,7 +227,7 @@ def _down_matrix(complex: FilteredComplex, q: int, n: int) -> np.ndarray:
     for q = 0)."""
     b = full_boundary(complex, q)
     m = int(b.reach[n - 1]) if n else 0
-    return _gram(b.up_gram(n), m) if m < n else _gram(b.down_gram(n), n)
+    return b.up_gram(n, m) if m < n else b.down_gram(n, n)
 
 
 def _projected_matrix(up: SparseBoundaryMatrix, c: int, u: np.ndarray) -> np.ndarray:
@@ -252,12 +242,12 @@ def _projected_matrix(up: SparseBoundaryMatrix, c: int, u: np.ndarray) -> np.nda
     """
     r, k = u.shape
     if r <= c + k:
-        a = _gram(up.up_gram(c), r)
+        a = up.up_gram(c, r)
         rows = np.flatnonzero(u.any(axis=1))
         nonzero = u[rows]
         a[np.ix_(rows, rows)] += nonzero @ nonzero.T
         return a
-    a = _gram(up.down_gram(c), c + k)
+    a = up.down_gram(c, c + k)
     a[c:, :c] = up.transpose_times(c, u).T
     a[c:, c:] = u.T @ u
     return a
@@ -295,27 +285,15 @@ def _up_part(complex: FilteredComplex, q: int, snap_t: Snapshot, snap_tp: Snapsh
     return complex.derived(("up part", q, snap_t.count(q), snap_tp.count(q + 1)), build)
 
 
-def _fields(complex, q, alpha, p, snap_t, snap_tp, full) -> tuple:
-    """A record's fields after q, alpha and p: eigenvalues (with ``full``,
-    by dsterf on the whole :func:`persistent_laplacian`), Betti number,
-    lambda_min_nonzero, n_simplices and flags, from the two Hodge parts."""
-    check_order(snap_t, snap_tp)
-    n = snap_t.count(q)
-    if n == 0:
-        return (), 0, None, 0, ()
-    parts = _down_part(complex, q, n), _up_part(complex, q, snap_t, snap_tp)
-    betti, lam_min, flags = _combine(complex, n, parts)
-    eigenvalues = ()
-    if full:
-        with lapack.dsytrd(persistent_laplacian(complex, q, alpha, p).matrix) as t:
-            eigenvalues = tuple(lapack.dsterf(t).tolist())
-    return eigenvalues, betti, lam_min, n, flags
-
-
 def spectrum_at(
     complex: FilteredComplex, q: int, alpha: float, p: float = 0.0, full: bool = False
 ) -> SpectrumRecord:
     """The record of L_q^{alpha,p}, from its down and up Hodge parts.
+
+    L_q^{alpha,p} depends only on its key, (q, N_q(alpha), N_{q+1}(alpha + p)),
+    so a key's fields are kept on the complex beside its parts and read by
+    every (alpha, p) with that key.  The snapshot order is checked on every
+    call, and a solve that raises keeps nothing.
 
     It agrees with :func:`spectrum` on the whole :func:`persistent_laplacian`
     in its Betti number, flags and n_simplices, and in lambda_min_nonzero to
@@ -323,38 +301,44 @@ def spectrum_at(
     whole matrix's.
     """
     snap_t, snap_tp = snapshot(complex, alpha), snapshot(complex, alpha + p)
-    return SpectrumRecord(q, alpha, p, *_fields(complex, q, alpha, p, snap_t, snap_tp, full))
+    check_order(snap_t, snap_tp)
+    n = snap_t.count(q)
+
+    def fields():  # after q, alpha and p
+        if n == 0:
+            return (), 0, None, 0, ()
+        parts = _down_part(complex, q, n), _up_part(complex, q, snap_t, snap_tp)
+        betti, lam_min, flags = _combine(complex, n, parts)
+        eigenvalues = ()
+        if full:
+            whole = spectrum(persistent_laplacian(complex, q, alpha, p), full=True)
+            eigenvalues = whole.eigenvalues
+        return eigenvalues, betti, lam_min, n, flags
+
+    key = ("record", q, n, snap_tp.count(q + 1), full)
+    return SpectrumRecord(q, alpha, p, *complex.derived(key, fields))
 
 
 def sweep(
     complex: FilteredComplex, q_list, alphas, p: float = 0.0, full: bool = False
 ) -> list[SpectrumRecord]:
-    """One :func:`spectrum_at` record per (q, alpha), sorted by (q, alpha).
+    """The :func:`spectrum_at` record of every (q, alpha), sorted by (q, alpha).
 
-    L_q^{alpha,p} depends only on its key, (q, N_q(alpha), N_{q+1}(alpha + p)):
-    the q-simplices at alpha and the (q+1)-simplices at alpha + p.  Each key
-    is combined from its parts once per call and its fields reused for the
-    other alphas; alphas with equal keys get equal matrices, so every record
-    equals the one :func:`spectrum_at` gives at its own (q, alpha, p).  A
-    solve that raises a PslapError becomes a record flagged
-    ``failed:<ErrorType>`` and the sweep goes on: ``spectra`` writes it as a
-    row and exits 0, and ``validate`` counts it as a disagreement (exit 4).
+    Alphas with equal keys read one record's fields from the complex.  A
+    record whose solve raises a PslapError is flagged ``failed:<ErrorType>``
+    instead, and the sweep goes on: ``spectra`` writes it as a row and exits
+    0, and ``validate`` counts it as a disagreement (exit 4).
     """
     alphas = sorted(float(a) for a in alphas)
-    q_list = sorted(set(int(q) for q in q_list))
-    snaps = [(a, snapshot(complex, a), snapshot(complex, a + p)) for a in alphas]
-    solved: dict = {}  # key -> the record's fields after q, alpha and p
     results = []
-    for q in q_list:
-        for a, snap_t, snap_tp in snaps:
-            key = (q, snap_t.count(q), snap_tp.count(q + 1))
-            fields = solved.get(key)
-            if fields is None:
-                try:
-                    fields = solved[key] = _fields(complex, q, a, p, snap_t, snap_tp, full)
-                except PslapError as exc:
-                    fields = ((), 0, None, snap_t.count(q), ("failed:" + type(exc).__name__,))
-            results.append(SpectrumRecord(q, a, p, *fields))
+    for q in sorted(set(int(q) for q in q_list)):
+        for a in alphas:
+            try:
+                results.append(spectrum_at(complex, q, a, p, full))
+            except PslapError as exc:
+                flags = ("failed:" + type(exc).__name__,)
+                n = snapshot(complex, a).count(q)
+                results.append(SpectrumRecord(q, a, p, (), 0, None, n, flags))
     return results
 
 

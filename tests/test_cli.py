@@ -99,6 +99,26 @@ def test_bad_q_and_p_are_input_errors(argv, tmp_path, monkeypatch, capsys):
     assert "pslap: input error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectra", "accumulate"])
+@pytest.mark.parametrize("alpha_max,step,points", [
+    ("1e300", "1e-10", "inf"),  # the point count overflows
+    ("1e9", "1e-3", "999999998776"),  # 7.28 TiB of alphas
+], ids=["overflowing", "too-large"])
+def test_oversized_grid_is_an_input_error(
+    command, alpha_max, step, points, tmp_path, monkeypatch, capsys
+):
+    # a grid of more than MAX_GRID_POINTS values is refused before the build,
+    # in one stderr line naming its count; --critical builds no grid
+    monkeypatch.chdir(tmp_path)
+    grid = ["--input", SIX, "--alpha-max", alpha_max, "--step", step]
+    assert run(command, *grid) == 1
+    assert not list(tmp_path.iterdir())
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pslap: input error:"), lines
+    assert f" {points} points" in lines[0]
+    assert run(command, *grid, "--critical") == 0
+
+
 def test_spectra_geometry_error(tmp_path, capsys):
     bad = tmp_path / "line.xyz"
     bad.write_text("0 0\n1 1\n2 2\n3 3\n")

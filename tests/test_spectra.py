@@ -19,6 +19,7 @@ from conftest import (
 )
 from pslap import lapack, spectra
 from pslap.alpha import alpha_complex, critical_alphas
+from pslap.errors import EigensolveFailure, SnapshotOrderViolation
 from pslap.geometry import PointSet
 from pslap.oracle import BettiOracle
 from pslap.simplices import snapshot
@@ -319,9 +320,10 @@ def test_sweep_builds_one_laplacian_per_count_key(monkeypatch):
 
 def test_equal_keys_give_equal_laplacians(cloud20_complex, chain_clean_complex):
     # every two (alpha, p) with equal (q, N_q(alpha), N_{q+1}(alpha + p)), at
-    # p = 0 or span/3, assemble the same matrix bit for bit.  Every sweep
-    # record equals the spectrum_at one, and agrees with spectrum() on the
-    # whole matrix (see _agrees_with_whole_matrix), checked once per key
+    # p = 0 or span/3, assemble the same matrix bit for bit, and every matrix
+    # is exactly symmetric.  Every sweep record equals the spectrum_at one,
+    # and agrees with spectrum() on the whole matrix (see
+    # _agrees_with_whole_matrix), checked once per key
     complexes = [cloud20_complex, chain_clean_complex] + [
         alpha_complex(random_cloud(seed, n, d), seed=seed) for seed, n, d in CLOUDS_4
     ]
@@ -339,10 +341,36 @@ def test_equal_keys_give_equal_laplacians(cloud20_complex, chain_clean_complex):
                         assert np.array_equal(lap.matrix, first[key]), (key, a, p)
                         repeats += 1
                         continue
+                    assert np.array_equal(lap.matrix, lap.matrix.T), key
                     first[key] = lap.matrix
                     _agrees_with_whole_matrix(from_sweep, lap)
                     checked += 1
     assert repeats > 10000 and checked > 5000, (repeats, checked)
+
+
+def test_record_memo_hides_no_order_error_and_keeps_no_failure(six_points, monkeypatch):
+    # a key's record is kept on the complex, yet a p < 0 whose key
+    # (q, N_q(alpha), N_{q+1}(alpha + p)) is that of a solved record still
+    # raises: the snapshot order is checked before the lookup
+    values = {
+        s: float(len(s) - 1) for k in range(1, 5) for s in itertools.combinations(range(4), k)
+    }
+    cx = build_complex(list(values), values)
+    a, p = math.sqrt(3.0), -0.01
+    assert snapshot(cx, a + p).count(2) == snapshot(cx, a).count(2)
+    spectrum_at(cx, 1, a, 0.0)
+    with pytest.raises(SnapshotOrderViolation):
+        spectrum_at(cx, 1, a, p)
+
+    # a solve that raises keeps nothing: once LAPACK converges again, the
+    # same complex gives the record a fresh one gives
+    real = lapack.dstebz
+    monkeypatch.setattr(lapack, "dstebz", lambda *args: (*real(*args)[:-1], 1))
+    cx = alpha_complex(six_points)
+    with pytest.raises(EigensolveFailure):
+        spectrum_at(cx, 1, 0.6, 0.3)
+    monkeypatch.undo()
+    assert spectrum_at(cx, 1, 0.6, 0.3) == spectrum_at(alpha_complex(six_points), 1, 0.6, 0.3)
 
 
 def test_parts_share_solves_across_keys_q_and_p(monkeypatch):
