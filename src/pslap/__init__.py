@@ -13,12 +13,9 @@ from .geometry import PointSet, delaunay, orientation
 from .oracle import Barcode, BettiOracle, betti_from_barcode, reduce
 from .simplices import FilteredComplex, Snapshot, snapshot
 from .spectra import (
-    PersistentLaplacian,
     SpectrumRecord,
     accumulated_laplacian_diagonal,
     detect_anomalies,
-    persistent_laplacian,
-    spectrum,
     spectrum_at,
     sweep,
 )
@@ -29,7 +26,6 @@ __all__ = [
     "Barcode",
     "BettiOracle",
     "FilteredComplex",
-    "PersistentLaplacian",
     "PointSet",
     "Snapshot",
     "SparseBoundaryMatrix",
@@ -44,12 +40,10 @@ __all__ = [
     "full_boundary",
     "orientation",
     "persistent_boundary",
-    "persistent_laplacian",
     "read_pdb_ca",
     "read_xyz",
     "reduce",
     "snapshot",
-    "spectrum",
     "spectrum_at",
     "sweep",
     "write_curves_svg",

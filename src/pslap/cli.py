@@ -233,7 +233,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", default="0,1,2", help="comma-separated dimensions")
     p.add_argument("--p", type=non_negative_float, default=0.0, help="persistence parameter")
     p.add_argument("--out", default="spectra.csv", help="output CSV path")
-    p.add_argument("--json", default=None, help="optional JSON output (with eigenvalues)")
+    p.add_argument(
+        "--json", default=None,
+        help="optional JSON output, adding every eigenvalue of each record: betti exact zeros, "
+             "then its Hodge parts' nonzero eigenvalues",
+    )
     p.add_argument("--svg", default=None, help="optional SVG curve plot path")
     p.set_defaults(func=cmd_spectra)
 

@@ -9,6 +9,8 @@ extension, which links that library.  A numpy without it (1.x wheels, conda
 builds) gets the same routines from ``scipy.linalg.cython_lapack``, with
 32-bit integers, and only then imports scipy.  Both sources take one calling
 path; only the integer width and gfortran's hidden string lengths differ.
+:func:`tridiagonal` loads a form kept from an earlier reduction into a
+workspace, so the two work on it again without reducing anything.
 
 A foreign call checks nothing Python can see: a wrong dtype, layout or size
 reads or writes past a buffer, and an illegal argument makes LAPACK print to
@@ -120,13 +122,14 @@ def _load(fallback: bool = False) -> _Library:
     return _cython_lapack()
 
 
-_lib: _Library | None = None  # loaded on the first reduction
+_lib: _Library | None = None  # loaded with the first workspace
 
 
 class Tridiagonal:
     """A workspace of one order n, holding the symmetric tridiagonal form
-    T = Q^T A Q of the last matrix A that :func:`dsytrd` reduced in it, for
-    :func:`dstebz` and :func:`dsterf`.
+    T = Q^T A Q of the last matrix A that :func:`dsytrd` reduced in it, or
+    the form that :func:`tridiagonal` loaded, for :func:`dstebz` and
+    :func:`dsterf`.
 
     The float workspace holds A in Fortran order (overwritten by dsytrd),
     then d, e, tau, w (dstebz's eigenvalues), the work array, dstebz's int
@@ -180,25 +183,42 @@ class Tridiagonal:
         return self._f[nn + self.n:nn + 2 * self.n - 1]
 
 
+def _workspace(n: int) -> Tridiagonal:
+    """A workspace of order n: one handed back, or a new one."""
+    global _lib
+    if _lib is None:
+        _lib = _load()
+    return _lib.spare.pop(n, None) or Tridiagonal(_lib, n)
+
+
 def dsytrd(a: np.ndarray) -> Tridiagonal:
     """Tridiagonal form of the symmetric matrix ``a`` from its lower
     triangle, on a Fortran-ordered copy (``a`` is left as it is), as
     ``scipy.linalg.lapack.dsytrd(a, lower=1)`` computes it with the optimal
     lwork.  ``a`` is a square float64 array of order at least 1, in any
     memory order; a nonzero info is an EigensolveFailure."""
-    global _lib
     if not isinstance(a, np.ndarray) or a.dtype != np.float64:
         raise EigensolveFailure(f"dsytrd takes a float64 array, not {getattr(a, 'dtype', type(a))}")
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise EigensolveFailure(f"dsytrd takes a square matrix of order >= 1, not shape {a.shape}")
-    if _lib is None:
-        _lib = _load()
-    n = a.shape[0]
-    t = _lib.spare.pop(n, None) or Tridiagonal(_lib, n)
+    t = _workspace(a.shape[0])
     t._a[...] = a
-    _lib.dsytrd(*t._dsytrd)
+    t._lib.dsytrd(*t._dsytrd)
     if t._i[2]:
         raise EigensolveFailure(f"LAPACK dsytrd failed (info={t._i[2]})")
+    return t
+
+
+def tridiagonal(d: np.ndarray, e: np.ndarray) -> Tridiagonal:
+    """A workspace holding the tridiagonal form with diagonal ``d`` and
+    subdiagonal ``e``, as the ``d`` and ``e`` of an earlier reduction give
+    it (copied in, so they are left as they are); no reduction runs."""
+    shape = np.shape(d)
+    if len(shape) != 1 or not shape[0] or np.shape(e) != (shape[0] - 1,):
+        raise EigensolveFailure(f"tridiagonal takes d of length n >= 1 and e of length n - 1, "
+                                f"not shapes {shape} and {np.shape(e)}")
+    t = _workspace(shape[0])
+    t.d[...], t.e[...] = d, e
     return t
 
 

@@ -77,9 +77,6 @@ class FilteredComplex:
     def n_simplices(self, q: int) -> int:
         return len(self._simplices.get(q, ()))
 
-    def index_of(self, simplex: tuple[int, ...]) -> int:
-        return self._index[len(simplex) - 1][simplex]
-
     def filtration_sq(self, simplex: tuple[int, ...]) -> float:
         return self._filtration[simplex]
 

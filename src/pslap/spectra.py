@@ -1,4 +1,4 @@
-"""Persistent Laplacian assembly, spectra, sweeps, and per-vertex diagnostics.
+"""Persistent Laplacian spectra from Hodge parts, sweeps, and per-vertex diagnostics.
 
 A record is read off two Hodge parts of L_q^{alpha,p} = B_q^T B_q + B B^T,
 B the persistent boundary: the down part B_q^T B_q and the up part B B^T.
@@ -9,15 +9,15 @@ side, M^T M for M M^T.  The down part depends only on (q, N_q(alpha)), and
 an up part without projected columns is the down part of q + 1, so one
 complex solves far fewer parts than a sweep has keys, each at its smaller
 side.  Solved parts are kept on the complex, as :class:`HodgePart` records
-of a few numbers each, and so is each key's record.
+of their tridiagonal form and what a record reads off it, and so is each
+key's record.  Every record, eigenvalue lists included, comes from one
+reduction per part.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable
 
 import numpy as np
 
@@ -26,26 +26,12 @@ from .boundary import SparseBoundaryMatrix, check_order, full_boundary, persiste
 from .errors import EigensolveFailure, PslapError
 from .simplices import FilteredComplex, Snapshot, snapshot
 
-# The eigensolver policy (see spectrum).  An eigenvalue below
+# The eigensolver policy (see _part).  An eigenvalue below
 # max(ZERO_ABS, ZERO_REL * lambda_max) counts as zero, and a nonzero/zero
 # ratio below GAP_FACTOR flags the record gap_ambiguous.
 ZERO_ABS = 1e-8
 ZERO_REL = 1e-10
 GAP_FACTOR = 1e3
-
-
-@dataclass
-class PersistentLaplacian:
-    """Symmetric PSD matrix of the q-th persistent Laplacian L_q^{alpha,p}."""
-
-    matrix: np.ndarray
-    q: int
-    alpha: float
-    p: float
-
-    @property
-    def n_simplices(self) -> int:
-        return self.matrix.shape[0]
 
 
 @dataclass(frozen=True)
@@ -64,14 +50,16 @@ class SpectrumRecord:
 
 @dataclass(frozen=True)
 class HodgePart:
-    """What a record needs of the spectrum of one symmetric PSD matrix, and
-    no more: no matrix and no workspace is kept.
+    """What a record needs of the spectrum of one symmetric PSD matrix: its
+    tridiagonal form T (diagonal ``d``, subdiagonal ``e``), and what the
+    bisections of :func:`_part` read off T.  No matrix and no workspace is
+    kept.
 
     ``zeros`` counts the eigenvalues at most ``zero_max``, the bound that the
     matrix's own largest eigenvalue sets; ``largest_zero`` is the largest of
     them (0.0 without any) and ``lambda_min`` the next eigenvalue (None
-    without any).  A record whose other part sets a higher bound bisects
-    this one again, on the matrix that ``rebuild(complex)`` assembles anew.
+    without any).  A record whose other part sets a higher bound bisects T
+    again, and a ``full`` record lists T's nonzero eigenvalues by dsterf.
     """
 
     order: int
@@ -80,10 +68,11 @@ class HodgePart:
     zeros: int
     largest_zero: float
     lambda_min: float | None
-    rebuild: Callable[[FilteredComplex], np.ndarray] | None = None
+    d: np.ndarray
+    e: np.ndarray
 
 
-_EMPTY_PART = HodgePart(0, 0.0, -math.inf, 0, 0.0, None)
+_EMPTY_PART = HodgePart(0, 0.0, -math.inf, 0, 0.0, None, np.empty(0), np.empty(0))
 
 
 def _zero_threshold(lambda_max: float) -> float:
@@ -106,11 +95,16 @@ def _bisect(t, which, vl=-np.inf, vu=np.inf, il=0, iu=0) -> np.ndarray:
     return w
 
 
-def _part(t: lapack.Tridiagonal, rebuild=None, zero_max: float | None = None) -> HodgePart:
+def _part(t: lapack.Tridiagonal, zero_max: float | None = None) -> HodgePart:
     """The :class:`HodgePart` of the tridiagonal ``t``, from three
     bisections: for the eigenvalues above ZERO_ABS / ZERO_REL, the only ones
     that move the zero threshold; for those below the threshold they set
-    (or below ``zero_max``), the zeros; and for the next one."""
+    (or below ``zero_max``), the zeros; and for the next one.
+
+    Every order takes this path.  Sturm counts see every copy of a repeated
+    zero, where Lanczos from one start vector (ARPACK) misses some; a block
+    method would need a block of at least beta + 2 vectors.
+    """
     top = _bisect(t, _VALUES, vl=ZERO_ABS / ZERO_REL)
     lambda_top = float(top[-1]) if len(top) else 0.0
     if zero_max is None:
@@ -124,32 +118,47 @@ def _part(t: lapack.Tridiagonal, rebuild=None, zero_max: float | None = None) ->
             nonzero = _bisect(t, _VALUES, vl=zero_max)
         lam_min = float(nonzero[0])
     largest_zero = float(zeros[-1]) if len(zeros) else 0.0
-    return HodgePart(t.n, lambda_top, zero_max, len(zeros), largest_zero, lam_min, rebuild)
+    return HodgePart(
+        t.n, lambda_top, zero_max, len(zeros), largest_zero, lam_min, t.d.copy(), t.e.copy()
+    )
 
 
-def _at_bound(complex: FilteredComplex, part: HodgePart, zero_max: float) -> HodgePart:
+def _at_bound(part: HodgePart, zero_max: float) -> HodgePart:
     """``part`` with its zeros counted under ``zero_max``, at least its own
-    bound: bisected again only if an eigenvalue lies between the two."""
+    bound: bisected again, on its stored form, only if an eigenvalue lies
+    between the two."""
     if part.zero_max == zero_max or part.lambda_min is None or part.lambda_min > zero_max:
         return part
-    with lapack.dsytrd(part.rebuild(complex)) as t:
-        return _part(t, part.rebuild, zero_max)
+    with lapack.tridiagonal(part.d, part.e) as t:
+        return _part(t, zero_max)
 
 
-def _combine(complex: FilteredComplex, n: int, parts) -> tuple[int, float | None, tuple[str, ...]]:
-    """Betti number, smallest nonzero eigenvalue and flags of an order-n
+def _nonzero(part: HodgePart) -> np.ndarray:
+    """The part's eigenvalues above its zeros, ascending: the top
+    ``order - zeros`` values of dsterf on its stored form."""
+    if part.zeros == part.order:
+        return np.empty(0)
+    with lapack.tridiagonal(part.d, part.e) as t:
+        return lapack.dsterf(t)[part.zeros:]
+
+
+def _combine(n: int, parts, full: bool = False) -> tuple:
+    """The fields after q, alpha and p of the record of an order-n
     Laplacian whose nonzero spectrum is the union of the parts' nonzero
-    spectra.
+    spectra: eigenvalues, Betti number, smallest nonzero eigenvalue,
+    n_simplices and flags.
 
     The zero threshold comes from the larger lambda_max, and every part
     counts its zeros under it.  The Betti number is n less each part's
     nonzero count, lambda_min_nonzero is the smaller of the parts' minima,
     and gap_ambiguous compares it with the largest zero of either part.
+    With ``full``, the eigenvalues are the Betti number's exact zeros, then
+    the union of the parts' nonzero eigenvalues (see :func:`_nonzero`).
     """
     zero_max = math.nextafter(
         _zero_threshold(max(part.lambda_top for part in parts)), -math.inf
     )
-    parts = [_at_bound(complex, part, zero_max) for part in parts]
+    parts = [_at_bound(part, zero_max) for part in parts]
     betti = n - sum(part.order - part.zeros for part in parts)
     lam_min = min((part.lambda_min for part in parts if part.lambda_min is not None), default=None)
     largest_zero = max(part.largest_zero for part in parts)
@@ -157,68 +166,18 @@ def _combine(complex: FilteredComplex, n: int, parts) -> tuple[int, float | None
     if betti and lam_min is not None and largest_zero > 0:
         if lam_min / largest_zero < GAP_FACTOR:
             flags = ("gap_ambiguous",)
-    return betti, lam_min, flags
+    eigenvalues = ()
+    if full:
+        nonzero = np.sort(np.concatenate([_nonzero(part) for part in parts]))
+        eigenvalues = (0.0,) * betti + tuple(nonzero.tolist())
+    return eigenvalues, betti, lam_min, n, flags
 
 
-def spectrum(lap: PersistentLaplacian, full: bool = False) -> SpectrumRecord:
-    """Betti number and smallest nonzero eigenvalue of the persistent
-    Laplacian, with zero/nonzero separation flags, from the whole matrix.
-
-    The record comes from one tridiagonal reduction of the matrix (LAPACK
-    dsytrd, the first half of numpy's eigvalsh) and the three bisections of
-    :func:`_part`; the Betti number is the count of zeros.  With ``full``,
-    the record also lists every eigenvalue, from the same tridiagonal by
-    dsterf, eigvalsh's second half and bytes.
-
-    Every order takes this path.  Sturm counts see every copy of a repeated
-    zero, where Lanczos from one start vector (ARPACK) misses some; a block
-    method would need a block of at least beta + 2 vectors.
-    """
-    n = lap.n_simplices
-    if n == 0:
-        return SpectrumRecord(lap.q, lap.alpha, lap.p, (), 0, None, 0)
-    with lapack.dsytrd(lap.matrix) as t:
-        part = _part(t)
-        eigenvalues = tuple(lapack.dsterf(t).tolist()) if full else ()
-    betti, lam_min, flags = _combine(None, n, [part])
-    return SpectrumRecord(lap.q, lap.alpha, lap.p, eigenvalues, betti, lam_min, n, flags)
-
-
-def persistent_laplacian(
-    complex: FilteredComplex,
-    q: int,
-    alpha: float,
-    p: float = 0.0,
-) -> PersistentLaplacian:
-    """Assemble L_q^{alpha,p} = B_q^T B_q + B_c B_c^T + U U^T.
-
-    The first two terms are integer Gram matrices, exact in floating point
-    (see :class:`SparseBoundaryMatrix`): the down-term of
-    the N_q(alpha) q-simplices, and the up-term of the first c
-    (q+1)-columns, those whose faces all lie at alpha.  U holds the
-    persistent boundary's columns after them (see
-    :func:`persistent_boundary`); without such columns the Laplacian is an
-    exact integer matrix.  The matrix depends only on q, N_q(alpha) and
-    N_{q+1}(alpha + p).  Records come from its Hodge parts; the whole
-    matrix gives the eigenvalues of ``full`` records and is the reference
-    the tests check the parts against.
-    """
-    snap_t, snap_tp = snapshot(complex, alpha), snapshot(complex, alpha + p)
-    n = snap_t.count(q)
-    up = full_boundary(complex, q + 1)
-    c, u = persistent_boundary(up, snap_t, snap_tp)
-    lap = full_boundary(complex, q).down_gram(n, n)
-    lap += up.up_gram(c, n)
-    if u.shape[1]:
-        lap += u @ u.T  # exactly symmetric: numpy computes it by dsyrk
-    return PersistentLaplacian(lap, q, alpha, p)
-
-
-def _solve(matrix: np.ndarray, rebuild) -> HodgePart:
+def _solve(matrix: np.ndarray) -> HodgePart:
     if not len(matrix):
         return _EMPTY_PART
     with lapack.dsytrd(matrix) as t:
-        return _part(t, rebuild)
+        return _part(t)
 
 
 def _down_matrix(complex: FilteredComplex, q: int, n: int) -> np.ndarray:
@@ -253,20 +212,10 @@ def _projected_matrix(up: SparseBoundaryMatrix, c: int, u: np.ndarray) -> np.nda
     return a
 
 
-def _projected_up_matrix(complex: FilteredComplex, q: int, snap_t: Snapshot, snap_tp: Snapshot):
-    up = full_boundary(complex, q + 1)
-    return _projected_matrix(up, *persistent_boundary(up, snap_t, snap_tp))
-
-
 def _down_part(complex: FilteredComplex, q: int, n: int) -> HodgePart:
     """The down part of L_q at N_q(alpha) = n, B_q^T B_q, solved once per
     complex."""
-
-    def build():
-        rebuild = partial(_down_matrix, q=q, n=n)
-        return _solve(rebuild(complex), rebuild)
-
-    return complex.derived(("down part", q, n), build)
+    return complex.derived(("down part", q, n), lambda: _solve(_down_matrix(complex, q, n)))
 
 
 def _up_part(complex: FilteredComplex, q: int, snap_t: Snapshot, snap_tp: Snapshot) -> HodgePart:
@@ -279,8 +228,7 @@ def _up_part(complex: FilteredComplex, q: int, snap_t: Snapshot, snap_tp: Snapsh
         c, u = persistent_boundary(up, snap_t, snap_tp)
         if not u.shape[1]:
             return _down_part(complex, q + 1, c)
-        rebuild = partial(_projected_up_matrix, q=q, snap_t=snap_t, snap_tp=snap_tp)
-        return _solve(_projected_matrix(up, c, u), rebuild)
+        return _solve(_projected_matrix(up, c, u))
 
     return complex.derived(("up part", q, snap_t.count(q), snap_tp.count(q + 1)), build)
 
@@ -295,10 +243,10 @@ def spectrum_at(
     every (alpha, p) with that key.  The snapshot order is checked on every
     call, and a solve that raises keeps nothing.
 
-    It agrees with :func:`spectrum` on the whole :func:`persistent_laplacian`
-    in its Betti number, flags and n_simplices, and in lambda_min_nonzero to
-    rounding (the parts are other matrices); ``full`` eigenvalues are the
-    whole matrix's.
+    ``full`` adds every eigenvalue and no solve: the Betti number's exact
+    zeros, then the parts' nonzero eigenvalues from their stored forms.
+    The parts are other matrices than the whole Laplacian, so every value
+    agrees with the whole matrix's to rounding, not bit for bit.
     """
     snap_t, snap_tp = snapshot(complex, alpha), snapshot(complex, alpha + p)
     check_order(snap_t, snap_tp)
@@ -308,12 +256,7 @@ def spectrum_at(
         if n == 0:
             return (), 0, None, 0, ()
         parts = _down_part(complex, q, n), _up_part(complex, q, snap_t, snap_tp)
-        betti, lam_min, flags = _combine(complex, n, parts)
-        eigenvalues = ()
-        if full:
-            whole = spectrum(persistent_laplacian(complex, q, alpha, p), full=True)
-            eigenvalues = whole.eigenvalues
-        return eigenvalues, betti, lam_min, n, flags
+        return _combine(n, parts, full)
 
     key = ("record", q, n, snap_tp.count(q + 1), full)
     return SpectrumRecord(q, alpha, p, *complex.derived(key, fields))

@@ -257,6 +257,11 @@ def read_spectra_csv(path) -> list[SpectrumRecord]:
 # check the production blocks against them.
 
 
+def simplex_index(cx, q: int) -> dict:
+    """Each q-simplex's position in ``cx.simplices(q)``."""
+    return {s: i for i, s in enumerate(cx.simplices(q))}
+
+
 def reference_boundary(cx, q: int) -> np.ndarray:
     """Dense integer boundary matrix B_q of the whole filtration: column j is
     the boundary of ``cx.simplices(q)[j]``, face i carrying (-1)^i; q=0 gives
@@ -264,9 +269,10 @@ def reference_boundary(cx, q: int) -> np.ndarray:
     if q == 0:
         return np.zeros((1, cx.n_simplices(0)), dtype=np.int64)
     out = np.zeros((cx.n_simplices(q - 1), cx.n_simplices(q)), dtype=np.int64)
+    faces = simplex_index(cx, q - 1)
     for j, s in enumerate(cx.simplices(q)):
         for i in range(len(s)):
-            out[cx.index_of(s[:i] + s[i + 1:]), j] = (-1) ** i
+            out[faces[s[:i] + s[i + 1:]], j] = (-1) ** i
     return out
 
 

@@ -18,13 +18,14 @@ from conftest import (
     prefix_states,
     production_boundary,
     random_cloud,
+    reference_laplacian,
 )
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.cli import main
 from pslap.dataio import read_pdb_ca, read_xyz
 from pslap.oracle import BettiOracle, betti_from_barcode, reduce
 from pslap.simplices import snapshot
-from pslap.spectra import detect_anomalies, persistent_laplacian, spectrum_at, sweep
+from pslap.spectra import detect_anomalies, spectrum_at, sweep
 
 DATA = pathlib.Path(__file__).parent / "data"
 SIX = str(DATA / "six_points.xyz")
@@ -87,10 +88,11 @@ def test_criterion_1_table1(tmp_path, six_points, six_complex):
 
 def test_criterion_2_table2(six_complex):
     with criterion(2, 1.0, "Table 2: L_0^{0.2,0.4} equals L_0^{0.6,0} with matching spectrum"):
-        l_06 = persistent_laplacian(six_complex, 0, 0.6, 0.0).matrix
-        l_0204 = persistent_laplacian(six_complex, 0, 0.2, 0.4).matrix
+        l_06 = reference_laplacian(six_complex, 0, 0.6, 0.0)
+        l_0204 = reference_laplacian(six_complex, 0, 0.2, 0.4)
         assert np.array_equal(l_06, l_0204)
         rec = spectrum_at(six_complex, 0, 0.2, 0.4, full=True)
+        assert rec.eigenvalues == spectrum_at(six_complex, 0, 0.6, 0.0, full=True).eigenvalues
         assert rec.betti == 1
         assert max(abs(a - b) for a, b in zip(rec.eigenvalues, TABLE1[0][0])) <= 5e-5
 

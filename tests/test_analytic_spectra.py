@@ -7,16 +7,18 @@ eigenvalue is |boundary of the sum|^2 / (number of top simplices).
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_cloud, reference_boundary, row_count
+from conftest import random_cloud, reference_boundary, reference_laplacian, row_count
 from pslap.alpha import alpha_complex, critical_alphas
+from pslap.boundary import full_boundary, persistent_boundary
 from pslap.geometry import PointSet
 from pslap.simplices import snapshot
-from pslap.spectra import persistent_laplacian, spectrum
+from pslap.spectra import spectrum_at
 from test_acceptance import CLOUDS_4
 
 # every eigenvalue must match within TOL * lambda_max, lambda_max being the
@@ -24,16 +26,20 @@ from test_acceptance import CLOUDS_4
 TOL = 1e-12
 
 
-def _assert_spectrum(lap, expected):
-    # every eigenvalue by eigvalsh, and the record pslap reports: as many
-    # harmonic chains as zeros, and the smallest nonzero value
-    eigs = np.linalg.eigvalsh(lap.matrix)
+def _assert_spectrum(cx, q, alpha, p, expected):
+    # the record pslap reports of L_q^{alpha,p}: every eigenvalue, as many
+    # harmonic chains as zeros, and the smallest nonzero value.  The dense
+    # projector route's Laplacian, the tests' reference, has the same
+    # eigenvalues by eigvalsh
+    rec = spectrum_at(cx, q, alpha, p, full=True)
+    eigs = np.array(rec.eigenvalues)
     expected = np.sort(expected)
     assert eigs.shape == expected.shape
     assert np.max(np.abs(eigs - expected)) <= TOL * eigs[-1]
-    rec = spectrum(lap)
     assert rec.betti == np.count_nonzero(expected == 0)
     assert abs(rec.lambda_min_nonzero - expected[expected > 0][0]) <= TOL * eigs[-1]
+    reference = np.linalg.eigvalsh(reference_laplacian(cx, q, alpha, p))
+    assert np.max(np.abs(reference - expected)) <= TOL * eigs[-1]
 
 
 @pytest.mark.parametrize("n", [5, 6, 7, 9])
@@ -47,10 +53,10 @@ def test_regular_polygon_spectra(n):
     assert snapshot(cx, 2.0).counts == (n, 2 * n - 3, n - 2, 0)
     cycle = 2 - 2 * np.cos(2 * math.pi * np.arange(1, n) / n)
     # the bare cycle: the cycle graph's nonzero spectrum and its one 1-cycle
-    _assert_spectrum(persistent_laplacian(cx, 1, alpha, 0.0), np.r_[cycle, 0.0])
+    _assert_spectrum(cx, 1, alpha, 0.0, np.r_[cycle, 0.0])
     # filled by alpha + p: the n - 2 triangles sum to a chain with the n-cycle
     # as boundary
-    _assert_spectrum(persistent_laplacian(cx, 1, alpha, 2.0), np.r_[cycle, n / (n - 2)])
+    _assert_spectrum(cx, 1, alpha, 2.0, np.r_[cycle, n / (n - 2)])
 
 
 def test_icosahedron_graph_spectra(icosahedron_complex):
@@ -59,20 +65,15 @@ def test_icosahedron_graph_spectra(icosahedron_complex):
     assert snapshot(cx, alpha).counts == (12, 30, 20, 0)
     r5 = math.sqrt(5)
     # L_0 is the icosahedral graph Laplacian, 5 - (5, sqrt5 x3, -1 x5, -sqrt5 x3)
-    _assert_spectrum(
-        persistent_laplacian(cx, 0, alpha),
-        [0.0] + [5 - r5] * 3 + [6.0] * 5 + [5 + r5] * 3,
-    )
+    _assert_spectrum(cx, 0, alpha, 0.0, [0.0] + [5 - r5] * 3 + [6.0] * 5 + [5 + r5] * 3)
     # L_2 is the Laplacian of the dual graph, the dodecahedron:
     # 3 - (3, sqrt5 x3, 1 x5, 0 x4, -2 x4, -sqrt5 x3)
     dodecahedral = [3 - r5] * 3 + [2.0] * 5 + [3.0] * 4 + [5.0] * 4 + [3 + r5] * 3
-    _assert_spectrum(persistent_laplacian(cx, 2, alpha), [0.0] + dodecahedral)
+    _assert_spectrum(cx, 2, alpha, 0.0, [0.0] + dodecahedral)
     # filled by alpha + p: the sum of the tetrahedra has the 20 surface
     # triangles as boundary
     n_tets = snapshot(cx, 3.0).count(3)
-    _assert_spectrum(
-        persistent_laplacian(cx, 2, alpha, 3.0 - alpha), [20 / n_tets] + dodecahedral
-    )
+    _assert_spectrum(cx, 2, alpha, 3.0 - alpha, [20 / n_tets] + dodecahedral)
 
 
 def test_octahedron_spectra():
@@ -86,31 +87,35 @@ def test_octahedron_spectra():
     n_tets = snapshot(cx, alpha + 0.5).count(3)
     assert n_tets == 4
     # L_0 is the octahedral graph Laplacian, 4 - (4, 0 x3, -2 x2)
-    _assert_spectrum(persistent_laplacian(cx, 0, alpha), [0.0] + [4.0] * 3 + [6.0] * 2)
+    _assert_spectrum(cx, 0, alpha, 0.0, [0.0] + [4.0] * 3 + [6.0] * 2)
     # L_1 = B_1^T B_1 + B_2 B_2^T has no zeros, the surface having no 1-cycle
-    _assert_spectrum(
-        persistent_laplacian(cx, 1, alpha), [2.0] * 3 + [4.0] * 6 + [6.0] * 3
-    )
+    _assert_spectrum(cx, 1, alpha, 0.0, [2.0] * 3 + [4.0] * 6 + [6.0] * 3)
     # L_2 is the Laplacian of the dual graph, the cube: 3 - (3, 1 x3, -1 x3, -3)
     cubical = [2.0] * 3 + [4.0] * 3 + [6.0]
-    _assert_spectrum(persistent_laplacian(cx, 2, alpha), [0.0] + cubical)
+    _assert_spectrum(cx, 2, alpha, 0.0, [0.0] + cubical)
     # filled by alpha + p: the sum of the tetrahedra has the 8 surface
     # triangles as boundary
-    _assert_spectrum(persistent_laplacian(cx, 2, alpha, 0.5), [8 / n_tets] + cubical)
+    _assert_spectrum(cx, 2, alpha, 0.5, [8 / n_tets] + cubical)
 
 
 def test_vertex_laplacian_at_alpha_plus_p(six_complex, icosahedron_complex, cloud20_complex):
     # every vertex enters at 0, so Diff_1 has no rows and the persistent
-    # boundary is the whole later B_1: L_0^{alpha,p} is the graph Laplacian
-    # at alpha + p, L_0^{alpha+p,0}, as an exact integer matrix
+    # boundary is the whole later B_1, without projected columns:
+    # L_0^{alpha,p} is the graph Laplacian at alpha + p, L_0^{alpha+p,0}, as
+    # an exact integer matrix, and has its record
     checked = 0
     for cx in (six_complex, icosahedron_complex, cloud20_complex):
         crit = critical_alphas(cx)
         span = crit[-1] - crit[0]
         for p in (span / 7.0, span / 3.0, span):
             for a in crit:
-                lap = persistent_laplacian(cx, 0, a, p).matrix
-                assert np.array_equal(lap, persistent_laplacian(cx, 0, a + p).matrix), (a, p)
+                s_t, s_tp = snapshot(cx, a), snapshot(cx, a + p)
+                c, u = persistent_boundary(full_boundary(cx, 1), s_t, s_tp)
+                assert (c, u.shape[1]) == (s_tp.count(1), 0), (a, p)
+                lap = reference_laplacian(cx, 0, a, p)
+                assert np.array_equal(lap, reference_laplacian(cx, 0, a + p)), (a, p)
+                rec = spectrum_at(cx, 0, a, p, full=True)
+                assert rec == replace(spectrum_at(cx, 0, a + p, full=True), alpha=a, p=p), (a, p)
                 checked += 1
     assert checked > 300, checked
 
@@ -150,7 +155,7 @@ def test_hodge_split_on_oracle_clouds():
                         continue
                     seen.add(key)
                     down, up = _hodge_parts(boundaries, q, s_t, s_tp)
-                    eigs = np.linalg.eigvalsh(persistent_laplacian(cx, q, a, p).matrix)
+                    eigs = np.array(spectrum_at(cx, q, a, p, full=True).eigenvalues)
                     # the parts hold at least n zeros between them; the rest,
                     # with the zeros of L, is L's spectrum
                     union = np.sort(np.r_[np.linalg.eigvalsh(down), np.linalg.eigvalsh(up)])

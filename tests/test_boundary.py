@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from conftest import (
+    DATA,
     build_complex,
     exact_rank_int,
     harmonic_persistent_boundary,
@@ -18,10 +19,12 @@ from conftest import (
     reference_persistent_boundary,
     reference_restriction,
     row_count,
+    simplex_index,
 )
 from pslap import boundary
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.boundary import dense_block, full_boundary, persistent_boundary
+from pslap.dataio import read_xyz
 from pslap.errors import LinearSolveFailure, SnapshotOrderViolation
 from pslap.simplices import snapshot
 from pslap.spectra import sweep
@@ -62,7 +65,7 @@ def test_table1_boundary_matrices(six_complex):
     assert b1.shape == (6, 7)
     assert np.array_equal(dense_block(full_boundary(six_complex, 1), 0, 6, 0, 7), b1)
     # vertex rows are index order A..F; edge columns via the complex's order
-    col = {e: six_complex.index_of(e) for e in TABLE1_EDGES}
+    col = simplex_index(six_complex, 1)
     reordered = b1[:, [col[e] for e in TABLE1_EDGES]]
     assert np.array_equal(reordered, TABLE1_B1)
     b2 = reference_restriction(six_complex, 2, snap)
@@ -192,9 +195,9 @@ def test_diff_operator_two_edges():
     s_tp = snapshot(c, 2.0)
     d = reference_diff(c, 1, s_t, s_tp)
     assert d.shape == (1, 2)  # the row of vertex 3
-    e2_col = c.index_of((2, 3))
-    assert d[:, e2_col].any()
-    assert not d[:, c.index_of((0, 1))].any()
+    col = simplex_index(c, 1)
+    assert d[:, col[(2, 3)]].any()
+    assert not d[:, col[(0, 1)]].any()
     kernel = scipy.linalg.null_space(d)
     assert kernel.shape[1] == 1  # e2 excluded from the persistent chain space
     # production reads only the new edge's column of Diff, and it is nonzero
@@ -282,9 +285,11 @@ def test_null_space_failure_is_typed(monkeypatch):
     assert rec.flags == ("failed:LinearSolveFailure",)
 
 
-def test_kernel_basis_matches_null_space(cloud20_complex, chain_clean_complex, monkeypatch):
+def test_kernel_basis_matches_null_space(monkeypatch):
     # numpy's SVD gives scipy.linalg.null_space's kernel basis bit for bit on
-    # every Diff block the sweeps of these inputs project
+    # every Diff block the sweeps of these inputs project.  The complexes are
+    # fresh ones: a shared one may hold solved parts, whose sweeps then
+    # project fewer blocks
     blocks = []
     kernel = boundary._null_space
 
@@ -293,7 +298,8 @@ def test_kernel_basis_matches_null_space(cloud20_complex, chain_clean_complex, m
         return kernel(d)
 
     monkeypatch.setattr(boundary, "_null_space", record)
-    for cx, p_fixed in ((cloud20_complex, 0.3), (chain_clean_complex, 0.5)):
+    for name, p_fixed in (("cloud20_3d", 0.3), ("chain_clean", 0.5)):
+        cx = alpha_complex(read_xyz(DATA / f"{name}.xyz"))
         crit = critical_alphas(cx)
         for p in (p_fixed, (crit[-1] - crit[0]) / 3.0):
             sweep(cx, [0, 1, 2], crit, p=p)

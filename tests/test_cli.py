@@ -218,6 +218,29 @@ def test_spectra_csv_does_not_depend_on_json(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_json_adds_no_solve(tmp_path, monkeypatch):
+    # --json lists every eigenvalue from the Hodge parts the CSV fields come
+    # from: it reduces no matrix and projects no boundary beyond the plain
+    # command.  Each run reads the input and builds a complex of its own
+    calls = {}
+    for module, name in ((lapack, "dsytrd"), (spectra, "persistent_boundary")):
+
+        def counting(*args, real=getattr(module, name), name=name):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    args = ["spectra", "--input", str(DATA / "cloud20_3d.xyz"), "--critical", "--q", "0,1,2",
+            "--p", "0.3", "--out", str(tmp_path / "s.csv")]
+    counts = []
+    for extra in ([], ["--json", str(tmp_path / "s.json")]):
+        calls.clear()
+        assert run(*args, *extra) == 0
+        counts.append(dict(calls))
+    plain, with_json = counts
+    assert plain == with_json and plain["dsytrd"] > 0 and plain["persistent_boundary"] > 0, counts
+
+
 def test_eigensolve_failure_is_typed(tmp_path, monkeypatch):
     # LAPACK reporting no convergence (info > 0) is an EigensolveFailure, the
     # solver error of exit code 3; a sweep flags the record instead, so

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 import scipy.linalg.lapack as scipy_lapack
 
-from conftest import random_cloud
+from conftest import random_cloud, reference_laplacian
 from pslap import lapack
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.errors import EigensolveFailure
-from pslap.spectra import persistent_laplacian
 
 # scipy's dstebz names its ranges by number
 SCIPY_RANGE = {b"A": 0, b"V": 1, b"I": 2}
@@ -32,9 +31,9 @@ def _matrices():
         for p in (0.0, (crit[-1] - crit[0]) / 3.0):
             for q in (0, 1, 2):
                 for a in crit[::7]:
-                    lap = persistent_laplacian(cx, q, a, p)
-                    if lap.n_simplices:
-                        out.append(lap.matrix)
+                    lap = reference_laplacian(cx, q, a, p)
+                    if len(lap):
+                        out.append(lap)
     rng = np.random.default_rng(7)
     for n in (1, 2, 3, 5, 33, 70):
         m = rng.normal(size=(n, n))
@@ -106,6 +105,39 @@ def test_dsterf_matches_scipy(source):
             assert np.array_equal(lapack.dsterf(t), w), len(a)
             # dsterf works on copies of d and e: the same tridiagonal is left
             assert np.array_equal(lapack.dstebz(t, b"A")[0], bisected)
+
+
+def test_tridiagonal_loads_a_stored_form(source):
+    # a form kept from a reduction, loaded into a workspace, bisects and
+    # gives every eigenvalue as the workspace it came from does, and the
+    # kept arrays are left as they are
+    for a in MATRICES:
+        with lapack.dsytrd(a) as t:
+            d, e = t.d.copy(), t.e.copy()
+            bisected, everything = lapack.dstebz(t, b"A")[0], lapack.dsterf(t)
+            zeros = lapack.dstebz(t, b"V", vu=1e-8)
+        kept = d.copy(), e.copy()
+        with lapack.tridiagonal(d, e) as t:
+            assert np.array_equal(lapack.dstebz(t, b"A")[0], bisected), len(a)
+            assert np.array_equal(lapack.dsterf(t), everything), len(a)
+            v, info = lapack.dstebz(t, b"V", vu=1e-8)
+            assert np.array_equal(v, zeros[0]) and info == zeros[1], len(a)
+        assert np.array_equal(d, kept[0]) and np.array_equal(e, kept[1])
+
+
+def test_tridiagonal_rejects_bad_arguments(source, capfd):
+    bad = [
+        (np.empty(0), np.empty(0)),
+        (np.ones(3), np.ones(3)),
+        (np.ones(3), np.ones(1)),
+        (np.ones((2, 2)), np.ones(1)),
+        (2.0, np.empty(0)),
+        (None, None),
+    ]
+    for d, e in bad:
+        with pytest.raises(EigensolveFailure):
+            lapack.tridiagonal(d, e)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_dsytrd_takes_any_memory_order(source):

@@ -14,24 +14,17 @@ from conftest import (
     random_cloud,
     reference_boundary,
     reference_laplacian,
+    reference_persistent_boundary,
     reference_spectrum,
-    row_count,
 )
 from pslap import lapack, spectra
 from pslap.alpha import alpha_complex, critical_alphas
+from pslap.boundary import full_boundary, persistent_boundary
 from pslap.errors import EigensolveFailure, SnapshotOrderViolation
 from pslap.geometry import PointSet
 from pslap.oracle import BettiOracle
 from pslap.simplices import snapshot
-from pslap.spectra import (
-    PersistentLaplacian,
-    accumulated_laplacian_diagonal,
-    detect_anomalies,
-    persistent_laplacian,
-    spectrum,
-    spectrum_at,
-    sweep,
-)
+from pslap.spectra import accumulated_laplacian_diagonal, detect_anomalies, spectrum_at, sweep
 from test_acceptance import CLOUDS_4
 
 TABLE1_L0 = np.array(
@@ -51,8 +44,10 @@ SPEC_L1 = [0.0, 1.0, 1.5858, 3.0, 3.0, 4.0, 4.4142]
 
 
 def test_table1_l0_matrix(six_complex):
-    lap = persistent_laplacian(six_complex, 0, 0.6, 0.0)
-    assert np.array_equal(lap.matrix, TABLE1_L0)
+    assert np.array_equal(reference_laplacian(six_complex, 0, 0.6, 0.0), TABLE1_L0)
+    rec = spectrum_at(six_complex, 0, 0.6, 0.0, full=True)
+    eigs = np.linalg.eigvalsh(TABLE1_L0)
+    assert np.max(np.abs(np.array(rec.eigenvalues) - eigs)) <= PIN_TOL * eigs[-1]
 
 
 def test_table1_spectra(six_complex):
@@ -65,8 +60,7 @@ def test_table1_spectra(six_complex):
 
 
 def test_table2_matrix_and_spectrum(six_complex):
-    lap = persistent_laplacian(six_complex, 0, 0.2, 0.4)
-    assert np.array_equal(lap.matrix, TABLE1_L0)
+    assert np.array_equal(reference_laplacian(six_complex, 0, 0.2, 0.4), TABLE1_L0)
     rec = spectrum_at(six_complex, 0, 0.2, 0.4, full=True)
     assert rec.betti == 1
     assert np.allclose(rec.eigenvalues, SPEC_L0, atol=5e-5)
@@ -87,46 +81,72 @@ def test_spectrum_record_invariants(six_complex):
 PIN_TOL = 1e-12
 
 
-def _integer_laplacian(boundaries, q: int, snap) -> np.ndarray:
-    """B_{q+1} B_{q+1}^T + B_q^T B_q at the snapshot, in integer arithmetic
-    from the reference boundaries."""
-    n = snap.count(q)
-    bq = boundaries[q][: row_count(q, snap), :n]
-    bup = boundaries[q + 1][:n, : snap.count(q + 1)]
-    return bup @ bup.T + bq.T @ bq
+def _integer_gram(b: np.ndarray) -> np.ndarray:
+    """The integer Gram matrix of the boundary columns ``b`` at its smaller
+    side: B B^T on the rows they span, if fewer than the columns, else
+    B^T B."""
+    m = int(np.flatnonzero(b.any(axis=1)).max(initial=-1)) + 1
+    return (b[:m] @ b[:m].T if m < b.shape[1] else b.T @ b).astype(float)
+
+
+def _lower(a: np.ndarray) -> np.ndarray:
+    """The symmetric matrix whose lower triangle ``a`` holds, as dsytrd reads it."""
+    return np.tril(a) + np.tril(a, -1).T
 
 
 def test_psd_and_symmetry(six_complex, icosahedron_complex):
-    # every record is a symmetric matrix; one without new (q+1)-simplices is
-    # the exact integer Laplacian, and a projected one is PSD and agrees with
-    # the dense projector route.  The 50 clouds check every third critical
-    # value; their SVDs and eigensolves would otherwise take most of a minute
+    # every Hodge part a record reduces (see spectra._down_part and
+    # _up_part): B_q^T B_q, and an up part without projected columns, is the
+    # reference boundary's integer Gram matrix at its smaller side bit for
+    # bit, so exactly symmetric; a projected up part is PSD, exactly
+    # symmetric on its B B^T side, and has the nonzero spectrum of B B^T, B
+    # the dense projector route's persistent boundary, within PIN_TOL *
+    # lambda_max, the larger part's largest eigenvalue.  The 50 clouds check
+    # every third critical value; their SVDs and eigensolves would otherwise
+    # take most of a minute
     complexes = [(six_complex, 1), (icosahedron_complex, 1)] + [
         (alpha_complex(random_cloud(seed, n, d), seed=seed), 3) for seed, n, d in CLOUDS_4
     ]
-    exact, projected = {}, 0
+    integer = {}  # (i, q, n) -> lambda_max of the integer part
+    exact, projected = set(), 0
     for i, (cx, stride) in enumerate(complexes):
         boundaries = [reference_boundary(cx, k) for k in range(cx.max_dim + 2)]
+
+        def check_integer(q, n):
+            if (i, q, n) not in integer:
+                part = spectra._down_matrix(cx, q, n)
+                assert np.array_equal(part, _integer_gram(boundaries[q][:, :n])), (i, q, n)
+                integer[i, q, n] = np.linalg.eigvalsh(part)[-1] if len(part) else 0.0
+            return integer[i, q, n]
+
         crit = critical_alphas(cx)
         for p in (0.0, (crit[-1] - crit[0]) / 3.0):
             for q in range(min(cx.max_dim, 2) + 1):
                 for a in crit[::stride]:
-                    lap = persistent_laplacian(cx, q, a, p).matrix
-                    if lap.shape[0] == 0:
-                        continue
-                    assert np.array_equal(lap, lap.T)
                     s_t, s_tp = snapshot(cx, a), snapshot(cx, a + p)
-                    if s_tp.count(q + 1) == s_t.count(q + 1):
-                        key = (i, q, s_t.counts)
-                        if key not in exact:
-                            exact[key] = _integer_laplacian(boundaries, q, s_t)
-                        assert np.array_equal(lap, exact[key])
+                    if s_t.count(q) == 0:
                         continue
-                    eigs = np.linalg.eigvalsh(lap)
-                    assert eigs[0] >= -1e-9 * max(1.0, eigs[-1])
-                    ref = reference_laplacian(cx, q, a, p)
-                    assert np.max(np.abs(lap - ref)) <= PIN_TOL * eigs[-1]
+                    lambda_down = check_integer(q, s_t.count(q))
+                    up = full_boundary(cx, q + 1)
+                    c, u = persistent_boundary(up, s_t, s_tp)
+                    if s_tp.count(q + 1) == s_t.count(q + 1):
+                        assert (c, u.shape[1]) == (s_t.count(q + 1), 0)
+                        check_integer(q + 1, c)
+                        exact.add((i, q, s_t.counts))
+                        continue
                     projected += 1
+                    if not u.shape[1]:
+                        check_integer(q + 1, c)
+                        continue
+                    part = spectra._projected_matrix(up, c, u)
+                    if len(part) == u.shape[0]:  # the B B^T side
+                        assert np.array_equal(part, part.T)
+                    eigs = np.linalg.eigvalsh(_lower(part))
+                    assert eigs[0] >= -1e-9 * max(1.0, eigs[-1])
+                    b = reference_persistent_boundary(up, s_t, s_tp)
+                    ref = np.linalg.eigvalsh(b @ b.T)
+                    error = np.max(np.abs(eigs - ref[len(ref) - len(eigs):]))
+                    assert error <= PIN_TOL * max(lambda_down, ref[-1]), (i, q, a, p)
     assert len(exact) > 1000 and projected > 1000, (len(exact), projected)
 
 
@@ -138,15 +158,14 @@ def test_empty_spectrum():
     assert rec.lambda_min_nonzero is None
     # order 1 takes the same reduction and bisections as every other order:
     # values on either side of the zero threshold 1e-8, and above 100, where
-    # the one eigenvalue moves the threshold itself
+    # the one eigenvalue moves the threshold itself.  A listed zero is an
+    # exact 0.0
     for value in (0.0, -1e-17, 3e-9, 1e-8, 2e-8, 1.0, 99.0, 150.0, 1e12):
-        lap = PersistentLaplacian(np.array([[value]]), 1, 0.5, 0.0)
-        eigs, betti, lam_min, flags = reference_spectrum(lap.matrix)
-        rec = spectrum(lap, full=True)
-        assert (rec.eigenvalues, rec.betti, rec.lambda_min_nonzero, rec.flags) == (
-            eigs, betti, lam_min, flags,
-        ), value
-        assert rec.n_simplices == 1
+        matrix = np.array([[value]])
+        eigs, betti, lam_min, flags = reference_spectrum(matrix)
+        listed = (0.0,) * betti + eigs[betti:]
+        fields = spectra._combine(1, [spectra._solve(matrix)], full=True)
+        assert fields == (listed, betti, lam_min, 1, flags), value
 
 
 def test_sweep_six_points(six_complex):
@@ -203,9 +222,9 @@ def test_sweep_identical_between_critical_values(six_complex):
 
 def test_targeted_solve_matches_dense_reference():
     # on every third critical value of the 50 oracle clouds at p = 0 and
-    # span/3: the Betti number and flags equal those of a full eigvalsh, so do
-    # the full eigenvalues to the last bit, lambda_min_nonzero agrees within
-    # PIN_TOL * lambda_max, and without full only the eigenvalues are left out
+    # span/3, a full record agrees with every eigenvalue of the dense
+    # projector route's Laplacian (see _agrees_with_reference), and without
+    # full only the eigenvalues are left out
     checked = 0
     for seed, n, d in CLOUDS_4:
         cx = alpha_complex(random_cloud(seed, n, d), seed=seed)
@@ -213,35 +232,29 @@ def test_targeted_solve_matches_dense_reference():
         for p in (0.0, (crit[-1] - crit[0]) / 3.0):
             for q in (0, 1, 2):
                 for a in crit[::3]:
-                    lap = persistent_laplacian(cx, q, a, p)
-                    if lap.n_simplices == 0:
+                    rec = spectrum_at(cx, q, a, p, full=True)
+                    if rec.n_simplices == 0:
                         continue
-                    eigs, betti, lam_min, flags = reference_spectrum(lap.matrix)
-                    rec = spectrum(lap, full=True)
-                    assert rec.eigenvalues == eigs, (seed, q, a, p)
-                    assert (rec.betti, rec.flags) == (betti, flags), (seed, q, a, p)
-                    if lam_min is None:
-                        assert rec.lambda_min_nonzero is None
-                    else:
-                        assert abs(rec.lambda_min_nonzero - lam_min) <= PIN_TOL * eigs[-1]
-                    assert spectrum(lap) == replace(rec, eigenvalues=())
+                    _agrees_with_reference(rec, cx)
+                    assert spectrum_at(cx, q, a, p) == replace(rec, eigenvalues=())
                     checked += 1
     assert checked > 5000, checked
 
 
 def test_clustered_top_eigenvalues(monkeypatch):
     # criterion 4's cloud 120 at its 14th critical value, q = 1, p = 2 span/3:
-    # the four largest eigenvalues lie within 4e-15 of 4 and the tridiagonal
-    # splits there, where an index bisection for lambda_max comes back short
-    # (LAPACK dstebz info 2).  A short index range for lambda_min_nonzero
-    # falls back to bisecting every nonzero eigenvalue, to the same record
-    cx = alpha_complex(random_cloud(120, 28, 2), seed=120)
-    crit = critical_alphas(cx)
-    lap = persistent_laplacian(cx, 1, crit[13], 2 * (crit[-1] - crit[0]) / 3)
-    eigs, betti, lam_min, flags = reference_spectrum(lap.matrix)
-    rec = spectrum(lap)
-    assert (rec.betti, rec.flags) == (betti, flags)
-    assert abs(rec.lambda_min_nonzero - lam_min) <= PIN_TOL * eigs[-1]
+    # the four largest eigenvalues lie within 4e-15 of 4.  An index bisection
+    # that comes back short (LAPACK dstebz info 2, where eigenvalues closer
+    # than its tolerance straddle a split of the tridiagonal) falls back to
+    # bisecting every nonzero eigenvalue, to the same record
+    def record():
+        cx = alpha_complex(random_cloud(120, 28, 2), seed=120)  # no solved parts
+        crit = critical_alphas(cx)
+        rec = spectrum_at(cx, 1, crit[13], 2 * (crit[-1] - crit[0]) / 3, full=True)
+        _agrees_with_reference(rec, cx)
+        return rec
+
+    rec = record()
     real = lapack.dstebz
 
     def short_by_index(t, which, *args):
@@ -251,9 +264,7 @@ def test_clustered_top_eigenvalues(monkeypatch):
         return w, info
 
     monkeypatch.setattr(lapack, "dstebz", short_by_index)
-    fallback = spectrum(lap)
-    assert (fallback.betti, fallback.flags) == (betti, flags)
-    assert abs(fallback.lambda_min_nonzero - lam_min) <= PIN_TOL * eigs[-1]
+    assert record() == rec
 
 
 def _count_reductions(monkeypatch) -> list:
@@ -268,17 +279,25 @@ def _count_reductions(monkeypatch) -> list:
     return orders
 
 
-def _agrees_with_whole_matrix(rec, lap) -> None:
-    # a record from the Hodge parts against spectrum() on the whole matrix:
-    # equal Betti number, flags and n_simplices, lambda_min_nonzero within
-    # PIN_TOL * lambda_max
-    whole = spectrum(lap, full=True)
-    assert (rec.betti, rec.flags, rec.n_simplices) == (whole.betti, whole.flags, whole.n_simplices)
-    if whole.lambda_min_nonzero is None:
-        assert rec.lambda_min_nonzero is None
+def _agrees_with_reference(rec, cx) -> None:
+    # a record from the Hodge parts against reference_spectrum() of the dense
+    # projector route's Laplacian: equal Betti number, flags and
+    # n_simplices, lambda_min_nonzero within PIN_TOL * lambda_max, and listed
+    # eigenvalues within PIN_TOL * max(lambda_max, 1), the first betti of
+    # them exact zeros
+    eigs, betti, lam_min, flags = reference_spectrum(
+        reference_laplacian(cx, rec.q, rec.alpha, rec.p)
+    )
+    key = (rec.q, rec.alpha, rec.p)
+    assert (rec.betti, rec.flags, rec.n_simplices) == (betti, flags, len(eigs)), key
+    if lam_min is None:
+        assert rec.lambda_min_nonzero is None, key
     else:
-        tol = PIN_TOL * whole.eigenvalues[-1]
-        assert abs(rec.lambda_min_nonzero - whole.lambda_min_nonzero) <= tol
+        assert abs(rec.lambda_min_nonzero - lam_min) <= PIN_TOL * eigs[-1], key
+    if rec.eigenvalues:
+        assert rec.eigenvalues[:betti] == (0.0,) * betti, key
+        error = np.max(np.abs(np.array(rec.eigenvalues) - eigs))
+        assert error <= PIN_TOL * max(eigs[-1], 1.0), key
 
 
 def test_sweep_builds_one_laplacian_per_count_key(monkeypatch):
@@ -315,35 +334,33 @@ def test_sweep_builds_one_laplacian_per_count_key(monkeypatch):
     first, second = sweep(cx, [0], alphas, p=p)
     assert reduced == [2]
     assert replace(first, alpha=alphas[1]) == second
-    _agrees_with_whole_matrix(second, persistent_laplacian(cx, 0, alphas[1], p))
+    _agrees_with_reference(second, cx)
 
 
 def test_equal_keys_give_equal_laplacians(cloud20_complex, chain_clean_complex):
     # every two (alpha, p) with equal (q, N_q(alpha), N_{q+1}(alpha + p)), at
-    # p = 0 or span/3, assemble the same matrix bit for bit, and every matrix
-    # is exactly symmetric.  Every sweep record equals the spectrum_at one,
-    # and agrees with spectrum() on the whole matrix (see
-    # _agrees_with_whole_matrix), checked once per key
+    # p = 0 or span/3, give the same record but for alpha and p.  Every sweep
+    # record equals the spectrum_at one, and agrees with the dense projector
+    # route's Laplacian (see _agrees_with_reference), checked once per key
     complexes = [cloud20_complex, chain_clean_complex] + [
         alpha_complex(random_cloud(seed, n, d), seed=seed) for seed, n, d in CLOUDS_4
     ]
     repeats = checked = 0
     for cx in complexes:
         crit = critical_alphas(cx)
-        first = {}  # key -> matrix
+        first = {}  # key -> record
         for p in (0.0, (crit[-1] - crit[0]) / 3.0):
             for q in (0, 1, 2):
                 for a, from_sweep in zip(crit, sweep(cx, [q], crit, p)):
                     assert from_sweep == spectrum_at(cx, q, a, p), (q, a, p)
                     key = (q, snapshot(cx, a).count(q), snapshot(cx, a + p).count(q + 1))
-                    lap = persistent_laplacian(cx, q, a, p)
                     if key in first:
-                        assert np.array_equal(lap.matrix, first[key]), (key, a, p)
+                        assert replace(first[key], alpha=a, p=p) == from_sweep, (key, a, p)
                         repeats += 1
                         continue
-                    assert np.array_equal(lap.matrix, lap.matrix.T), key
-                    first[key] = lap.matrix
-                    _agrees_with_whole_matrix(from_sweep, lap)
+                    first[key] = from_sweep
+                    if from_sweep.n_simplices:
+                        _agrees_with_reference(from_sweep, cx)
                     checked += 1
     assert repeats > 10000 and checked > 5000, (repeats, checked)
 
@@ -396,27 +413,30 @@ def test_parts_share_solves_across_keys_q_and_p(monkeypatch):
     assert 0 < len(reduced) < len(keys), (len(reduced), len(keys))
 
 
-def test_larger_lambda_max_of_one_part_sets_the_threshold():
+def test_larger_lambda_max_of_one_part_sets_the_threshold(monkeypatch):
     # the first part's lambda_max of 1e4 sets the zero threshold at 1e-6,
     # above the second part's 1e-7, which its own threshold of 1e-8 counted
-    # as nonzero: the record bisects that part again and counts 1e-7 as a
-    # zero, and gap_ambiguous compares it with 1e-5, the second part's next
-    # value.  The record equals spectrum() on the block-diagonal whole
+    # as nonzero: the record bisects that part's stored form again, reducing
+    # nothing, and counts 1e-7 as a zero, and gap_ambiguous compares it with
+    # 1e-5, the second part's next value.  The record equals
+    # reference_spectrum() of the block-diagonal whole, its listed zeros
+    # exact
     big, small = np.diag([1e4, 1.0]), np.diag([1e-7, 1e-5, 2.0])
-    parts = []
-    for matrix in (big, small):
-        with lapack.dsytrd(matrix) as t:
-            parts.append(spectra._part(t, lambda cx, m=matrix: m))
+    parts = [spectra._solve(matrix) for matrix in (big, small)]
     assert parts[1].zeros == 0 and parts[1].lambda_min == pytest.approx(1e-7)
     n = 6  # one more simplex than the parts' orders: one harmonic chain
-    betti, lam_min, flags = spectra._combine(None, n, parts)
+    reduced = _count_reductions(monkeypatch)
+    eigenvalues, betti, lam_min, order, flags = spectra._combine(n, parts, full=True)
+    assert reduced == []
     whole = np.zeros((n, n))
     whole[:2, :2], whole[2:5, 2:5] = big, small
-    rec = spectrum(PersistentLaplacian(whole, 1, 0.0, 0.0))
-    assert (betti, flags) == (rec.betti, rec.flags) == (2, ("gap_ambiguous",))
-    assert lam_min == pytest.approx(rec.lambda_min_nonzero) == pytest.approx(1e-5)
+    eigs, ref_betti, ref_lam_min, ref_flags = reference_spectrum(whole)
+    assert (betti, flags, order) == (ref_betti, ref_flags, n) == (2, ("gap_ambiguous",), n)
+    assert lam_min == pytest.approx(ref_lam_min) == pytest.approx(1e-5)
+    assert eigenvalues[:2] == (0.0, 0.0)  # 1e-7 is listed as a zero
+    assert np.max(np.abs(np.array(eigenvalues[2:]) - eigs[2:])) <= PIN_TOL * eigs[-1]
     # in the other order the parts combine alike
-    assert spectra._combine(None, n, parts[::-1]) == (betti, lam_min, flags)
+    assert spectra._combine(n, parts[::-1], full=True) == (eigenvalues, betti, lam_min, n, flags)
 
 
 def test_repeated_zero_above_order_2000():
