@@ -1,14 +1,19 @@
 """Geometric predicates, circumspheres, and Delaunay tessellation in 2D/3D.
 
-Every predicate sign comes from one kernel, ``_exact_signs``, applied to two
+Every predicate sign comes from one kernel, ``_exact_signs``, applied to
 polynomials in the coordinate differences ``p_i - a`` from a base point ``a``:
 
-- the orientation determinant (2x2 or 3x3), and
+- the orientation determinant (2x2 or 3x3),
 - the Gram signs of k+1 points, k = 1..d: ``det(G)``, positive iff the points
   are affinely independent, and the power ``b_q^T adj(G) b - det(G)|q - a|^2``
   of a query q, positive iff q lies strictly inside the minimal circumsphere.
   G is the Gram matrix of the edge vectors from a, b its diagonal and b_q the
-  dot products of q - a with the edge vectors.
+  dot products of q - a with the edge vectors, and
+- the lifted determinant of d+1 points about a query a (Shewchuk, *Adaptive
+  Precision Floating-Point Arithmetic and Fast Robust Geometric Predicates*,
+  1997): the (d+1)x(d+1) determinant with rows (w, |w|^2), w = p_i - a.  Its
+  sign times the points' orientation times a constant per d is the power's
+  sign when the points span R^d, and both vanish on the same queries.
 
 Each polynomial is closed-form straight-line code in ``+``, ``*`` and a
 subtraction passed in as ``sub``, so one body defines the float value, its
@@ -17,16 +22,19 @@ when needed, the exact value in ``Fraction``.  For floats the body is not
 interpreted: ``_compiled`` traces it once per (polynomial, point count,
 dimension) into one straight-line function of the points' coordinates that
 returns the values and the magnitudes, one assignment per operation, in the
-body's order, so it rounds exactly as the body does.  The scalar path
-(``_exact_signs``, one point list on Python floats) and the batch path
+body's order, so it rounds exactly as the body does.  The batch path
 (``_batch_signs``, a whole batch of point lists on per-coordinate numpy
-columns) call the same function; the rational path still runs the body.
+columns) calls that function.  The scalar path (``_exact_signs``, one point
+list on Python floats) calls its twin from the same trace, which ends in the
+certainty test below and returns the signs, or None to send the call to the
+rational path, which still runs the body.
 
 The float sign is accepted when ``|value| > 2**-48 * magnitude``.  The bound:
 with unit roundoff u = 2**-53, count the roundings on the worst path from a
 leaf to the result, one for each coordinate difference, addition and
 subtraction, and for a product the sum of both factors' counts plus one.  The
-deepest polynomial, the power for k = 3, has D = 29.  Expanding the expression
+deepest polynomial, the power for k = 3, has D = 29; the lifted determinant
+has 11 in 2D and 16 in 3D.  Expanding the expression
 into monomials, each picks up at most D factors (1 + delta), |delta| <= u, so
 the float value differs from the exact one by at most
 gamma_D = D*u / (1 - D*u) times the exact magnitude, and the float magnitude
@@ -43,20 +51,39 @@ the regular triangulation of the perturbed lift and is therefore independent
 of insertion order.
 
 Points are inserted one at a time (Bowyer-Watson, with an infinite cell on
-each hull facet).  The cells in conflict with a new point p are found
-locally.  Take the nearest inserted vertex v: the edge pv has an empty closed
-diametral ball, so it is an edge of every Delaunay triangulation of the
-inserted points and p, the perturbed one included.  Hence v lies on the
-cavity boundary and some cell of its star conflicts with p.  The conflict
-region is connected, so a search over shared facets from that cell finds all
-of it, testing each cell once.  The nearest vertex is chosen by floating-point
-distance; only rounding between near-equidistant vertices could pick one whose
-star has no conflict, and insertion then raises ``PslapError``.
+each hull facet).  Each cell stores its neighbours, entry j across the facet
+opposite its vertex j, and each finite cell the exact sign of its
+orientation; each vertex keeps one incident cell.  The cells in conflict with
+a new point p are found locally.  Take the nearest inserted vertex v: the edge
+pv has an empty closed diametral ball, so it is an edge of every Delaunay
+triangulation of the inserted points and p, the perturbed one included.
+Hence v lies on the cavity boundary and some cell of its star conflicts with
+p; the star is walked from v's incident cell across the facets that hold v.
+The conflict region is connected, so a search over neighbours from that cell
+finds all of it, testing each cell once.  The nearest vertex is chosen by
+floating-point distance; only rounding between near-equidistant vertices
+could pick one whose star has no conflict, and insertion then raises
+``PslapError``.  The region's boundary facets are those whose neighbour lies
+outside it; each new cell joins p to one of them, links across it to that
+neighbour and across its other facets to the other new cells.  Every vertex
+of a removed cell lies on that boundary, so pointing each new cell's vertices
+at it replaces every incident cell that was removed.
 
-A point p on the affine hull of a hull facet conflicts with the facet's
-infinite cell iff it lies inside the facet's circumsphere, which is where any
-sphere through the facet meets that hull, so the perturbed in-sphere test of
-the facet's finite cell decides.  On a tie the opposite vertex's cofactor is
+A finite cell conflicts with p iff p lies inside its circumsphere: the sign
+of the lifted determinant of its vertices about p, times the cell's stored
+orientation and the constant for d.  Only an exact 0, p on the circumsphere,
+runs the perturbed in-sphere test of the power, which vanishes there too, so
+ties are broken exactly as the perturbation says.
+
+A point p off the affine hull of a hull facet conflicts with the facet's
+infinite cell iff it lies strictly beyond the facet: orient(facet + p) has
+the sign opposite to orient(facet + x), x the finite cell's other vertex.
+The facet is the finite cell without x, in order, so orient(facet + x) is
+its stored orientation, negated for each place x moves to reach the end.
+A point p on the affine hull of a hull facet conflicts with the infinite
+cell iff it lies inside the facet's circumsphere, which is where any sphere
+through the facet meets that hull, so the in-sphere test of the facet's
+finite cell decides.  On a tie the opposite vertex's cofactor is
 orient(facet + p) = 0 and facet vertex i's is lambda_i * orient(cell), lambda
 the affine coordinates of p, so the facet vertices and p alone break it.
 """
@@ -83,9 +110,10 @@ from .simplices import FilteredComplex, closure_of_cells
 
 _ERR = 2.0**-48  # relative error bound of every kernel polynomial; see above
 
-# Sign fix relating in_sphere_indexed's tie-break, a term of the perturbed
-# lifted determinant, to +1 for interior points (the translated lifted
-# determinant flips parity between 2D and 3D).
+# Sign fix relating the lifted determinant of a cell's vertices about a query,
+# times the cell's orientation, to +1 for interior queries (the translated
+# lifted determinant flips parity between 2D and 3D).  Its perturbed terms are
+# in_sphere_indexed's tie-break.
 _INSPHERE_CAL = {2: 1, 3: -1}
 
 
@@ -171,6 +199,18 @@ def _gram_power(rows, sub):
     return det, sub(_dot([_dot(v, w) for v in vectors], adj_b), det * _dot(w, w))
 
 
+def _lifted(rows, sub):
+    """(det of the (d+1) x (d+1) matrix with rows (w, |w|^2),) for the d + 1
+    offsets w in rows."""
+    lifts = [_dot(w, w) for w in rows]
+    if len(rows) == 3:
+        return _orient([[*w, lift] for w, lift in zip(rows, lifts)], sub)
+    # expanded along the lift column, whose minors are orientations
+    l0, l1, l2, l3 = lifts
+    m0, m1, m2, m3 = (_orient(rows[:i] + rows[i + 1:], sub)[0] for i in range(4))
+    return (sub(l1 * m1 + l3 * m3, l0 * m0 + l2 * m2),)
+
+
 class _Leaf:
     """A named value in a trace: each ``+``, ``-``, ``*`` and ``abs`` appends
     one assignment to the trace's lines and returns a leaf naming its result."""
@@ -201,15 +241,18 @@ class _Leaf:
 _COMPILED: dict[tuple, object] = {}
 
 
-def _compiled(poly, m: int, d: int):
+def _compiled(poly, m: int, d: int, signs: bool = False):
     """poly on m points in R^d as one straight-line function of the points'
     rows (each a sequence of d coordinates): it returns ``(values, mags)``,
     poly's values on the differences points[1:] - points[0] and their
-    magnitudes, as the generic body evaluates them.  Traced on first use and
-    kept for the life of the process; the rows may hold Python floats or
-    per-coordinate numpy columns alike."""
-    fn = _COMPILED.get((poly, m, d))
-    if fn is None:
+    magnitudes, as the generic body evaluates them.  With ``signs``, the
+    function of the same trace for one point list on Python floats: it ends
+    in the certainty test and returns the values' signs where the test holds
+    for all of them, else None.  Traced on first use and kept for the life
+    of the process; the rows of the ``(values, mags)`` function may hold
+    Python floats or per-coordinate numpy columns alike."""
+    fns = _COMPILED.get((poly, m, d))
+    if fns is None:
         lines = []
         coords = [[_Leaf(lines, f"x{i}_{j}") for j in range(d)] for i in range(m)]
         base, *rest = coords
@@ -220,22 +263,29 @@ def _compiled(poly, m: int, d: int):
         params = ", ".join(f"r{i}" for i in range(m))
         unpack = [f"    {', '.join(x.name for x in row)}, = r{i}" for i, row in enumerate(coords)]
         returns = ", ".join("(" + "".join(f"{v.name}, " for v in out) + ")" for out in (values, mags))
+        certain = " and ".join(f"abs({v.name}) > {_ERR!r} * {g.name}" for v, g in zip(values, mags))
+        signed = "".join(f"1 if {v.name} > 0 else -1, " for v in values)
         namespace = {}
-        exec("\n".join([f"def {name}({params}):", *unpack, *lines, f"    return {returns}"]), namespace)
-        fn = _COMPILED[poly, m, d] = namespace[name]
-    return fn
+        exec("\n".join([
+            f"def {name}({params}):", *unpack, *lines, f"    return {returns}",
+            f"def {name}_signs({params}):", *unpack, *lines,
+            f"    if {certain}:", f"        return ({signed})",
+        ]), namespace)
+        fns = _COMPILED[poly, m, d] = namespace[name], namespace[name + "_signs"]
+    return fns[signs]
 
 
 def _exact_signs(poly, points) -> tuple[int, ...]:
     """Exact signs of poly's values on the differences points[1:] - points[0],
-    for a list of m point rows (sequences of d floats)."""
-    values, mags = _compiled(poly, len(points), len(points[0]))(*points)
-    if all(abs(v) > _ERR * m for v, m in zip(values, mags)):
-        return tuple(_sign(v) for v in values)
-    base, *rest = points
-    fbase = [Fraction(x) for x in base]
-    exact = poly([[Fraction(x) - y for x, y in zip(p, fbase)] for p in rest], operator.sub)
-    return tuple(_sign(v) for v in exact)
+    for a list of m point rows (sequences of d floats): the traced kernel's
+    where its float test is certain, else the body's in ``Fraction``."""
+    signs = _compiled(poly, len(points), len(points[0]), True)(*points)
+    if signs is None:
+        base, *rest = points
+        fbase = [Fraction(x) for x in base]
+        exact = poly([[Fraction(x) - y for x, y in zip(p, fbase)] for p in rest], operator.sub)
+        signs = tuple(_sign(v) for v in exact)
+    return signs
 
 
 def orientation(points) -> int:
@@ -347,119 +397,146 @@ _INF = -1  # sentinel vertex of the unbounded cells
 
 
 class _Triangulation:
-    """Incremental insertion state: finite + infinite cells with facet
-    adjacency, and the star (incident cells) of every vertex."""
+    """Incremental insertion state: finite and infinite cells linked to their
+    neighbours.  Cell c has the vertices ``cells[c]`` (sorted; an infinite
+    cell is its sorted hull facet, then _INF), ``nbr[c][j]``, the cell across
+    the facet opposite ``cells[c][j]``, and ``orient[c]``, the exact sign of
+    its orientation (0 for an infinite cell).  ``incident[v]`` is a live cell
+    holding vertex v.  A removed cell's vertices and neighbours become None."""
 
     def __init__(self, coords: np.ndarray, first):
         self.coords = coords
         self.rows = coords.tolist()  # the predicates read rows, not the array
         self.d = coords.shape[1]
-        self.cells: set[tuple[int, ...]] = set()
-        self.facet_map: dict[tuple[int, ...], set] = {}
-        self.star: dict[int, set] = {}
+        self.cal = _INSPHERE_CAL[self.d]
+        # the traced sign functions, called straight: None sends a call to
+        # the exact path
+        self.orient_signs = _compiled(_orient, self.d + 1, self.d, True)
+        self.lifted_signs = _compiled(_lifted, self.d + 2, self.d, True)
+        self.cells: list[tuple[int, ...] | None] = []
+        self.nbr: list[list[int] | None] = []
+        self.orient: list[int] = []
+        self.incident: dict[int, int] = {}
         self.vertices = list(first)
         base = tuple(sorted(first))
-        self.add_cell(base)
-        for i in range(self.d + 1):
-            self.add_cell(base[:i] + base[i + 1:] + (_INF,))
+        link = {}
+        for cell in [base] + [base[:i] + base[i + 1:] + (_INF,) for i in range(self.d + 1)]:
+            self._link(self._add(cell), link)
 
-    def _facets(self, cell):
-        if cell[-1] == _INF:
-            finite = cell[:-1]
-            out = [finite]
-            out.extend(
-                tuple(sorted(finite[:i] + finite[i + 1:])) + (_INF,)
-                for i in range(len(finite))
-            )
-            return out
-        return [cell[:i] + cell[i + 1:] for i in range(len(cell))]
-
-    def add_cell(self, cell):
-        self.cells.add(cell)
-        for v in cell:
-            self.star.setdefault(v, set()).add(cell)
-        for f in self._facets(cell):
-            self.facet_map.setdefault(f, set()).add(cell)
-
-    def remove_cell(self, cell):
-        self.cells.remove(cell)
-        for v in cell:
-            self.star[v].remove(cell)
-        for f in self._facets(cell):
-            owners = self.facet_map[f]
-            owners.discard(cell)
-            if not owners:
-                del self.facet_map[f]
-
-    def _finite_neighbor(self, facet):
-        # the unique finite cell on a hull facet
-        for cell in self.facet_map[facet]:
-            if cell[-1] != _INF:
-                return cell
-        raise PslapError(f"hull facet {facet} has no finite cell")
-
-    def in_conflict(self, cell, p_idx) -> bool:
-        rows = self.rows
+    def _add(self, cell) -> int:
+        c = len(self.cells)
+        orient = 0
         if cell[-1] != _INF:
-            return in_sphere_indexed(rows, cell, p_idx) > 0
-        facet = cell[:-1]
-        finite = self._finite_neighbor(facet)
-        fpts = [rows[v] for v in facet]
-        s_p = _exact_signs(_orient, fpts + [rows[p_idx]])[0]
+            pts = [self.rows[v] for v in cell]
+            orient = (self.orient_signs(*pts) or _exact_signs(_orient, pts))[0]
+            if orient == 0:
+                raise PslapError(f"degenerate cell {cell} produced during insertion")
+        self.cells.append(cell)
+        self.nbr.append([None] * (self.d + 1))
+        self.orient.append(orient)
+        for v in cell:
+            self.incident[v] = c
+        return c
+
+    def _link(self, c, link, skip=None):
+        """Link cell c across each facet but the one opposite index ``skip``
+        to the cell that ``link`` holds under that facet, or leave c there."""
+        cell = self.cells[c]
+        for j in range(self.d + 1):
+            if j != skip:
+                facet = cell[:j] + cell[j + 1:]
+                other = link.pop(facet, None)
+                if other is None:
+                    link[facet] = c, j
+                else:
+                    o, k = other
+                    self.nbr[c][j], self.nbr[o][k] = o, c
+
+    def _inside(self, c, p_idx) -> bool:
+        """Whether p lies inside the circumsphere of the finite cell c: the
+        lifted determinant, or on a tie the perturbed in-sphere test."""
+        cell, rows = self.cells[c], self.rows
+        pts = [rows[p_idx]] + [rows[v] for v in cell]
+        s = (self.lifted_signs(*pts) or _exact_signs(_lifted, pts))[0]
+        if s:
+            return s * self.orient[c] * self.cal > 0
+        return in_sphere_indexed(rows, cell, p_idx) > 0
+
+    def in_conflict(self, c, p_idx) -> bool:
+        cell = self.cells[c]
+        if cell[-1] != _INF:
+            return self._inside(c, p_idx)
+        rows = self.rows
+        finite = self.nbr[c][-1]
+        pts = [rows[v] for v in cell[:-1]] + [rows[p_idx]]
+        s_p = (self.orient_signs(*pts) or _exact_signs(_orient, pts))[0]
         if s_p != 0:
-            x = next(v for v in finite if v not in facet)
-            s_x = _exact_signs(_orient, fpts + [rows[x]])[0]
+            # orient(facet + x), x the finite cell's vertex at index k: its
+            # orientation with x moved to the end, d - k transpositions
+            k = self.nbr[finite].index(c)
+            s_x = self.orient[finite] if (self.d - k) % 2 == 0 else -self.orient[finite]
             return s_p == -s_x
         # p on the facet's affine hull, where the finite cell's circumsphere
         # is the facet's; on a tie the opposite vertex's cofactor,
         # orient(facet + p), is 0, so only the facet and p break it
-        return in_sphere_indexed(rows, finite, p_idx) > 0
+        return self._inside(finite, p_idx)
 
     def _conflict_region(self, p_idx):
         """The cells in conflict with p: the first found in the star of the
-        nearest inserted vertex, then the rest by search over shared facets,
-        each cell tested once (the region is connected)."""
+        nearest inserted vertex, walked over the facets that hold it from its
+        incident cell, then the rest by search over neighbours, each cell
+        tested once (the region is connected)."""
         with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by alpha
             dist_sq = ((self.coords[self.vertices] - self.coords[p_idx]) ** 2).sum(axis=1)
         nearest = self.vertices[int(np.argmin(dist_sq))]
-        tested = set()
-        for cell in self.star[nearest]:
-            tested.add(cell)
-            if self.in_conflict(cell, p_idx):
-                conflicts = [cell]
+        star = [self.incident[nearest]]
+        seen, tested = set(star), set()
+        for c in star:  # grows while it is walked
+            tested.add(c)
+            if self.in_conflict(c, p_idx):
                 break
+            for v, other in zip(self.cells[c], self.nbr[c]):
+                if v != nearest and other not in seen:
+                    seen.add(other)
+                    star.append(other)
         else:
             raise PslapError(
                 f"point {p_idx} conflicts with no cell; configuration too degenerate"
             )
-        for cell in conflicts:  # grows while it is walked
-            for f in self._facets(cell):
-                for other in self.facet_map[f]:
-                    if other not in tested:
-                        tested.add(other)
-                        if self.in_conflict(other, p_idx):
-                            conflicts.append(other)
+        conflicts = [c]
+        for c in conflicts:  # grows while it is walked
+            for other in self.nbr[c]:
+                if other not in tested:
+                    tested.add(other)
+                    if self.in_conflict(other, p_idx):
+                        conflicts.append(other)
         return conflicts
 
     def insert(self, p_idx):
+        """Replace the conflict region by the cells joining p to its boundary
+        facets: each new cell links across its facet opposite p to the cell
+        outside, and across the others to its fellow new cells."""
         conflicts = self._conflict_region(p_idx)
-        conflict_set = set(conflicts)
-        boundary = []
-        for cell in conflicts:
-            for f in self._facets(cell):
-                other = self.facet_map[f] - {cell}
-                if not (other & conflict_set):
-                    boundary.append(f)
-        for cell in conflicts:
-            self.remove_cell(cell)
-        for f in boundary:
-            if f[-1] == _INF:
-                new = tuple(sorted(f[:-1] + (p_idx,))) + (_INF,)
-            else:
-                new = tuple(sorted(f + (p_idx,)))
-                if _exact_signs(_orient, [self.rows[v] for v in new])[0] == 0:
-                    raise PslapError(f"degenerate cell {new} produced during insertion")
-            self.add_cell(new)
+        region = set(conflicts)
+        cells, nbr = self.cells, self.nbr
+        link = {}
+        for c in conflicts:
+            cell = cells[c]
+            for j, out in enumerate(nbr[c]):
+                if out in region:
+                    continue
+                facet = cell[:j] + cell[j + 1:]
+                if facet[-1] == _INF:
+                    new = tuple(sorted(facet[:-1] + (p_idx,))) + (_INF,)
+                else:
+                    new = tuple(sorted(facet + (p_idx,)))
+                n = self._add(new)
+                i = new.index(p_idx)
+                nbr[n][i] = out
+                nbr[out][nbr[out].index(c)] = n
+                self._link(n, link, skip=i)
+        for c in conflicts:
+            cells[c] = nbr[c] = None
         self.vertices.append(p_idx)
 
 
@@ -506,7 +583,7 @@ def delaunay(points: PointSet, seed: int = 0) -> FilteredComplex:
     for p in rest:
         tri.insert(p)
 
-    finite = [c for c in tri.cells if c[-1] != _INF]
+    finite = [c for c in tri.cells if c is not None and c[-1] != _INF]
     by_dim = closure_of_cells(finite)
     values = {s: math.inf for sims in by_dim.values() for s in sims}
     return FilteredComplex(by_dim, values)

@@ -16,6 +16,7 @@ reduction per part.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -59,7 +60,8 @@ class HodgePart:
     matrix's own largest eigenvalue sets; ``largest_zero`` is the largest of
     them (0.0 without any) and ``lambda_min`` the next eigenvalue (None
     without any).  A record whose other part sets a higher bound bisects T
-    again, and a ``full`` record lists T's nonzero eigenvalues by dsterf.
+    again, and a ``full`` record lists T's nonzero eigenvalues from
+    :attr:`eigenvalues`.
     """
 
     order: int
@@ -70,6 +72,12 @@ class HodgePart:
     lambda_min: float | None
     d: np.ndarray
     e: np.ndarray
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Every eigenvalue of T, ascending, by one dsterf per part."""
+        with lapack.tridiagonal(self.d, self.e) as t:
+            return lapack.dsterf(t)
 
 
 _EMPTY_PART = HodgePart(0, 0.0, -math.inf, 0, 0.0, None, np.empty(0), np.empty(0))
@@ -133,16 +141,14 @@ def _at_bound(part: HodgePart, zero_max: float) -> HodgePart:
         return _part(t, zero_max)
 
 
-def _nonzero(part: HodgePart) -> np.ndarray:
-    """The part's eigenvalues above its zeros, ascending: the top
-    ``order - zeros`` values of dsterf on its stored form."""
-    if part.zeros == part.order:
+def _nonzero(part: HodgePart, zeros: int) -> np.ndarray:
+    """The part's eigenvalues above its first ``zeros``, ascending."""
+    if zeros == part.order:
         return np.empty(0)
-    with lapack.tridiagonal(part.d, part.e) as t:
-        return lapack.dsterf(t)[part.zeros:]
+    return part.eigenvalues[zeros:]
 
 
-def _combine(n: int, parts, full: bool = False) -> tuple:
+def _combine(n: int, solved, full: bool = False) -> tuple:
     """The fields after q, alpha and p of the record of an order-n
     Laplacian whose nonzero spectrum is the union of the parts' nonzero
     spectra: eigenvalues, Betti number, smallest nonzero eigenvalue,
@@ -156,9 +162,9 @@ def _combine(n: int, parts, full: bool = False) -> tuple:
     the union of the parts' nonzero eigenvalues (see :func:`_nonzero`).
     """
     zero_max = math.nextafter(
-        _zero_threshold(max(part.lambda_top for part in parts)), -math.inf
+        _zero_threshold(max(part.lambda_top for part in solved)), -math.inf
     )
-    parts = [_at_bound(part, zero_max) for part in parts]
+    parts = [_at_bound(part, zero_max) for part in solved]
     betti = n - sum(part.order - part.zeros for part in parts)
     lam_min = min((part.lambda_min for part in parts if part.lambda_min is not None), default=None)
     largest_zero = max(part.largest_zero for part in parts)
@@ -168,7 +174,9 @@ def _combine(n: int, parts, full: bool = False) -> tuple:
             flags = ("gap_ambiguous",)
     eigenvalues = ()
     if full:
-        nonzero = np.sort(np.concatenate([_nonzero(part) for part in parts]))
+        nonzero = np.sort(np.concatenate([
+            _nonzero(part, bound.zeros) for part, bound in zip(solved, parts)
+        ]))
         eigenvalues = (0.0,) * betti + tuple(nonzero.tolist())
     return eigenvalues, betti, lam_min, n, flags
 

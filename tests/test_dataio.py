@@ -178,6 +178,39 @@ def test_json_envelope(tmp_path):
     assert payload["records"][0]["eigenvalues"] == [0.0, 1.0]
 
 
+def test_json_bytes_are_the_indented_dump(tmp_path):
+    # the writer lays the payload out as json.dump(indent=1, sort_keys=True)
+    # does, byte for byte: absent lambda, empty and nonempty eigenvalue and
+    # flag lists, exact zeros, and non-ASCII metadata text
+    import json
+
+    records = _records() + [
+        SpectrumRecord(1, 0.3, 0.5, (0.0, 0.0, 1e-300, 2.5), 2, 1e-300, 4),
+        SpectrumRecord(2, 0.1, 0.5, (), 0, None, 0, ("failed:EigensolveFailure",)),
+        SpectrumRecord(0, 2.0, 0.5, (0.0,), 1, None, 1, ("gap_ambiguous", "x, y")),
+    ]
+    metadata = {"input": "données/ψ 蛋白.pdb", "alphas": [0.1, 1.0 / 3.0], "p": 0.5,
+                "seed": 0, "empty": [], "nested": {}}
+    for meta in (metadata, None):
+        out, expected = tmp_path / "s.json", tmp_path / "expected.json"
+        write_spectra_json(records, out, metadata=meta)
+        payload = {
+            "tool": "pslap",
+            "version": "0.1.0",
+            "metadata": meta or {},
+            "records": [
+                {"q": r.q, "alpha": r.alpha, "p": r.p, "n_simplices": r.n_simplices,
+                 "betti": r.betti, "lambda_min_nonzero": r.lambda_min_nonzero,
+                 "eigenvalues": list(r.eigenvalues), "flags": list(r.flags)}
+                for r in sorted(records, key=lambda r: (r.q, r.alpha))
+            ],
+        }
+        with open(expected, "w", encoding="utf-8", newline="\n") as fh:
+            json.dump(payload, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+        assert out.read_bytes() == expected.read_bytes()
+
+
 def test_svg_deterministic(tmp_path):
     recs = [
         SpectrumRecord(1, 0.4, 0.0, (), 1, 0.8, 3),

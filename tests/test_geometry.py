@@ -283,12 +283,14 @@ def test_predicate_kernel_matches_exact_reference(d, k):
 
 
 # Every (polynomial, point count, dimension) the kernel is compiled for: the
-# orientation of d + 1 points, and the Gram signs of k + 1 points (det) and of
-# k + 1 points and a query (power), k = 1..d.
+# orientation of d + 1 points, the Gram signs of k + 1 points (det) and of
+# k + 1 points and a query (power), k = 1..d, and the lifted determinant of a
+# query and d + 1 points.
 _KERNEL_SHAPES = (
     [(geometry._orient, d + 1, d) for d in (2, 3)]
     + [(geometry._gram_det, k + 1, d) for d in (2, 3) for k in range(1, d + 1)]
     + [(geometry._gram_power, k + 2, d) for d in (2, 3) for k in range(1, d + 1)]
+    + [(geometry._lifted, d + 2, d) for d in (2, 3)]
 )
 
 
@@ -312,8 +314,11 @@ def _kernel_rows(poly, m, d, rng):
     k = m - 1 if poly is geometry._gram_det else m - 2
     ties = []
     for verts, query, orient in _near_tie_cases(rng, d, max(k, 1), 60):
-        ties.append(orient if poly is geometry._orient
-                    else verts if poly is geometry._gram_det else np.vstack([verts, query]))
+        if poly is geometry._lifted:  # the query is the base point
+            ties.append(np.vstack([query, verts]))
+        else:
+            ties.append(orient if poly is geometry._orient
+                        else verts if poly is geometry._gram_det else np.vstack([verts, query]))
     return [
         ("random", rng.normal(size=(60, m, d)) * 10.0 ** rng.integers(-3, 4, size=(60, 1, 1))),
         ("integer", rng.integers(-2, 3, size=(60, m, d)).astype(float)),
@@ -326,14 +331,23 @@ def _kernel_rows(poly, m, d, rng):
                          ids=[f"{p.__name__}-{m}x{d}" for p, m, d in _KERNEL_SHAPES])
 def test_compiled_kernel_is_the_polynomial_body(poly, m, d):
     # bit for bit the generic body's values and magnitudes, on Python floats
-    # row by row and on the columns of the whole stack
+    # row by row and on the columns of the whole stack; the sign function of
+    # the same trace gives the body's signs where the float test is certain
+    # for every value, and None where it is not
     compiled = geometry._compiled(poly, m, d)
+    signs = geometry._compiled(poly, m, d, signs=True)
     rng = np.random.default_rng(7 * m + d)
+    outcomes = set()
     for name, stack in _kernel_rows(poly, m, d, rng):
         assert stack.shape[1:] == (m, d)
         scalar = [compiled(*rows) for rows in stack.tolist()]
         for rows, got in zip(stack.tolist(), scalar):
-            assert _bits(got) == _bits(_generic_kernel(poly, rows)), (name, rows)
+            values, mags = _generic_kernel(poly, rows)
+            assert _bits(got) == _bits((values, mags)), (name, rows)
+            certain = all(abs(v) > geometry._ERR * mg for v, mg in zip(values, mags))
+            want = tuple(geometry._sign(v) for v in values) if certain else None
+            assert signs(*rows) == want, (name, rows)
+            outcomes.add(certain)
         columns = list(stack.transpose(1, 2, 0))
         with np.errstate(over="ignore", invalid="ignore"):
             got = compiled(*columns)
@@ -350,6 +364,36 @@ def test_compiled_kernel_is_the_polynomial_body(poly, m, d):
                 exact.append([int(np.sign(v)) for v in poly(diffs, operator.sub)])
                 assert list(geometry._exact_signs(poly, rows)) == exact[-1]
             assert geometry._batch_signs(poly, stack).T.tolist() == exact
+    assert outcomes == {True, False}
+
+
+class _Depth:
+    """A value's rounding count by the rule of the geometry module docstring:
+    one per coordinate difference, addition and subtraction, and for a
+    product both factors' counts plus one."""
+
+    def __init__(self, n):
+        self.n = n
+
+    def __add__(self, other):
+        return _Depth(max(self.n, other.n) + 1)
+
+    __sub__ = __add__
+
+    def __mul__(self, other):
+        return _Depth(self.n + other.n + 1)
+
+
+def test_kernel_rounding_depth_is_covered_by_the_error_bound():
+    # _ERR = 2**-48 covers a depth of D = 29, the power for k = 3; the
+    # lifted in-sphere determinant is far shallower
+    depths = {}
+    for poly, m, d in _KERNEL_SHAPES:
+        diffs = [[_Depth(1)] * d for _ in range(m - 1)]
+        depths[poly, m, d] = max(v.n for v in poly(diffs, operator.sub))
+    assert max(depths.values()) == depths[geometry._gram_power, 5, 3] == 29
+    assert depths[geometry._lifted, 4, 2] == 11
+    assert depths[geometry._lifted, 5, 3] == 16
 
 
 def test_kernel_shapes_cover_every_compiled_shape():
@@ -464,3 +508,93 @@ def test_delaunay_conflict_search_is_local(monkeypatch):
     c = delaunay(ps)
     assert calls < 10_000
     assert not audit_empty_circumspheres(c, ps.coords)
+
+
+def _grid_points():
+    return PointSet(np.array(list(itertools.product(range(3), repeat=3)), float))
+
+
+def test_delaunay_cells_are_linked_and_oriented(monkeypatch, icosahedron_points):
+    # the insertion state each build leaves, on the random audits' clouds,
+    # two cospherical inputs and a 2D cloud
+    built = []
+
+    class Recorded(geometry._Triangulation):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(geometry, "_Triangulation", Recorded)
+    audits = ((2, 0, 25), (2, 5, 40), (3, 1, 20), (3, 6, 30))
+    inputs = [random_cloud(seed, n, d) for d, seed, n in audits]
+    inputs += [_grid_points(), icosahedron_points, random_cloud(9, 60, 2)]
+    for ps in inputs:
+        cx = delaunay(ps)
+        tri, d = built[-1], ps.dim
+        finite = []
+        for c, cell in enumerate(tri.cells):
+            if cell is None:
+                continue
+            assert len(tri.nbr[c]) == d + 1
+            for j, other in enumerate(tri.nbr[c]):
+                # mutual, across the facet opposite index j on both sides
+                assert tri.cells[other] is not None
+                k = tri.nbr[other].index(c)
+                assert set(tri.cells[other]) - {tri.cells[other][k]} == set(cell) - {cell[j]}
+            if cell[-1] != geometry._INF:
+                finite.append(cell)
+                pts = [tri.rows[v] for v in cell]
+                assert tri.orient[c] == geometry._exact_signs(geometry._orient, pts)[0] != 0
+        assert sorted(finite) == sorted(cx.simplices(d))
+        assert sorted(tri.vertices) == list(range(len(ps)))
+        for v in tri.vertices:
+            assert v in tri.cells[tri.incident[v]]
+
+
+def _lifted_side(rows, cell, query):
+    """The lifted determinant's in-sphere sign: its exact sign about the
+    query, times the cell's orientation, times the per-dimension constant."""
+    pts = [rows[query]] + [rows[v] for v in cell]
+    lifted = geometry._exact_signs(geometry._lifted, pts)[0]
+    orient = geometry._exact_signs(geometry._orient, pts[1:])[0]
+    return lifted * orient * geometry._INSPHERE_CAL[len(rows[0])]
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lifted_in_sphere_matches_in_sphere_indexed(d, icosahedron_points):
+    rng = np.random.default_rng(40 + d)
+    cell = tuple(range(d + 1))
+    inputs = [("random", rng.normal(size=(d + 2, d)) * 10.0 ** rng.integers(-3, 4))
+              for _ in range(200)]
+    inputs += [("near_tie", np.vstack([verts, query]))
+               for verts, query, _ in _near_tie_cases(rng, d, d, 200)]
+    inputs += [("overflow", rng.uniform(-1.0, 1.0, size=(d + 2, d)) * 1e200) for _ in range(60)]
+    ties = 0
+    for name, coords in inputs:
+        rows = coords.tolist()
+        if name == "overflow":  # the float test fails, so the sign is exact
+            pts = [rows[d + 1]] + rows[:d + 1]
+            assert geometry._compiled(geometry._lifted, d + 2, d, signs=True)(*pts) is None
+        side = _lifted_side(rows, cell, d + 1)
+        power = geometry._exact_signs(geometry._gram_power, rows)[1]
+        assert side == power, (name, rows)
+        if side:
+            assert side == in_sphere_indexed(rows, cell, d + 1), (name, rows)
+        ties += side == 0
+    # cospherical inputs: both polynomials vanish on the same cells and
+    # queries, and agree in sign elsewhere
+    cospherical = [_grid_points().coords] if d == 3 else [
+        np.array(list(itertools.product(range(4), repeat=2)), float)]
+    if d == 3:
+        cospherical.append(icosahedron_points.coords)
+    for coords in cospherical:
+        rows = coords.tolist()
+        for cell in delaunay(PointSet(coords)).simplices(d):
+            for query in set(range(len(rows))) - set(cell):
+                side = _lifted_side(rows, cell, query)
+                pts = [rows[i] for i in cell + (query,)]
+                assert side == geometry._exact_signs(geometry._gram_power, pts)[1]
+                if side:
+                    assert side == in_sphere_indexed(rows, cell, query)
+                ties += side == 0
+    assert ties > 0

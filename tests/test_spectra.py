@@ -413,6 +413,31 @@ def test_parts_share_solves_across_keys_q_and_p(monkeypatch):
     assert 0 < len(reduced) < len(keys), (len(reduced), len(keys))
 
 
+def test_full_sweep_runs_one_dsterf_per_part(monkeypatch):
+    # a --json sweep lists each record's nonzero eigenvalues from its parts'
+    # stored tridiagonal forms: at most one dsterf per solved part with a
+    # nonzero eigenvalue, however many record keys read the part
+    from pslap.dataio import read_xyz
+
+    cx = alpha_complex(read_xyz(pathlib.Path(__file__).parent / "data" / "cloud20_3d.xyz"))
+    solved, calls = [], []
+    real_solve, real_dsterf = spectra._solve, lapack.dsterf
+
+    def solve(matrix):
+        solved.append(real_solve(matrix))
+        return solved[-1]
+
+    def dsterf(t):
+        calls.append(t.n)
+        return real_dsterf(t)
+
+    monkeypatch.setattr(spectra, "_solve", solve)
+    monkeypatch.setattr(lapack, "dsterf", dsterf)
+    records = sweep(cx, [0, 1, 2], critical_alphas(cx), p=0.3, full=True)
+    with_nonzero = sum(part.zeros < part.order for part in solved)
+    assert 0 < len(calls) <= with_nonzero < len(records), (len(calls), with_nonzero)
+
+
 def test_larger_lambda_max_of_one_part_sets_the_threshold(monkeypatch):
     # the first part's lambda_max of 1e4 sets the zero threshold at 1e-6,
     # above the second part's 1e-7, which its own threshold of 1e-8 counted
