@@ -1,5 +1,8 @@
 """Persistent spectral Laplacians of point clouds over alpha-complex filtrations."""
 
+# set before the submodule imports: dataio stamps it into the JSON envelope
+__version__ = "0.1.0"
+
 from .alpha import alpha_complex, assign_filtration, critical_alphas
 from .boundary import SparseBoundaryMatrix, full_boundary, persistent_boundary
 from .dataio import (
@@ -19,8 +22,6 @@ from .spectra import (
     spectrum_at,
     sweep,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Barcode",

@@ -36,7 +36,7 @@ EXIT_DISAGREEMENT = 4
 DEFAULT_ALPHA_MIN = math.sqrt(1.5)
 DEFAULT_ALPHA_MAX = math.sqrt(10.0)
 DEFAULT_STEP = 0.01
-MAX_GRID_POINTS = 10**6  # the default grid has 170
+MAX_GRID_POINTS = 10**6  # the default grid has 194
 
 _INPUT_ERRORS = (ParseError, MixedDimensions, NoCAAtoms, OSError)
 _GEOMETRY_ERRORS = (AllCollinear, AllCoplanar, DegenerateSimplex, DuplicatePoints)
@@ -72,7 +72,9 @@ def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("xyz", "pdb"), default=None,
                    help="input format (default: by file extension)")
     p.add_argument("--chain", default=None, help="PDB chain filter, e.g. A or AB")
-    p.add_argument("--seed", type=int, default=0, help="perturbation/insertion seed")
+    p.add_argument("--seed", type=int, default=0,
+                   help="shuffle of the Delaunay insertion order; ties are broken by a "
+                        "symbolic perturbation, so no output depends on it")
 
 
 def _add_grid_args(p: argparse.ArgumentParser) -> None:

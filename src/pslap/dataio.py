@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 
+from . import __version__
 from .errors import MixedDimensions, NoCAAtoms, ParseError
 from .geometry import PointSet
 from .spectra import SpectrumRecord
@@ -108,30 +109,12 @@ def write_spectra_csv(records: list[SpectrumRecord], path) -> None:
             )
 
 
-def _json(value, depth: int = 0) -> str:
-    """``value`` as ``json.dump(value, indent=1, sort_keys=True)`` lays it
-    out at nesting ``depth``, for string keys: nonempty containers are laid
-    out here, and scalars and lists of scalars by json's C encoder (a dump
-    with an indent runs the pure-Python one)."""
-    inner = "\n" + " " * (depth + 1)
-    if isinstance(value, dict) and value:
-        items = [f"{json.dumps(k)}: {_json(v, depth + 1)}" for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + "\n" + " " * depth + "}"
-    if isinstance(value, (list, tuple)) and value:
-        if any(isinstance(v, (dict, list, tuple)) for v in value):
-            body = ("," + inner).join(_json(v, depth + 1) for v in value)
-        else:
-            body = json.dumps(value, separators=("," + inner, ": "))[1:-1]
-        return "[" + inner + body + "\n" + " " * depth + "]"
-    return json.dumps(value)
-
-
 def write_spectra_json(records, path, metadata=None) -> None:
     """CSV-equivalent records (plus full eigenvalue lists) in a JSON envelope,
-    laid out as ``json.dump(indent=1, sort_keys=True)`` lays it out."""
+    written by ``json.dump(indent=1, sort_keys=True)``."""
     payload = {
         "tool": "pslap",
-        "version": "0.1.0",
+        "version": __version__,
         "metadata": metadata or {},
         "records": [
             {
@@ -148,7 +131,8 @@ def write_spectra_json(records, path, metadata=None) -> None:
         ],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_json(payload) + "\n")
+        json.dump(payload, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 def file_sha256(path) -> str:

@@ -21,8 +21,9 @@ from conftest import (
     reference_laplacian,
 )
 from pslap.alpha import alpha_complex, critical_alphas
-from pslap.cli import main
+from pslap.cli import DEFAULT_ALPHA_MAX, DEFAULT_ALPHA_MIN, DEFAULT_STEP, main
 from pslap.dataio import read_pdb_ca, read_xyz
+from pslap.geometry import PointSet
 from pslap.oracle import BettiOracle, betti_from_barcode, reduce
 from pslap.simplices import snapshot
 from pslap.spectra import detect_anomalies, spectrum_at, sweep
@@ -244,3 +245,41 @@ def test_criterion_7_protein_smoke():
         beta1 = {r.alpha: r.betti for r in recs if r.q == 1}
         assert any(a < 1.9 and b < n for a, b in beta0.items())
         assert any(a < 1.9 and b > 0 for a, b in beta1.items())
+
+
+def _sub_19_q0(points):
+    """The anomaly pairs at threshold 3.0 Å and the q=0, p=0 records below
+    α = 1.9 on the CLI's default grid."""
+    cx = alpha_complex(points)
+    grid = DEFAULT_ALPHA_MIN + DEFAULT_STEP * np.arange(
+        int((DEFAULT_ALPHA_MAX - DEFAULT_ALPHA_MIN) / DEFAULT_STEP) + 1
+    )
+    recs = [r for r in sweep(cx, [0], grid, p=0.0) if r.alpha < 1.9]
+    return detect_anomalies(cx, points, 3.0), recs
+
+
+def test_criterion_7_standin_chain():
+    """Criterion 7's anomaly and β0 checks on a committed 220-residue chain
+    that plants 1O08's two close pairs (REMARK of the PDB file), and the
+    paper's onset claim: the q=0 smallest nonzero eigenvalue appears below
+    α = 1.9 with the planted pairs and not without them.  β1 stays 0 below
+    1.9 on this chain, so the β1 check is left to the 1O08 variant."""
+    with criterion(7, 60.0, "stand-in CA chain: anomaly pairs and a sub-1.9A q=0 onset"):
+        pts = read_pdb_ca(DATA / "ca_chain220_seed1.pdb")
+        n = len(pts)
+        assert n == 220
+        pairs, recs = _sub_19_q0(pts)
+        assert [(uv, f"{d:.6f}") for uv, d in pairs] == [
+            ((58, 73), "2.913604"),
+            ((142, 146), "2.996060"),
+        ]
+        onset = next(r.alpha for r in recs if r.lambda_min_nonzero is not None)
+        assert f"{onset:.6f}" == "1.464745"
+        assert min(r.betti for r in recs) == 218
+
+        # the control: the same chain without the second atom of each pair
+        keep = [i for i in range(n) if i not in (73, 146)]
+        pairs, recs = _sub_19_q0(PointSet(pts.coords[keep]))
+        assert pairs == []
+        assert all(r.lambda_min_nonzero is None for r in recs)
+        assert recs and all(r.betti == n - 2 for r in recs)
