@@ -68,9 +68,8 @@ class SparseBoundaryMatrix:
     @cached_property
     def _column_gram(self) -> tuple[np.ndarray, ...]:
         """Entries of the whole B^T B as (key, rows, cols, values), ordered by
-        key = max(row, col): one per pair of columns that share a face, the
-        products of their signs at the faces they share summed exactly by
-        bincount."""
+        key = max(row, col): for each face, the product of the signs of every
+        ordered pair of columns that hold it, which ``_dense`` sums."""
         n, k = self.faces.shape
         # the entries of B sorted by face row, so the columns that share a
         # face form one run
@@ -89,10 +88,7 @@ class SparseBoundaryMatrix:
             rows += [a, b]
             cols += [b, a]
             values += [product, product]
-        pair = np.concatenate(rows) * n + np.concatenate(cols)
-        pairs, inverse = np.unique(pair, return_inverse=True)
-        rows, cols = np.divmod(pairs, n)
-        values = np.bincount(inverse, weights=np.concatenate(values), minlength=len(pairs))
+        rows, cols, values = map(np.concatenate, (rows, cols, values))
         key = np.maximum(rows, cols)
         order = np.argsort(key, kind="stable")
         return key[order], rows[order], cols[order], values[order]

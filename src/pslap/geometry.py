@@ -72,8 +72,8 @@ at it replaces every incident cell that was removed.
 A finite cell conflicts with p iff p lies inside its circumsphere: the sign
 of the lifted determinant of its vertices about p, times the cell's stored
 orientation and the constant for d.  Only an exact 0, p on the circumsphere,
-runs the perturbed in-sphere test of the power, which vanishes there too, so
-ties are broken exactly as the perturbation says.
+runs the perturbation's tie-break, given that stored orientation, so ties are
+broken exactly as the perturbation says.
 
 A point p off the affine hull of a hull facet conflicts with the facet's
 infinite cell iff it lies strictly beyond the facet: orient(facet + p) has
@@ -109,6 +109,7 @@ from .errors import (
 from .simplices import FilteredComplex, closure_of_cells
 
 _ERR = 2.0**-48  # relative error bound of every kernel polynomial; see above
+_NEEDLE = 1e-12  # det(G) <= _NEEDLE * magnitude: an exact circumsphere; >= _ERR
 
 # Sign fix relating the lifted determinant of a cell's vertices about a query,
 # times the cell's orientation, to +1 for interior queries (the translated
@@ -337,9 +338,14 @@ def in_sphere_indexed(coords, simplex: tuple[int, ...], query: int) -> int:
         raise DegenerateSimplex(f"degenerate cell {row_idx[:-1]}")
     if raw != 0:
         return raw
-    d = len(pts[0])
-    cal = _exact_signs(_orient, pts[:-1])[0] * _INSPHERE_CAL[d]
-    for r in sorted(range(d + 2), key=lambda r: row_idx[r], reverse=True):
+    return _tie_break(pts, row_idx, _exact_signs(_orient, pts[:-1])[0] * _INSPHERE_CAL[len(pts[0])])
+
+
+def _tie_break(pts, row_idx, cal: int) -> int:
+    """Perturbed in-sphere sign of pts[-1] against the d + 1 points pts[:-1]
+    (indices row_idx), where the unperturbed sign is 0; cal is their
+    orientation times _INSPHERE_CAL[d]."""
+    for r in sorted(range(len(pts)), key=lambda r: row_idx[r], reverse=True):
         o = _exact_signs(_orient, pts[:r] + pts[r + 1:])[0]
         if o != 0:
             # first-order term of the perturbed determinant: -(-1)^r * o
@@ -351,34 +357,29 @@ def min_circumsphere_batch(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """Centers (M, d) and squared radii (M,) of the smallest spheres through
     an (M, k+1, d) stack of affinely independent point lists, k >= 1.
 
-    The stacked matmul and solve treat each row as its own matrix, so a row's
-    result does not depend on the rest of the batch; ``einsum`` rounds
-    differently from matmul for G, the offset and r², so it forms b only."""
-    m, k = simplices.shape[0], simplices.shape[1] - 1
-    if not np.all(_batch_signs(_gram_det, simplices)):
-        raise DegenerateSimplex("affinely dependent circumsphere input")
-    with np.errstate(over="ignore", invalid="ignore"):
+    Each row's route is fixed before any solve by one kernel evaluation of
+    det(G).  A row whose value is at most ``_NEEDLE`` times its magnitude (a
+    needle or flat simplex, an overflow or NaN), or whose float G overflows,
+    is solved in ``Fraction`` and rounded to the nearest double.  Every other
+    row, its det(G) certified positive as ``_NEEDLE`` > 2**-48, takes the
+    stacked float solve; stacked rows are separate matrices, so no row depends
+    on its batch.  ``einsum`` forms b only, as it rounds G, offset and r²
+    unlike matmul."""
+    _, m, d = simplices.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by alpha
+        (det,), (mag,) = _compiled(_gram_det, m, d)(*simplices.transpose(1, 2, 0))
         V = simplices[:, 1:] - simplices[:, :1]
         G = 2.0 * (V @ V.transpose(0, 2, 1))
         b = np.einsum("mij,mij->mi", V, V)
-        needles = []
-        try:
-            t = np.linalg.solve(G, b[..., None])[..., 0]
-        except np.linalg.LinAlgError:
-            # a needle simplex can pass the exact test and still be singular
-            # in floating point; solve row by row and mark the singular ones
-            t = np.zeros((m, k))
-            for r in range(m):
-                try:
-                    t[r] = np.linalg.solve(G[r], b[r])
-                except np.linalg.LinAlgError:
-                    needles.append(r)
+        exact = ~(abs(det) > _NEEDLE * mag) | ~np.all(np.isfinite(G), axis=(1, 2))
+        G[exact] = np.eye(m - 1)  # a placeholder: these rows are solved exactly below
+        t = np.linalg.solve(G, b[..., None])[..., 0]
         offset = t[:, None] @ V
         centers = simplices[:, 0] + offset[:, 0]
         radius_sq = (offset @ offset.transpose(0, 2, 1))[:, 0, 0]
-    for r in needles:
+    for r in np.flatnonzero(exact):
         center, r2 = _circumsphere_exact(simplices[r].tolist())
-        centers[r], radius_sq[r] = np.array(center, dtype=float), float(r2)
+        centers[r], radius_sq[r] = [_to_double(x) for x in center], _to_double(r2)
     return centers, radius_sq
 
 
@@ -388,9 +389,19 @@ def _circumsphere_exact(pts):
     base = [Fraction(x) for x in pts[0]]
     V = [[Fraction(x) - y for x, y in zip(p, base)] for p in pts[1:]]
     det, adj_b = _gram(V, operator.sub)
+    if det == 0:
+        raise DegenerateSimplex("affinely dependent circumsphere input")
     t = [x / (2 * det) for x in adj_b]
     offset = [_dot(t, column) for column in zip(*V)]
     return [a + o for a, o in zip(base, offset)], _dot(offset, offset)
+
+
+def _to_double(x: Fraction) -> float:
+    """x rounded to the nearest double, or an infinity past double range."""
+    try:
+        return float(x)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
 
 
 _INF = -1  # sentinel vertex of the unbounded cells
@@ -460,7 +471,7 @@ class _Triangulation:
         s = (self.lifted_signs(*pts) or _exact_signs(_lifted, pts))[0]
         if s:
             return s * self.orient[c] * self.cal > 0
-        return in_sphere_indexed(rows, cell, p_idx) > 0
+        return _tie_break(pts[1:] + pts[:1], cell + (p_idx,), self.orient[c] * self.cal) > 0
 
     def in_conflict(self, c, p_idx) -> bool:
         cell = self.cells[c]

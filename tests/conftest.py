@@ -1,4 +1,5 @@
 import math
+import operator
 import pathlib
 from dataclasses import dataclass
 
@@ -11,11 +12,13 @@ from pslap.boundary import dense_block, full_boundary
 from pslap.dataio import CSV_HEADER, read_xyz
 from pslap.errors import DegenerateSimplex, NegativeFiltration, ParseError
 from pslap.geometry import (
+    _NEEDLE,
     PointSet,
     _circumsphere_exact,
     _exact_signs,
     _gram_det,
     _gram_power,
+    _to_double,
     in_sphere_indexed,
     min_circumsphere_batch,
     side_of_circumsphere_batch,
@@ -174,11 +177,16 @@ def reference_min_circumsphere(simplex_points) -> Circumsphere:
     V = pts[1:] - pts[0]
     G = 2.0 * (V @ V.T)
     b = np.einsum("ij,ij->i", V, V)
-    try:
-        t = np.linalg.solve(G, b)
-    except np.linalg.LinAlgError:
+    # the routing rule: det(G) at most _NEEDLE times its magnitude, from the
+    # kernel's body on Python floats, or an overflowing G takes exact arithmetic
+    base, *rest = pts.tolist()
+    diffs = [[x - y for x, y in zip(p, base)] for p in rest]
+    (det,) = _gram_det(diffs, operator.sub)
+    (mag,) = _gram_det([[abs(x) for x in row] for row in diffs], operator.add)
+    if not abs(det) > _NEEDLE * mag or not np.all(np.isfinite(G)):
         center, r2 = _circumsphere_exact(pts.tolist())
-        return Circumsphere(center=np.array(center, dtype=float), radius_sq=float(r2))
+        return Circumsphere(center=np.array([_to_double(x) for x in center]), radius_sq=_to_double(r2))
+    t = np.linalg.solve(G, b)
     offset = t @ V
     return Circumsphere(center=pts[0] + offset, radius_sq=float(offset @ offset))
 

@@ -197,6 +197,13 @@ def test_overflowing_filtration_is_an_error():
         alpha_complex(read_xyz(DATA / "overflow_two.xyz"))
 
 
+def test_needle_beyond_double_range_is_an_error():
+    # the needle's exact r², about 1e330, rounds to inf: a typed error, not
+    # an OverflowError from rounding the rational
+    with pytest.raises(NegativeFiltration, match=r"value inf for simplex \(0, 1, 2\)"):
+        alpha_complex(PointSet(np.array([(0, 0), (1e70, 0), (2e70, 1e-25)])))
+
+
 # -- the batched filtration against the per-simplex reference -------------------
 
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    DATA,
     audit_empty_circumspheres,
     min_circumsphere,
     random_cloud,
@@ -16,6 +17,7 @@ from conftest import (
 )
 from pslap import geometry
 from pslap.alpha import alpha_complex
+from pslap.dataio import read_xyz
 from pslap.errors import AllCollinear, AllCoplanar, DegenerateSimplex, DuplicatePoints
 from pslap.geometry import PointSet, delaunay, in_sphere_indexed, orientation
 
@@ -404,8 +406,8 @@ def test_kernel_shapes_cover_every_compiled_shape():
 
 
 def test_min_circumsphere_batch_with_a_needle_row():
-    # the needle makes the stacked solve singular; its row takes the exact
-    # path and every other row keeps the radius the scalar formula gives it
+    # the kernel's det(G) ratio routes the needle to the exact path before
+    # any solve; every other row keeps the radius the scalar formula gives it
     needle = [(0, 0, 0), (1, 0, 0), (2, 1e-9, 0)]
     tris = [[(0, 0, 0), (2, 0, 0), (0, 1, 0)], needle, [(1, 1, 1), (2, 1, 0), (0, 3, 1)]]
     centers, radius_sq = geometry.min_circumsphere_batch(np.array(tris, float))
@@ -414,6 +416,79 @@ def test_min_circumsphere_batch_with_a_needle_row():
         assert radius_sq[row] == alone.radius_sq
         assert np.array_equal(centers[row], alone.center)
     assert radius_sq[1] == float(_circumsphere_exact(needle)[1])
+
+
+# needles and flat simplices whose float solve loses digits: r² 4.8% off for
+# the 3D needle at 1e-7, 18.9% for the flat tetrahedron at 1e-8
+_NEEDLES = {
+    "3d-needle-1e-7": [(0, 0, 0), (1, 0, 0), (2, 1e-7, 0)],
+    "3d-needle-1e-6": [(0, 0, 0), (1, 0, 0), (2, 1e-6, 0)],
+    "2d-needle-1e-7": [(0, 0), (1, 0), (2, 1e-7)],
+    "flat-1e-7": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.3, 1e-7)],
+    "flat-1e-8": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.3, 1e-8)],
+    # det(G)'s magnitude overflows and G does not; the stacked solve is singular
+    "3d-needle-1e80": [(0, 0, 0), (1e80, 0, 0), (2e80, 1e72, 0)],
+    # not a needle: det(G) is certified but 2 v.v overflows G, where the
+    # float solve gave r² 0.25 for 2.5e307
+    "2d-overflowing-gram": [(0, 0), (1e154, 0), (0, 1)],
+}
+
+
+@pytest.mark.parametrize("name", list(_NEEDLES))
+def test_needle_circumsphere_is_the_exact_one_rounded(name):
+    # the kernel's det(G) sends these to exact arithmetic, rounded once
+    center, r2 = _circumsphere_exact(_NEEDLES[name])
+    cs = min_circumsphere(_NEEDLES[name])
+    assert cs.radius_sq == float(r2)
+    assert cs.center.tolist() == [float(x) for x in center]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_min_circumsphere_batch_mixes_routed_and_solved_rows(k):
+    # routed rows between ordinary ones: each row is what it is alone, the
+    # routed ones the exact sphere rounded and the rest the float solve
+    routed = [p for p in _NEEDLES.values() if len(p) == k + 1 and len(p[0]) == 3]
+    rng = np.random.default_rng(k)
+    stack = np.concatenate([rng.normal(size=(3, k + 1, 3)), routed, rng.normal(size=(3, k + 1, 3))])
+    centers, radius_sq = geometry.min_circumsphere_batch(stack)
+    for row, pts in enumerate(stack):
+        alone = reference_min_circumsphere(pts)
+        assert radius_sq[row] == alone.radius_sq
+        assert np.array_equal(centers[row], alone.center)
+    for row, pts in enumerate(routed, start=3):
+        assert radius_sq[row] == float(_circumsphere_exact(pts)[1])
+
+
+@pytest.mark.parametrize("dependent", [
+    [(0, 0, 0), (1, 1, 1), (3, 3, 3)],
+    [(0, 0, 0), (1e160, 1e160, 0), (2e160, 2e160, 0)],  # its float Gram matrix overflows
+    [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],
+], ids=["collinear", "collinear-overflow", "coplanar"])
+def test_min_circumsphere_batch_dependent_row_raises(dependent):
+    rng = np.random.default_rng(3)
+    ordinary = rng.normal(size=(2, len(dependent), 3))
+    stack = np.concatenate([ordinary[:1], [dependent], ordinary[1:]])
+    with pytest.raises(DegenerateSimplex):
+        geometry.min_circumsphere_batch(stack)
+
+
+def test_only_needles_take_the_exact_circumsphere(monkeypatch):
+    # the fixtures' alpha complexes route no simplex; the needle routes its
+    # triangle alone
+    routed = []
+    exact = geometry._circumsphere_exact
+
+    def counted(pts):
+        routed.append(pts)
+        return exact(pts)
+
+    monkeypatch.setattr(geometry, "_circumsphere_exact", counted)
+    for path in sorted(DATA.glob("*.xyz")):
+        if not path.name.startswith(("overflow", "needle")):
+            alpha_complex(read_xyz(path))
+    assert routed == []
+    alpha_complex(read_xyz(DATA / "needle.xyz"))
+    assert routed == [[[0.0, 0.0], [1.0, 0.0], [2.0, 1e-7]]]
 
 
 def test_delaunay_square():
@@ -549,6 +624,39 @@ def test_delaunay_cells_are_linked_and_oriented(monkeypatch, icosahedron_points)
         assert sorted(tri.vertices) == list(range(len(ps)))
         for v in tri.vertices:
             assert v in tri.cells[tri.incident[v]]
+
+
+def test_delaunay_ties_break_on_the_stored_orientation(monkeypatch, icosahedron_points):
+    # on a tie the lifted determinant is 0 and so is the power: the build
+    # breaks it from the cell's stored orientation without evaluating the
+    # power, into the cells the public in_sphere_indexed tie-break gives
+    octahedron = np.concatenate([np.eye(3), -np.eye(3)])
+    inputs = [np.array(list(itertools.product(range(4), repeat=3)), float),
+              icosahedron_points.coords, octahedron]
+    calls = {"power": 0, "tie": 0}
+    exact_signs = geometry._exact_signs
+
+    def counted(poly, points):
+        signs = exact_signs(poly, points)
+        calls["power"] += poly is geometry._gram_power
+        calls["tie"] += poly is geometry._lifted and signs == (0,)
+        return signs
+
+    def inside_by_power(self, c, p_idx):
+        cell, rows = self.cells[c], self.rows
+        s = exact_signs(geometry._lifted, [rows[p_idx]] + [rows[v] for v in cell])[0]
+        return (s * self.orient[c] * self.cal if s else in_sphere_indexed(rows, cell, p_idx)) > 0
+
+    for coords in inputs:
+        calls.update(power=0, tie=0)
+        with monkeypatch.context() as m:
+            m.setattr(geometry, "_exact_signs", counted)
+            built = delaunay(PointSet(coords))
+        assert calls["tie"] > 0 and calls["power"] == 0
+        with monkeypatch.context() as m:
+            m.setattr(geometry._Triangulation, "_inside", inside_by_power)
+            reference = delaunay(PointSet(coords))
+        assert built.simplices(3) == reference.simplices(3)
 
 
 def _lifted_side(rows, cell, query):
