@@ -33,10 +33,11 @@ The float sign is accepted when ``|value| > 2**-48 * magnitude``.  The bound:
 with unit roundoff u = 2**-53, count the roundings on the worst path from a
 leaf to the result, one for each coordinate difference, addition and
 subtraction, and for a product the sum of both factors' counts plus one.  The
-deepest polynomial, the power for k = 3, has D = 29; the lifted determinant
-has 11 in 2D and 16 in 3D.  Expanding the expression
-into monomials, each picks up at most D factors (1 + delta), |delta| <= u, so
-the float value differs from the exact one by at most
+deepest polynomials the pipeline compiles, det(G) and the power of 4 points
+in 3D, have D = 20, the lifted determinant 11 in 2D and 16 in 3D; the
+deepest the kernel supports, the power for k = 3, has D = 29.  Expanding the
+expression into monomials, each picks up at most D factors (1 + delta),
+|delta| <= u, so the float value differs from the exact one by at most
 gamma_D = D*u / (1 - D*u) times the exact magnitude, and the float magnitude
 is at least (1 - u)**D times the exact one; 32u covers both and the rounding
 of the bound itself.  This assumes no product underflows, which holds when
@@ -44,10 +45,11 @@ every nonzero coordinate difference exceeds 1e-30 in magnitude (the
 polynomials have degree at most 8).  An overflow or NaN fails the comparison
 and goes to the exact path.
 
-Cospherical degeneracies are broken by a symbolic perturbation of the lifted
-weights (point i lowered by an infinitesimal eps**(n-i), so the highest-index
-point dominates ties); the tessellation built from the perturbed predicate is
-the regular triangulation of the perturbed lift and is therefore independent
+Cospherical degeneracies are broken by a symbolic perturbation of the lift:
+point i's lift |p_i|^2 is lowered to |p_i|^2 - eps**(n-i), eps > 0
+infinitesimal and n the number of points, so the highest-index point
+dominates ties; the tessellation built from the perturbed predicate is the
+regular triangulation of the perturbed lift and is therefore independent
 of insertion order.
 
 Points are inserted one at a time (Bowyer-Watson, with an infinite cell on
@@ -113,8 +115,7 @@ _NEEDLE = 1e-12  # det(G) <= _NEEDLE * magnitude: an exact circumsphere; >= _ERR
 
 # Sign fix relating the lifted determinant of a cell's vertices about a query,
 # times the cell's orientation, to +1 for interior queries (the translated
-# lifted determinant flips parity between 2D and 3D).  Its perturbed terms are
-# in_sphere_indexed's tie-break.
+# lifted determinant flips parity between 2D and 3D).
 _INSPHERE_CAL = {2: 1, 3: -1}
 
 
@@ -324,35 +325,6 @@ def side_of_circumsphere_batch(simplices: np.ndarray, queries: np.ndarray) -> np
     return power
 
 
-def in_sphere_indexed(coords, simplex: tuple[int, ...], query: int) -> int:
-    """Perturbed circumsphere test on indexed points; never returns 0.
-
-    ``coords`` holds the point rows (``coords.tolist()`` of an (n, d) array).
-    Ties (cospherical configurations) are resolved by the symbolic lift
-    perturbation, dominated by the involved point with the largest index.
-    """
-    row_idx = tuple(simplex) + (query,)
-    pts = [coords[i] for i in row_idx]
-    independent, raw = _exact_signs(_gram_power, pts)
-    if not independent:
-        raise DegenerateSimplex(f"degenerate cell {row_idx[:-1]}")
-    if raw != 0:
-        return raw
-    return _tie_break(pts, row_idx, _exact_signs(_orient, pts[:-1])[0] * _INSPHERE_CAL[len(pts[0])])
-
-
-def _tie_break(pts, row_idx, cal: int) -> int:
-    """Perturbed in-sphere sign of pts[-1] against the d + 1 points pts[:-1]
-    (indices row_idx), where the unperturbed sign is 0; cal is their
-    orientation times _INSPHERE_CAL[d]."""
-    for r in sorted(range(len(pts)), key=lambda r: row_idx[r], reverse=True):
-        o = _exact_signs(_orient, pts[:r] + pts[r + 1:])[0]
-        if o != 0:
-            # first-order term of the perturbed determinant: -(-1)^r * o
-            return (o if r % 2 else -o) * cal
-    raise DegenerateSimplex(f"fully degenerate configuration {row_idx}")
-
-
 def min_circumsphere_batch(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Centers (M, d) and squared radii (M,) of the smallest spheres through
     an (M, k+1, d) stack of affinely independent point lists, k >= 1.
@@ -465,13 +437,24 @@ class _Triangulation:
 
     def _inside(self, c, p_idx) -> bool:
         """Whether p lies inside the circumsphere of the finite cell c: the
-        lifted determinant, or on a tie the perturbed in-sphere test."""
+        lifted determinant, or on a tie the perturbed one."""
         cell, rows = self.cells[c], self.rows
         pts = [rows[p_idx]] + [rows[v] for v in cell]
         s = (self.lifted_signs(*pts) or _exact_signs(_lifted, pts))[0]
         if s:
             return s * self.orient[c] * self.cal > 0
-        return _tie_break(pts[1:] + pts[:1], cell + (p_idx,), self.orient[c] * self.cal) > 0
+        # A tie: the perturbation's term of the largest index with a nonzero
+        # cofactor decides.  For the point at place r of pts its sign is
+        # (-1)**r orient(pts without r) times the cell's orientation, +1 for
+        # p itself, so p decides unless a vertex of larger index does (the
+        # cell is sorted).
+        for r in range(self.d + 1, 0, -1):
+            if cell[r - 1] < p_idx:
+                break
+            o = _exact_signs(_orient, pts[:r] + pts[r + 1:])[0]
+            if o:
+                return (o if r % 2 == 0 else -o) * self.orient[c] > 0
+        return True
 
     def in_conflict(self, c, p_idx) -> bool:
         cell = self.cells[c]

@@ -110,16 +110,13 @@ def _cython_lapack() -> _Library:
     return _Library(functions, ctypes.c_int, hidden_lengths=False)
 
 
-def _load(fallback: bool = False) -> _Library:
+def _load() -> _Library:
     """The routines from numpy's bundled OpenBLAS, or from
-    ``scipy.linalg.cython_lapack`` where numpy lacks them or ``fallback``
-    asks for it (the tests run both sources)."""
-    if not fallback:
-        try:
-            return _numpy_openblas()
-        except (OSError, AttributeError):
-            pass
-    return _cython_lapack()
+    ``scipy.linalg.cython_lapack`` where numpy lacks them."""
+    try:
+        return _numpy_openblas()
+    except (OSError, AttributeError):
+        return _cython_lapack()
 
 
 _lib: _Library | None = None  # loaded with the first workspace
@@ -224,15 +221,14 @@ def tridiagonal(d: np.ndarray, e: np.ndarray) -> Tridiagonal:
 
 def dstebz(
     t: Tridiagonal, range: bytes, vl: float = -np.inf, vu: float = np.inf, il: int = 0, iu: int = 0
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Ascending eigenvalues of ``t`` in one range, by Sturm-sequence
-    bisection to dstebz's default absolute tolerance, and LAPACK's info.
+    bisection to dstebz's default absolute tolerance.
 
-    ``range`` is b"A" (every eigenvalue), b"V" (those in (vl, vu], with
-    vl < vu) or b"I" (those with indices il..iu, 1 <= il <= iu <= n).
-    info is returned, not raised: 2 is a result, an index range that came
-    back short where eigenvalues closer than the tolerance straddle a split
-    of the tridiagonal.
+    ``range`` is b"V" (those in (vl, vu], with vl < vu) or b"I" (those with
+    indices il..iu, 1 <= il <= iu <= n).  An index range comes back short
+    (info 2) where eigenvalues closer than the tolerance straddle a split of
+    the tridiagonal; any other nonzero info is an EigensolveFailure.
     """
     if not isinstance(t, Tridiagonal):
         raise EigensolveFailure(f"dstebz takes a Tridiagonal, not {type(t).__name__}")
@@ -242,14 +238,16 @@ def dstebz(
     elif range == b"I":
         if not 1 <= il <= iu <= t.n:
             raise EigensolveFailure(f"dstebz: index range {il}..{iu} outside 1..{t.n}")
-    elif range != b"A":
-        raise EigensolveFailure(f"dstebz: range must be b'A', b'V' or b'I', not {range!r}")
+    else:
+        raise EigensolveFailure(f"dstebz: range must be b'V' or b'I', not {range!r}")
     t._bounds[0], t._bounds[1] = vl, vu
     i = t._i
     i[3], i[4] = il, iu
     t._lib.dstebz(range, *t._dstebz)
+    if i[2] not in (0, 2):
+        raise EigensolveFailure(f"LAPACK dstebz failed (info={i[2]})")
     w = t.n * (t.n + 3)
-    return t._f[w:w + i[5]].copy(), i[2]
+    return t._f[w:w + i[5]].copy()
 
 
 def dsterf(t: Tridiagonal) -> np.ndarray:

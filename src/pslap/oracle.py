@@ -97,17 +97,12 @@ class BettiOracle:
             self._lows[q] = self._reduce_rational(q)
 
     def _reduce_rational(self, q: int):
-        cx = self.complex
-        faces_idx = cx._index[q - 1]
         lows: list = []
         low_to_col: dict[int, int] = {}
         columns: dict[int, dict] = {}
-        for s in cx.simplices(q):
-            col: dict[int, int] = {}
-            sign = 1
-            for i in range(len(s)):
-                col[faces_idx[s[:i] + s[i + 1:]]] = sign
-                sign = -sign
+        for faces in self.complex.face_rows(q).tolist():
+            # face i omits vertex i and enters with sign (-1)**i
+            col: dict[int, int] = {r: (-1) ** i for i, r in enumerate(faces)}
             while col:
                 low = max(col)
                 k = low_to_col.get(low)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import lapack
 from .boundary import SparseBoundaryMatrix, check_order, full_boundary, persistent_boundary
-from .errors import EigensolveFailure, PslapError
+from .errors import PslapError
 from .simplices import FilteredComplex, Snapshot, snapshot
 
 # The eigensolver policy (see _part).  An eigenvalue below
@@ -91,18 +91,6 @@ def _zero_threshold(lambda_max: float) -> float:
 _VALUES, _INDICES = b"V", b"I"
 
 
-def _bisect(t, which, vl=-np.inf, vu=np.inf, il=0, iu=0) -> np.ndarray:
-    """Ascending eigenvalues of the tridiagonal ``t`` in one range, by
-    Sturm-sequence bisection (LAPACK dstebz) to its default absolute
-    tolerance.  An index range comes back short (info 2) where eigenvalues
-    closer than the tolerance straddle a split of the tridiagonal; any other
-    nonzero info is an EigensolveFailure."""
-    w, info = lapack.dstebz(t, which, vl, vu, il, iu)
-    if info not in (0, 2):
-        raise EigensolveFailure(f"LAPACK dstebz failed (info={info})")
-    return w
-
-
 def _part(t: lapack.Tridiagonal, zero_max: float | None = None) -> HodgePart:
     """The :class:`HodgePart` of the tridiagonal ``t``, from three
     bisections: for the eigenvalues above ZERO_ABS / ZERO_REL, the only ones
@@ -113,17 +101,17 @@ def _part(t: lapack.Tridiagonal, zero_max: float | None = None) -> HodgePart:
     zero, where Lanczos from one start vector (ARPACK) misses some; a block
     method would need a block of at least beta + 2 vectors.
     """
-    top = _bisect(t, _VALUES, vl=ZERO_ABS / ZERO_REL)
+    top = lapack.dstebz(t, _VALUES, vl=ZERO_ABS / ZERO_REL)
     lambda_top = float(top[-1]) if len(top) else 0.0
     if zero_max is None:
         # the largest value below the threshold: zeros lie in (-inf, zero_max]
         zero_max = math.nextafter(_zero_threshold(lambda_top), -math.inf)
-    zeros = _bisect(t, _VALUES, vu=zero_max)
+    zeros = lapack.dstebz(t, _VALUES, vu=zero_max)
     lam_min = None
     if len(zeros) < t.n:
-        nonzero = _bisect(t, _INDICES, il=len(zeros) + 1, iu=len(zeros) + 1)
+        nonzero = lapack.dstebz(t, _INDICES, il=len(zeros) + 1, iu=len(zeros) + 1)
         if not len(nonzero):  # short: bisect every nonzero eigenvalue
-            nonzero = _bisect(t, _VALUES, vl=zero_max)
+            nonzero = lapack.dstebz(t, _VALUES, vl=zero_max)
         lam_min = float(nonzero[0])
     largest_zero = float(zeros[-1]) if len(zeros) else 0.0
     return HodgePart(

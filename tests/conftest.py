@@ -1,7 +1,9 @@
+import itertools
 import math
 import operator
 import pathlib
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from pslap.geometry import (
     _gram_det,
     _gram_power,
     _to_double,
-    in_sphere_indexed,
     min_circumsphere_batch,
     side_of_circumsphere_batch,
 )
@@ -100,14 +101,64 @@ def prefix_states(cx) -> list:
     })
 
 
+def exact_det(rows) -> Fraction:
+    """Determinant of a square matrix of rationals, by its permutation sum."""
+    n = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Fraction(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def _lifted_row(x) -> list:
+    x = [Fraction(c) for c in x]
+    return x + [sum(c * c for c in x), Fraction(1)]
+
+
+def reference_in_sphere(rows, cell, query: int) -> int:
+    """+1 if point ``query`` lies inside the circumsphere of the d-simplex
+    ``cell`` (indices into the point rows), -1 if outside; never 0.
+
+    The sign is the Gram power's.  A tie is broken by the perturbation of
+    the geometry module docstring, which lowers point i's lift |p_i|^2 by
+    eps**(n - i): the in-sphere determinant of the rows (x, |x|^2, 1), in
+    Fraction, is linear in the lift column, so lowering row j's lift adds
+    -eps**(n - i_j) times its cofactor, the determinant with that column
+    replaced by the unit vector e_j, and the largest index with a nonzero
+    cofactor decides.  The determinant's sign for a point inside is read
+    off the cell's centroid, which lies strictly inside.
+    """
+    idx = tuple(cell) + (query,)
+    pts = [rows[i] for i in idx]
+    independent, power = _exact_signs(_gram_power, pts)
+    if not independent:
+        raise DegenerateSimplex(f"degenerate cell {tuple(cell)}")
+    if power:
+        return power
+    matrix = [_lifted_row(p) for p in pts]
+    centroid = [sum(map(Fraction, column)) / len(cell) for column in zip(*pts[:-1])]
+    inside = np.sign(exact_det(matrix[:-1] + [_lifted_row(centroid)]))
+    assert inside != 0
+    # the query's cofactor is the cell's orientation, nonzero: the loop returns
+    for j in sorted(range(len(idx)), key=idx.__getitem__, reverse=True):
+        unit = [row[:-2] + [Fraction(i == j), row[-1]] for i, row in enumerate(matrix)]
+        cofactor = exact_det(unit)
+        if cofactor:
+            return int(-np.sign(cofactor) * inside)
+
+
 def audit_empty_circumspheres(cx, coords: np.ndarray) -> list:
     """All (cell, point) pairs of a tessellation of ``coords`` violating the
-    perturbed empty-sphere property."""
+    perturbed empty-sphere property of :func:`reference_in_sphere`."""
     violations, rows = [], coords.tolist()
     for cell in cx.simplices(coords.shape[1]):
         members = set(cell)
         for idx in range(coords.shape[0]):
-            if idx not in members and in_sphere_indexed(rows, cell, idx) > 0:
+            if idx not in members and reference_in_sphere(rows, cell, idx) > 0:
                 violations.append((cell, idx))
     return violations
 

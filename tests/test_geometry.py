@@ -10,8 +10,10 @@ import pytest
 from conftest import (
     DATA,
     audit_empty_circumspheres,
+    exact_det,
     min_circumsphere,
     random_cloud,
+    reference_in_sphere,
     reference_min_circumsphere,
     side_of_circumsphere,
 )
@@ -19,7 +21,7 @@ from pslap import geometry
 from pslap.alpha import alpha_complex
 from pslap.dataio import read_xyz
 from pslap.errors import AllCollinear, AllCoplanar, DegenerateSimplex, DuplicatePoints
-from pslap.geometry import PointSet, delaunay, in_sphere_indexed, orientation
+from pslap.geometry import PointSet, delaunay, orientation
 
 
 def test_orientation_2d():
@@ -78,11 +80,11 @@ def test_side_of_circumsphere_degenerate_raises():
         side_of_circumsphere([(0, 0), (1, 1), (2, 2)], (0, 1))
 
 
-def test_in_sphere_indexed_breaks_ties_consistently(icosahedron_points):
+def test_reference_in_sphere_breaks_ties_consistently(icosahedron_points):
     # four cocircular points: opposite tie answers must complement each other
     rows = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
-    s1 = in_sphere_indexed(rows, (0, 1, 2), 3)
-    s2 = in_sphere_indexed(rows, (0, 1, 3), 2)
+    s1 = reference_in_sphere(rows, (0, 1, 2), 3)
+    s2 = reference_in_sphere(rows, (0, 1, 3), 2)
     assert abs(s1) == 1 and abs(s2) == 1
     assert (s1 > 0) != (s2 > 0)
     # on two cospherical inputs, every point tied with a Delaunay cell's
@@ -95,7 +97,7 @@ def test_in_sphere_indexed_breaks_ties_consistently(icosahedron_points):
                 pts = [rows[i] for i in cell + (idx,)]
                 if geometry._exact_signs(geometry._gram_power, pts)[1] == 0:
                     ties += 1
-                    assert in_sphere_indexed(rows, cell, idx) == -1, (cell, idx)
+                    assert reference_in_sphere(rows, cell, idx) == -1, (cell, idx)
         assert ties > 0
 
 
@@ -160,21 +162,9 @@ def _tie_circle() -> np.ndarray:
     return pts[np.argsort(np.arctan2(pts[:, 1], pts[:, 0]))]
 
 
-def _exact_det(rows):
-    n = len(rows)
-    total = Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = Fraction(-1 if inversions % 2 else 1)
-        for i, j in enumerate(perm):
-            term *= rows[i][j]
-        total += term
-    return total
-
-
 def _exact_orientation(pts):
     base = [Fraction(x) for x in pts[0]]
-    return int(np.sign(_exact_det([[Fraction(x) - b for x, b in zip(p, base)] for p in pts[1:]])))
+    return int(np.sign(exact_det([[Fraction(x) - b for x, b in zip(p, base)] for p in pts[1:]])))
 
 
 # Independent exact reference: a Gauss-Jordan solve of the circumcenter
@@ -274,7 +264,7 @@ def test_predicate_kernel_matches_exact_reference(d, k):
         assert side_of_circumsphere(verts, query) == side, (verts, query)
         if k == d:
             coords = np.vstack([verts, query])
-            s = in_sphere_indexed(coords, tuple(range(d + 1)), d + 1)
+            s = reference_in_sphere(coords, tuple(range(d + 1)), d + 1)
             assert s == side or (side == 0 and abs(s) == 1), (verts, query)
         assert orientation(orient) == _exact_orientation(orient), orient
     # the same cases as one batch, whose uncertain rows take the exact path
@@ -386,13 +376,16 @@ class _Depth:
         return _Depth(self.n + other.n + 1)
 
 
+def _depth(poly, m, d) -> int:
+    """The deepest rounding count among poly's values on m points in R^d."""
+    diffs = [[_Depth(1)] * d for _ in range(m - 1)]
+    return max(v.n for v in poly(diffs, operator.sub))
+
+
 def test_kernel_rounding_depth_is_covered_by_the_error_bound():
     # _ERR = 2**-48 covers a depth of D = 29, the power for k = 3; the
     # lifted in-sphere determinant is far shallower
-    depths = {}
-    for poly, m, d in _KERNEL_SHAPES:
-        diffs = [[_Depth(1)] * d for _ in range(m - 1)]
-        depths[poly, m, d] = max(v.n for v in poly(diffs, operator.sub))
+    depths = {shape: _depth(*shape) for shape in _KERNEL_SHAPES}
     assert max(depths.values()) == depths[geometry._gram_power, 5, 3] == 29
     assert depths[geometry._lifted, 4, 2] == 11
     assert depths[geometry._lifted, 5, 3] == 16
@@ -403,6 +396,18 @@ def test_kernel_shapes_cover_every_compiled_shape():
     for d in (2, 3):
         alpha_complex(random_cloud(4, 12, d))
     assert set(geometry._COMPILED) <= set(_KERNEL_SHAPES)
+
+
+def test_pipeline_compiles_a_rounding_depth_of_20_at_most(monkeypatch):
+    # a build and its filtration compile det(G) and the power of 4 points in
+    # 3D at most, both of depth 20; only the tests' in-sphere reference
+    # compiles the power of 5 points (depth 29)
+    monkeypatch.setattr(geometry, "_COMPILED", {})
+    for d in (2, 3):
+        alpha_complex(random_cloud(4, 12, d))
+    depths = {shape: _depth(*shape) for shape in geometry._COMPILED}
+    assert max(depths.values()) == 20, depths
+    assert (geometry._gram_power, 5, 3) not in depths
 
 
 def test_min_circumsphere_batch_with_a_needle_row():
@@ -629,7 +634,7 @@ def test_delaunay_cells_are_linked_and_oriented(monkeypatch, icosahedron_points)
 def test_delaunay_ties_break_on_the_stored_orientation(monkeypatch, icosahedron_points):
     # on a tie the lifted determinant is 0 and so is the power: the build
     # breaks it from the cell's stored orientation without evaluating the
-    # power, into the cells the public in_sphere_indexed tie-break gives
+    # power, into the cells the tests' reference tie-break gives
     octahedron = np.concatenate([np.eye(3), -np.eye(3)])
     inputs = [np.array(list(itertools.product(range(4), repeat=3)), float),
               icosahedron_points.coords, octahedron]
@@ -645,7 +650,7 @@ def test_delaunay_ties_break_on_the_stored_orientation(monkeypatch, icosahedron_
     def inside_by_power(self, c, p_idx):
         cell, rows = self.cells[c], self.rows
         s = exact_signs(geometry._lifted, [rows[p_idx]] + [rows[v] for v in cell])[0]
-        return (s * self.orient[c] * self.cal if s else in_sphere_indexed(rows, cell, p_idx)) > 0
+        return (s * self.orient[c] * self.cal if s else reference_in_sphere(rows, cell, p_idx)) > 0
 
     for coords in inputs:
         calls.update(power=0, tie=0)
@@ -669,7 +674,7 @@ def _lifted_side(rows, cell, query):
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_lifted_in_sphere_matches_in_sphere_indexed(d, icosahedron_points):
+def test_lifted_in_sphere_matches_reference_in_sphere(d, icosahedron_points):
     rng = np.random.default_rng(40 + d)
     cell = tuple(range(d + 1))
     inputs = [("random", rng.normal(size=(d + 2, d)) * 10.0 ** rng.integers(-3, 4))
@@ -687,7 +692,7 @@ def test_lifted_in_sphere_matches_in_sphere_indexed(d, icosahedron_points):
         power = geometry._exact_signs(geometry._gram_power, rows)[1]
         assert side == power, (name, rows)
         if side:
-            assert side == in_sphere_indexed(rows, cell, d + 1), (name, rows)
+            assert side == reference_in_sphere(rows, cell, d + 1), (name, rows)
         ties += side == 0
     # cospherical inputs: both polynomials vanish on the same cells and
     # queries, and agree in sign elsewhere
@@ -703,6 +708,6 @@ def test_lifted_in_sphere_matches_in_sphere_indexed(d, icosahedron_points):
                 pts = [rows[i] for i in cell + (query,)]
                 assert side == geometry._exact_signs(geometry._gram_power, pts)[1]
                 if side:
-                    assert side == in_sphere_indexed(rows, cell, query)
+                    assert side == reference_in_sphere(rows, cell, query)
                 ties += side == 0
     assert ties > 0
