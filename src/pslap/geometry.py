@@ -55,21 +55,24 @@ of insertion order.
 Points are inserted one at a time (Bowyer-Watson, with an infinite cell on
 each hull facet).  Each cell stores its neighbours, entry j across the facet
 opposite its vertex j, and each finite cell the exact sign of its
-orientation; each vertex keeps one incident cell.  The cells in conflict with
-a new point p are found locally.  Take the nearest inserted vertex v: the edge
-pv has an empty closed diametral ball, so it is an edge of every Delaunay
-triangulation of the inserted points and p, the perturbed one included.
-Hence v lies on the cavity boundary and some cell of its star conflicts with
-p; the star is walked from v's incident cell across the facets that hold v.
-The conflict region is connected, so a search over neighbours from that cell
-finds all of it, testing each cell once.  The nearest vertex is chosen by
-floating-point distance; only rounding between near-equidistant vertices
-could pick one whose star has no conflict, and insertion then raises
-``PslapError``.  The region's boundary facets are those whose neighbour lies
-outside it; each new cell joins p to one of them, links across it to that
-neighbour and across its other facets to the other new cells.  Every vertex
-of a removed cell lies on that boundary, so pointing each new cell's vertices
-at it replaces every incident cell that was removed.
+orientation.  A new point p is located by a visibility walk (Devillers, Pion
+and Teillaud, *Walking in a triangulation*, 2002) from the finite cell created
+last, which is live.  Its one test is the facet side: the exact orientation
+of a finite cell with its vertex j replaced by p, times the cell's stored
+orientation, is -1 iff p lies strictly beyond facet j.  From each finite cell
+the walk crosses a facet, other than the one it came through, that p lies
+strictly beyond.  It ends, since a visibility walk cannot cycle in a regular
+triangulation (Edelsbrunner, *An acyclicity theorem for cell complexes in d
+dimensions*, 1990) and the perturbed build is one.  It stops at an infinite
+cell, whose hull facet p lies strictly beyond, so that the cell conflicts
+with p (below), or at a finite cell with no facet to cross.  Then p lies in
+that closed cell and is none of its vertices; a closed simplex meets its
+circumsphere only at its vertices, so p lies strictly inside it and the cell
+conflicts with p, no tie arising.  The conflict region is connected, so a
+search over neighbours from that cell finds all of it, testing each cell
+once.  The region's boundary facets are those whose neighbour lies outside
+it; each new cell joins p to one of them, links across it to that neighbour
+and across its other facets to the other new cells.
 
 A finite cell conflicts with p iff p lies inside its circumsphere: the sign
 of the lifted determinant of its vertices about p, times the cell's stored
@@ -78,10 +81,8 @@ runs the perturbation's tie-break, given that stored orientation, so ties are
 broken exactly as the perturbation says.
 
 A point p off the affine hull of a hull facet conflicts with the facet's
-infinite cell iff it lies strictly beyond the facet: orient(facet + p) has
-the sign opposite to orient(facet + x), x the finite cell's other vertex.
-The facet is the finite cell without x, in order, so orient(facet + x) is
-its stored orientation, negated for each place x moves to reach the end.
+infinite cell iff it lies strictly beyond the facet: the facet side of the
+finite cell across it, at its vertex x opposite the facet, is -1.
 A point p on the affine hull of a hull facet conflicts with the infinite
 cell iff it lies inside the facet's circumsphere, which is where any sphere
 through the facet meets that hull, so the in-sphere test of the facet's
@@ -384,13 +385,13 @@ class _Triangulation:
     neighbours.  Cell c has the vertices ``cells[c]`` (sorted; an infinite
     cell is its sorted hull facet, then _INF), ``nbr[c][j]``, the cell across
     the facet opposite ``cells[c][j]``, and ``orient[c]``, the exact sign of
-    its orientation (0 for an infinite cell).  ``incident[v]`` is a live cell
-    holding vertex v.  A removed cell's vertices and neighbours become None."""
+    its orientation (0 for an infinite cell).  ``last`` is the finite cell
+    added last, which is live.  A removed cell's vertices and neighbours
+    become None."""
 
-    def __init__(self, coords: np.ndarray, first):
-        self.coords = coords
-        self.rows = coords.tolist()  # the predicates read rows, not the array
-        self.d = coords.shape[1]
+    def __init__(self, rows: list[list[float]], first):
+        self.rows = rows
+        self.d = len(rows[0])
         self.cal = _INSPHERE_CAL[self.d]
         # the traced sign functions, called straight: None sends a call to
         # the exact path
@@ -399,8 +400,6 @@ class _Triangulation:
         self.cells: list[tuple[int, ...] | None] = []
         self.nbr: list[list[int] | None] = []
         self.orient: list[int] = []
-        self.incident: dict[int, int] = {}
-        self.vertices = list(first)
         base = tuple(sorted(first))
         link = {}
         for cell in [base] + [base[:i] + base[i + 1:] + (_INF,) for i in range(self.d + 1)]:
@@ -414,11 +413,10 @@ class _Triangulation:
             orient = (self.orient_signs(*pts) or _exact_signs(_orient, pts))[0]
             if orient == 0:
                 raise PslapError(f"degenerate cell {cell} produced during insertion")
+            self.last = c
         self.cells.append(cell)
         self.nbr.append([None] * (self.d + 1))
         self.orient.append(orient)
-        for v in cell:
-            self.incident[v] = c
         return c
 
     def _link(self, c, link, skip=None):
@@ -434,6 +432,13 @@ class _Triangulation:
                 else:
                     o, k = other
                     self.nbr[c][j], self.nbr[o][k] = o, c
+
+    def _side(self, c, j, p_idx) -> int:
+        """The exact orientation of the finite cell c with its vertex j
+        replaced by p, times c's: -1 iff p lies strictly beyond facet j."""
+        pts = [self.rows[v] for v in self.cells[c]]
+        pts[j] = self.rows[p_idx]
+        return (self.orient_signs(*pts) or _exact_signs(_orient, pts))[0] * self.orient[c]
 
     def _inside(self, c, p_idx) -> bool:
         """Whether p lies inside the circumsphere of the finite cell c: the
@@ -457,47 +462,37 @@ class _Triangulation:
         return True
 
     def in_conflict(self, c, p_idx) -> bool:
-        cell = self.cells[c]
-        if cell[-1] != _INF:
+        if self.cells[c][-1] != _INF:
             return self._inside(c, p_idx)
-        rows = self.rows
         finite = self.nbr[c][-1]
-        pts = [rows[v] for v in cell[:-1]] + [rows[p_idx]]
-        s_p = (self.orient_signs(*pts) or _exact_signs(_orient, pts))[0]
-        if s_p != 0:
-            # orient(facet + x), x the finite cell's vertex at index k: its
-            # orientation with x moved to the end, d - k transpositions
-            k = self.nbr[finite].index(c)
-            s_x = self.orient[finite] if (self.d - k) % 2 == 0 else -self.orient[finite]
-            return s_p == -s_x
+        s = self._side(finite, self.nbr[finite].index(c), p_idx)
+        if s:
+            return s < 0
         # p on the facet's affine hull, where the finite cell's circumsphere
         # is the facet's; on a tie the opposite vertex's cofactor,
         # orient(facet + p), is 0, so only the facet and p break it
         return self._inside(finite, p_idx)
 
-    def _conflict_region(self, p_idx):
-        """The cells in conflict with p: the first found in the star of the
-        nearest inserted vertex, walked over the facets that hold it from its
-        incident cell, then the rest by search over neighbours, each cell
-        tested once (the region is connected)."""
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by alpha
-            dist_sq = ((self.coords[self.vertices] - self.coords[p_idx]) ** 2).sum(axis=1)
-        nearest = self.vertices[int(np.argmin(dist_sq))]
-        star = [self.incident[nearest]]
-        seen, tested = set(star), set()
-        for c in star:  # grows while it is walked
-            tested.add(c)
-            if self.in_conflict(c, p_idx):
+    def _locate(self, p_idx) -> int:
+        """A cell in conflict with p: walked from ``last`` across any facet
+        but the one just crossed that p lies strictly beyond, up to a cell
+        whose closure holds p or an infinite cell."""
+        c, prev = self.last, None
+        while self.cells[c][-1] != _INF:
+            for j, other in enumerate(self.nbr[c]):
+                if other != prev and self._side(c, j, p_idx) < 0:
+                    c, prev = other, c
+                    break
+            else:
                 break
-            for v, other in zip(self.cells[c], self.nbr[c]):
-                if v != nearest and other not in seen:
-                    seen.add(other)
-                    star.append(other)
-        else:
-            raise PslapError(
-                f"point {p_idx} conflicts with no cell; configuration too degenerate"
-            )
-        conflicts = [c]
+        return c
+
+    def _conflict_region(self, p_idx):
+        """The cells in conflict with p: ``_locate``'s, then the rest by
+        search over neighbours, each cell tested once (the region is
+        connected)."""
+        conflicts = [self._locate(p_idx)]
+        tested = set(conflicts)
         for c in conflicts:  # grows while it is walked
             for other in self.nbr[c]:
                 if other not in tested:
@@ -531,7 +526,6 @@ class _Triangulation:
                 self._link(n, link, skip=i)
         for c in conflicts:
             cells[c] = nbr[c] = None
-        self.vertices.append(p_idx)
 
 
 def _bootstrap_simplex(coords: np.ndarray):
@@ -571,7 +565,7 @@ def delaunay(points: PointSet, seed: int = 0) -> FilteredComplex:
         seen[key] = i
 
     first = _bootstrap_simplex(coords)
-    tri = _Triangulation(coords, first)
+    tri = _Triangulation(coords.tolist(), first)  # the predicates read rows, not the array
     rest = [i for i in range(n) if i not in set(first)]
     random.Random(seed).shuffle(rest)
     for p in rest:

@@ -538,14 +538,26 @@ def test_delaunay_random_audit(d, seed, n):
                 assert s[:i] + s[i + 1:] in faces
 
 
+def _far_near_duplicates(d):
+    """12 points in [-1, 1]^d and four pairs 1e-7 apart at distance 30:
+    near-duplicate vertices far from the rest."""
+    rng = np.random.default_rng(60 + d)
+    far = rng.normal(size=(4, d))
+    far *= 30.0 / np.linalg.norm(far, axis=1, keepdims=True)
+    nudge = rng.normal(size=(4, d))
+    nudge *= 1e-7 / np.linalg.norm(nudge, axis=1, keepdims=True)
+    return PointSet(np.concatenate([rng.uniform(-1.0, 1.0, size=(12, d)), far, far + nudge]))
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_delaunay_insertion_order_invariance(d, icosahedron_points):
-    inputs = [random_cloud(11, 18, d)]
+    inputs = [random_cloud(11, 18, d), _far_near_duplicates(d)]
     if d == 3:  # degenerate: the grid's builds break hull-plane ties
         inputs += [PointSet(np.array(list(itertools.product(range(3), repeat=3)), float)),
                    icosahedron_points]
     for ps in inputs:
         base = delaunay(ps, seed=0)
+        assert not audit_empty_circumspheres(base, ps.coords)
         for seed in (3, 9):
             alt = delaunay(ps, seed=seed)
             for q in range(d + 1):
@@ -574,17 +586,22 @@ def test_delaunay_cospherical_icosahedron(icosahedron_points):
 
 
 def test_delaunay_conflict_search_is_local(monkeypatch):
-    # a scan of every cell per insertion runs about 62 300 conflict tests here
+    # a scan of every cell per insertion runs about 62 300 conflict tests
+    # here; the walk's facet-side tests and the conflict tests take about
+    # 7 900, a hull cell's conflict test counting twice as it is a `_side`
     ps = random_cloud(2, 150, 3)
     calls = 0
-    in_conflict = geometry._Triangulation.in_conflict
 
-    def counted(self, cell, p_idx):
-        nonlocal calls
-        calls += 1
-        return in_conflict(self, cell, p_idx)
+    def counted(method):
+        def call(self, *args):
+            nonlocal calls
+            calls += 1
+            return method(self, *args)
+        return call
 
-    monkeypatch.setattr(geometry._Triangulation, "in_conflict", counted)
+    tri = geometry._Triangulation
+    for name in ("_side", "in_conflict"):
+        monkeypatch.setattr(tri, name, counted(getattr(tri, name)))
     c = delaunay(ps)
     assert calls < 10_000
     assert not audit_empty_circumspheres(c, ps.coords)
@@ -626,9 +643,8 @@ def test_delaunay_cells_are_linked_and_oriented(monkeypatch, icosahedron_points)
                 pts = [tri.rows[v] for v in cell]
                 assert tri.orient[c] == geometry._exact_signs(geometry._orient, pts)[0] != 0
         assert sorted(finite) == sorted(cx.simplices(d))
-        assert sorted(tri.vertices) == list(range(len(ps)))
-        for v in tri.vertices:
-            assert v in tri.cells[tri.incident[v]]
+        # the next walk's start: a live finite cell
+        assert tri.cells[tri.last] is not None and tri.cells[tri.last][-1] != geometry._INF
 
 
 def test_delaunay_ties_break_on_the_stored_orientation(monkeypatch, icosahedron_points):
