@@ -33,14 +33,13 @@ def assign_filtration(complex: FilteredComplex, points: PointSet) -> FilteredCom
     coords = points.coords
     top = complex.max_dim
     values = {0: np.zeros(complex.n_simplices(0))}
-    faces = {}
     inherited = np.full(complex.n_simplices(top), np.inf)
     for q in range(top, 0, -1):
-        sims = np.array(complex.simplices(q), dtype=np.int64).reshape(-1, q + 1)
+        sims = complex.vertex_rows(q)
         own = inherited == np.inf
         v = inherited.copy()
         v[own] = min_circumsphere_batch(coords[sims[own]])[1]
-        values[q], faces[q] = v, complex.face_rows(q)
+        values[q] = v
         inherited = np.full(complex.n_simplices(q - 1), np.inf)
         if q == 1:
             break  # an edge's vertex faces have radius 0, nothing is inside
@@ -52,31 +51,29 @@ def assign_filtration(complex: FilteredComplex, points: PointSet) -> FilteredCom
         ).reshape(sims.shape) > 0
         # NaN and inf values never pass down, as in `v < prior`
         inside &= (v < np.inf)[:, None]
-        np.minimum.at(inherited, faces[q][inside], np.broadcast_to(v[:, None], inside.shape)[inside])
+        faces = complex.face_rows(q)
+        np.minimum.at(inherited, faces[inside], np.broadcast_to(v[:, None], inside.shape)[inside])
 
     # circumsphere solves of mathematically equal spheres can disagree by an
     # ulp across dimensions; repair bottom-up so monotonicity holds exactly
     # (face values stay authoritative, cofaces are clamped up)
     for q in range(1, top + 1):
-        values[q] = np.maximum(values[q], values[q - 1][faces[q]].max(axis=1))
-    return _checked_complex({q: complex.simplices(q) for q in range(top + 1)}, values)
+        values[q] = np.maximum(values[q], values[q - 1][complex.face_rows(q)].max(axis=1))
+    _check_finite(complex, values)
+    return complex.with_values(values)
 
 
-def _checked_complex(simplices: dict, values: dict) -> FilteredComplex:
-    """The complex with values[q][j] on simplices[q][j], after checking that
-    every value is finite: squared distances beyond double range come out inf
-    or NaN, and NaN passes every comparison unnoticed."""
+def _check_finite(complex: FilteredComplex, values: dict) -> None:
+    """Raise unless every value is finite, ``values[q][j]`` belonging to
+    ``complex.vertex_rows(q)[j]``: squared distances beyond double range
+    come out inf or NaN, and NaN passes every comparison unnoticed."""
     for q in sorted(values, reverse=True):
         bad = np.flatnonzero(~np.isfinite(values[q]))
         if bad.size:
             raise NegativeFiltration(
-                f"filtration value {values[q][bad[0]]} for simplex {simplices[q][bad[0]]}: "
-                "squared distances overflow"
+                f"filtration value {values[q][bad[0]]} for simplex "
+                f"{tuple(complex.vertex_rows(q)[bad[0]].tolist())}: squared distances overflow"
             )
-    filtration = {}
-    for q, sims in simplices.items():
-        filtration.update(zip(sims, values[q].tolist()))
-    return FilteredComplex(simplices, filtration)
 
 
 def critical_alphas(complex: FilteredComplex) -> np.ndarray:
@@ -107,7 +104,9 @@ def alpha_complex(points: PointSet, seed: int = 0) -> FilteredComplex:
     if n == 2:
         with np.errstate(over="ignore"):  # an inf is reported by the check
             d_sq = float(np.sum((coords[1] - coords[0]) ** 2))
-        return _checked_complex(
-            {0: [(0,), (1,)], 1: [(0, 1)]}, {0: np.zeros(2), 1: np.array([d_sq / 4.0])}
+        cx = FilteredComplex(
+            {0: [(0,), (1,)], 1: [(0, 1)]}, {(0,): 0.0, (1,): 0.0, (0, 1): d_sq / 4.0}
         )
+        _check_finite(cx, {q: cx.filtration_values_sq(q) for q in (0, 1)})
+        return cx
     return assign_filtration(delaunay(points, seed=seed), points)

@@ -4,6 +4,7 @@ detection, and accumulated-Laplacian diagnostics."""
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -263,9 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built on the first main() call, not at import, and kept for later calls
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except _INPUT_ERRORS as exc:
         print(f"pslap: input error: {exc}", file=sys.stderr)

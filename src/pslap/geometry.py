@@ -109,7 +109,7 @@ from .errors import (
     DuplicatePoints,
     PslapError,
 )
-from .simplices import FilteredComplex, closure_of_cells
+from .simplices import FilteredComplex
 
 _ERR = 2.0**-48  # relative error bound of every kernel polynomial; see above
 _NEEDLE = 1e-12  # det(G) <= _NEEDLE * magnitude: an exact circumsphere; >= _ERR
@@ -571,7 +571,6 @@ def delaunay(points: PointSet, seed: int = 0) -> FilteredComplex:
     for p in rest:
         tri.insert(p)
 
-    finite = [c for c in tri.cells if c is not None and c[-1] != _INF]
-    by_dim = closure_of_cells(finite)
-    values = {s: math.inf for sims in by_dim.values() for s in sims}
-    return FilteredComplex(by_dim, values)
+    return FilteredComplex.from_cells(
+        np.array([c for c in tri.cells if c is not None and c[-1] != _INF], dtype=np.int64)
+    )

@@ -292,11 +292,11 @@ def accumulated_laplacian_diagonal(complex: FilteredComplex, alphas) -> np.ndarr
     """
     edge_counts = np.sort([snapshot(complex, a).count(1) for a in alphas])
     n = complex.n_simplices(0)
+    edges = complex.vertex_rows(1)
+    hits = len(edge_counts) - np.searchsorted(edge_counts, np.arange(len(edges)), side="right")
     acc = np.zeros(n)
-    for j, (u, v) in enumerate(complex.simplices(1)):
-        hits = len(edge_counts) - int(np.searchsorted(edge_counts, j, side="right"))
-        acc[u] += hits
-        acc[v] += hits
+    # integer sums, exact in any order
+    np.add.at(acc, edges, hits[:, None])
     top = acc.max()
     if top == 0:
         return np.ones(n)
@@ -311,10 +311,10 @@ def detect_anomalies(complex: FilteredComplex, points, onset_threshold: float):
     their Euclidean distance, closest first.
     """
     coords = points.coords if hasattr(points, "coords") else np.asarray(points, float)
-    out = []
-    for (u, v), val in zip(complex.simplices(1), complex.filtration_values_sq(1)):
-        if 2.0 * math.sqrt(val) < onset_threshold:
-            dist = float(np.linalg.norm(coords[u] - coords[v]))
-            out.append(((u, v), dist))
+    close = 2.0 * np.sqrt(complex.filtration_values_sq(1)) < onset_threshold
+    out = [
+        ((u, v), float(np.linalg.norm(coords[u] - coords[v])))
+        for u, v in complex.vertex_rows(1)[close].tolist()
+    ]
     out.sort(key=lambda t: (t[1], t[0]))
     return out

@@ -242,13 +242,14 @@ def reference_min_circumsphere(simplex_points) -> Circumsphere:
     return Circumsphere(center=pts[0] + offset, radius_sq=float(offset @ offset))
 
 
-def reference_assign_filtration(complex: FilteredComplex, points: PointSet) -> FilteredComplex:
-    """Return a new complex with alpha filtration values (squared) assigned."""
+def reference_filtration_values(by_dim: dict, points: PointSet) -> dict:
+    """Squared alpha value of every simplex of ``by_dim[q]``, q = 0..top, a
+    closed complex given as vertex tuples."""
     coords = points.coords
     values: dict[tuple, float] = {}
-    top = complex.max_dim
+    top = max(by_dim)
     for q in range(top, -1, -1):
-        for s in complex.simplices(q):
+        for s in by_dim[q]:
             if s not in values:
                 values[s] = 0.0 if q == 0 else reference_min_circumsphere(coords[list(s)]).radius_sq
             if q == 0:
@@ -266,7 +267,7 @@ def reference_assign_filtration(complex: FilteredComplex, points: PointSet) -> F
     # ulp across dimensions; repair bottom-up so monotonicity holds exactly
     # (face values stay authoritative, cofaces are clamped up)
     for q in range(1, top + 1):
-        for s in complex.simplices(q):
+        for s in by_dim[q]:
             face_max = max(values[s[:i] + s[i + 1:]] for i in range(q + 1))
             if values[s] < face_max:
                 values[s] = face_max
@@ -278,7 +279,57 @@ def reference_assign_filtration(complex: FilteredComplex, points: PointSet) -> F
             raise NegativeFiltration(
                 f"filtration value {v} for simplex {s}: squared distances overflow"
             )
-    return FilteredComplex({q: complex.simplices(q) for q in range(top + 1)}, values)
+    return values
+
+
+def reference_assign_filtration(complex: FilteredComplex, points: PointSet) -> FilteredComplex:
+    """Return a new complex with alpha filtration values (squared) assigned."""
+    by_dim = {q: complex.simplices(q) for q in range(complex.max_dim + 1)}
+    return FilteredComplex(by_dim, reference_filtration_values(by_dim, points))
+
+
+# The tuple construction of a filtered complex, which pslap.simplices builds
+# on integer arrays instead: the closure as Python sets of vertex tuples, a
+# (value, vertex tuple) sort per dimension and face rows from index dicts.
+
+
+def closure_of_cells(cells) -> dict[int, set]:
+    """All faces of the given top cells, grouped by dimension."""
+    by_dim: dict[int, set] = {q: set() for q in range(MAX_DIM + 1)}
+    for cell in cells:
+        t = tuple(sorted(cell))
+        for q in range(len(t)):
+            for s in itertools.combinations(t, q + 1):
+                by_dim[q].add(s)
+    return by_dim
+
+
+def reference_complex(by_dim: dict, filtration_sq) -> dict:
+    """q -> (simplices, squared values, face rows) of the complex whose
+    q-simplices are ``by_dim[q]`` with values ``filtration_sq(s)``, each
+    dimension sorted by (value, vertex tuple); face rows are None for q=0."""
+    out, index = {}, {}
+    for q in range(MAX_DIM + 1):
+        sims = sorted(by_dim.get(q, ()), key=lambda s: (filtration_sq(s), s))
+        index[q] = {s: i for i, s in enumerate(sims)}
+        faces = None
+        if q:
+            faces = np.array(
+                [[index[q - 1][s[:i] + s[i + 1:]] for i in range(q + 1)] for s in sims],
+                dtype=np.int64,
+            ).reshape(-1, q + 1)
+        out[q] = (sims, np.array([filtration_sq(s) for s in sims], dtype=float), faces)
+    return out
+
+
+def assert_matches_reference(cx, ref: dict) -> None:
+    """``cx`` lists, values and indexes its simplices as ``reference_complex``
+    does."""
+    for q, (sims, values, faces) in ref.items():
+        assert cx.simplices(q) == sims
+        assert np.array_equal(cx.filtration_values_sq(q), values)
+        if q:
+            assert np.array_equal(cx.face_rows(q), faces)
 
 
 def read_spectra_csv(path) -> list[SpectrumRecord]:

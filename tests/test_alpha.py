@@ -18,7 +18,7 @@ from pslap.alpha import alpha_complex, assign_filtration, critical_alphas
 from pslap.dataio import read_xyz
 from pslap.errors import NegativeFiltration
 from pslap.geometry import PointSet, delaunay
-from pslap.simplices import snapshot
+from pslap.simplices import FilteredComplex, snapshot
 
 NAMES = "ABCDEF"
 
@@ -287,3 +287,24 @@ def test_critical_alphas_follow_chained_near_ties():
     states = [snapshot(cx, a).counts for a in crit]
     assert states == prefix_states(cx)
     assert [s[1] for s in states] == [0, 2, 3, 4]
+
+
+
+def test_assign_filtration_on_a_valued_complex(chain_clean_complex):
+    # a complex whose values differ within a dimension is put back in
+    # lexicographic order before the new values sort it, so its old order
+    # leaves no trace in the new one
+    points = read_xyz(DATA / "chain_clean.xyz")
+    cx = delaunay(points)
+    by_dim = {q: cx.simplices(q) for q in range(cx.max_dim + 1)}
+    scrambled = FilteredComplex(
+        by_dim, {s: float(-sum(s) % 7) for sims in by_dim.values() for s in sims}
+    )
+    again = assign_filtration(scrambled, points)
+    for q in range(4):
+        assert again.simplices(q) == chain_clean_complex.simplices(q)
+        assert np.array_equal(
+            again.filtration_values_sq(q), chain_clean_complex.filtration_values_sq(q)
+        )
+        if q:
+            assert np.array_equal(again.face_rows(q), chain_clean_complex.face_rows(q))

@@ -353,3 +353,23 @@ def test_help_exits_zero(capsys):
         run("spectra", "--help")
     assert exc.value.code == 0
     assert "--alpha-min" in capsys.readouterr().out
+
+
+def test_parser_is_built_once_and_reused(capsys):
+    # main builds its parser on the first call and keeps it: a usage error
+    # after a successful call still exits 1 with one stderr line, and no
+    # value of one call carries into the next
+    from pslap import cli
+
+    defect = str(DATA / "chain_defect.xyz")
+    assert run("anomaly", "--input", defect) == 0
+    parser = cli._parser()
+    assert capsys.readouterr().out.strip() == "5 6 distance 2.900000"
+    assert run("anomaly", "--input", defect, "--threshold", "x") == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pslap: input error:"), lines
+    assert run("anomaly", "--input", defect, "--threshold", "2.0") == 0
+    assert capsys.readouterr().out.strip() == "no anomalies"
+    assert run("anomaly", "--input", defect) == 0
+    assert capsys.readouterr().out.strip() == "5 6 distance 2.900000"
+    assert cli._parser() is parser

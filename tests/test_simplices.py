@@ -3,7 +3,21 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_complex, euler_characteristic
+from conftest import (
+    DATA,
+    assert_matches_reference,
+    build_complex,
+    closure_of_cells,
+    euler_characteristic,
+    production_boundary,
+    random_cloud,
+    reference_boundary,
+    reference_complex,
+    reference_filtration_values,
+)
+from pslap.alpha import alpha_complex
+from pslap.dataio import read_pdb_ca, read_xyz
+from pslap.geometry import delaunay
 from pslap.simplices import Snapshot, snapshot
 from pslap.spectra import spectrum_at
 
@@ -110,3 +124,47 @@ def test_closure_boundary_lookup_never_misses(six_complex):
         for s in six_complex.simplices(q):
             for i in range(q + 1):
                 assert s[:i] + s[i + 1:] in faces
+
+
+# -- the array complex against the tuple construction ----------------------------
+
+# the Delaunay audit's random clouds as (d, seed, n), and data files
+REFERENCE_INPUTS = [
+    (2, 0, 25), (2, 5, 40), (3, 1, 20), (3, 6, 30), (2, 61, 50), (3, 62, 45),
+    "grid4.xyz", "icosahedron.xyz", "near_tie.xyz", "needle.xyz", "chain_clean.xyz",
+    "ca_chain220_seed1.pdb",
+]
+
+
+@pytest.mark.parametrize("source", REFERENCE_INPUTS, ids=str)
+def test_array_complex_matches_tuple_reference(source):
+    # the Delaunay complex (every value inf, so lexicographic order) and the
+    # alpha complex list, value and index their simplices as the tuple
+    # closure sorted by (value, vertex tuple) does
+    if isinstance(source, tuple):
+        d, seed, n = source
+        points = random_cloud(seed, n, d)
+    else:
+        points = (read_pdb_ca if source.endswith(".pdb") else read_xyz)(DATA / source)
+    unvalued = delaunay(points)
+    by_dim = closure_of_cells(unvalued.simplices(points.dim))
+    assert_matches_reference(unvalued, reference_complex(by_dim, lambda s: math.inf))
+    top = {q: sims for q, sims in by_dim.items() if sims}
+    values = reference_filtration_values(top, points)
+    assert_matches_reference(alpha_complex(points), reference_complex(by_dim, values.__getitem__))
+
+
+@pytest.mark.parametrize("labels", [
+    # base-n keys of the face (2e6, 2.5e6, 3e6) reach about 1.8e19, past int64
+    (0, 2_000_000, 2_500_000, 3_000_000),
+    (2_999_997, 2_999_998, 2_999_999, 3_000_000),
+    # labels too far apart even for ranked keys
+    (-(2**62), 0, 2**40, 2**62),
+])
+def test_face_rows_at_large_vertex_labels(labels):
+    # one value throughout, so each dimension is in lexicographic order
+    cx = build_complex([labels], {labels: 1.0})
+    by_dim = closure_of_cells([labels])
+    assert_matches_reference(cx, reference_complex(by_dim, cx.filtration_sq))
+    for q in range(1, 4):
+        assert np.array_equal(production_boundary(cx, q), reference_boundary(cx, q))
