@@ -4,7 +4,10 @@ Every simplex gets a squared filtration value: its own squared circumradius
 if it is Gabriel, otherwise the minimum value over the cofaces whose opposite
 vertex breaks the Gabriel property.  Values are assigned from the top
 dimension downwards so that non-Gabriel propagation is complete before a
-lower dimension is visited.
+lower dimension is visited.  They are computed on the Delaunay complex's
+rows as they stand, and ``FilteredComplex.with_values`` passes them with
+the known face rows to the one constructor, which sorts each dimension by
+(value, vertex row).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from .geometry import (
     min_circumsphere_batch,
     side_of_circumsphere_batch,
 )
-from .simplices import FilteredComplex, bound_sq
+from .simplices import FilteredComplex, _faces_of, bound_sq
 
 __all__ = ["assign_filtration", "critical_alphas", "alpha_complex"]
 
@@ -44,9 +47,8 @@ def assign_filtration(complex: FilteredComplex, points: PointSet) -> FilteredCom
         if q == 1:
             break  # an edge's vertex faces have radius 0, nothing is inside
         # face i of every simplex against its opposite vertex i, in one batch
-        drop = [[j for j in range(q + 1) if j != i] for i in range(q + 1)]
         inside = side_of_circumsphere_batch(
-            coords[sims[:, drop]].reshape(-1, q, coords.shape[1]),
+            coords[_faces_of(sims)],
             coords[sims].reshape(-1, coords.shape[1]),
         ).reshape(sims.shape) > 0
         # NaN and inf values never pass down, as in `v < prior`
@@ -95,18 +97,17 @@ def alpha_complex(points: PointSet, seed: int = 0) -> FilteredComplex:
 
     Point sets too small to tessellate (n <= 2) degenerate to the complex
     the alpha filtration would produce directly: isolated vertices, plus the
-    connecting edge at half the pair distance for n == 2.
+    connecting edge at half the pair distance for n == 2, built from
+    per-dimension value lists with the face rows looked up.
     """
     coords = points.coords
     n = coords.shape[0]
     if n == 1:
-        return FilteredComplex({0: [(0,)]}, {(0,): 0.0})
+        return FilteredComplex({0: [(0,)]}, {0: [0.0]})
     if n == 2:
         with np.errstate(over="ignore"):  # an inf is reported by the check
             d_sq = float(np.sum((coords[1] - coords[0]) ** 2))
-        cx = FilteredComplex(
-            {0: [(0,), (1,)], 1: [(0, 1)]}, {(0,): 0.0, (1,): 0.0, (0, 1): d_sq / 4.0}
-        )
+        cx = FilteredComplex({0: [(0,), (1,)], 1: [(0, 1)]}, {0: [0.0, 0.0], 1: [d_sq / 4.0]})
         _check_finite(cx, {q: cx.filtration_values_sq(q) for q in (0, 1)})
         return cx
     return assign_filtration(delaunay(points, seed=seed), points)

@@ -2,7 +2,7 @@
 
 A :class:`FilteredComplex` stores every simplex of the final complex together
 with a squared filtration value, and keeps each dimension sorted by
-(value, vertex tuple).  Every snapshot is then a prefix of that order, which
+(value, vertex row).  Every snapshot is then a prefix of that order, which
 is what makes boundary-matrix restriction a top-left block read.
 """
 
@@ -41,76 +41,62 @@ class FilteredComplex:
     """A simplicial complex with a squared filtration value per simplex.
 
     Immutable after construction.  Each dimension q is held as arrays in
-    (value, vertex tuple) order: the vertex rows, an (N_q, q+1) int64 array,
+    (value, vertex row) order: the vertex rows, an (N_q, q+1) int64 array,
     their squared values, and the face rows, the positions in dimension q-1
     of each row's faces.  ``simplices(q)`` lists the rows as vertex tuples.
 
-    The constructor takes vertex tuples and their values (a dict, or
-    anything with ``[]``); ``from_cells`` takes the top cells of a
-    tessellation as one array.
+    ``rows[q]`` holds the q-simplices as sorted vertex rows (an array or a
+    list of tuples) and ``values[q]`` their squared values, both in any
+    order; a dimension absent from both is empty.  Each dimension is sorted
+    once by (value, vertex row), whose row key breaks every tie, so the
+    input order leaves no trace.  ``faces``, when given, holds for every q
+    from 1 to ``MAX_DIM`` each given q-row's face positions in the given
+    ``rows[q-1]``, face i omitting vertex i; it is trusted, not checked.
+    Without it every face is looked up.  A missing face, or a dimension
+    with more or fewer values than rows, is a ``ValueError``.
     """
 
-    def __init__(self, simplices_by_dim, filtration_sq):
-        rows, values, faces = {}, {}, {}
+    def __init__(self, rows, values, *, faces=None):
+        self._rows, self._values, self._faces = {}, {}, {}
         for q in range(MAX_DIM + 1):
-            sims = list(simplices_by_dim.get(q, ()))
-            r = np.array(sims, dtype=np.int64).reshape(-1, q + 1)
-            lex = np.argsort(_lex_keys(r), kind="stable")
-            rows[q] = r[lex]
-            values[q] = np.array([filtration_sq[s] for s in sims], dtype=float)[lex]
+            r = np.asarray(rows.get(q, ()), dtype=np.int64).reshape(-1, q + 1)
+            v = np.asarray(values.get(q, ()), dtype=float)
+            if v.shape != (len(r),):
+                raise ValueError(f"{len(r)} {q}-simplices but {v.size} values")
+            order = np.lexsort((_lex_keys(r), v))
             if q:
-                faces[q] = _find_rows(_faces_of(rows[q]), rows[q - 1]).reshape(-1, q + 1)
-        self._init(*_by_value(rows, values, faces))
+                f = _find_faces(r, given) if faces is None else np.asarray(faces[q])
+                self._faces[q] = inverse[f[order]]
+            self._rows[q], self._values[q] = r[order], v[order]
+            # dimension q as given, and where each of its rows went
+            given, inverse = r, np.empty_like(order)
+            inverse[order] = np.arange(len(order))
+        for arrays in (self._rows, self._values, self._faces):
+            for a in arrays.values():
+                a.flags.writeable = False
+        self._tuples: dict = {}  # simplices() memo
+        self._filtration: dict | None = None  # filtration_sq() memo
+        self._derived: dict = {}  # derived() memo
 
     @classmethod
     def from_cells(cls, cells: np.ndarray) -> "FilteredComplex":
         """The closure of the (N, k) top cells with every value inf: each
         dimension's faces are deduplicated by one ``np.unique`` on integer
-        row keys, whose inverse is the face rows, so every dimension comes
-        out in lexicographic order."""
+        row keys, whose inverse is the face rows."""
         rows = {q: np.empty((0, q + 1), dtype=np.int64) for q in range(MAX_DIM + 1)}
         faces = {q: r for q, r in rows.items() if q}
-        cells = np.sort(cells, axis=1)
         top = cells.shape[1] - 1
-        rows[top] = cells[np.argsort(_lex_keys(cells), kind="stable")]
+        rows[top] = np.sort(cells, axis=1)
         for q in range(top, 0, -1):
             sub = _faces_of(rows[q])
             _, first, inverse = np.unique(_lex_keys(sub), return_index=True, return_inverse=True)
             rows[q - 1], faces[q] = sub[first], inverse.reshape(-1, q + 1)
-        inf = {q: np.full(len(r), np.inf) for q, r in rows.items()}
-        return cls._from_lex_rows(rows, inf, faces)
-
-    @classmethod
-    def _from_lex_rows(cls, rows: dict, values: dict, faces: dict) -> "FilteredComplex":
-        """The complex with squared value ``values[q][j]`` on the vertex row
-        ``rows[q][j]``, where each dimension's rows are in lexicographic order
-        and ``faces[q]`` (q >= 1) gives each row's face positions in
-        ``rows[q-1]``, face i omitting vertex i.  One stable sort by value
-        per dimension then gives the (value, vertex tuple) order."""
-        cx = cls.__new__(cls)
-        cx._init(*_by_value(rows, values, faces))
-        return cx
+        return cls(rows, {q: np.full(len(r), np.inf) for q, r in rows.items()}, faces=faces)
 
     def with_values(self, values: dict) -> "FilteredComplex":
         """This complex's simplices with squared value ``values[q][j]`` on
-        ``vertex_rows(q)[j]``, in their new (value, vertex tuple) order."""
-        rows, faces = self._rows, self._faces
-        values = {q: np.asarray(values.get(q, ()), dtype=float) for q in rows}
-        if not all((v == v[:1]).all() for v in self._values.values()):
-            # rows whose values tie are in lexicographic order; others are
-            # put back in it first
-            lex = {q: np.argsort(_lex_keys(r), kind="stable") for q, r in rows.items()}
-            rows, values, faces = _permuted(rows, values, faces, lex)
-        return FilteredComplex._from_lex_rows(rows, values, faces)
-
-    def _init(self, rows, values, faces):
-        for arrays in (rows, values, faces):
-            for a in arrays.values():
-                a.flags.writeable = False
-        self._rows, self._values, self._faces = rows, values, faces
-        self._tuples: dict = {}  # simplices() memo
-        self._filtration: dict | None = None  # filtration_sq() memo
-        self._derived: dict = {}  # derived() memo
+        ``vertex_rows(q)[j]``, in their new (value, vertex row) order."""
+        return FilteredComplex(self._rows, values, faces=self._faces)
 
     @property
     def max_dim(self) -> int:
@@ -189,37 +175,19 @@ def _faces_of(rows: np.ndarray) -> np.ndarray:
     return rows[:, drop].reshape(-1, k - 1)
 
 
-def _find_rows(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Position of each row in ``table``, whose rows are distinct and in
-    lexicographic order."""
-    keys = _lex_keys(np.concatenate([table, rows]))
+def _find_faces(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(N, q+1) positions in ``table`` of the faces of (N, q+1) rows, face
+    i omitting vertex i, where the rows of ``table`` are distinct and in any
+    order."""
+    faces = _faces_of(rows)
+    keys = _lex_keys(np.concatenate([table, faces]))
     table_keys, keys = keys[:len(table)], keys[len(table):]
-    at = np.searchsorted(table_keys, keys)
+    sorter = np.argsort(table_keys)
+    at = np.searchsorted(table_keys, keys, sorter=sorter)
     # keys are non-negative, so the appended -1 matches no key past the end
-    if not np.array_equal(np.append(table_keys, -1)[at], keys):
+    if not np.array_equal(np.append(table_keys[sorter], -1)[at], keys):
         raise ValueError("a face of a simplex is missing from the complex")
-    return at
-
-
-def _by_value(rows: dict, values: dict, faces: dict):
-    """Lexicographically ordered dimensions, each stably sorted by value."""
-    order = {q: np.argsort(v, kind="stable") for q, v in values.items()}
-    return _permuted(rows, values, faces, order)
-
-
-def _permuted(rows: dict, values: dict, faces: dict, order: dict):
-    """Rows and values of each dimension q taken in ``order[q]``, and the
-    face rows mapped through the inverse permutation of the dimension below."""
-    inverse = {}
-    out_rows, out_values, out_faces = {}, {}, {}
-    for q in range(MAX_DIM + 1):
-        o = order[q]
-        inverse[q] = np.empty_like(o)
-        inverse[q][o] = np.arange(len(o))
-        out_rows[q], out_values[q] = rows[q][o], values[q][o]
-        if q:
-            out_faces[q] = inverse[q - 1][faces[q][o]]
-    return out_rows, out_values, out_faces
+    return sorter[at].reshape(rows.shape)
 
 
 def snapshot(complex: FilteredComplex, alpha: float) -> Snapshot:

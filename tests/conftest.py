@@ -83,7 +83,10 @@ def build_complex(simplices, filtration_sq) -> FilteredComplex:
                 face = s[:i] + s[i + 1:]
                 by_dim[q - 1].add(face)
                 values[face] = min(values.get(face, math.inf), values[s])
-    return FilteredComplex(by_dim, values)
+    return FilteredComplex(
+        {q: list(sims) for q, sims in by_dim.items()},
+        {q: [values[s] for s in sims] for q, sims in by_dim.items()},
+    )
 
 
 def euler_characteristic(snap) -> int:
@@ -285,7 +288,8 @@ def reference_filtration_values(by_dim: dict, points: PointSet) -> dict:
 def reference_assign_filtration(complex: FilteredComplex, points: PointSet) -> FilteredComplex:
     """Return a new complex with alpha filtration values (squared) assigned."""
     by_dim = {q: complex.simplices(q) for q in range(complex.max_dim + 1)}
-    return FilteredComplex(by_dim, reference_filtration_values(by_dim, points))
+    values = reference_filtration_values(by_dim, points)
+    return FilteredComplex(by_dim, {q: [values[s] for s in sims] for q, sims in by_dim.items()})
 
 
 # The tuple construction of a filtered complex, which pslap.simplices builds

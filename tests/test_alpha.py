@@ -291,14 +291,14 @@ def test_critical_alphas_follow_chained_near_ties():
 
 
 def test_assign_filtration_on_a_valued_complex(chain_clean_complex):
-    # a complex whose values differ within a dimension is put back in
-    # lexicographic order before the new values sort it, so its old order
-    # leaves no trace in the new one
+    # the new values are sorted with the vertex rows as tie-break, whatever
+    # order the rows come in, so the valued complex's order leaves no trace
+    # in the new one
     points = read_xyz(DATA / "chain_clean.xyz")
     cx = delaunay(points)
     by_dim = {q: cx.simplices(q) for q in range(cx.max_dim + 1)}
     scrambled = FilteredComplex(
-        by_dim, {s: float(-sum(s) % 7) for sims in by_dim.values() for s in sims}
+        by_dim, {q: [float(-sum(s) % 7) for s in sims] for q, sims in by_dim.items()}
     )
     again = assign_filtration(scrambled, points)
     for q in range(4):

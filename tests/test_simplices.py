@@ -18,7 +18,7 @@ from conftest import (
 from pslap.alpha import alpha_complex
 from pslap.dataio import read_pdb_ca, read_xyz
 from pslap.geometry import delaunay
-from pslap.simplices import Snapshot, snapshot
+from pslap.simplices import MAX_DIM, FilteredComplex, Snapshot, snapshot
 from pslap.spectra import spectrum_at
 
 
@@ -168,3 +168,44 @@ def test_face_rows_at_large_vertex_labels(labels):
     assert_matches_reference(cx, reference_complex(by_dim, cx.filtration_sq))
     for q in range(1, 4):
         assert np.array_equal(production_boundary(cx, q), reference_boundary(cx, q))
+
+
+# -- the constructor's contract ------------------------------------------------
+
+
+@pytest.mark.parametrize("given_faces", [True, False], ids=["faces", "lookup"])
+@pytest.mark.parametrize("valued", [True, False], ids=["alpha", "inf"])
+@pytest.mark.parametrize("name", ["chain_clean.xyz", "six_points.xyz"])
+def test_constructor_ignores_input_order(name, valued, given_faces):
+    # every dimension's rows and values shuffled, with the face rows shuffled
+    # to match or left to the lookup; all-inf values tie throughout, so there
+    # the vertex rows alone decide the order
+    points = read_xyz(DATA / name)
+    cx = alpha_complex(points) if valued else delaunay(points)
+    rng = np.random.default_rng(3)
+    rows, values, faces, inverse = {}, {}, {}, {}
+    for q in range(MAX_DIM + 1):
+        perm = rng.permutation(cx.n_simplices(q))
+        rows[q], values[q] = cx.vertex_rows(q)[perm], cx.filtration_values_sq(q)[perm]
+        if q:
+            faces[q] = inverse[q - 1][cx.face_rows(q)[perm]]
+        inverse[q] = np.argsort(perm)
+    built = FilteredComplex(rows, values, faces=faces if given_faces else None)
+    by_dim = {q: cx.simplices(q) for q in range(MAX_DIM + 1)}
+    assert_matches_reference(built, reference_complex(by_dim, cx.filtration_sq))
+
+
+@pytest.mark.parametrize("rows", [
+    {0: [(0,), (1,)], 1: [(0, 2)]},  # the face (2,) sorts past every vertex
+    {0: [(0,), (2,)], 1: [(0, 1)]},  # the face (1,) sorts between two vertices
+    {0: [(0,), (1,), (2,)], 1: [(0, 1), (1, 2)], 2: [(0, 1, 2)]},  # no edge (0, 2)
+], ids=["past-end", "between", "triangle"])
+def test_missing_face_raises(rows):
+    values = {q: [1.0] * len(sims) for q, sims in rows.items()}
+    with pytest.raises(ValueError, match="face of a simplex is missing"):
+        FilteredComplex(rows, values)
+
+
+def test_values_must_match_rows():
+    with pytest.raises(ValueError, match="2 0-simplices but 1 values"):
+        FilteredComplex({0: [(0,), (1,)]}, {0: [0.0]})
