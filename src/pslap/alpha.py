@@ -41,7 +41,7 @@ def assign_filtration(complex: FilteredComplex, points: PointSet) -> FilteredCom
         sims = complex.vertex_rows(q)
         own = inherited == np.inf
         v = inherited.copy()
-        v[own] = min_circumsphere_batch(coords[sims[own]])[1]
+        v[own] = min_circumsphere_batch(coords[sims[own]])
         values[q] = v
         inherited = np.full(complex.n_simplices(q - 1), np.inf)
         if q == 1:
@@ -56,8 +56,8 @@ def assign_filtration(complex: FilteredComplex, points: PointSet) -> FilteredCom
         faces = complex.face_rows(q)
         np.minimum.at(inherited, faces[inside], np.broadcast_to(v[:, None], inside.shape)[inside])
 
-    # circumsphere solves of mathematically equal spheres can disagree by an
-    # ulp across dimensions; repair bottom-up so monotonicity holds exactly
+    # radii of mathematically equal spheres, from the polynomials of different
+    # dimensions, can disagree by an ulp; repair bottom-up so monotonicity holds exactly
     # (face values stay authoritative, cofaces are clamped up)
     for q in range(1, top + 1):
         values[q] = np.maximum(values[q], values[q - 1][complex.face_rows(q)].max(axis=1))
@@ -96,8 +96,9 @@ def alpha_complex(points: PointSet, seed: int = 0) -> FilteredComplex:
     """Full pipeline: Delaunay tessellation plus alpha filtration values.
 
     Point sets too small to tessellate (n <= 2) degenerate to the complex
-    the alpha filtration would produce directly: isolated vertices, plus the
-    connecting edge at half the pair distance for n == 2, built from
+    the alpha filtration would produce directly: isolated vertices, plus for
+    n == 2 the connecting edge, whose value comes from the same
+    ``min_circumsphere_batch`` row as any other edge's, built from
     per-dimension value lists with the face rows looked up.
     """
     coords = points.coords
@@ -105,9 +106,8 @@ def alpha_complex(points: PointSet, seed: int = 0) -> FilteredComplex:
     if n == 1:
         return FilteredComplex({0: [(0,)]}, {0: [0.0]})
     if n == 2:
-        with np.errstate(over="ignore"):  # an inf is reported by the check
-            d_sq = float(np.sum((coords[1] - coords[0]) ** 2))
-        cx = FilteredComplex({0: [(0,), (1,)], 1: [(0, 1)]}, {0: [0.0, 0.0], 1: [d_sq / 4.0]})
+        edge = min_circumsphere_batch(coords[None])
+        cx = FilteredComplex({0: [(0,), (1,)], 1: [(0, 1)]}, {0: [0.0, 0.0], 1: edge})
         _check_finite(cx, {q: cx.filtration_values_sq(q) for q in (0, 1)})
         return cx
     return assign_filtration(delaunay(points, seed=seed), points)

@@ -33,8 +33,8 @@ The float sign is accepted when ``|value| > 2**-48 * magnitude``.  The bound:
 with unit roundoff u = 2**-53, count the roundings on the worst path from a
 leaf to the result, one for each coordinate difference, addition and
 subtraction, and for a product the sum of both factors' counts plus one.  The
-deepest polynomials the pipeline compiles, det(G) and the power of 4 points
-in 3D, have D = 20, the lifted determinant 11 in 2D and 16 in 3D; the
+deepest sign polynomials the pipeline compiles, det(G) and the power of 4
+points in 3D, have D = 20, the lifted determinant 11 in 2D and 16 in 3D; the
 deepest the kernel supports, the power for k = 3, has D = 29.  Expanding the
 expression into monomials, each picks up at most D factors (1 + delta),
 |delta| <= u, so the float value differs from the exact one by at most
@@ -44,6 +44,21 @@ of the bound itself.  This assumes no product underflows, which holds when
 every nonzero coordinate difference exceeds 1e-30 in magnitude (the
 polynomials have degree at most 8).  An overflow or NaN fails the comparison
 and goes to the exact path.
+
+The squared radius of the smallest sphere through k + 1 points is
+r^2 = b^T adj(G) b / (4 det(G)) (``_gram_radius``; its center is a + V^T t,
+G t = b / 2, so r^2 = t^T G t).  The numerator has D = 9, 16 for k = 1, 2 in
+2D and 11, 19, 28 for k = 1, 2, 3 in 3D, and det(G) at most 20, so by the
+rule above each float value is its exact value times (1 + theta),
+|theta| <= 29.1u * rho, rho its float magnitude over its float absolute
+value, and rho >= 1.  ``4 * det`` is exact, as a det(G) near overflow makes
+the numerator, at least det(G)**(1 + 1/k), overflow first.  With the
+quotient's rounding the float r^2 is within (1 + u)(1 + theta_det) /
+(1 - theta_num) - 1 <= 29.2u (rho_num + rho_det) + 1.01u of the exact one,
+relative, where both thetas are below 2e-8; as each rho >= 1, that is
+under ``_ERR * (rho_num + rho_det)`` rounded three more times.  Where this
+bound exceeds ``_RADIUS_ERR`` = 1e-8 or is NaN (an overflow, or a det(G)
+that underflows to 0), the same body runs in ``Fraction``, rounded once.
 
 Cospherical degeneracies are broken by a symbolic perturbation of the lift:
 point i's lift |p_i|^2 is lowered to |p_i|^2 - eps**(n-i), eps > 0
@@ -112,7 +127,7 @@ from .errors import (
 from .simplices import FilteredComplex
 
 _ERR = 2.0**-48  # relative error bound of every kernel polynomial; see above
-_NEEDLE = 1e-12  # det(G) <= _NEEDLE * magnitude: an exact circumsphere; >= _ERR
+_RADIUS_ERR = 1e-8  # a squared radius whose proven bound exceeds this is exact
 
 # Sign fix relating the lifted determinant of a cell's vertices about a query,
 # times the cell's orientation, to +1 for interior queries (the translated
@@ -168,14 +183,14 @@ def _orient(rows, sub):
 
 
 def _gram(vectors, sub):
-    """det(G) and adj(G) b for the Gram matrix G of the vectors, b = diag(G)."""
+    """det(G), adj(G) b and b for the Gram matrix G of the vectors, b = diag(G)."""
     G = [[_dot(x, y) for y in vectors] for x in vectors]
     b = [G[i][i] for i in range(len(G))]
     if len(G) == 1:
-        return b[0], b
+        return b[0], b, b
     if len(G) == 2:
         det = sub(G[0][0] * G[1][1], G[0][1] * G[1][0])
-        return det, [sub(G[1][1] * b[0], G[0][1] * b[1]), sub(G[0][0] * b[1], G[1][0] * b[0])]
+        return det, [sub(G[1][1] * b[0], G[0][1] * b[1]), sub(G[0][0] * b[1], G[1][0] * b[0])], b
     # 3x3 cofactors in cyclic form, sign (-1)**(i+j) built in; G is symmetric,
     # so C is too and equals adj(G)
     C = [
@@ -186,7 +201,7 @@ def _gram(vectors, sub):
         ]
         for i in range(3)
     ]
-    return _dot(G[0], C[0]), [_dot(row, b) for row in C]
+    return _dot(G[0], C[0]), [_dot(row, b) for row in C], b
 
 
 def _gram_det(rows, sub):
@@ -194,11 +209,17 @@ def _gram_det(rows, sub):
     return _gram(rows, sub)[:1]
 
 
+def _gram_radius(rows, sub):
+    """det(G) and b^T adj(G) b = 4 r^2 det(G) for the edge vectors in rows."""
+    det, adj_b, b = _gram(rows, sub)
+    return det, _dot(b, adj_b)
+
+
 def _gram_power(rows, sub):
     """det(G) and the power b_q^T adj(G) b - det(G)|w|^2, for the edge vectors
     in rows[:-1] and the query offset w = rows[-1]."""
     *vectors, w = rows
-    det, adj_b = _gram(vectors, sub)
+    det, adj_b, _ = _gram(vectors, sub)
     return det, sub(_dot([_dot(v, w) for v in vectors], adj_b), det * _dot(w, w))
 
 
@@ -278,17 +299,18 @@ def _compiled(poly, m: int, d: int, signs: bool = False):
     return fns[signs]
 
 
+def _exact(poly, points):
+    """poly's values on points[1:] - points[0], from the body in ``Fraction``."""
+    base, *rest = [[Fraction(x) for x in p] for p in points]
+    return poly([[x - y for x, y in zip(p, base)] for p in rest], operator.sub)
+
+
 def _exact_signs(poly, points) -> tuple[int, ...]:
     """Exact signs of poly's values on the differences points[1:] - points[0],
     for a list of m point rows (sequences of d floats): the traced kernel's
-    where its float test is certain, else the body's in ``Fraction``."""
+    where its float test is certain, else those of ``_exact``."""
     signs = _compiled(poly, len(points), len(points[0]), True)(*points)
-    if signs is None:
-        base, *rest = points
-        fbase = [Fraction(x) for x in base]
-        exact = poly([[Fraction(x) - y for x, y in zip(p, fbase)] for p in rest], operator.sub)
-        signs = tuple(_sign(v) for v in exact)
-    return signs
+    return signs or tuple(_sign(v) for v in _exact(poly, points))
 
 
 def orientation(points) -> int:
@@ -326,47 +348,22 @@ def side_of_circumsphere_batch(simplices: np.ndarray, queries: np.ndarray) -> np
     return power
 
 
-def min_circumsphere_batch(simplices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Centers (M, d) and squared radii (M,) of the smallest spheres through
-    an (M, k+1, d) stack of affinely independent point lists, k >= 1.
-
-    Each row's route is fixed before any solve by one kernel evaluation of
-    det(G).  A row whose value is at most ``_NEEDLE`` times its magnitude (a
-    needle or flat simplex, an overflow or NaN), or whose float G overflows,
-    is solved in ``Fraction`` and rounded to the nearest double.  Every other
-    row, its det(G) certified positive as ``_NEEDLE`` > 2**-48, takes the
-    stacked float solve; stacked rows are separate matrices, so no row depends
-    on its batch.  ``einsum`` forms b only, as it rounds G, offset and r²
-    unlike matmul."""
+def min_circumsphere_batch(simplices: np.ndarray) -> np.ndarray:
+    """Squared radii (M,) of the smallest spheres through an (M, k+1, d)
+    stack of affinely independent point lists, k >= 1, each row apart: from
+    one ``_gram_radius`` evaluation, or in ``Fraction`` where its bound (see
+    above) fails; an exact det(G) of 0 raises ``DegenerateSimplex``."""
     _, m, d = simplices.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported by alpha
-        (det,), (mag,) = _compiled(_gram_det, m, d)(*simplices.transpose(1, 2, 0))
-        V = simplices[:, 1:] - simplices[:, :1]
-        G = 2.0 * (V @ V.transpose(0, 2, 1))
-        b = np.einsum("mij,mij->mi", V, V)
-        exact = ~(abs(det) > _NEEDLE * mag) | ~np.all(np.isfinite(G), axis=(1, 2))
-        G[exact] = np.eye(m - 1)  # a placeholder: these rows are solved exactly below
-        t = np.linalg.solve(G, b[..., None])[..., 0]
-        offset = t[:, None] @ V
-        centers = simplices[:, 0] + offset[:, 0]
-        radius_sq = (offset @ offset.transpose(0, 2, 1))[:, 0, 0]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # such rows go exact
+        (det, num), (mag_det, mag_num) = _compiled(_gram_radius, m, d)(*simplices.transpose(1, 2, 0))
+        radius_sq = num / (4.0 * det)
+        exact = ~(_ERR * (mag_num / abs(num) + mag_det / abs(det)) <= _RADIUS_ERR)
     for r in np.flatnonzero(exact):
-        center, r2 = _circumsphere_exact(simplices[r].tolist())
-        centers[r], radius_sq[r] = [_to_double(x) for x in center], _to_double(r2)
-    return centers, radius_sq
-
-
-def _circumsphere_exact(pts):
-    """Circumcenter (affine hull) and squared radius as exact rationals: the
-    offset from pts[0] is V^T t with t = adj(G) b / (2 det G)."""
-    base = [Fraction(x) for x in pts[0]]
-    V = [[Fraction(x) - y for x, y in zip(p, base)] for p in pts[1:]]
-    det, adj_b = _gram(V, operator.sub)
-    if det == 0:
-        raise DegenerateSimplex("affinely dependent circumsphere input")
-    t = [x / (2 * det) for x in adj_b]
-    offset = [_dot(t, column) for column in zip(*V)]
-    return [a + o for a, o in zip(base, offset)], _dot(offset, offset)
+        det, num = _exact(_gram_radius, simplices[r].tolist())
+        if det == 0:
+            raise DegenerateSimplex("affinely dependent circumsphere input")
+        radius_sq[r] = _to_double(num / (4 * det))
+    return radius_sq
 
 
 def _to_double(x: Fraction) -> float:

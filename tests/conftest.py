@@ -2,7 +2,6 @@ import itertools
 import math
 import operator
 import pathlib
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -14,12 +13,12 @@ from pslap.boundary import dense_block, full_boundary
 from pslap.dataio import CSV_HEADER, read_xyz
 from pslap.errors import DegenerateSimplex, NegativeFiltration, ParseError
 from pslap.geometry import (
-    _NEEDLE,
+    _ERR,
+    _RADIUS_ERR,
     PointSet,
-    _circumsphere_exact,
     _exact_signs,
-    _gram_det,
     _gram_power,
+    _gram_radius,
     _to_double,
     min_circumsphere_batch,
     side_of_circumsphere_batch,
@@ -170,12 +169,6 @@ def audit_empty_circumspheres(cx, coords: np.ndarray) -> list:
 # which pslap.alpha runs on whole dimensions at a time.
 
 
-@dataclass(frozen=True)
-class Circumsphere:
-    center: np.ndarray
-    radius_sq: float
-
-
 def _simplex_rows(simplex_points) -> np.ndarray:
     pts = np.asarray(simplex_points, dtype=float)
     if pts.ndim == 1:
@@ -195,20 +188,74 @@ def side_of_circumsphere(simplex_points, query) -> int:
     return int(side_of_circumsphere_batch(pts[None], q[None])[0])
 
 
-def min_circumsphere(simplex_points) -> Circumsphere:
-    """Smallest sphere through k+1 affinely independent points (center in
-    their affine hull); a single point has radius 0."""
+def circumradius_sq(simplex_points) -> float:
+    """Squared radius of the smallest sphere through k+1 affinely independent
+    points; a single point has radius 0."""
     pts = _simplex_rows(simplex_points)
     if pts.shape[0] == 1:
-        return Circumsphere(center=pts[0].copy(), radius_sq=0.0)
-    centers, radius_sq = min_circumsphere_batch(pts[None])
-    return Circumsphere(center=centers[0], radius_sq=float(radius_sq[0]))
+        return 0.0
+    return float(min_circumsphere_batch(pts[None])[0])
+
+
+# Exact reference: a Gauss-Jordan solve of the circumcenter system, sharing no
+# code with the kernel's Gram polynomials.
+
+
+def exact_circumsphere(pts):
+    """Circumcenter (in the affine hull) and squared radius of the point rows
+    as exact rationals."""
+    base = [Fraction(x) for x in pts[0]]
+    dim = len(base)
+    V = [[Fraction(p[k]) - base[k] for k in range(dim)] for p in pts[1:]]
+    k = len(V)
+    if k == 0:
+        return base, Fraction(0)
+    G = [[2 * sum(vi[m] * vj[m] for m in range(dim)) for vj in V] for vi in V]
+    rhs = [sum(v[m] * v[m] for m in range(dim)) for v in V]
+    t = _solve_exact(G, rhs)
+    offset = [sum(t[j] * V[j][m] for j in range(k)) for m in range(dim)]
+    center = [base[m] + offset[m] for m in range(dim)]
+    r2 = sum(o * o for o in offset)
+    return center, r2
+
+
+def _solve_exact(A, b):
+    n = len(A)
+    M = [row[:] + [b[i]] for i, row in enumerate(A)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
+        if piv is None:
+            raise DegenerateSimplex("singular exact circumsphere system")
+        M[col], M[piv] = M[piv], M[col]
+        inv = M[col][col]
+        for r in range(n):
+            if r != col and M[r][col] != 0:
+                f = M[r][col] / inv
+                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
+    return [M[i][n] / M[i][i] for i in range(n)]
 
 
 # Per-simplex reference for pslap.alpha.assign_filtration, which computes the
 # same values one dimension at a time on arrays, and the scalar predicates it
-# uses: the float circumradius formula row by row and the exact side test
-# straight through _exact_signs, independent of the batched geometry code.
+# uses: the circumradius formula's body interpreted row by row on Python
+# floats and the exact side test straight through _exact_signs, independent
+# of the batched and traced geometry code.
+
+
+def gram_radius(simplex_points) -> tuple:
+    """(det(G), b^T adj(G) b, bound) of k+1 points, k >= 1: the values of
+    ``_gram_radius``'s body interpreted on Python floats, and the proven
+    relative error bound of their quotient over 4, inf or NaN where a value
+    is 0 or out of double range."""
+    base, *rest = np.asarray(simplex_points, dtype=float).tolist()
+    diffs = [[x - y for x, y in zip(p, base)] for p in rest]
+    det, num = _gram_radius(diffs, operator.sub)
+    mag_det, mag_num = _gram_radius([[abs(x) for x in row] for row in diffs], operator.add)
+    try:
+        bound = _ERR * (mag_num / abs(num) + mag_det / abs(det))
+    except ZeroDivisionError:
+        bound = math.inf
+    return det, num, bound
 
 
 def reference_side_of_circumsphere(simplex_points, query) -> int:
@@ -222,27 +269,17 @@ def reference_side_of_circumsphere(simplex_points, query) -> int:
     return power
 
 
-def reference_min_circumsphere(simplex_points) -> Circumsphere:
+def reference_circumradius_sq(simplex_points) -> float:
+    """num / (4 det) from :func:`gram_radius` where its bound is at most
+    ``_RADIUS_ERR``, else the exact squared radius rounded to the nearest
+    double."""
     pts = np.asarray(simplex_points, dtype=float)
     if pts.shape[0] == 1:
-        return Circumsphere(center=pts[0].copy(), radius_sq=0.0)
-    if not _exact_signs(_gram_det, pts.tolist())[0]:
-        raise DegenerateSimplex("affinely dependent circumsphere input")
-    V = pts[1:] - pts[0]
-    G = 2.0 * (V @ V.T)
-    b = np.einsum("ij,ij->i", V, V)
-    # the routing rule: det(G) at most _NEEDLE times its magnitude, from the
-    # kernel's body on Python floats, or an overflowing G takes exact arithmetic
-    base, *rest = pts.tolist()
-    diffs = [[x - y for x, y in zip(p, base)] for p in rest]
-    (det,) = _gram_det(diffs, operator.sub)
-    (mag,) = _gram_det([[abs(x) for x in row] for row in diffs], operator.add)
-    if not abs(det) > _NEEDLE * mag or not np.all(np.isfinite(G)):
-        center, r2 = _circumsphere_exact(pts.tolist())
-        return Circumsphere(center=np.array([_to_double(x) for x in center]), radius_sq=_to_double(r2))
-    t = np.linalg.solve(G, b)
-    offset = t @ V
-    return Circumsphere(center=pts[0] + offset, radius_sq=float(offset @ offset))
+        return 0.0
+    det, num, bound = gram_radius(pts)
+    if bound <= _RADIUS_ERR:
+        return num / (4.0 * det)
+    return _to_double(exact_circumsphere(pts.tolist())[1])
 
 
 def reference_filtration_values(by_dim: dict, points: PointSet) -> dict:
@@ -254,7 +291,7 @@ def reference_filtration_values(by_dim: dict, points: PointSet) -> dict:
     for q in range(top, -1, -1):
         for s in by_dim[q]:
             if s not in values:
-                values[s] = 0.0 if q == 0 else reference_min_circumsphere(coords[list(s)]).radius_sq
+                values[s] = reference_circumradius_sq(coords[list(s)])
             if q == 0:
                 continue
             v_s = values[s]
@@ -266,8 +303,8 @@ def reference_filtration_values(by_dim: dict, points: PointSet) -> dict:
                     if v_s < prior:
                         values[tau] = v_s
 
-    # circumsphere solves of mathematically equal spheres can disagree by an
-    # ulp across dimensions; repair bottom-up so monotonicity holds exactly
+    # radii of mathematically equal spheres, from the polynomials of different
+    # dimensions, can disagree by an ulp; repair bottom-up so monotonicity holds exactly
     # (face values stay authoritative, cofaces are clamped up)
     for q in range(1, top + 1):
         for s in by_dim[q]:

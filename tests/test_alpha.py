@@ -7,7 +7,8 @@ import pytest
 from conftest import (
     DATA,
     build_complex,
-    min_circumsphere,
+    circumradius_sq,
+    exact_circumsphere,
     prefix_states,
     random_cloud,
     reference_assign_filtration,
@@ -120,7 +121,7 @@ def test_gabriel_value_assignment_rule():
         c = alpha_complex(pts, seed=seed)
         for q in range(1, c.max_dim + 1):
             for s in c.simplices(q):
-                own = min_circumsphere(pts.coords[list(s)]).radius_sq
+                own = circumradius_sq(pts.coords[list(s)])
                 if is_gabriel(pts, s):
                     assert np.isclose(c.filtration_sq(s), own, rtol=1e-10)
                 else:
@@ -144,7 +145,7 @@ def _nerve_member(coords, simplex, alpha, resolution=160):
     have no other point strictly closer.  Witnesses live on the equidistance
     subspace through the circumcenter, which is sampled densely."""
     pts = coords[list(simplex)]
-    center = min_circumsphere(pts).center
+    center = np.array([float(c) for c in exact_circumsphere(pts.tolist())[0]])
     d = coords.shape[1]
     V = pts[1:] - pts[0]
     if len(V):

@@ -10,16 +10,18 @@ import pytest
 from conftest import (
     DATA,
     audit_empty_circumspheres,
+    circumradius_sq,
+    exact_circumsphere,
     exact_det,
-    min_circumsphere,
+    gram_radius,
     random_cloud,
+    reference_circumradius_sq,
     reference_in_sphere,
-    reference_min_circumsphere,
     side_of_circumsphere,
 )
-from pslap import geometry
+from pslap import alpha, geometry
 from pslap.alpha import alpha_complex
-from pslap.dataio import read_xyz
+from pslap.dataio import read_pdb_ca, read_xyz
 from pslap.errors import AllCollinear, AllCoplanar, DegenerateSimplex, DuplicatePoints
 from pslap.geometry import PointSet, delaunay, orientation
 
@@ -102,33 +104,37 @@ def test_reference_in_sphere_breaks_ties_consistently(icosahedron_points):
 
 
 def test_min_circumsphere_examples():
-    cs = min_circumsphere([(0, 0), (2, 0)])
-    assert np.allclose(cs.center, (1, 0)) and np.isclose(cs.radius_sq, 1.0)
-    cs = min_circumsphere([(0, 0), (1, 0), (0.5, np.sqrt(3) / 2)])
-    assert np.isclose(cs.radius_sq, 1.0 / 3.0)
-    cs = min_circumsphere([(0, 0), (4, 0), (2, 0.5)])
-    assert np.allclose(cs.center, (2, -3.75)) and np.isclose(cs.radius_sq, 18.0625)
-    cs = min_circumsphere([(5.0, 6.0)])
-    assert cs.radius_sq == 0.0
-    # needle triangle: affinely independent in exact arithmetic, singular to
-    # the floating-point solve
-    cs = min_circumsphere([(0, 0, 0), (1, 0, 0), (2, 1e-9, 0)])
-    assert np.allclose(cs.center, (0.5, 1e9, 0)) and np.isclose(cs.radius_sq, 1e18)
+    # each radius is the distance to the known center: (1, 0), the centroid,
+    # (2, -3.75) and, for the needle, (0.5, 1e9, 0)
+    assert circumradius_sq([(0, 0), (2, 0)]) == 1.0
+    assert np.isclose(circumradius_sq([(0, 0), (1, 0), (0.5, np.sqrt(3) / 2)]), 1.0 / 3.0)
+    assert circumradius_sq([(0, 0), (4, 0), (2, 0.5)]) == 2.0**2 + 3.75**2
+    assert circumradius_sq([(5.0, 6.0)]) == 0.0
+    # needle triangle: affinely independent in exact arithmetic, and the
+    # float radius's bound is too large, so it is the exact one rounded
+    needle = [(0, 0, 0), (1, 0, 0), (2, 1e-9, 0)]
+    assert circumradius_sq(needle) == float(exact_circumsphere(needle)[1])
+    assert np.isclose(circumradius_sq(needle), 0.5**2 + 1e18)
 
 
 def test_min_circumsphere_equidistance_property():
+    # the tests' exact center is equidistant from every point, and each float
+    # radius lies within its proven bound of that distance
     rng = np.random.default_rng(2)
     for d in (2, 3):
         for k in range(1, d + 1):
             pts = rng.normal(size=(k + 1, d))
-            cs = min_circumsphere(pts)
-            dists = np.sum((pts - cs.center) ** 2, axis=1)
-            assert np.allclose(dists, cs.radius_sq, rtol=1e-9, atol=1e-12)
+            center, r2 = exact_circumsphere(pts.tolist())
+            dists = {sum((Fraction(x) - c) ** 2 for x, c in zip(p, center)) for p in pts.tolist()}
+            assert dists == {r2}
+            bound = gram_radius(pts)[2]
+            assert bound <= geometry._RADIUS_ERR
+            assert abs(Fraction(circumradius_sq(pts)) - r2) <= Fraction(bound) * r2
 
 
 def test_min_circumsphere_degenerate():
     with pytest.raises(DegenerateSimplex):
-        min_circumsphere([(0, 0), (1, 1), (2, 2)])
+        circumradius_sq([(0, 0), (1, 1), (2, 2)])
 
 
 def test_side_of_circumsphere_lower_dim():
@@ -167,43 +173,8 @@ def _exact_orientation(pts):
     return int(np.sign(exact_det([[Fraction(x) - b for x, b in zip(p, base)] for p in pts[1:]])))
 
 
-# Independent exact reference: a Gauss-Jordan solve of the circumcenter
-# system, sharing no code with the kernel's Gram polynomials.
-def _circumsphere_exact(pts):
-    """Circumcenter (affine-hull) and squared radius as exact rationals."""
-    base = [Fraction(x) for x in pts[0]]
-    dim = len(base)
-    V = [[Fraction(p[k]) - base[k] for k in range(dim)] for p in pts[1:]]
-    k = len(V)
-    if k == 0:
-        return base, Fraction(0)
-    G = [[2 * sum(vi[m] * vj[m] for m in range(dim)) for vj in V] for vi in V]
-    rhs = [sum(v[m] * v[m] for m in range(dim)) for v in V]
-    t = _solve_exact(G, rhs)
-    offset = [sum(t[j] * V[j][m] for j in range(k)) for m in range(dim)]
-    center = [base[m] + offset[m] for m in range(dim)]
-    r2 = sum(o * o for o in offset)
-    return center, r2
-
-
-def _solve_exact(A, b):
-    n = len(A)
-    M = [row[:] + [b[i]] for i, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col] != 0), None)
-        if piv is None:
-            raise DegenerateSimplex("singular exact circumsphere system")
-        M[col], M[piv] = M[piv], M[col]
-        inv = M[col][col]
-        for r in range(n):
-            if r != col and M[r][col] != 0:
-                f = M[r][col] / inv
-                M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-    return [M[i][n] / M[i][i] for i in range(n)]
-
-
 def _exact_side(pts, q):
-    center, r2 = _circumsphere_exact(pts.tolist())
+    center, r2 = exact_circumsphere(pts.tolist())
     d2 = sum((Fraction(x) - c) ** 2 for x, c in zip(q.tolist(), center))
     return int(np.sign(r2 - d2))
 
@@ -276,13 +247,14 @@ def test_predicate_kernel_matches_exact_reference(d, k):
 
 # Every (polynomial, point count, dimension) the kernel is compiled for: the
 # orientation of d + 1 points, the Gram signs of k + 1 points (det) and of
-# k + 1 points and a query (power), k = 1..d, and the lifted determinant of a
-# query and d + 1 points.
+# k + 1 points and a query (power), k = 1..d, the lifted determinant of a
+# query and d + 1 points, and the circumradius polynomials of k + 1 points.
 _KERNEL_SHAPES = (
     [(geometry._orient, d + 1, d) for d in (2, 3)]
     + [(geometry._gram_det, k + 1, d) for d in (2, 3) for k in range(1, d + 1)]
     + [(geometry._gram_power, k + 2, d) for d in (2, 3) for k in range(1, d + 1)]
     + [(geometry._lifted, d + 2, d) for d in (2, 3)]
+    + [(geometry._gram_radius, k + 1, d) for d in (2, 3) for k in range(1, d + 1)]
 )
 
 
@@ -303,14 +275,15 @@ def _bits(pair) -> list[bytes]:
 def _kernel_rows(poly, m, d, rng):
     """(name, (M, m, d) stack): random, small-integer (zero differences and
     -0.0 products), near-tie and overflowing rows."""
-    k = m - 1 if poly is geometry._gram_det else m - 2
+    gram = poly in (geometry._gram_det, geometry._gram_radius)
+    k = m - 1 if gram else m - 2
     ties = []
     for verts, query, orient in _near_tie_cases(rng, d, max(k, 1), 60):
         if poly is geometry._lifted:  # the query is the base point
             ties.append(np.vstack([query, verts]))
         else:
             ties.append(orient if poly is geometry._orient
-                        else verts if poly is geometry._gram_det else np.vstack([verts, query]))
+                        else verts if gram else np.vstack([verts, query]))
     return [
         ("random", rng.normal(size=(60, m, d)) * 10.0 ** rng.integers(-3, 4, size=(60, 1, 1))),
         ("integer", rng.integers(-2, 3, size=(60, m, d)).astype(float)),
@@ -399,69 +372,68 @@ def test_kernel_shapes_cover_every_compiled_shape():
 
 
 def test_pipeline_compiles_a_rounding_depth_of_20_at_most(monkeypatch):
-    # a build and its filtration compile det(G) and the power of 4 points in
-    # 3D at most, both of depth 20; only the tests' in-sphere reference
-    # compiles the power of 5 points (depth 29)
+    # the sign polynomials of a build and its filtration are det(G) and the
+    # power of 4 points in 3D at most, both of depth 20; only the tests'
+    # in-sphere reference compiles the power of 5 points (depth 29).  The
+    # circumradius numerators, whose signs are never taken, reach 28, within
+    # the 29 that _ERR covers
     monkeypatch.setattr(geometry, "_COMPILED", {})
     for d in (2, 3):
         alpha_complex(random_cloud(4, 12, d))
     depths = {shape: _depth(*shape) for shape in geometry._COMPILED}
-    assert max(depths.values()) == 20, depths
+    radius = geometry._gram_radius
+    signs = {shape: n for shape, n in depths.items() if shape[0] is not radius}
+    assert max(signs.values()) == 20, signs
     assert (geometry._gram_power, 5, 3) not in depths
+    radii = {shape[1:]: n for shape, n in depths.items() if shape[0] is radius}
+    assert radii == {(2, 2): 9, (3, 2): 16, (2, 3): 11, (3, 3): 19, (4, 3): 28}
+    assert max(radii.values()) <= 29
 
 
 def test_min_circumsphere_batch_with_a_needle_row():
-    # the kernel's det(G) ratio routes the needle to the exact path before
-    # any solve; every other row keeps the radius the scalar formula gives it
+    # the kernel's bound routes the needle to exact arithmetic; every other
+    # row keeps the radius the scalar formula gives it
     needle = [(0, 0, 0), (1, 0, 0), (2, 1e-9, 0)]
     tris = [[(0, 0, 0), (2, 0, 0), (0, 1, 0)], needle, [(1, 1, 1), (2, 1, 0), (0, 3, 1)]]
-    centers, radius_sq = geometry.min_circumsphere_batch(np.array(tris, float))
+    radius_sq = geometry.min_circumsphere_batch(np.array(tris, float))
     for row, tri in enumerate(tris):
-        alone = reference_min_circumsphere(tri)
-        assert radius_sq[row] == alone.radius_sq
-        assert np.array_equal(centers[row], alone.center)
-    assert radius_sq[1] == float(_circumsphere_exact(needle)[1])
+        assert radius_sq[row] == reference_circumradius_sq(tri)
+    assert radius_sq[1] == float(exact_circumsphere(needle)[1])
 
 
-# needles and flat simplices whose float solve loses digits: r² 4.8% off for
-# the 3D needle at 1e-7, 18.9% for the flat tetrahedron at 1e-8
+# needles and flat simplices whose float radius has a bound above _RADIUS_ERR
 _NEEDLES = {
     "3d-needle-1e-7": [(0, 0, 0), (1, 0, 0), (2, 1e-7, 0)],
     "3d-needle-1e-6": [(0, 0, 0), (1, 0, 0), (2, 1e-6, 0)],
     "2d-needle-1e-7": [(0, 0), (1, 0), (2, 1e-7)],
     "flat-1e-7": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.3, 1e-7)],
     "flat-1e-8": [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.3, 1e-8)],
-    # det(G)'s magnitude overflows and G does not; the stacked solve is singular
+    # the magnitudes overflow
     "3d-needle-1e80": [(0, 0, 0), (1e80, 0, 0), (2e80, 1e72, 0)],
-    # not a needle: det(G) is certified but 2 v.v overflows G, where the
-    # float solve gave r² 0.25 for 2.5e307
+    # not a needle: det(G) is finite and b^T adj(G) b overflows
     "2d-overflowing-gram": [(0, 0), (1e154, 0), (0, 1)],
 }
 
 
 @pytest.mark.parametrize("name", list(_NEEDLES))
 def test_needle_circumsphere_is_the_exact_one_rounded(name):
-    # the kernel's det(G) sends these to exact arithmetic, rounded once
-    center, r2 = _circumsphere_exact(_NEEDLES[name])
-    cs = min_circumsphere(_NEEDLES[name])
-    assert cs.radius_sq == float(r2)
-    assert cs.center.tolist() == [float(x) for x in center]
+    # the kernel's bound sends these to exact arithmetic, rounded once
+    assert not gram_radius(_NEEDLES[name])[2] <= geometry._RADIUS_ERR
+    assert circumradius_sq(_NEEDLES[name]) == float(exact_circumsphere(_NEEDLES[name])[1])
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_min_circumsphere_batch_mixes_routed_and_solved_rows(k):
     # routed rows between ordinary ones: each row is what it is alone, the
-    # routed ones the exact sphere rounded and the rest the float solve
+    # routed ones the exact radius rounded and the rest the float formula
     routed = [p for p in _NEEDLES.values() if len(p) == k + 1 and len(p[0]) == 3]
     rng = np.random.default_rng(k)
     stack = np.concatenate([rng.normal(size=(3, k + 1, 3)), routed, rng.normal(size=(3, k + 1, 3))])
-    centers, radius_sq = geometry.min_circumsphere_batch(stack)
+    radius_sq = geometry.min_circumsphere_batch(stack)
     for row, pts in enumerate(stack):
-        alone = reference_min_circumsphere(pts)
-        assert radius_sq[row] == alone.radius_sq
-        assert np.array_equal(centers[row], alone.center)
+        assert radius_sq[row] == reference_circumradius_sq(pts)
     for row, pts in enumerate(routed, start=3):
-        assert radius_sq[row] == float(_circumsphere_exact(pts)[1])
+        assert radius_sq[row] == float(exact_circumsphere(pts)[1])
 
 
 @pytest.mark.parametrize("dependent", [
@@ -477,23 +449,103 @@ def test_min_circumsphere_batch_dependent_row_raises(dependent):
         geometry.min_circumsphere_batch(stack)
 
 
-def test_only_needles_take_the_exact_circumsphere(monkeypatch):
-    # the fixtures' alpha complexes route no simplex; the needle routes its
-    # triangle alone
-    routed = []
-    exact = geometry._circumsphere_exact
+def _needle_family(rng, count):
+    """(M, k+1, d) stacks of needle triangles in 2D and 3D and flat
+    tetrahedra, whose det(G) over its magnitude spans 1e-12 to 1e-5: the
+    axis-aligned shapes, then randomly rotated, scaled and shifted copies."""
+    shapes = {
+        (3, 2): lambda h: [(0, 0), (1, 0), (2, h)],
+        (3, 3): lambda h: [(0, 0, 0), (1, 0, 0), (2, h, 0)],
+        (4, 3): lambda h: [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0.3, 0.3, h)],
+    }
+    for (m, d), shape in shapes.items():
+        # det(G) is h² for each shape, over a magnitude of about 8 or 3
+        heights = np.sqrt(8.0 * 10.0 ** rng.uniform(-12, -5, size=count))
+        plain = np.array([shape(h) for h in heights])
+        rotation = np.linalg.qr(rng.normal(size=(count, d, d)))[0]
+        scale = 10.0 ** rng.uniform(-3, 3, size=(count, 1, 1))
+        shift = rng.normal(size=(count, 1, d)) * 10.0 ** rng.uniform(-3, 3, size=(count, 1, 1))
+        yield plain
+        yield (plain @ rotation) * scale + shift
 
-    def counted(pts):
-        routed.append(pts)
-        return exact(pts)
 
-    monkeypatch.setattr(geometry, "_circumsphere_exact", counted)
-    for path in sorted(DATA.glob("*.xyz")):
-        if not path.name.startswith(("overflow", "needle")):
-            alpha_complex(read_xyz(path))
-    assert routed == []
-    alpha_complex(read_xyz(DATA / "needle.xyz"))
-    assert routed == [[[0.0, 0.0], [1.0, 0.0], [2.0, 1e-7]]]
+def test_float_radii_lie_within_their_proven_bound():
+    # every row the float formula keeps is within its bound of the exact
+    # radius, and within _RADIUS_ERR; every other row, among them all of det
+    # ratio 1e-12 to 1e-9, is the exact radius rounded
+    rng = np.random.default_rng(24)
+    kept, routed, low = 0, 0, 0
+    for stack in _needle_family(rng, 120):
+        radius_sq = geometry.min_circumsphere_batch(stack)
+        for pts, got in zip(stack.tolist(), radius_sq.tolist()):
+            det, num, bound = gram_radius(pts)
+            mag = [[abs(x - y) for x, y in zip(p, pts[0])] for p in pts[1:]]
+            ratio = det / geometry._gram_det(mag, operator.add)[0]
+            low += 1e-12 <= ratio <= 1e-9
+            exact = exact_circumsphere(pts)[1]
+            if bound <= geometry._RADIUS_ERR:
+                kept += 1
+                error = abs(Fraction(got) - exact)
+                assert error <= Fraction(bound) * exact, pts
+                assert error <= Fraction(geometry._RADIUS_ERR) * exact, pts
+            else:
+                routed += 1
+                assert got == float(exact), pts
+    assert kept > 100 and routed > 100 and low > 100, (kept, routed, low)
+
+
+def test_two_point_edge_is_its_batch_row():
+    # 6 000 random pairs, 2D and 3D alternating: where half the squared
+    # distance differs from the closed form, the two-point complex still
+    # gives its edge the value any edge of a larger complex gets
+    rng = np.random.default_rng(0)
+    pairs = [rng.normal(size=(2, 2 + i % 2)) * 10.0 ** rng.uniform(-3, 3) for i in range(6000)]
+    differ = 0
+    for d in (2, 3):
+        stack = np.array([p for p in pairs if p.shape[1] == d])
+        radius_sq = geometry.min_circumsphere_batch(stack)
+        quarter = np.sum((stack[:, 1] - stack[:, 0]) ** 2, axis=1) / 4.0
+        for pts, r2 in zip(stack[radius_sq != quarter], radius_sq[radius_sq != quarter]):
+            differ += 1
+            assert alpha_complex(PointSet(pts)).filtration_values_sq(1).tolist() == [r2]
+    assert differ > 100, differ
+
+
+# routed rows per input: chain_clean and chain_defect carry thin tetrahedra
+# whose bound is above _RADIUS_ERR
+_ROUTED = {
+    "chain_clean.xyz": 8, "chain_defect.xyz": 9, "ca_chain220_seed1.pdb": 2, "needle.xyz": 1,
+    "cloud20_3d.xyz": 0, "grid4.xyz": 0, "icosahedron.xyz": 0, "near_tie.xyz": 0,
+    "pair.xyz": 0, "six_points.xyz": 0,
+}
+
+
+def test_rows_are_routed_iff_their_bound_exceeds_the_threshold(monkeypatch):
+    rows, routed = [], []
+    batch, exact = geometry.min_circumsphere_batch, geometry._exact
+
+    def recorded(simplices):
+        rows.extend(simplices.tolist())
+        return batch(simplices)
+
+    def counted(poly, points):
+        if poly is geometry._gram_radius:
+            routed.append(points)
+        return exact(poly, points)
+
+    monkeypatch.setattr(alpha, "min_circumsphere_batch", recorded)
+    monkeypatch.setattr(geometry, "_exact", counted)
+    counts = {}
+    for name in _ROUTED:
+        rows.clear()
+        routed.clear()
+        path = DATA / name
+        alpha_complex(read_pdb_ca(path) if path.suffix == ".pdb" else read_xyz(path))
+        assert routed == [r for r in rows if not gram_radius(r)[2] <= geometry._RADIUS_ERR], name
+        counts[name] = len(routed)
+        if name == "needle.xyz":
+            assert routed == [[[0.0, 0.0], [1.0, 0.0], [2.0, 1e-7]]]
+    assert counts == _ROUTED
 
 
 def test_delaunay_square():
