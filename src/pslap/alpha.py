@@ -95,19 +95,10 @@ def critical_alphas(complex: FilteredComplex) -> np.ndarray:
 def alpha_complex(points: PointSet, seed: int = 0) -> FilteredComplex:
     """Full pipeline: Delaunay tessellation plus alpha filtration values.
 
-    Point sets too small to tessellate (n <= 2) degenerate to the complex
-    the alpha filtration would produce directly: isolated vertices, plus for
-    n == 2 the connecting edge, whose value comes from the same
-    ``min_circumsphere_batch`` row as any other edge's, built from
-    per-dimension value lists with the face rows looked up.
-    """
-    coords = points.coords
-    n = coords.shape[0]
-    if n == 1:
-        return FilteredComplex({0: [(0,)]}, {0: [0.0]})
-    if n == 2:
-        edge = min_circumsphere_batch(coords[None])
-        cx = FilteredComplex({0: [(0,), (1,)], 1: [(0, 1)]}, {0: [0.0, 0.0], 1: edge})
-        _check_finite(cx, {q: cx.filtration_values_sq(q) for q in (0, 1)})
-        return cx
+    Point sets too small to tessellate (n <= 2) take their one cell, the
+    vertex or the edge, as the tessellation, and get their values like any
+    other."""
+    n = len(points.coords)
+    if n <= 2:
+        return assign_filtration(FilteredComplex.from_cells(np.arange(n)[None]), points)
     return assign_filtration(delaunay(points, seed=seed), points)

@@ -13,35 +13,18 @@ import numpy as np
 
 from . import dataio
 from .alpha import alpha_complex, critical_alphas
-from .errors import (
-    AllCollinear,
-    AllCoplanar,
-    DegenerateSimplex,
-    DuplicatePoints,
-    EigensolveFailure,
-    LinearSolveFailure,
-    MixedDimensions,
-    NoCAAtoms,
-    ParseError,
-    PslapError,
-)
+from .errors import ParseError, PslapError
 from .oracle import BettiOracle, betti_from_barcode, reduce
 from .spectra import accumulated_laplacian_diagonal, detect_anomalies, sweep
 
+# an error's exit code is its type's (errors.py); these are the others
 EXIT_OK = 0
-EXIT_INPUT = 1
-EXIT_GEOMETRY = 2
-EXIT_SOLVER = 3
 EXIT_DISAGREEMENT = 4
 
 DEFAULT_ALPHA_MIN = math.sqrt(1.5)
 DEFAULT_ALPHA_MAX = math.sqrt(10.0)
 DEFAULT_STEP = 0.01
 MAX_GRID_POINTS = 10**6  # the default grid has 194
-
-_INPUT_ERRORS = (ParseError, MixedDimensions, NoCAAtoms, OSError)
-_GEOMETRY_ERRORS = (AllCollinear, AllCoplanar, DegenerateSimplex, DuplicatePoints)
-_SOLVER_ERRORS = (LinearSolveFailure, EigensolveFailure)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -272,18 +255,12 @@ def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
         return args.func(args)
-    except _INPUT_ERRORS as exc:
+    except OSError as exc:  # a file that cannot be read or written
         print(f"pslap: input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _GEOMETRY_ERRORS as exc:
-        print(f"pslap: geometry error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
-    except _SOLVER_ERRORS as exc:
-        print(f"pslap: solver error: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+        return ParseError.exit_code
     except PslapError as exc:
-        print(f"pslap: error: {exc}", file=sys.stderr)
-        return EXIT_GEOMETRY
+        print(f"pslap: {exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -19,15 +19,16 @@ Each polynomial is closed-form straight-line code in ``+``, ``*`` and a
 subtraction passed in as ``sub``, so one body defines the float value, its
 magnitude (leaves replaced by their absolute values, ``sub`` by addition) and,
 when needed, the exact value in ``Fraction``.  For floats the body is not
-interpreted: ``_compiled`` traces it once per (polynomial, point count,
-dimension) into one straight-line function of the points' coordinates that
-returns the values and the magnitudes, one assignment per operation, in the
-body's order, so it rounds exactly as the body does.  The batch path
-(``_batch_signs``, a whole batch of point lists on per-coordinate numpy
-columns) calls that function.  The scalar path (``_exact_signs``, one point
-list on Python floats) calls its twin from the same trace, which ends in the
-certainty test below and returns the signs, or None to send the call to the
-rational path, which still runs the body.
+interpreted: ``_compiled`` traces it into one straight-line function of the
+points' coordinates that returns the values and the magnitudes, one
+assignment per operation, in the body's order, so it rounds exactly as the
+body does.  The batch path (``_batch_signs``, a whole batch of point lists
+on per-coordinate numpy columns) calls that function.  The scalar path
+(``_exact_signs``, one point list on Python floats) calls its twin, the same
+trace ending in the certainty test below, which returns the signs, or None
+to send the call to the rational path, which still runs the body.  Each
+function is traced once per (polynomial, point count, dimension), on its
+first use.
 
 The float sign is accepted when ``|value| > 2**-48 * magnitude``.  The bound:
 with unit roundoff u = 2**-53, count the roundings on the worst path from a
@@ -272,31 +273,32 @@ def _compiled(poly, m: int, d: int, signs: bool = False):
     magnitudes, as the generic body evaluates them.  With ``signs``, the
     function of the same trace for one point list on Python floats: it ends
     in the certainty test and returns the values' signs where the test holds
-    for all of them, else None.  Traced on first use and kept for the life
-    of the process; the rows of the ``(values, mags)`` function may hold
-    Python floats or per-coordinate numpy columns alike."""
-    fns = _COMPILED.get((poly, m, d))
-    if fns is None:
+    for all of them, else None.  Each kind is traced on its first use and
+    kept for the life of the process; the rows of the ``(values, mags)``
+    function may hold Python floats or per-coordinate numpy columns alike."""
+    key = poly, m, d, signs
+    fn = _COMPILED.get(key)
+    if fn is None:
         lines = []
         coords = [[_Leaf(lines, f"x{i}_{j}") for j in range(d)] for i in range(m)]
         base, *rest = coords
         diffs = [[x - y for x, y in zip(p, base)] for p in rest]
         values = poly(diffs, operator.sub)
         mags = poly([[abs(x) for x in row] for row in diffs], operator.add)
-        name = f"{poly.__name__}_{m}x{d}"
+        name = f"{poly.__name__}_{m}x{d}{'_signs' if signs else ''}"
         params = ", ".join(f"r{i}" for i in range(m))
         unpack = [f"    {', '.join(x.name for x in row)}, = r{i}" for i, row in enumerate(coords)]
-        returns = ", ".join("(" + "".join(f"{v.name}, " for v in out) + ")" for out in (values, mags))
-        certain = " and ".join(f"abs({v.name}) > {_ERR!r} * {g.name}" for v, g in zip(values, mags))
-        signed = "".join(f"1 if {v.name} > 0 else -1, " for v in values)
+        if signs:
+            certain = " and ".join(f"abs({v.name}) > {_ERR!r} * {g.name}" for v, g in zip(values, mags))
+            signed = "".join(f"1 if {v.name} > 0 else -1, " for v in values)
+            tail = [f"    if {certain}:", f"        return ({signed})"]
+        else:
+            returns = ", ".join("(" + "".join(f"{v.name}, " for v in out) + ")" for out in (values, mags))
+            tail = [f"    return {returns}"]
         namespace = {}
-        exec("\n".join([
-            f"def {name}({params}):", *unpack, *lines, f"    return {returns}",
-            f"def {name}_signs({params}):", *unpack, *lines,
-            f"    if {certain}:", f"        return ({signed})",
-        ]), namespace)
-        fns = _COMPILED[poly, m, d] = namespace[name], namespace[name + "_signs"]
-    return fns[signs]
+        exec("\n".join([f"def {name}({params}):", *unpack, *lines, *tail]), namespace)
+        fn = _COMPILED[key] = namespace[name]
+    return fn
 
 
 def _exact(poly, points):

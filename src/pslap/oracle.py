@@ -43,7 +43,6 @@ def reduce(complex: FilteredComplex) -> Barcode:
     order, position = _global_order(complex)
     low_to_col: dict[int, int] = {}
     columns: dict[int, set] = {}
-    pair_of: dict[int, int] = {}
     for j, s in enumerate(order):
         if len(s) == 1:
             columns[j] = set()
@@ -58,14 +57,13 @@ def reduce(complex: FilteredComplex) -> Barcode:
         columns[j] = col
         if col:
             low_to_col[max(col)] = j
-            pair_of[max(col)] = j
 
     intervals: dict[int, list[tuple[float, float]]] = {q: [] for q in range(MAX_DIM + 1)}
     for i, s in enumerate(order):
         if columns[i]:
             continue  # negative simplex: kills a bar, births nothing
         birth = math.sqrt(complex.filtration_sq(s))
-        j = pair_of.get(i)
+        j = low_to_col.get(i)
         death = math.inf if j is None else math.sqrt(complex.filtration_sq(order[j]))
         intervals[len(s) - 1].append((birth, death))
     for q in intervals:

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import read_spectra_csv
-from pslap import lapack, spectra
+from pslap import cli, errors, lapack, spectra
 from pslap.alpha import alpha_complex
-from pslap.cli import _SOLVER_ERRORS, EXIT_SOLVER, main
+from pslap.cli import main
 from pslap.dataio import read_xyz
 from pslap.errors import EigensolveFailure
 
@@ -242,22 +242,79 @@ def test_json_adds_no_solve(tmp_path, monkeypatch):
 
 
 def test_eigensolve_failure_is_typed(tmp_path, monkeypatch):
-    # LAPACK reporting no convergence (info > 0) is an EigensolveFailure, the
-    # solver error of exit code 3; a sweep flags the record instead, so
-    # spectra writes the flag and validate counts it as a disagreement.  The
-    # complex is a fresh one: a shared one may hold the solved Hodge parts
+    # LAPACK reporting no convergence (info > 0) is an EigensolveFailure, a
+    # solver error (test_each_error_type_has_its_exit_code); a sweep flags the
+    # record instead, so spectra writes the flag and validate counts it as a
+    # disagreement.  The complex is a fresh one: a shared one may hold the
+    # solved Hodge parts
     def no_convergence(*args, **bounds):
         raise EigensolveFailure("LAPACK dstebz failed (info=1)")
 
     monkeypatch.setattr(lapack, "dstebz", no_convergence)
     with pytest.raises(EigensolveFailure):
         spectra.spectrum_at(alpha_complex(read_xyz(SIX)), 1, 0.6)
-    assert EigensolveFailure in _SOLVER_ERRORS and EXIT_SOLVER == 3
     out = tmp_path / "s.csv"
     assert run("spectra", "--input", SIX, "--q", "1", "--alpha-min", "0.6", "--alpha-max",
                "0.6", "--out", str(out)) == 0
     assert [r.flags for r in read_spectra_csv(out)] == [("failed:EigensolveFailure",)]
     assert run("validate", "--input", SIX, "--q", "1") == 4
+
+
+# every error type, by the exit code and stderr label its base gives it
+_EXIT_CODES = {
+    "InputError": (1, "input error"),
+    "ParseError": (1, "input error"),
+    "MixedDimensions": (1, "input error"),
+    "NoCAAtoms": (1, "input error"),
+    "GeometryError": (2, "geometry error"),
+    "AllCollinear": (2, "geometry error"),
+    "AllCoplanar": (2, "geometry error"),
+    "DegenerateSimplex": (2, "geometry error"),
+    "DuplicatePoints": (2, "geometry error"),
+    "SolverError": (3, "solver error"),
+    "LinearSolveFailure": (3, "solver error"),
+    "EigensolveFailure": (3, "solver error"),
+    "NegativeFiltration": (2, "error"),
+    "SnapshotOrderViolation": (2, "error"),
+}
+
+
+def _error_types(base):
+    for sub in base.__subclasses__():
+        yield sub
+        yield from _error_types(sub)
+
+
+@pytest.mark.parametrize("exc_type", list(_error_types(errors.PslapError)),
+                         ids=lambda t: t.__name__)
+def test_each_error_type_has_its_exit_code(exc_type, monkeypatch, capsys):
+    # a type missing from the table fails here, so a new one gets its exit
+    # code on purpose
+    assert exc_type.__name__ in _EXIT_CODES, f"{exc_type.__name__} has no listed exit code"
+    code, label = _EXIT_CODES[exc_type.__name__]
+
+    def fail(args):
+        raise exc_type("what went wrong")
+
+    monkeypatch.setattr(cli, "_build", fail)
+    assert run("anomaly", "--input", SIX) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"pslap: {label}: what went wrong"]
+
+
+def test_every_listed_error_type_exists():
+    names = {t.__name__ for t in _error_types(errors.PslapError)}
+    assert set(_EXIT_CODES) <= names
+
+
+def test_unwritable_out_is_an_input_error(tmp_path, capsys):
+    # a missing output directory is an OSError: exit 1, one stderr line
+    out = tmp_path / "missing" / "s.csv"
+    assert run("spectra", "--input", SIX, "--out", str(out)) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pslap: input error:"), lines
+    assert not out.parent.exists()
 
 
 def test_spectra_json_and_svg(tmp_path):

@@ -296,9 +296,9 @@ def _kernel_rows(poly, m, d, rng):
                          ids=[f"{p.__name__}-{m}x{d}" for p, m, d in _KERNEL_SHAPES])
 def test_compiled_kernel_is_the_polynomial_body(poly, m, d):
     # bit for bit the generic body's values and magnitudes, on Python floats
-    # row by row and on the columns of the whole stack; the sign function of
-    # the same trace gives the body's signs where the float test is certain
-    # for every value, and None where it is not
+    # row by row and on the columns of the whole stack; the sign function,
+    # traced apart from the same body, gives the body's signs where the
+    # float test is certain for every value, and None where it is not
     compiled = geometry._compiled(poly, m, d)
     signs = geometry._compiled(poly, m, d, signs=True)
     rng = np.random.default_rng(7 * m + d)
@@ -368,7 +368,7 @@ def test_kernel_shapes_cover_every_compiled_shape():
     # builds and filtrations in 2D and 3D compile no shape the test above skips
     for d in (2, 3):
         alpha_complex(random_cloud(4, 12, d))
-    assert set(geometry._COMPILED) <= set(_KERNEL_SHAPES)
+    assert {key[:3] for key in geometry._COMPILED} <= set(_KERNEL_SHAPES)
 
 
 def test_pipeline_compiles_a_rounding_depth_of_20_at_most(monkeypatch):
@@ -376,11 +376,18 @@ def test_pipeline_compiles_a_rounding_depth_of_20_at_most(monkeypatch):
     # power of 4 points in 3D at most, both of depth 20; only the tests'
     # in-sphere reference compiles the power of 5 points (depth 29).  The
     # circumradius numerators, whose signs are never taken, reach 28, within
-    # the 29 that _ERR covers
+    # the 29 that _ERR covers.  Each shape is traced in the one kind the
+    # pipeline calls: the radii as values, the build's tests as signs
     monkeypatch.setattr(geometry, "_COMPILED", {})
     for d in (2, 3):
         alpha_complex(random_cloud(4, 12, d))
-    depths = {shape: _depth(*shape) for shape in geometry._COMPILED}
+    kinds = {}
+    for poly, m, d, signs in geometry._COMPILED:
+        kinds.setdefault(poly, set()).add(signs)
+    assert kinds == {geometry._orient: {True}, geometry._lifted: {True},
+                     geometry._gram_det: {True}, geometry._gram_power: {False},
+                     geometry._gram_radius: {False}}, kinds
+    depths = {key[:3]: _depth(*key[:3]) for key in geometry._COMPILED}
     radius = geometry._gram_radius
     signs = {shape: n for shape, n in depths.items() if shape[0] is not radius}
     assert max(signs.values()) == 20, signs
