@@ -59,6 +59,12 @@ class SparseBoundaryMatrix:
         of ``u`` at the faces of column j."""
         return (u[self.faces[:c]] * _signs(self.faces.shape[1])[:, None]).sum(axis=1)
 
+    def build_caches(self) -> SparseBoundaryMatrix:
+        """The boundary with its cached entry lists built: threads may then
+        read it side by side, as nothing of it is written later."""
+        self.reach, self._column_gram, self._column_outers
+        return self
+
     @cached_property
     def reach(self) -> np.ndarray:
         """Entry j is 1 + the largest face row of columns 0..j: the rows the
@@ -172,6 +178,14 @@ def _null_space(d: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
+def split(full: SparseBoundaryMatrix, snap_t: Snapshot, snap_tp: Snapshot) -> int:
+    """The split point c of :func:`persistent_boundary`: the longest prefix
+    of the later snapshot's q-simplices whose faces all lie among the
+    earlier snapshot's (q-1)-simplices."""
+    r_t = _row_count(full.q, snap_t)
+    return min(int(np.searchsorted(full.reach, r_t, side="right")), snap_tp.count(full.q))
+
+
 def persistent_boundary(
     full: SparseBoundaryMatrix,
     snap_t: Snapshot,
@@ -193,10 +207,8 @@ def persistent_boundary(
     results.
     """
     check_order(snap_t, snap_tp)
-    q = full.q
-    r_t, c_p = _row_count(q, snap_t), snap_tp.count(q)
-    # the longest prefix of columns whose faces all lie in the first r_t rows
-    c = min(int(np.searchsorted(full.reach, r_t, side="right")), c_p)
+    r_t, c_p = _row_count(full.q, snap_t), snap_tp.count(full.q)
+    c = split(full, snap_t, snap_tp)
     if c == c_p:
         return c, np.zeros((r_t, 0))
     # column c has a face past row r_t, so Diff has rows and is nonzero

@@ -11,6 +11,9 @@ builds) gets the same routines from ``scipy.linalg.cython_lapack``, with
 path; only the integer width and gfortran's hidden string lengths differ.
 :func:`tridiagonal` loads a form kept from an earlier reduction into a
 workspace, so the two work on it again without reducing anything.
+:func:`one_blas_thread` runs a block with that OpenBLAS on one thread, so a
+result does not depend on the library's thread count, and solves can run
+side by side in threads of their own.
 
 A foreign call checks nothing Python can see: a wrong dtype, layout or size
 reads or writes past a buffer, and an illegal argument makes LAPACK print to
@@ -22,11 +25,13 @@ A solve of order 20 costs microseconds, so the glue around the calls
 it.  Each :class:`Tridiagonal` owns one float and one int workspace and
 builds every argument of its calls once; a ``with`` block hands it back to
 be reused by the next reduction of the same order, up to order
-_SPARE_MAX_ORDER.
+_SPARE_MAX_ORDER.  Those spare workspaces are not locked, so reductions up
+to that order run in one thread; a larger one keeps nothing behind.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 
 import numpy as np
@@ -59,10 +64,14 @@ class _Library:
     type they take and the hidden string lengths they end with (gfortran
     passes one per character flag; the Cython wrappers take none)."""
 
-    def __init__(self, functions: dict, int_type, hidden_lengths: bool):
+    def __init__(self, functions: dict, int_type, hidden_lengths: bool, threads=None):
         self.dsytrd, self.dstebz, self.dsterf = (functions[name] for name in _ROUTINES)
         for fn in functions.values():
             fn.restype = None
+        # the BLAS thread count's getter and setter, where the build has them
+        self.threads = threads
+        if threads is not None:
+            threads[0].restype, threads[1].restype = ctypes.c_int, None
         self.int = int_type
         self.size = ctypes.sizeof(int_type)
         # n (also lda), lwork, info, il, iu, m, nsplit
@@ -75,7 +84,8 @@ class _Library:
 
     def dsytrd_lwork(self, n: int) -> int:
         """dsytrd's optimal work length at order n, from a workspace query
-        (lwork = -1), made once per order."""
+        (lwork = -1), made once per order (or once per thread that asks at
+        the same time; each stores the same value)."""
         lwork = self._lwork.get(n)
         if lwork is None:
             ints = self.scalars(n, -1)
@@ -93,7 +103,11 @@ def _numpy_openblas() -> _Library:
     # dlsym on the extension's handle also searches the libraries it links
     lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
     functions = {name: lib[f"scipy_{name}_64_"] for name in _ROUTINES}
-    return _Library(functions, ctypes.c_int64, hidden_lengths=True)
+    try:
+        threads = tuple(lib[f"scipy_openblas_{verb}_num_threads64_"] for verb in ("get", "set"))
+    except AttributeError:
+        threads = None
+    return _Library(functions, ctypes.c_int64, hidden_lengths=True, threads=threads)
 
 
 def _cython_lapack() -> _Library:
@@ -119,7 +133,39 @@ def _load() -> _Library:
         return _cython_lapack()
 
 
-_lib: _Library | None = None  # loaded with the first workspace
+_lib: _Library | None = None  # loaded with the first workspace or thread pin
+
+
+def _library() -> _Library:
+    global _lib
+    if _lib is None:
+        _lib = _load()
+    return _lib
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Runs the block with numpy's OpenBLAS on one thread, and gives the
+    caller's thread count back after it, also when the block raises.
+
+    Yields whether the pin took effect.  It does not on the
+    ``scipy.linalg.cython_lapack`` fallback, whose library has no thread
+    setter here: there the BLAS keeps its own count.  The pin is process
+    wide, so it is set and given back from one thread only.
+    """
+    threads = _library().threads
+    if threads is None:
+        yield False
+        return
+    get, set_ = threads
+    count = get()
+    if count != 1:
+        set_(ctypes.c_int(1))
+    try:
+        yield True
+    finally:
+        if count != 1:
+            set_(ctypes.c_int(count))
 
 
 class Tridiagonal:
@@ -181,11 +227,11 @@ class Tridiagonal:
 
 
 def _workspace(n: int) -> Tridiagonal:
-    """A workspace of order n: one handed back, or a new one."""
-    global _lib
-    if _lib is None:
-        _lib = _load()
-    return _lib.spare.pop(n, None) or Tridiagonal(_lib, n)
+    """A workspace of order n: one handed back, or a new one.  Above
+    _SPARE_MAX_ORDER the spares are not looked at."""
+    lib = _library()
+    spare = lib.spare.pop(n, None) if n <= _SPARE_MAX_ORDER else None
+    return spare or Tridiagonal(lib, n)
 
 
 def dsytrd(a: np.ndarray) -> Tridiagonal:

@@ -134,11 +134,12 @@ class FilteredComplex:
     def filtration_values_sq(self, q: int) -> np.ndarray:
         return self._values[q]
 
-    def derived(self, key, build):
+    def derived(self, key, build=None):
         """``build()``, computed once per key: the complex is immutable, so
-        data computed from it alone is shared by every sweep and query."""
+        data computed from it alone is shared by every sweep and query.
+        Without ``build``, the value kept so far, or None."""
         value = self._derived.get(key)
-        if value is None:
+        if value is None and build is not None:
             value = self._derived[key] = build()
         return value
 

@@ -59,6 +59,16 @@ def chain_clean_complex():
     return alpha_complex(read_xyz(DATA / "chain_clean.xyz"))
 
 
+def chain48_pdb(tmp_path) -> pathlib.Path:
+    """The first 48 residues of the stand-in chain, written to ``tmp_path``:
+    its critical sweeps at p = 0.5 solve Hodge parts of order up to 293."""
+    atoms = [line for line in (DATA / "ca_chain220_seed1.pdb").read_text().splitlines()
+             if line.startswith("ATOM")]
+    path = tmp_path / "chain48.pdb"
+    path.write_text("\n".join(atoms[:48]) + "\n")
+    return path
+
+
 def random_cloud(seed: int, n: int, d: int) -> PointSet:
     rng = np.random.default_rng(seed)
     return PointSet(rng.uniform(0.0, 2.0, size=(n, d)))

@@ -3,7 +3,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from conftest import read_spectra_csv
+from conftest import chain48_pdb, read_spectra_csv
 from pslap import cli, errors, lapack, spectra
 from pslap.alpha import alpha_complex
 from pslap.cli import main
@@ -174,37 +174,51 @@ def test_spectra_deterministic_output(tmp_path):
 def test_spectra_golden_bytes(tmp_path):
     # a 20-point 3D cloud is large enough for a change in the rounding of the
     # projector or the assembly (such as a block's memory order) to reach the
-    # last digits of the output; the smaller fixtures do not show it.  Those
-    # digits also depend on the BLAS thread count, so the CLI runs in a child
-    # process at the count the fixture was written at.
+    # last digits of the output; the smaller fixtures do not show it.  The
+    # sweep solves on one BLAS thread, so the bytes do not depend on the
+    # thread count the tests run at
     import json
+
+    out = tmp_path / "s.csv"
+    js = tmp_path / "s.json"
+    assert run("spectra", "--input", str(DATA / "cloud20_3d.xyz"), "--critical", "--q", "0,1,2",
+               "--p", "0.3", "--out", str(out), "--json", str(js)) == 0
+    assert out.read_bytes() == (DATA / "cloud20_3d_q012_p0.3.csv").read_bytes()
+    # metadata embeds the input path, so only the records are compared
+    golden = json.loads((DATA / "cloud20_3d_q012_p0.3_records.json").read_text())
+    assert json.loads(js.read_text())["records"] == golden
+
+
+def test_spectra_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the first 48 residues of the stand-in chain, whose CSV differed in 348
+    # of 1 485 rows between one and two OpenBLAS threads before the sweep
+    # pinned its solves to one thread; in child processes, as OpenBLAS reads
+    # the count when it loads
     import os
     import subprocess
     import sys
 
     import pslap
 
-    threads = (DATA / "cloud20_3d_q012_p0.3.blas_threads").read_text().strip()
+    pdb = chain48_pdb(tmp_path)
     src = str(pathlib.Path(pslap.__file__).parents[1])
-    env = dict(
-        os.environ,
-        OPENBLAS_NUM_THREADS=threads,
-        OMP_NUM_THREADS=threads,
-        PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-    )
-    out = tmp_path / "s.csv"
-    js = tmp_path / "s.json"
-    proc = subprocess.run(
-        [sys.executable, "-m", "pslap.cli",
-         "spectra", "--input", str(DATA / "cloud20_3d.xyz"), "--critical",
-         "--q", "0,1,2", "--p", "0.3", "--out", str(out), "--json", str(js)],
-        env=env, capture_output=True, text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert out.read_bytes() == (DATA / "cloud20_3d_q012_p0.3.csv").read_bytes()
-    # metadata embeds the input path, so only the records are compared
-    golden = json.loads((DATA / "cloud20_3d_q012_p0.3_records.json").read_text())
-    assert json.loads(js.read_text())["records"] == golden
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "pslap.cli", "spectra", "--input", str(pdb), "--critical",
+             "--q", "0,1,2", "--p", "0.5", "--out", str(out)],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 1486
 
 
 def test_spectra_csv_does_not_depend_on_json(tmp_path):
@@ -222,11 +236,16 @@ def test_json_adds_no_solve(tmp_path, monkeypatch):
     # --json lists every eigenvalue from the Hodge parts the CSV fields come
     # from: it reduces no matrix and projects no boundary beyond the plain
     # command.  Each run reads the input and builds a complex of its own
-    calls = {}
+    # parts of order spectra.POOL_MIN_ORDER and up are solved in the sweep's
+    # worker threads, so the counts are taken under a lock
+    import threading
+
+    calls, lock = {}, threading.Lock()
     for module, name in ((lapack, "dsytrd"), (spectra, "persistent_boundary")):
 
         def counting(*args, real=getattr(module, name), name=name):
-            calls[name] = calls.get(name, 0) + 1
+            with lock:
+                calls[name] = calls.get(name, 0) + 1
             return real(*args)
 
         monkeypatch.setattr(module, name, counting)

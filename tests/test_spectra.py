@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 from conftest import (
     build_complex,
+    chain48_pdb,
     random_cloud,
     reference_boundary,
     reference_laplacian,
@@ -19,6 +21,7 @@ from conftest import (
 )
 from pslap import lapack, spectra
 from pslap.alpha import alpha_complex, critical_alphas
+from pslap.dataio import read_pdb_ca
 from pslap.boundary import full_boundary, persistent_boundary
 from pslap.errors import EigensolveFailure, SnapshotOrderViolation
 from pslap.geometry import PointSet
@@ -114,7 +117,7 @@ def test_psd_and_symmetry(six_complex, icosahedron_complex):
 
         def check_integer(q, n):
             if (i, q, n) not in integer:
-                part = spectra._down_matrix(cx, q, n)
+                part = spectra._down_matrix(full_boundary(cx, q), n)
                 assert np.array_equal(part, _integer_gram(boundaries[q][:, :n])), (i, q, n)
                 integer[i, q, n] = np.linalg.eigvalsh(part)[-1] if len(part) else 0.0
             return integer[i, q, n]
@@ -438,6 +441,170 @@ def test_full_sweep_runs_one_dsterf_per_part(monkeypatch):
     assert 0 < len(calls) <= with_nonzero < len(records), (len(calls), with_nonzero)
 
 
+def _solving_threads(monkeypatch) -> list:
+    """(pooled, order) of every matrix spectra._solve solves from now on,
+    pooled if a thread other than the caller's solved it."""
+    solved, real, caller = [], spectra._solve, threading.current_thread()
+
+    def solve(matrix):
+        solved.append((threading.current_thread() is not caller, len(matrix)))
+        return real(matrix)
+
+    monkeypatch.setattr(spectra, "_solve", solve)
+    return solved
+
+
+def test_sweep_records_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    # the pool only moves where each part is solved: 1, 2 and 4 workers give
+    # equal records from the same solves.  With more than one, the parts of
+    # order POOL_MIN_ORDER and up are solved in the pool, which is kept for
+    # the next sweep, and the others in the calling thread.  A short switch
+    # interval makes the threads interleave often
+    assert spectra.POOL_MIN_ORDER > lapack._SPARE_MAX_ORDER
+    pdb = chain48_pdb(tmp_path)
+    solved = _solving_threads(monkeypatch)
+    records, orders = [], []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(spectra, "WORKERS", workers)
+            solved.clear()
+            cx = alpha_complex(read_pdb_ca(pdb))
+            records.append(sweep(cx, [0, 1, 2], critical_alphas(cx), p=0.5))
+            pooled = [order for in_pool, order in solved if in_pool]
+            assert bool(pooled) == (workers > 1), workers
+            assert min(pooled, default=spectra.POOL_MIN_ORDER) >= spectra.POOL_MIN_ORDER
+            orders.append(sorted(order for _, order in solved))
+    finally:
+        sys.setswitchinterval(interval)
+    assert records[0] == records[1] == records[2]
+    assert orders[0] == orders[1] == orders[2]
+    pool = spectra._pool
+    cx = alpha_complex(read_pdb_ca(pdb))
+    sweep(cx, [1], critical_alphas(cx)[::8], p=0.5)
+    assert spectra._pool is pool
+
+
+def test_failed_pooled_part_fails_its_records_as_a_serial_sweep_does(tmp_path, monkeypatch):
+    # dstebz fails on every matrix of one order that only the pool solves:
+    # the records that read those parts are flagged failed:EigensolveFailure
+    # alike with and without the pool, and the complex keeps no part of that
+    # order
+    pdb = chain48_pdb(tmp_path)
+    cx = alpha_complex(read_pdb_ca(pdb))
+    alphas = critical_alphas(cx)[::4]
+    monkeypatch.setattr(spectra, "WORKERS", 2)
+    solved = _solving_threads(monkeypatch)
+    sweep(cx, [1], alphas, p=0.5)
+    inline = {order for in_pool, order in solved if not in_pool}
+    order = max(order for in_pool, order in solved if in_pool and order not in inline)
+    failed, real, caller = [], lapack.dstebz, threading.current_thread()
+
+    def dstebz(t, *args, **bounds):
+        if t.n == order:
+            failed.append(threading.current_thread() is not caller)
+            raise EigensolveFailure("LAPACK dstebz failed (info=1)")
+        return real(t, *args, **bounds)
+
+    monkeypatch.setattr(lapack, "dstebz", dstebz)
+    runs = []
+    for workers in (2, 1):
+        monkeypatch.setattr(spectra, "WORKERS", workers)
+        failed.clear()
+        cx = alpha_complex(read_pdb_ca(pdb))
+        runs.append(sweep(cx, [1], alphas, p=0.5))
+        assert failed and any(failed) == (workers > 1), workers
+        kept = [value for key, value in cx._derived.items() if key[0] in ("down part", "up part")]
+        assert not [v for v in kept if isinstance(v, spectra.HodgePart) and v.order == order]
+    pooled, serial = runs
+    assert pooled == serial
+    assert 0 < sum(r.flags == ("failed:EigensolveFailure",) for r in pooled) < len(pooled)
+
+
+def test_sweep_gives_the_blas_thread_count_back(tmp_path, monkeypatch):
+    # a sweep solves on one OpenBLAS thread, in the pool's threads too, and
+    # gives the caller's count back after it, also when it raises
+    import ctypes
+
+    get, set_ = lapack._library().threads
+    seen, real = [], lapack.dsytrd
+
+    def dsytrd(a):
+        seen.append(get())
+        return real(a)
+
+    def broken(*args, **bounds):
+        raise RuntimeError("not a PslapError")
+
+    monkeypatch.setattr(lapack, "dsytrd", dsytrd)
+    monkeypatch.setattr(spectra, "WORKERS", 2)
+    pdb = chain48_pdb(tmp_path)
+    before = get()
+    set_(ctypes.c_int(2))
+    try:
+        cx = alpha_complex(read_pdb_ca(pdb))
+        alphas = critical_alphas(cx)[::8]
+        sweep(cx, [1], alphas, p=0.5)
+        assert seen and set(seen) == {1} and get() == 2
+        monkeypatch.setattr(lapack, "dstebz", broken)
+        with pytest.raises(RuntimeError, match="not a PslapError"):
+            sweep(alpha_complex(read_pdb_ca(pdb)), [1], alphas, p=0.5)
+        assert get() == 2
+    finally:
+        set_(ctypes.c_int(before))
+
+
+def test_forked_child_makes_a_pool_of_its_own(tmp_path, monkeypatch):
+    # the parent's pool threads do not exist in a forked child, so the
+    # child's first pooled sweep makes a new pool instead of queueing jobs
+    # that no thread takes
+    import multiprocessing
+
+    monkeypatch.setattr(spectra, "WORKERS", 2)
+    cx = alpha_complex(read_pdb_ca(chain48_pdb(tmp_path)))
+    alphas = critical_alphas(cx)[::8]
+    expected = sweep(cx, [1], alphas, p=0.5)
+    assert spectra._pool is not None
+
+    def child(queue):
+        fresh = alpha_complex(read_pdb_ca(tmp_path / "chain48.pdb"))
+        queue.put(sweep(fresh, [1], alphas, p=0.5) == expected)
+
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    process = context.Process(target=child, args=(queue,), daemon=True)
+    process.start()
+    try:
+        assert queue.get(timeout=60)
+        process.join(timeout=10)
+        assert process.exitcode == 0
+    finally:
+        process.kill()
+
+
+def test_sweep_of_no_q_or_no_alpha_is_empty(cloud20_complex, monkeypatch):
+    # cloud20_3d has 97 edges, so a q=1 sweep may pool; with no alpha it
+    # plans nothing, and with no q it has no simplex count to check
+    monkeypatch.setattr(spectra, "WORKERS", 2)
+    assert sweep(cloud20_complex, [], critical_alphas(cloud20_complex), p=0.3) == []
+    assert sweep(cloud20_complex, [1], [], p=0.3) == []
+
+
+def test_sweep_is_serial_where_the_pin_cannot_take_effect(tmp_path, monkeypatch):
+    # the scipy.linalg.cython_lapack fallback has no thread setter here, so
+    # the sweep solves every part in the calling thread
+    monkeypatch.setattr(lapack, "_lib", lapack._cython_lapack())
+    monkeypatch.setattr(spectra, "WORKERS", 2)
+    with lapack.one_blas_thread() as pinned:
+        assert not pinned
+    solved = _solving_threads(monkeypatch)
+    cx = alpha_complex(read_pdb_ca(chain48_pdb(tmp_path)))
+    sweep(cx, [1], critical_alphas(cx)[::8], p=0.5)
+    assert solved and not any(in_pool for in_pool, _ in solved)
+    assert max(order for _, order in solved) >= spectra.POOL_MIN_ORDER
+
+
 def test_larger_lambda_max_of_one_part_sets_the_threshold(monkeypatch):
     # the first part's lambda_max of 1e4 sets the zero threshold at 1e-6,
     # above the second part's 1e-7, which its own threshold of 1e-8 counted
@@ -481,18 +648,19 @@ def test_repeated_zero_above_order_2000():
 
 def test_import_loads_no_scipy():
     # LAPACK comes from numpy's bundled OpenBLAS, so importing pslap leaves
-    # scipy (and its import time and memory) out; checked in a fresh
-    # interpreter
+    # scipy (and its import time and memory) out; so does it the sweep's
+    # thread pool, which the first sweep that pools a part makes.  Checked
+    # in a fresh interpreter
     src = str(pathlib.Path(spectra.__file__).parents[1])
     env = dict(
         os.environ,
         PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, pslap; print('scipy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    assert proc.stdout.split() == ["False"]
+    code = ("import sys, pslap; print('scipy' in sys.modules, "
+            "'concurrent.futures' in sys.modules, pslap.spectra._pool)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.split() == ["False", "False", "None"]
 
 
 def test_accumulated_diagonal_rules():
