@@ -13,7 +13,7 @@ import numpy as np
 
 from . import dataio
 from .alpha import alpha_complex, critical_alphas
-from .errors import ParseError, PslapError
+from .errors import InputError, ParseError, PslapError
 from .oracle import BettiOracle, betti_from_barcode, reduce
 from .spectra import accumulated_laplacian_diagonal, detect_anomalies, sweep
 
@@ -100,6 +100,14 @@ def _check_grid(args) -> None:
         raise ParseError(f"the alpha grid has {points} points, above the cap of {MAX_GRID_POINTS}")
 
 
+def _check_out_dirs(**paths) -> None:
+    """Fails before the build on an output path whose directory is missing,
+    so a bad path costs no sweep and leaves no other output behind."""
+    for flag, path in paths.items():
+        if path is not None and not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise InputError(f"--{flag} {path}: no such directory")
+
+
 def _alpha_values(args, complex) -> np.ndarray:
     if args.critical:
         return critical_alphas(complex)
@@ -126,6 +134,7 @@ def _parse_q(text: str) -> list[int]:
 def cmd_spectra(args) -> int:
     q_list = _parse_q(args.q)
     _check_grid(args)
+    _check_out_dirs(out=args.out, json=args.json, svg=args.svg)
     points, complex = _build(args)
     alphas = _alpha_values(args, complex)
     records = sweep(complex, q_list, alphas, p=args.p, full=args.json is not None)
@@ -195,6 +204,7 @@ def cmd_anomaly(args) -> int:
 
 def cmd_accumulate(args) -> int:
     _check_grid(args)
+    _check_out_dirs(out=args.out)
     points, complex = _build(args)
     alphas = _alpha_values(args, complex)
     values = accumulated_laplacian_diagonal(complex, alphas)

@@ -5,96 +5,107 @@ boundary-matrix reduction producing barcodes, and exact Betti numbers over
 the rationals from :class:`BettiOracle`, which reduces each full boundary
 matrix once and reads every snapshot rank off the pivot rows (valid because
 snapshot boundaries are corner blocks of the filtration-ordered matrices).
+Both read only the complex's arrays and ``bound_sq``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import gcd
+
+import numpy as np
 
 from .simplices import MAX_DIM, FilteredComplex, bound_sq, snapshot
 
 
 @dataclass
 class Barcode:
-    """Per-dimension (birth, death) intervals in unsquared alpha units."""
+    """Per-dimension bars in unsquared alpha units: ``births[q]`` and
+    ``deaths[q]`` (inf for a bar that never dies), sorted by (birth, death)."""
 
-    intervals: dict[int, list[tuple[float, float]]]
+    births: dict[int, np.ndarray]
+    deaths: dict[int, np.ndarray]
 
     def bars(self, q: int) -> list[tuple[float, float]]:
-        return self.intervals.get(q, [])
-
-
-def _global_order(complex: FilteredComplex):
-    """All simplices sorted by (value, dim, vertices): faces precede cofaces."""
-    sims = []
-    for q in range(complex.max_dim + 1):
-        for s in complex.simplices(q):
-            sims.append((complex.filtration_sq(s), len(s), s))
-    sims.sort()
-    order = [s for _, _, s in sims]
-    position = {s: i for i, s in enumerate(order)}
-    return order, position
+        if q not in self.births:
+            return []
+        return list(zip(self.births[q].tolist(), self.deaths[q].tolist()))
 
 
 def reduce(complex: FilteredComplex) -> Barcode:
-    """Standard Z2 column reduction of the filtration boundary matrix."""
-    order, position = _global_order(complex)
+    """Standard Z2 column reduction of the filtration boundary matrix, its
+    columns in (value, dimension, vertex row) order: faces precede cofaces."""
+    sizes = [complex.n_simplices(q) for q in range(MAX_DIM + 1)]
+    start = np.cumsum([0] + sizes)
+    dims = np.repeat(np.arange(MAX_DIM + 1), sizes)
+    values = np.concatenate([complex.filtration_values_sq(q) for q in range(MAX_DIM + 1)])
+    # stable: equal values keep the (dimension, vertex row) order of the
+    # concatenation, so faces precede cofaces
+    order = np.argsort(values, kind="stable")
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    faces = [[]] * sizes[0]  # each simplex's face rows, as global positions
+    for q in range(1, MAX_DIM + 1):
+        faces += position[start[q - 1] + complex.face_rows(q)].tolist()
+
     low_to_col: dict[int, int] = {}
-    columns: dict[int, set] = {}
-    for j, s in enumerate(order):
-        if len(s) == 1:
-            columns[j] = set()
-            continue
-        col = {position[s[:i] + s[i + 1:]] for i in range(len(s))}
+    columns: list[set] = []
+    for j, i in enumerate(order.tolist()):
+        col = set(faces[i])
         while col:
             low = max(col)
             k = low_to_col.get(low)
             if k is None:
                 break
             col ^= columns[k]
-        columns[j] = col
+        columns.append(col)
         if col:
             low_to_col[max(col)] = j
 
-    intervals: dict[int, list[tuple[float, float]]] = {q: [] for q in range(MAX_DIM + 1)}
-    for i, s in enumerate(order):
-        if columns[i]:
-            continue  # negative simplex: kills a bar, births nothing
-        birth = math.sqrt(complex.filtration_sq(s))
-        j = low_to_col.get(i)
-        death = math.inf if j is None else math.sqrt(complex.filtration_sq(order[j]))
-        intervals[len(s) - 1].append((birth, death))
-    for q in intervals:
-        intervals[q].sort()
-    return Barcode(intervals)
+    values, dims = values[order], dims[order]
+    death_sq = np.full(len(order), np.inf)
+    death_sq[list(low_to_col)] = values[list(low_to_col.values())]
+    positive = np.array([not col for col in columns], dtype=bool)
+    births, deaths = {}, {}
+    for q in range(MAX_DIM + 1):
+        bars = positive & (dims == q)  # a negative simplex births nothing
+        b, d = np.sqrt(values[bars]), np.sqrt(death_sq[bars])
+        by_bar = np.lexsort((d, b))
+        births[q], deaths[q] = b[by_bar], d[by_bar]
+    return Barcode(births, deaths)
 
 
 def betti_from_barcode(barcode: Barcode, q: int, alpha: float, p: float = 0.0) -> int:
     """Number of dimension-q bars born in the snapshot at alpha and dying
     after the one at alpha + p, by the snapshots' rule on squared values."""
-    born, dead = bound_sq(alpha), bound_sq(alpha + p)
-    return sum(1 for b, d in barcode.bars(q) if b * b <= born and d * d > dead)
+    if q not in barcode.births:
+        return 0
+    b, d = barcode.births[q], barcode.deaths[q]
+    return int(np.count_nonzero((b * b <= bound_sq(alpha)) & (d * d > bound_sq(alpha + p))))
 
 
 class BettiOracle:
     """Bulk exact Betti numbers for every snapshot pair of one complex.
 
     Each boundary matrix is reduced once over the rationals with
-    integer-preserving column operations; the recorded pivot rows then give
-    rank(B_q^alpha), rank(B_q^{alpha+p}), and rank(Diff_q^{alpha,p}) for any
-    snapshot pair as pivot counts over the snapshot's columns, so a query
-    costs O(columns) and no elimination.
+    integer-preserving column operations, and each column's pivot row is
+    kept (-1 for none).  A snapshot's columns are a prefix, and each of
+    their pivot rows lies in the snapshot, as faces enter no later than
+    their cofaces.  So rank(B_q^alpha) and rank(B_{q+1}^{alpha+p}) are reads
+    of a prefix count of pivots, and rank(Diff_{q+1}^{alpha,p}) is one count
+    of the pivots at or past row N_q(alpha) among the later snapshot's
+    columns: a query costs one array count and no elimination.
     """
 
     def __init__(self, complex: FilteredComplex):
         self.complex = complex
-        self._lows: dict[int, list] = {}
+        self._lows: dict[int, np.ndarray] = {}
+        self._pivots: dict[int, np.ndarray] = {}  # pivots among the first n columns
         for q in range(1, complex.max_dim + 1):
-            self._lows[q] = self._reduce_rational(q)
+            lows = self._lows[q] = self._reduce_rational(q)
+            self._pivots[q] = np.concatenate(([0], np.cumsum(lows >= 0)))
 
-    def _reduce_rational(self, q: int):
+    def _reduce_rational(self, q: int) -> np.ndarray:
         lows: list = []
         low_to_col: dict[int, int] = {}
         columns: dict[int, dict] = {}
@@ -125,17 +136,8 @@ class BettiOracle:
                 columns[len(lows)] = col
                 lows.append(low)
             else:
-                lows.append(None)
-        return lows
-
-    def _ranks(self, q: int, n_cols: int, row_lo: int, row_hi: int) -> int:
-        """Pivots among the first n_cols columns with row_lo <= low < row_hi."""
-        if q not in self._lows:
-            return 0
-        lows = self._lows[q]
-        return sum(
-            1 for low in lows[:n_cols] if low is not None and row_lo <= low < row_hi
-        )
+                lows.append(-1)
+        return np.array(lows, dtype=np.int64)
 
     def betti(self, q: int, alpha: float, p: float = 0.0) -> int:
         snap_t = snapshot(self.complex, alpha)
@@ -143,7 +145,10 @@ class BettiOracle:
         n_q = snap_t.count(q)
         if n_q == 0:
             return 0
-        rank_bq = 0 if q == 0 else self._ranks(q, n_q, 0, snap_t.count(q - 1))
-        rank_up_full = self._ranks(q + 1, snap_tp.count(q + 1), 0, snap_tp.count(q))
-        rank_diff = self._ranks(q + 1, snap_tp.count(q + 1), snap_t.count(q), snap_tp.count(q))
+        rank_bq = int(self._pivots[q][n_q]) if q in self._pivots else 0
+        if q + 1 not in self._lows:
+            return n_q - rank_bq
+        n_up = snap_tp.count(q + 1)
+        rank_up_full = int(self._pivots[q + 1][n_up])
+        rank_diff = int(np.count_nonzero(self._lows[q + 1][:n_up] >= snap_t.count(q)))
         return (n_q - rank_bq) - (rank_up_full - rank_diff)

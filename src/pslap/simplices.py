@@ -43,7 +43,7 @@ class FilteredComplex:
     Immutable after construction.  Each dimension q is held as arrays in
     (value, vertex row) order: the vertex rows, an (N_q, q+1) int64 array,
     their squared values, and the face rows, the positions in dimension q-1
-    of each row's faces.  ``simplices(q)`` lists the rows as vertex tuples.
+    of each row's faces.
 
     ``rows[q]`` holds the q-simplices as sorted vertex rows (an array or a
     list of tuples) and ``values[q]`` their squared values, both in any
@@ -74,8 +74,6 @@ class FilteredComplex:
         for arrays in (self._rows, self._values, self._faces):
             for a in arrays.values():
                 a.flags.writeable = False
-        self._tuples: dict = {}  # simplices() memo
-        self._filtration: dict | None = None  # filtration_sq() memo
         self._derived: dict = {}  # derived() memo
 
     @classmethod
@@ -106,15 +104,8 @@ class FilteredComplex:
         """(N_q, q+1) vertices of the q-simplices, in filtration order."""
         return self._rows[q]
 
-    def simplices(self, q: int) -> list[tuple[int, ...]]:
-        sims = self._tuples.get(q)
-        if sims is None:
-            rows = self._rows.get(q)
-            sims = self._tuples[q] = [] if rows is None else list(map(tuple, rows.tolist()))
-        return sims
-
     def face_rows(self, q: int) -> np.ndarray:
-        """(N_q, q+1) positions in ``simplices(q-1)`` of the faces of each
+        """(N_q, q+1) positions in ``vertex_rows(q-1)`` of the faces of each
         q-simplex, face i omitting vertex i; q >= 1."""
         faces = self._faces.get(q)
         return np.empty((0, q + 1), dtype=np.int64) if faces is None else faces
@@ -122,14 +113,6 @@ class FilteredComplex:
     def n_simplices(self, q: int) -> int:
         rows = self._rows.get(q)
         return 0 if rows is None else len(rows)
-
-    def filtration_sq(self, simplex: tuple[int, ...]) -> float:
-        if self._filtration is None:
-            self._filtration = {
-                s: v for q in range(MAX_DIM + 1)
-                for s, v in zip(self.simplices(q), self._values[q].tolist())
-            }
-        return self._filtration[simplex]
 
     def filtration_values_sq(self, q: int) -> np.ndarray:
         return self._values[q]

@@ -74,6 +74,20 @@ def random_cloud(seed: int, n: int, d: int) -> PointSet:
     return PointSet(rng.uniform(0.0, 2.0, size=(n, d)))
 
 
+def simplex_tuples(cx, q: int) -> list[tuple[int, ...]]:
+    """The q-simplices of ``cx`` as vertex tuples, in filtration order: a
+    tuple view of ``cx.vertex_rows(q)``, empty past ``MAX_DIM``."""
+    return list(map(tuple, cx.vertex_rows(q).tolist())) if 0 <= q <= MAX_DIM else []
+
+
+def value_of(cx) -> dict:
+    """Each simplex's squared value, keyed by its vertex tuple."""
+    return {
+        s: v for q in range(MAX_DIM + 1)
+        for s, v in zip(simplex_tuples(cx, q), cx.filtration_values_sq(q).tolist())
+    }
+
+
 def build_complex(simplices, filtration_sq) -> FilteredComplex:
     """A hand-built complex from vertex tuples and their squared values,
     completed to its closure.
@@ -167,7 +181,7 @@ def audit_empty_circumspheres(cx, coords: np.ndarray) -> list:
     """All (cell, point) pairs of a tessellation of ``coords`` violating the
     perturbed empty-sphere property of :func:`reference_in_sphere`."""
     violations, rows = [], coords.tolist()
-    for cell in cx.simplices(coords.shape[1]):
+    for cell in simplex_tuples(cx, coords.shape[1]):
         members = set(cell)
         for idx in range(coords.shape[0]):
             if idx not in members and reference_in_sphere(rows, cell, idx) > 0:
@@ -334,7 +348,7 @@ def reference_filtration_values(by_dim: dict, points: PointSet) -> dict:
 
 def reference_assign_filtration(complex: FilteredComplex, points: PointSet) -> FilteredComplex:
     """Return a new complex with alpha filtration values (squared) assigned."""
-    by_dim = {q: complex.simplices(q) for q in range(complex.max_dim + 1)}
+    by_dim = {q: simplex_tuples(complex, q) for q in range(complex.max_dim + 1)}
     values = reference_filtration_values(by_dim, points)
     return FilteredComplex(by_dim, {q: [values[s] for s in sims] for q, sims in by_dim.items()})
 
@@ -377,7 +391,7 @@ def assert_matches_reference(cx, ref: dict) -> None:
     """``cx`` lists, values and indexes its simplices as ``reference_complex``
     does."""
     for q, (sims, values, faces) in ref.items():
-        assert cx.simplices(q) == sims
+        assert simplex_tuples(cx, q) == sims
         assert np.array_equal(cx.filtration_values_sq(q), values)
         if q:
             assert np.array_equal(cx.face_rows(q), faces)
@@ -419,19 +433,19 @@ def read_spectra_csv(path) -> list[SpectrumRecord]:
 
 
 def simplex_index(cx, q: int) -> dict:
-    """Each q-simplex's position in ``cx.simplices(q)``."""
-    return {s: i for i, s in enumerate(cx.simplices(q))}
+    """Each q-simplex's position in ``cx.vertex_rows(q)``."""
+    return {s: i for i, s in enumerate(simplex_tuples(cx, q))}
 
 
 def reference_boundary(cx, q: int) -> np.ndarray:
     """Dense integer boundary matrix B_q of the whole filtration: column j is
-    the boundary of ``cx.simplices(q)[j]``, face i carrying (-1)^i; q=0 gives
+    the boundary of ``cx.vertex_rows(q)[j]``, face i carrying (-1)^i; q=0 gives
     a (1, N_0) zero matrix."""
     if q == 0:
         return np.zeros((1, cx.n_simplices(0)), dtype=np.int64)
     out = np.zeros((cx.n_simplices(q - 1), cx.n_simplices(q)), dtype=np.int64)
     faces = simplex_index(cx, q - 1)
-    for j, s in enumerate(cx.simplices(q)):
+    for j, s in enumerate(simplex_tuples(cx, q)):
         for i in range(len(s)):
             out[faces[s[:i] + s[i + 1:]], j] = (-1) ** i
     return out
@@ -459,6 +473,41 @@ def reference_diff(cx, q: int, snap_t, snap_tp) -> np.ndarray:
     (q-1)-simplices absent from the earlier one.  Its kernel is the persistent
     chain space."""
     return reference_restriction(cx, q, snap_tp)[row_count(q, snap_t):]
+
+
+# The tuple-sort Z2 reduction that pslap.oracle.reduce runs on arrays: every
+# simplex sorted as the tuple (value, vertex count, vertex tuple), faces
+# looked up by position, so its ties are ordered without the complex's own
+# order.
+
+
+def reference_bars(cx) -> dict:
+    """q -> sorted (birth, death) bars of ``cx`` in unsquared alpha units,
+    from the standard column reduction of the tuple-sorted boundary matrix."""
+    value = value_of(cx)
+    order = sorted(value, key=lambda s: (value[s], len(s), s))
+    position = {s: i for i, s in enumerate(order)}
+    low_to_col: dict[int, int] = {}
+    columns: dict[int, set] = {}
+    for j, s in enumerate(order):
+        col = {position[s[:i] + s[i + 1:]] for i in range(len(s))} if len(s) > 1 else set()
+        while col:
+            low = max(col)
+            k = low_to_col.get(low)
+            if k is None:
+                break
+            col ^= columns[k]
+        columns[j] = col
+        if col:
+            low_to_col[max(col)] = j
+    bars: dict[int, list] = {q: [] for q in range(MAX_DIM + 1)}
+    for i, s in enumerate(order):
+        if columns[i]:
+            continue  # negative simplex: kills a bar, births nothing
+        j = low_to_col.get(i)
+        death = math.inf if j is None else math.sqrt(value[order[j]])
+        bars[len(s) - 1].append((math.sqrt(value[s]), death))
+    return {q: sorted(b) for q, b in bars.items()}
 
 
 # Exact rational ranks by fraction-free elimination, the per-query reference

@@ -19,6 +19,8 @@ from conftest import (
     production_boundary,
     random_cloud,
     reference_laplacian,
+    simplex_tuples,
+    value_of,
 )
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.cli import DEFAULT_ALPHA_MAX, DEFAULT_ALPHA_MIN, DEFAULT_STEP, main
@@ -56,15 +58,16 @@ def criterion(num: int, budget: float, desc: str):
 def test_criterion_1_table1(tmp_path, six_points, six_complex):
     with criterion(1, 1.0, "Table 1 spectra from cmd_spectra --critical on the 6-point fixture"):
         # the committed fixture realizes exactly the target alpha=0.6 complex
+        value = value_of(six_complex)
         edges = sorted(
             "".join(NAMES[v] for v in s)
-            for s in six_complex.simplices(1)
-            if six_complex.filtration_sq(s) <= 0.36
+            for s in simplex_tuples(six_complex, 1)
+            if value[s] <= 0.36
         )
         tris = [
             "".join(NAMES[v] for v in s)
-            for s in six_complex.simplices(2)
-            if six_complex.filtration_sq(s) <= 0.36
+            for s in simplex_tuples(six_complex, 2)
+            if value[s] <= 0.36
         ]
         assert edges == ["AB", "AE", "BC", "CD", "DE", "DF", "EF"]
         assert tris == ["DEF"]

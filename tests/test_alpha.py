@@ -13,6 +13,8 @@ from conftest import (
     random_cloud,
     reference_assign_filtration,
     side_of_circumsphere,
+    simplex_tuples,
+    value_of,
 )
 from pslap import geometry
 from pslap.alpha import alpha_complex, assign_filtration, critical_alphas
@@ -50,33 +52,35 @@ def test_gabriel_examples():
 def test_assign_filtration_equilateral():
     pts = PointSet(np.array([(0, 0), (1, 0), (0.5, np.sqrt(3) / 2)]))
     c = alpha_complex(pts)
-    for v in c.simplices(0):
-        assert c.filtration_sq(v) == 0.0
-    for e in c.simplices(1):
-        assert np.isclose(c.filtration_sq(e), 0.25)
-    assert np.isclose(c.filtration_sq((0, 1, 2)), 1.0 / 3.0)
+    value = value_of(c)
+    for v in simplex_tuples(c, 0):
+        assert value[v] == 0.0
+    for e in simplex_tuples(c, 1):
+        assert np.isclose(value[e], 0.25)
+    assert np.isclose(value[(0, 1, 2)], 1.0 / 3.0)
     assert np.allclose(critical_alphas(c), [0.0, 0.5, np.sqrt(1.0 / 3.0)])
 
 
 def test_assign_filtration_non_gabriel_inherits():
     pts = PointSet(np.array([(0, 0), (4, 0), (2, 0.5)], float))
-    c = alpha_complex(pts)
-    assert np.isclose(c.filtration_sq((0, 1)), 18.0625)  # long edge inherits
-    assert np.isclose(c.filtration_sq((0, 2)), 1.0625)  # short edges keep their own
-    assert np.isclose(c.filtration_sq((1, 2)), 1.0625)
+    value = value_of(alpha_complex(pts))
+    assert np.isclose(value[(0, 1)], 18.0625)  # long edge inherits
+    assert np.isclose(value[(0, 2)], 1.0625)  # short edges keep their own
+    assert np.isclose(value[(1, 2)], 1.0625)
 
 
 def test_six_point_complex_at_rest_alphas(six_points, six_complex):
+    value = value_of(six_complex)
     present = lambda a: (
         sorted(
             "".join(NAMES[v] for v in s)
-            for s in six_complex.simplices(1)
-            if six_complex.filtration_sq(s) <= a * a
+            for s in simplex_tuples(six_complex, 1)
+            if value[s] <= a * a
         ),
         sorted(
             "".join(NAMES[v] for v in s)
-            for s in six_complex.simplices(2)
-            if six_complex.filtration_sq(s) <= a * a
+            for s in simplex_tuples(six_complex, 2)
+            if value[s] <= a * a
         ),
     )
     edges, tris = present(0.6)
@@ -93,9 +97,10 @@ def test_critical_alphas_single_edge():
 
 def test_six_point_cycle_death_in_window(six_complex):
     # the pentagon 1-cycle must die in (0.6, 0.83]
+    value = value_of(six_complex)
     fills = sorted(
-        np.sqrt(six_complex.filtration_sq(s))
-        for s in six_complex.simplices(2)
+        np.sqrt(value[s])
+        for s in simplex_tuples(six_complex, 2)
         if s != (3, 4, 5)
     )
     assert 0.6 < fills[-1] <= 0.83
@@ -106,11 +111,11 @@ def test_monotone_filtration_random_clouds():
     for seed, n, d in [(0, 12, 2), (1, 15, 3), (2, 30, 2), (3, 20, 3)]:
         pts = random_cloud(seed, n, d)
         c = alpha_complex(pts, seed=seed)
+        value = value_of(c)
         for q in range(1, c.max_dim + 1):
-            for s in c.simplices(q):
-                v = c.filtration_sq(s)
+            for s in simplex_tuples(c, q):
                 for i in range(q + 1):
-                    assert c.filtration_sq(s[:i] + s[i + 1:]) <= v
+                    assert value[s[:i] + s[i + 1:]] <= value[s]
 
 
 def test_gabriel_value_assignment_rule():
@@ -119,20 +124,21 @@ def test_gabriel_value_assignment_rule():
     for seed, n, d in [(4, 10, 2), (5, 12, 3)]:
         pts = random_cloud(seed, n, d)
         c = alpha_complex(pts, seed=seed)
+        value = value_of(c)
         for q in range(1, c.max_dim + 1):
-            for s in c.simplices(q):
+            for s in simplex_tuples(c, q):
                 own = circumradius_sq(pts.coords[list(s)])
                 if is_gabriel(pts, s):
-                    assert np.isclose(c.filtration_sq(s), own, rtol=1e-10)
+                    assert np.isclose(value[s], own, rtol=1e-10)
                 else:
                     cofaces = [
                         t
-                        for t in c.simplices(q + 1)
+                        for t in simplex_tuples(c, q + 1)
                         if set(s) <= set(t)
                     ]
-                    vals = [c.filtration_sq(t) for t in cofaces]
+                    vals = [value[t] for t in cofaces]
                     assert any(
-                        np.isclose(c.filtration_sq(s), v, rtol=1e-12) for v in vals
+                        np.isclose(value[s], v, rtol=1e-12) for v in vals
                     )
 
 
@@ -174,9 +180,10 @@ def _nerve_member(coords, simplex, alpha, resolution=160):
 def test_filtration_matches_nerve_definition(seed, n, d):
     pts = random_cloud(seed, n, d)
     c = alpha_complex(pts, seed=seed)
+    value = value_of(c)
     for q in range(1, c.max_dim + 1):
-        for s in c.simplices(q):
-            a = np.sqrt(c.filtration_sq(s))
+        for s in simplex_tuples(c, q):
+            a = np.sqrt(value[s])
             assert _nerve_member(pts.coords, s, a * 1.02), (s, a)
             assert not _nerve_member(pts.coords, s, a * 0.98), (s, a)
 
@@ -186,7 +193,7 @@ def test_alpha_complex_tiny_inputs():
     assert c1.n_simplices(0) == 1 and c1.n_simplices(1) == 0
     c2 = alpha_complex(PointSet(np.array([(-1.0, 0.0), (1.0, 0.0)])))
     assert c2.n_simplices(1) == 1
-    assert np.isclose(c2.filtration_sq((0, 1)), 1.0)
+    assert np.isclose(value_of(c2)[(0, 1)], 1.0)
 
 
 def test_overflowing_filtration_is_an_error():
@@ -222,10 +229,8 @@ def _assert_same_filtration(pts: PointSet, seed: int = 0):
     got = assign_filtration(cx, pts)
     assert got.max_dim == ref.max_dim
     for q in range(ref.max_dim + 1):
-        assert got.simplices(q) == ref.simplices(q)
-        assert [got.filtration_sq(s) for s in got.simplices(q)] == [
-            ref.filtration_sq(s) for s in ref.simplices(q)
-        ]
+        assert np.array_equal(got.vertex_rows(q), ref.vertex_rows(q))
+        assert np.array_equal(got.filtration_values_sq(q), ref.filtration_values_sq(q))
 
 
 GRID = PointSet(np.array(list(itertools.product(range(3), repeat=3)), float))
@@ -297,13 +302,13 @@ def test_assign_filtration_on_a_valued_complex(chain_clean_complex):
     # in the new one
     points = read_xyz(DATA / "chain_clean.xyz")
     cx = delaunay(points)
-    by_dim = {q: cx.simplices(q) for q in range(cx.max_dim + 1)}
+    by_dim = {q: simplex_tuples(cx, q) for q in range(cx.max_dim + 1)}
     scrambled = FilteredComplex(
         by_dim, {q: [float(-sum(s) % 7) for s in sims] for q, sims in by_dim.items()}
     )
     again = assign_filtration(scrambled, points)
     for q in range(4):
-        assert again.simplices(q) == chain_clean_complex.simplices(q)
+        assert np.array_equal(again.vertex_rows(q), chain_clean_complex.vertex_rows(q))
         assert np.array_equal(
             again.filtration_values_sq(q), chain_clean_complex.filtration_values_sq(q)
         )

@@ -336,6 +336,31 @@ def test_unwritable_out_is_an_input_error(tmp_path, capsys):
     assert not out.parent.exists()
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("spectra", "--out"), ("spectra", "--json"), ("spectra", "--svg"), ("accumulate", "--out"),
+])
+def test_output_into_a_missing_directory_fails_before_the_build(
+    command, flag, tmp_path, monkeypatch, capsys
+):
+    # checked before the build: exit 1, one stderr line, and no output
+    # written, not even the CSV, which is written before the SVG
+    monkeypatch.chdir(tmp_path)
+    built = []
+    monkeypatch.setattr(cli, "_build", lambda args: built.append(args))
+    missing = tmp_path / "missing" / "x"
+    outputs = {"--out": "out.csv", flag: str(missing)}
+    argv = [command, "--input", SIX, *(a for item in outputs.items() for a in item)]
+    if command == "spectra":
+        argv += ["--q", "0,1,2"]
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"pslap: input error: {flag} {missing}: no such directory"
+    ]
+    assert not built and list(tmp_path.iterdir()) == []
+
+
 def test_spectra_json_and_svg(tmp_path):
     import json
 

@@ -18,6 +18,7 @@ from conftest import (
     reference_circumradius_sq,
     reference_in_sphere,
     side_of_circumsphere,
+    simplex_tuples,
 )
 from pslap import alpha, geometry
 from pslap.alpha import alpha_complex
@@ -94,7 +95,7 @@ def test_reference_in_sphere_breaks_ties_consistently(icosahedron_points):
     grid = np.array(list(itertools.product(range(3), repeat=3)), float)
     for coords in (grid, icosahedron_points.coords):
         rows, ties = coords.tolist(), 0
-        for cell in delaunay(PointSet(coords)).simplices(3):
+        for cell in simplex_tuples(delaunay(PointSet(coords)), 3):
             for idx in set(range(len(rows))) - set(cell):
                 pts = [rows[i] for i in cell + (idx,)]
                 if geometry._exact_signs(geometry._gram_power, pts)[1] == 0:
@@ -561,7 +562,7 @@ def test_delaunay_square():
     assert [c.n_simplices(q) for q in range(3)] == [4, 5, 2]
     for seed in (1, 2, 3, 17):
         c2 = delaunay(ps, seed=seed)
-        assert c2.simplices(2) == c.simplices(2)
+        assert np.array_equal(c2.vertex_rows(2), c.vertex_rows(2))
 
 
 def test_delaunay_convex_position_five_points():
@@ -591,8 +592,8 @@ def test_delaunay_random_audit(d, seed, n):
     assert not audit_empty_circumspheres(c, ps.coords)
     # output is a closed complex
     for q in range(1, d + 1):
-        faces = set(c.simplices(q - 1))
-        for s in c.simplices(q):
+        faces = set(simplex_tuples(c, q - 1))
+        for s in simplex_tuples(c, q):
             for i in range(q + 1):
                 assert s[:i] + s[i + 1:] in faces
 
@@ -620,7 +621,7 @@ def test_delaunay_insertion_order_invariance(d, icosahedron_points):
         for seed in (3, 9):
             alt = delaunay(ps, seed=seed)
             for q in range(d + 1):
-                assert alt.simplices(q) == base.simplices(q)
+                assert np.array_equal(alt.vertex_rows(q), base.vertex_rows(q))
 
 
 def test_delaunay_degenerate_grids():
@@ -701,7 +702,7 @@ def test_delaunay_cells_are_linked_and_oriented(monkeypatch, icosahedron_points)
                 finite.append(cell)
                 pts = [tri.rows[v] for v in cell]
                 assert tri.orient[c] == geometry._exact_signs(geometry._orient, pts)[0] != 0
-        assert sorted(finite) == sorted(cx.simplices(d))
+        assert sorted(finite) == sorted(simplex_tuples(cx, d))
         # the next walk's start: a live finite cell
         assert tri.cells[tri.last] is not None and tri.cells[tri.last][-1] != geometry._INF
 
@@ -736,7 +737,7 @@ def test_delaunay_ties_break_on_the_stored_orientation(monkeypatch, icosahedron_
         with monkeypatch.context() as m:
             m.setattr(geometry._Triangulation, "_inside", inside_by_power)
             reference = delaunay(PointSet(coords))
-        assert built.simplices(3) == reference.simplices(3)
+        assert np.array_equal(built.vertex_rows(3), reference.vertex_rows(3))
 
 
 def _lifted_side(rows, cell, query):
@@ -777,7 +778,7 @@ def test_lifted_in_sphere_matches_reference_in_sphere(d, icosahedron_points):
         cospherical.append(icosahedron_points.coords)
     for coords in cospherical:
         rows = coords.tolist()
-        for cell in delaunay(PointSet(coords)).simplices(d):
+        for cell in simplex_tuples(delaunay(PointSet(coords)), d):
             for query in set(range(len(rows))) - set(cell):
                 side = _lifted_side(rows, cell, query)
                 pts = [rows[i] for i in cell + (query,)]

@@ -3,13 +3,16 @@ import math
 import numpy as np
 
 from conftest import (
+    DATA,
     build_complex,
     euler_characteristic,
     exact_rank_betti,
     exact_rank_int,
     random_cloud,
+    reference_bars,
 )
 from pslap.alpha import alpha_complex, critical_alphas
+from pslap.dataio import read_pdb_ca, read_xyz
 from pslap.oracle import BettiOracle, betti_from_barcode, reduce
 from pslap.simplices import snapshot
 from pslap.spectra import spectrum_at
@@ -69,13 +72,43 @@ def test_exact_rank_betti_empty_snapshot(six_complex):
     assert exact_rank_betti(six_complex, 1, 0.05, 0.0) == 0
 
 
-def test_bulk_oracle_matches_direct(six_complex):
-    orc = BettiOracle(six_complex)
-    crit = critical_alphas(six_complex)
+def test_bulk_oracle_matches_direct(six_complex, icosahedron_complex):
+    # the icosahedron's tied values pin the prefix-count ranks where many
+    # columns enter at once
+    for cx in (six_complex, icosahedron_complex):
+        orc = BettiOracle(cx)
+        crit = critical_alphas(cx)
+        for q in range(3):
+            for a in crit:
+                for p in (0.0, 0.15, 0.4):
+                    assert orc.betti(q, a, p) == exact_rank_betti(cx, q, a, p)
+
+
+def test_reduce_matches_the_tuple_sort_reference(six_complex, icosahedron_complex):
+    # the array order gives the bars of the (value, vertex count, vertex
+    # tuple) sort; the cospherical inputs tie the most values, where a face
+    # placed after its coface would pair the wrong simplices
+    complexes = [six_complex, icosahedron_complex] + [
+        alpha_complex(read_xyz(DATA / name)) for name in ("grid4.xyz", "near_tie.xyz")
+    ] + [alpha_complex(random_cloud(seed, n, d), seed=seed)
+         for seed, n, d in [(31, 9, 2), (32, 14, 3), (33, 18, 2)]]
+    for cx in complexes:
+        bc, reference = reduce(cx), reference_bars(cx)
+        for q in range(4):
+            assert bc.bars(q) == reference[q], q
+
+
+def test_oracles_agree_on_the_standin_chain():
+    # the 220-residue chain at the paper's scale: both oracles at every
+    # critical value (2 916) for q = 0, 1, 2 at p = 0 and 0.5
+    cx = alpha_complex(read_pdb_ca(DATA / "ca_chain220_seed1.pdb"))
+    bc, orc = reduce(cx), BettiOracle(cx)
+    crit = critical_alphas(cx)
+    assert len(crit) == 2916
     for q in range(3):
-        for a in crit:
-            for p in (0.0, 0.15, 0.4):
-                assert orc.betti(q, a, p) == exact_rank_betti(six_complex, q, a, p)
+        for p in (0.0, 0.5):
+            for a in crit:
+                assert orc.betti(q, a, p) == betti_from_barcode(bc, q, a, p), (q, a, p)
 
 
 def test_triple_agreement_random(six_complex):

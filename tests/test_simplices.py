@@ -14,6 +14,8 @@ from conftest import (
     reference_boundary,
     reference_complex,
     reference_filtration_values,
+    simplex_tuples,
+    value_of,
 )
 from pslap.alpha import alpha_complex
 from pslap.dataio import read_pdb_ca, read_xyz
@@ -34,8 +36,7 @@ def test_build_closure_completion():
     assert c.n_simplices(0) == 3
     assert c.n_simplices(1) == 3
     assert c.n_simplices(2) == 1
-    for e in c.simplices(1):
-        assert c.filtration_sq(e) <= 4.0
+    assert np.all(c.filtration_values_sq(1) <= 4.0)
 
 
 def test_build_enforces_monotonicity():
@@ -44,7 +45,7 @@ def test_build_enforces_monotonicity():
         [(0, 1), (0, 1, 2)],
         {(0, 1): 9.0, (0, 1, 2): 4.0},
     )
-    assert c.filtration_sq((0, 1)) == 4.0
+    assert value_of(c)[(0, 1)] == 4.0
 
 
 def test_build_pentagon_with_flap():
@@ -115,13 +116,13 @@ def test_filtration_order_is_value_then_lex():
         [(0, 1), (2, 3), (1, 2)],
         {(0, 1): 2.0, (2, 3): 1.0, (1, 2): 2.0},
     )
-    assert c.simplices(1) == [(2, 3), (0, 1), (1, 2)]
+    assert c.vertex_rows(1).tolist() == [[2, 3], [0, 1], [1, 2]]
 
 
 def test_closure_boundary_lookup_never_misses(six_complex):
     for q in range(1, six_complex.max_dim + 1):
-        faces = set(six_complex.simplices(q - 1))
-        for s in six_complex.simplices(q):
+        faces = set(simplex_tuples(six_complex, q - 1))
+        for s in simplex_tuples(six_complex, q):
             for i in range(q + 1):
                 assert s[:i] + s[i + 1:] in faces
 
@@ -147,7 +148,7 @@ def test_array_complex_matches_tuple_reference(source):
     else:
         points = (read_pdb_ca if source.endswith(".pdb") else read_xyz)(DATA / source)
     unvalued = delaunay(points)
-    by_dim = closure_of_cells(unvalued.simplices(points.dim))
+    by_dim = closure_of_cells(simplex_tuples(unvalued, points.dim))
     assert_matches_reference(unvalued, reference_complex(by_dim, lambda s: math.inf))
     top = {q: sims for q, sims in by_dim.items() if sims}
     values = reference_filtration_values(top, points)
@@ -165,7 +166,7 @@ def test_face_rows_at_large_vertex_labels(labels):
     # one value throughout, so each dimension is in lexicographic order
     cx = build_complex([labels], {labels: 1.0})
     by_dim = closure_of_cells([labels])
-    assert_matches_reference(cx, reference_complex(by_dim, cx.filtration_sq))
+    assert_matches_reference(cx, reference_complex(by_dim, value_of(cx).__getitem__))
     for q in range(1, 4):
         assert np.array_equal(production_boundary(cx, q), reference_boundary(cx, q))
 
@@ -191,8 +192,8 @@ def test_constructor_ignores_input_order(name, valued, given_faces):
             faces[q] = inverse[q - 1][cx.face_rows(q)[perm]]
         inverse[q] = np.argsort(perm)
     built = FilteredComplex(rows, values, faces=faces if given_faces else None)
-    by_dim = {q: cx.simplices(q) for q in range(MAX_DIM + 1)}
-    assert_matches_reference(built, reference_complex(by_dim, cx.filtration_sq))
+    by_dim = {q: simplex_tuples(cx, q) for q in range(MAX_DIM + 1)}
+    assert_matches_reference(built, reference_complex(by_dim, value_of(cx).__getitem__))
 
 
 @pytest.mark.parametrize("rows", [
