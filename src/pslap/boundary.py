@@ -7,7 +7,9 @@ snapshot pair is the later boundary matrix on the kernel of the Diff
 operator (its rows for the (q-1)-simplices absent from the earlier
 snapshot).  Diff vanishes on the longest prefix of columns whose faces all
 lie in the earlier snapshot's rows; :func:`persistent_boundary` returns
-that split point and the columns after it in an orthonormal kernel basis.
+that split point and the columns after it in an orthonormal kernel basis,
+or none where an exact Z2 pivot count proves that kernel empty
+(:func:`kernel_is_trivial`).
 
 A boundary is stored once per dimension as a face-index array: row j holds
 the row indices of the q+1 faces of q-simplex j, in the (-1)^i sign order of
@@ -15,7 +17,9 @@ the boundary formula.  Blocks are read from it as dense Fortran-ordered
 arrays through :func:`dense_block`, and its integer Gram matrices B^T B and
 B B^T as dense matrices, summed from entry lists that are computed once per
 boundary and of which every snapshot needs only a prefix; the entry lists
-stay inside this module.
+stay inside this module.  Each boundary also keeps the pivot row of every
+column after one left-to-right Z2 reduction, and every dense matrix or
+block is checked against MAX_DENSE_BYTES before it is allocated.
 """
 
 from __future__ import annotations
@@ -25,8 +29,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LinearSolveFailure, SnapshotOrderViolation
+from .errors import LinearSolveFailure, MatrixTooLarge, SnapshotOrderViolation
 from .simplices import FilteredComplex, Snapshot
+
+# The largest dense float matrix or block this module allocates: a Hodge part
+# of order n takes 8 n^2 bytes, and a larger one raises MatrixTooLarge.
+MAX_DENSE_BYTES = 1 << 30
 
 
 @dataclass
@@ -61,7 +69,9 @@ class SparseBoundaryMatrix:
 
     def build_caches(self) -> SparseBoundaryMatrix:
         """The boundary with its cached entry lists built: threads may then
-        read it side by side, as nothing of it is written later."""
+        read it side by side, as nothing of it is written later.  ``lows``
+        is left to the first :func:`kernel_is_trivial` that needs it, which
+        a sweep runs before it starts any job."""
         self.reach, self._column_gram, self._column_outers
         return self
 
@@ -70,6 +80,27 @@ class SparseBoundaryMatrix:
         """Entry j is 1 + the largest face row of columns 0..j: the rows the
         first j + 1 columns span."""
         return np.maximum.accumulate(self.faces.max(axis=1, initial=-1), axis=0) + 1
+
+    @cached_property
+    def lows(self) -> np.ndarray:
+        """Entry j is the pivot row of column j after a left-to-right Z2
+        reduction in filtration order, or -1 where the column reduces to
+        zero.  By the pairing lemma (Cohen-Steiner, Edelsbrunner and
+        Morozov, *Vines and Vineyards*, 2006), the rank over Z2 of
+        B[r:, :c] is the count of lows[:c] at least r.  Each column is held
+        as a Python int bitset of its rows."""
+        lows = np.full(len(self.faces), -1, dtype=np.int64)
+        by_low: dict[int, int] = {}  # pivot row -> the reduced column holding it
+        for j, faces in enumerate(self.faces.tolist()):
+            column = sum(1 << r for r in faces)  # the faces are distinct
+            while column:
+                low = column.bit_length() - 1
+                if low not in by_low:
+                    by_low[low] = column
+                    lows[j] = low
+                    break
+                column ^= by_low[low]
+        return lows
 
     @cached_property
     def _column_gram(self) -> tuple[np.ndarray, ...]:
@@ -116,9 +147,21 @@ def _dense(rows, cols, values, order: int) -> np.ndarray:
     """The order x order float matrix summing the integer entries (rows,
     cols, values), repeated (row, col) pairs adding up; bincount sums them
     exactly."""
+    _check_size(order, order)
     # without entries bincount gives int
     gram = np.bincount(rows * order + cols, weights=values, minlength=order * order)
     return gram.reshape(order, order).astype(float, copy=False)
+
+
+def _check_size(rows: int, cols: int) -> None:
+    """Raise MatrixTooLarge unless a rows x cols float matrix fits in
+    MAX_DENSE_BYTES."""
+    size = 8 * rows * cols
+    if size > MAX_DENSE_BYTES:
+        raise MatrixTooLarge(
+            f"a dense {rows} x {cols} matrix needs {size} bytes, "
+            f"above the cap of {MAX_DENSE_BYTES}"
+        )
 
 
 def full_boundary(complex: FilteredComplex, q: int) -> SparseBoundaryMatrix:
@@ -142,6 +185,7 @@ def dense_block(full: SparseBoundaryMatrix, r_lo: int, r_hi: int, c_lo: int, c_h
     """Block [r_lo:r_hi, c_lo:c_hi] of the full boundary matrix as a dense
     float array, Fortran-ordered: BLAS and LAPACK round differently on other
     layouts, so the order is part of the output bytes."""
+    _check_size(r_hi - r_lo, c_hi - c_lo)
     out = np.zeros((r_hi - r_lo, c_hi - c_lo), order="F")
     rows = full.faces[c_lo:c_hi] - r_lo
     hit = (rows >= 0) & (rows < r_hi - r_lo)
@@ -186,6 +230,17 @@ def split(full: SparseBoundaryMatrix, snap_t: Snapshot, snap_tp: Snapshot) -> in
     return min(int(np.searchsorted(full.reach, r_t, side="right")), snap_tp.count(full.q))
 
 
+def kernel_is_trivial(full: SparseBoundaryMatrix, r_t: int, c: int, c_p: int) -> bool:
+    """Whether ker(Diff) on the columns [c, c_p), Diff their rows from r_t
+    on, is proven {0}: there are none, or Diff has full column rank over Z2
+    by the pivot count of :attr:`SparseBoundaryMatrix.lows`, and so over Q.
+    For c the split of a snapshot pair, r_t its earlier row count and c_p
+    its later column count, that is the kernel :func:`persistent_boundary`
+    projects onto; Diff vanishes on the columns before c.  False leaves the
+    kernel to the SVD."""
+    return c == c_p or int(np.count_nonzero(full.lows[c:c_p] >= r_t)) == c_p - c
+
+
 def persistent_boundary(
     full: SparseBoundaryMatrix,
     snap_t: Snapshot,
@@ -202,14 +257,15 @@ def persistent_boundary(
     is their boundary B_new on the kernel of Diff, here their rows from the
     earlier snapshot's count up to 1 + their last face row.  With K an
     orthonormal basis of that kernel, U = B_new K and
-    B B^T = B_c B_c^T + U U^T.  Both depend only on the earlier row count
-    and the later column count, so pairs with equal counts give equal
-    results.
+    B B^T = B_c B_c^T + U U^T.  Where :func:`kernel_is_trivial` proves the
+    kernel empty, U has no columns and no SVD is taken.  Both depend only on
+    the earlier row count and the later column count, so pairs with equal
+    counts give equal results.
     """
     check_order(snap_t, snap_tp)
     r_t, c_p = _row_count(full.q, snap_t), snap_tp.count(full.q)
     c = split(full, snap_t, snap_tp)
-    if c == c_p:
+    if kernel_is_trivial(full, r_t, c, c_p):
         return c, np.zeros((r_t, 0))
     # column c has a face past row r_t, so Diff has rows and is nonzero
     new = dense_block(full, 0, int(full.reach[c_p - 1]), c, c_p)

@@ -173,10 +173,11 @@ def cmd_validate(args) -> int:
     for q in q_list:
         for p in p_values:
             records = sweep(complex, [q], crit, p=p)
+            alphas = np.array([rec.alpha for rec in records], dtype=float)
+            b_bars = betti_from_barcode(barcode, q, alphas, p).tolist()
+            b_exacts = oracle.betti(q, alphas, p).tolist()
             bad = 0
-            for rec in records:
-                b_bar = betti_from_barcode(barcode, q, rec.alpha, p)
-                b_exact = oracle.betti(q, rec.alpha, p)
+            for rec, b_bar, b_exact in zip(records, b_bars, b_exacts):
                 if not (rec.betti == b_bar == b_exact) or any(
                     f == "gap_ambiguous" or f.startswith("failed:") for f in rec.flags
                 ):

@@ -67,6 +67,10 @@ class EigensolveFailure(SolverError):
     """The eigenvalue solver did not converge."""
 
 
+class MatrixTooLarge(SolverError):
+    """A dense matrix would exceed ``boundary.MAX_DENSE_BYTES``."""
+
+
 class ParseError(InputError):
     """Malformed input file; message carries the offending line number."""
 

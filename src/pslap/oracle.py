@@ -5,7 +5,8 @@ boundary-matrix reduction producing barcodes, and exact Betti numbers over
 the rationals from :class:`BettiOracle`, which reduces each full boundary
 matrix once and reads every snapshot rank off the pivot rows (valid because
 snapshot boundaries are corner blocks of the filtration-ordered matrices).
-Both read only the complex's arrays and ``bound_sq``.
+Both read only the complex's arrays and ``bound_sq``, and both answer one
+alpha or an array of them in one call.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import gcd
 
 import numpy as np
 
-from .simplices import MAX_DIM, FilteredComplex, bound_sq, snapshot
+from .simplices import MAX_DIM, FilteredComplex, bound_sq, count_held
 
 
 @dataclass
@@ -75,13 +76,37 @@ def reduce(complex: FilteredComplex) -> Barcode:
     return Barcode(births, deaths)
 
 
-def betti_from_barcode(barcode: Barcode, q: int, alpha: float, p: float = 0.0) -> int:
+# The most comparisons one block of _count_below_above makes at once
+_BLOCK = 1 << 20
+
+
+def _count_below_above(x, y, x_max, y_min) -> np.ndarray:
+    """For each k, the number of i with x[i] <= x_max[k] and y[i] > y_min[k],
+    over blocks of queries of at most _BLOCK comparisons each."""
+    counts = np.empty(len(x_max), dtype=np.int64)
+    step = max(1, _BLOCK // max(len(x), 1))
+    for lo in range(0, len(x_max), step):
+        hi = lo + step
+        hits = (x <= x_max[lo:hi, None]) & (y > y_min[lo:hi, None])
+        counts[lo:hi] = np.count_nonzero(hits, axis=1)
+    return counts
+
+
+def _answer(alpha, counts: np.ndarray):
+    """An int for a scalar ``alpha``, else the array of counts."""
+    return int(counts[0]) if np.ndim(alpha) == 0 else counts
+
+
+def betti_from_barcode(barcode: Barcode, q: int, alpha, p: float = 0.0):
     """Number of dimension-q bars born in the snapshot at alpha and dying
-    after the one at alpha + p, by the snapshots' rule on squared values."""
+    after the one at alpha + p, by the snapshots' rule on squared values.
+    ``alpha`` is a float, giving an int, or an array, giving one count per
+    entry."""
+    alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
     if q not in barcode.births:
-        return 0
+        return _answer(alpha, np.zeros(len(alphas), dtype=np.int64))
     b, d = barcode.births[q], barcode.deaths[q]
-    return int(np.count_nonzero((b * b <= bound_sq(alpha)) & (d * d > bound_sq(alpha + p))))
+    return _answer(alpha, _count_below_above(b * b, d * d, bound_sq(alphas), bound_sq(alphas + p)))
 
 
 class BettiOracle:
@@ -94,7 +119,7 @@ class BettiOracle:
     their cofaces.  So rank(B_q^alpha) and rank(B_{q+1}^{alpha+p}) are reads
     of a prefix count of pivots, and rank(Diff_{q+1}^{alpha,p}) is one count
     of the pivots at or past row N_q(alpha) among the later snapshot's
-    columns: a query costs one array count and no elimination.
+    columns: a query costs array reads and counts, and no elimination.
     """
 
     def __init__(self, complex: FilteredComplex):
@@ -139,16 +164,18 @@ class BettiOracle:
                 lows.append(-1)
         return np.array(lows, dtype=np.int64)
 
-    def betti(self, q: int, alpha: float, p: float = 0.0) -> int:
-        snap_t = snapshot(self.complex, alpha)
-        snap_tp = snapshot(self.complex, alpha + p)
-        n_q = snap_t.count(q)
-        if n_q == 0:
-            return 0
-        rank_bq = int(self._pivots[q][n_q]) if q in self._pivots else 0
-        if q + 1 not in self._lows:
-            return n_q - rank_bq
-        n_up = snap_tp.count(q + 1)
-        rank_up_full = int(self._pivots[q + 1][n_up])
-        rank_diff = int(np.count_nonzero(self._lows[q + 1][:n_up] >= snap_t.count(q)))
-        return (n_q - rank_bq) - (rank_up_full - rank_diff)
+    def betti(self, q: int, alpha, p: float = 0.0):
+        """beta_q^{alpha,p}; ``alpha`` is a float, giving an int, or an
+        array, giving one Betti number per entry."""
+        alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
+        if not (np.all(alphas >= 0) and np.all(alphas + p >= 0)):  # also rejects NaN
+            raise ValueError(f"alpha and alpha + p must be non-negative, got {alpha} and {p}")
+        n_q = count_held(self.complex, q, alphas)
+        n_up = count_held(self.complex, q + 1, alphas + p)
+        betti = n_q - (self._pivots[q][n_q] if q in self._pivots else 0)
+        if q + 1 in self._lows:
+            lows = self._lows[q + 1]
+            # the pivots at or past row n_q among the first n_up columns
+            rank_diff = _count_below_above(np.arange(len(lows)), lows, n_up - 1, n_q - 1)
+            betti -= self._pivots[q + 1][n_up] - rank_diff
+        return _answer(alpha, betti)

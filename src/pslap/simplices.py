@@ -182,10 +182,17 @@ def snapshot(complex: FilteredComplex, alpha: float) -> Snapshot:
         raise ValueError(f"alpha must be non-negative, got {alpha}")
 
     def build():
-        bound = bound_sq(alpha)
         return Snapshot(alpha * alpha, tuple(
-            int(np.searchsorted(complex.filtration_values_sq(q), bound, side="right"))
-            for q in range(MAX_DIM + 1)
+            int(count_held(complex, q, alpha)) for q in range(MAX_DIM + 1)
         ))
 
     return complex.derived(("snapshot", alpha), build)
+
+
+def count_held(complex: FilteredComplex, q: int, alpha):
+    """N_q(alpha), the number of q-simplices with squared value <=
+    ``bound_sq(alpha)``, for one alpha >= 0 or for each of an array of them;
+    0 for a q outside 0..MAX_DIM."""
+    if not 0 <= q <= MAX_DIM:
+        return np.zeros(np.shape(alpha), dtype=np.intp)
+    return np.searchsorted(complex.filtration_values_sq(q), bound_sq(alpha), side="right")

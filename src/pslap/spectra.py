@@ -24,7 +24,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lapack
-from .boundary import SparseBoundaryMatrix, check_order, full_boundary, persistent_boundary, split
+from .boundary import (
+    SparseBoundaryMatrix,
+    check_order,
+    full_boundary,
+    kernel_is_trivial,
+    persistent_boundary,
+    split,
+)
 from .errors import PslapError
 from .simplices import FilteredComplex, Snapshot, snapshot
 
@@ -228,7 +235,8 @@ def _projected_matrix(up: SparseBoundaryMatrix, c: int, u: np.ndarray) -> np.nda
 def _solve_up(up: SparseBoundaryMatrix, snap_t: Snapshot, snap_tp: Snapshot) -> HodgePart | int:
     """The up part of L_q^{alpha,p}, B B^T, from the (q+1) boundary ``up``;
     or, where B has no columns after the split c and so is B_c, c: the part
-    is then the down part of q + 1 at c."""
+    is then the down part of q + 1 at c.  That holds wherever the kernel of
+    Diff is empty, whether the pivot count proves it or the SVD finds it."""
     c, u = persistent_boundary(up, snap_t, snap_tp)
     if not u.shape[1]:
         return c
@@ -338,6 +346,10 @@ def _solve_parts(complex: FilteredComplex, qs, keys, full: bool) -> None:
     one without any is the down part of q + 1 at the split, which a second
     round solves where the first did not.  A part whose solve raises is not
     kept, and its records raise again when they read it.
+
+    An up part whose kernel of Diff is proven empty
+    (:func:`boundary.kernel_is_trivial`) is the down part of q + 1 at the
+    split too, and takes no job.
     """
     # every worker reads these, so their caches are built before the first job
     boundaries = {k: full_boundary(complex, k).build_caches() for q in qs for k in (q, q + 1)}
@@ -359,7 +371,10 @@ def _solve_parts(complex: FilteredComplex, qs, keys, full: bool) -> None:
             continue
         up = boundaries[q + 1]
         c = split(up, snap_t, snap_tp)
-        if c == m:  # no columns after the split: what _solve_up would return
+        # what _solve_up would return.  Where columns follow the split, this
+        # builds up.lows here, before the pool starts and its _solve_up of
+        # this key reads it again; a p = 0 sweep never builds it
+        if kernel_is_trivial(up, n, c, m):
             complex.derived(key, lambda: c)
             need_down(jobs, q + 1, c)
         else:

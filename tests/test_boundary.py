@@ -23,9 +23,16 @@ from conftest import (
 )
 from pslap import boundary
 from pslap.alpha import alpha_complex, critical_alphas
-from pslap.boundary import dense_block, full_boundary, persistent_boundary
+from pslap.boundary import (
+    SparseBoundaryMatrix,
+    dense_block,
+    full_boundary,
+    kernel_is_trivial,
+    persistent_boundary,
+    split,
+)
 from pslap.dataio import read_xyz
-from pslap.errors import LinearSolveFailure, SnapshotOrderViolation
+from pslap.errors import LinearSolveFailure, MatrixTooLarge, SnapshotOrderViolation
 from pslap.simplices import snapshot
 from pslap.spectra import sweep
 
@@ -269,14 +276,24 @@ def test_split_point_is_longest_face_prefix():
                 assert u.shape == (r_t, kernel_dim)
 
 
+def _new_vertex_two_edges():
+    # vertex 3 and its edges (0, 3) and (2, 3) appear only at alpha = 2:
+    # Diff is the 1 x 2 row of vertex 3, whose kernel is a line
+    return build_complex(
+        [(0,), (1,), (2,), (3,), (0, 1), (0, 3), (2, 3)],
+        {(0,): 0.0, (1,): 0.0, (2,): 0.0, (3,): 4.0, (0, 1): 1.0, (0, 3): 4.0, (2, 3): 4.0},
+    )
+
+
 def test_null_space_failure_is_typed(monkeypatch):
     # an SVD that does not converge (numpy's LinAlgError) is a
-    # LinearSolveFailure
+    # LinearSolveFailure.  Diff keeps a kernel here, so the Z2 pivot count
+    # cannot prove it empty and the SVD is taken
     def no_convergence(a, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
-    c = _two_edge_complex()
+    c = _new_vertex_two_edges()
     full = full_boundary(c, 1)
     s_t, s_tp = snapshot(c, 1.0), snapshot(c, 2.0)
     with pytest.raises(LinearSolveFailure):
@@ -289,7 +306,8 @@ def test_kernel_basis_matches_null_space(monkeypatch):
     # numpy's SVD gives scipy.linalg.null_space's kernel basis bit for bit on
     # every Diff block the sweeps of these inputs project.  The complexes are
     # fresh ones: a shared one may hold solved parts, whose sweeps then
-    # project fewer blocks
+    # project fewer blocks.  Blocks whose kernel the Z2 pivot count proves
+    # empty take no SVD, so the random cloud keeps the block count up
     blocks = []
     kernel = boundary._null_space
 
@@ -298,14 +316,116 @@ def test_kernel_basis_matches_null_space(monkeypatch):
         return kernel(d)
 
     monkeypatch.setattr(boundary, "_null_space", record)
-    for name, p_fixed in (("cloud20_3d", 0.3), ("chain_clean", 0.5)):
-        cx = alpha_complex(read_xyz(DATA / f"{name}.xyz"))
+    inputs = (
+        (read_xyz(DATA / "cloud20_3d.xyz"), (0.3, None)),
+        (read_xyz(DATA / "chain_clean.xyz"), (0.5, None)),
+        (random_cloud(1, 30, 3), (0.3, 0.5)),
+    )
+    for points, p_values in inputs:
+        cx = alpha_complex(points)
         crit = critical_alphas(cx)
-        for p in (p_fixed, (crit[-1] - crit[0]) / 3.0):
-            sweep(cx, [0, 1, 2], crit, p=p)
+        for p in p_values:
+            sweep(cx, [0, 1, 2], crit, p=(crit[-1] - crit[0]) / 3.0 if p is None else p)
     assert len(blocks) > 400, len(blocks)
     for d in blocks:
         assert np.array_equal(kernel(d), reference_kernel(d))
+
+
+def _certification_inputs():
+    """The point sets the pivot-count tests run on."""
+    names = ("cloud20_3d", "chain_clean", "grid4", "icosahedron")
+    named = [read_xyz(DATA / f"{name}.xyz") for name in names]
+    return named + [random_cloud(61, 14, 2), random_cloud(62, 12, 3), random_cloud(63, 16, 3)]
+
+
+def _z2_rank(matrix: np.ndarray) -> int:
+    """Rank over Z2 of an integer matrix, by row reduction mod 2."""
+    m = (np.asarray(matrix) % 2).astype(bool)
+    rank = 0
+    for col in range(m.shape[1]):
+        pivots = np.flatnonzero(m[rank:, col])
+        if not len(pivots):
+            continue
+        m[[rank, rank + pivots[0]]] = m[[rank + pivots[0], rank]]
+        below = np.flatnonzero(m[rank + 1:, col]) + rank + 1
+        m[below] ^= m[rank]
+        rank += 1
+        if rank == m.shape[0]:
+            break
+    return rank
+
+
+def test_pivot_count_certifies_only_full_column_rank():
+    # the pairing lemma: the pivots of lows at or past row r_t among the
+    # columns from the split on count the Z2 rank of Diff there, and where
+    # they cover every column, Diff has full column rank over Q too
+    certified = 0
+    for points in _certification_inputs():
+        cx = alpha_complex(points)
+        crit = critical_alphas(cx)
+        for q in range(1, cx.max_dim + 1):
+            full = full_boundary(cx, q)
+            b = reference_boundary(cx, q)
+            seen = set()
+            for p in (0.3, 0.5):
+                for a in crit:
+                    s_t, s_tp = snapshot(cx, a), snapshot(cx, a + p)
+                    r_t, c_p = row_count(q, s_t), s_tp.count(q)
+                    c = split(full, s_t, s_tp)
+                    if c == c_p or (r_t, c, c_p) in seen:
+                        continue
+                    seen.add((r_t, c, c_p))
+                    diff = b[r_t:, c:c_p]
+                    assert np.count_nonzero(full.lows[c:c_p] >= r_t) == _z2_rank(diff)
+                    if kernel_is_trivial(full, r_t, c, c_p):
+                        certified += 1
+                        assert exact_rank_int(diff) == c_p - c
+                        assert persistent_boundary(full, s_t, s_tp)[1].shape == (r_t, 0)
+    assert certified > 100, certified
+
+
+def test_sweep_records_do_not_depend_on_the_pivot_count(monkeypatch):
+    # with every pivot row -1 the count certifies nothing and every Diff
+    # block takes the SVD; the records are the same to the bit
+    def sweeps():
+        out = []
+        for points in _certification_inputs():
+            for p in (0.3, 0.5):
+                for full in (False, True):
+                    cx = alpha_complex(points)
+                    out.append(sweep(cx, [0, 1, 2], critical_alphas(cx), p=p, full=full))
+        return out
+
+    counted = sweeps()
+    monkeypatch.setattr(
+        SparseBoundaryMatrix, "lows", property(lambda self: np.full(len(self.faces), -1))
+    )
+    assert sweeps() == counted
+
+
+def test_p0_sweeps_never_reduce_the_boundaries():
+    # at p = 0 the split leaves no column after it, so no sweep needs lows
+    cx = alpha_complex(read_xyz(DATA / "cloud20_3d.xyz"))
+    sweep(cx, [0, 1, 2], critical_alphas(cx))
+    assert not any("lows" in vars(full_boundary(cx, q)) for q in range(4))
+
+
+def test_dense_matrices_above_the_cap_are_typed(monkeypatch):
+    # a block or Gram matrix larger than MAX_DENSE_BYTES raises MatrixTooLarge
+    # before it is allocated, and inside a sweep fails its row, not the run
+    cx = alpha_complex(read_xyz(DATA / "cloud20_3d.xyz"))
+    full = full_boundary(cx, 2)
+    monkeypatch.setattr(boundary, "MAX_DENSE_BYTES", 8 * 6 * 5)
+    assert dense_block(full, 0, 6, 0, 5).shape == (6, 5)
+    with pytest.raises(MatrixTooLarge):
+        dense_block(full, 0, 6, 0, 6)
+    assert full.down_gram(0, 5).shape == (5, 5)
+    with pytest.raises(MatrixTooLarge):
+        full.up_gram(3, 6)
+    crit = critical_alphas(cx)
+    records = sweep(cx, [1], [crit[0], crit[-1]])
+    assert records[0].flags == ()  # no edge yet: nothing to allocate
+    assert records[1].flags == ("failed:MatrixTooLarge",)
 
 
 def test_projector_idempotent_and_symmetric():

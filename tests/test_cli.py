@@ -293,6 +293,7 @@ _EXIT_CODES = {
     "SolverError": (3, "solver error"),
     "LinearSolveFailure": (3, "solver error"),
     "EigensolveFailure": (3, "solver error"),
+    "MatrixTooLarge": (3, "solver error"),
     "NegativeFiltration": (2, "error"),
     "SnapshotOrderViolation": (2, "error"),
 }

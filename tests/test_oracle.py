@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from conftest import (
     DATA,
@@ -13,8 +14,9 @@ from conftest import (
 )
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.dataio import read_pdb_ca, read_xyz
+from pslap import oracle
 from pslap.oracle import BettiOracle, betti_from_barcode, reduce
-from pslap.simplices import snapshot
+from pslap.simplices import bound_sq, snapshot
 from pslap.spectra import spectrum_at
 
 
@@ -109,6 +111,37 @@ def test_oracles_agree_on_the_standin_chain():
         for p in (0.0, 0.5):
             for a in crit:
                 assert orc.betti(q, a, p) == betti_from_barcode(bc, q, a, p), (q, a, p)
+
+
+def test_array_queries_equal_scalar_queries(monkeypatch, six_complex, icosahedron_complex):
+    # one query over an array of alphas gives each alpha's scalar answer,
+    # also where its counts run over blocks of a few queries each; the
+    # barcode's counts are checked against a loop over its bars
+    monkeypatch.setattr(oracle, "_BLOCK", 7)
+    complexes = [six_complex, icosahedron_complex] + [
+        alpha_complex(random_cloud(seed, n, d), seed=seed)
+        for seed, n, d in [(31, 9, 2), (32, 14, 3)]
+    ]
+    for cx in complexes:
+        bc, orc = reduce(cx), BettiOracle(cx)
+        crit = critical_alphas(cx)
+        alphas = np.concatenate([crit, [0.0, 2.0 * crit[-1] + 1.0]])
+        for q in range(4):
+            for p in (0.0, 0.3):
+                bars = betti_from_barcode(bc, q, alphas, p).tolist()
+                exact = orc.betti(q, alphas, p).tolist()
+                assert bars == [
+                    sum(b * b <= bound_sq(a) and d * d > bound_sq(a + p) for b, d in bc.bars(q))
+                    for a in alphas.tolist()
+                ]
+                assert exact == [orc.betti(q, a, p) for a in alphas.tolist()]
+                assert exact == bars
+    assert type(orc.betti(1, 1.0)) is int and type(betti_from_barcode(bc, 1, 1.0)) is int
+    assert betti_from_barcode(bc, 1, np.empty(0)).shape == orc.betti(1, np.empty(0)).shape == (0,)
+    # as snapshot does, the exact oracle rejects a negative or NaN alpha or alpha + p
+    for alpha, p in ((np.array([0.5, -0.1]), 0.0), (np.array([0.5, np.nan]), 0.0), (0.5, -1.0)):
+        with pytest.raises(ValueError):
+            orc.betti(1, alpha, p)
 
 
 def test_triple_agreement_random(six_complex):
