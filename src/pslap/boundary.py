@@ -222,12 +222,12 @@ def _null_space(d: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def split(full: SparseBoundaryMatrix, snap_t: Snapshot, snap_tp: Snapshot) -> int:
+def split(full: SparseBoundaryMatrix, r_t, c_p):
     """The split point c of :func:`persistent_boundary`: the longest prefix
-    of the later snapshot's q-simplices whose faces all lie among the
-    earlier snapshot's (q-1)-simplices."""
-    r_t = _row_count(full.q, snap_t)
-    return min(int(np.searchsorted(full.reach, r_t, side="right")), snap_tp.count(full.q))
+    of the later snapshot's c_p q-simplices whose faces all lie among the
+    earlier snapshot's r_t (q-1)-simplices; one per entry for arrays of
+    r_t and c_p."""
+    return np.minimum(np.searchsorted(full.reach, r_t, side="right"), c_p)
 
 
 def kernel_is_trivial(full: SparseBoundaryMatrix, r_t: int, c: int, c_p: int) -> bool:
@@ -264,7 +264,7 @@ def persistent_boundary(
     """
     check_order(snap_t, snap_tp)
     r_t, c_p = _row_count(full.q, snap_t), snap_tp.count(full.q)
-    c = split(full, snap_t, snap_tp)
+    c = int(split(full, r_t, c_p))
     if kernel_is_trivial(full, r_t, c, c_p):
         return c, np.zeros((r_t, 0))
     # column c has a face past row r_t, so Diff has rows and is nonzero

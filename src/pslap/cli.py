@@ -4,6 +4,7 @@ detection, and accumulated-Laplacian diagnostics."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
@@ -108,6 +109,29 @@ def _check_out_dirs(**paths) -> None:
             raise InputError(f"--{flag} {path}: no such directory")
 
 
+@contextlib.contextmanager
+def _outputs():
+    """Yields ``temporary(path)``, which names a new temporary file beside
+    ``path`` for the block to write.  Once the block has written them all,
+    each is moved onto its path (``os.replace``); if it raises, they are
+    removed, so no path is written unless every one is."""
+    moves = []  # (temporary, path)
+
+    def temporary(path) -> str:
+        moves.append((f"{path}.{os.getpid()}-{len(moves)}.tmp", path))
+        return moves[-1][0]
+
+    try:
+        yield temporary
+        for written, path in moves:
+            os.replace(written, path)
+    except BaseException:
+        for written, _ in moves:
+            with contextlib.suppress(OSError):
+                os.remove(written)
+        raise
+
+
 def _alpha_values(args, complex) -> np.ndarray:
     if args.critical:
         return critical_alphas(complex)
@@ -138,26 +162,27 @@ def cmd_spectra(args) -> int:
     points, complex = _build(args)
     alphas = _alpha_values(args, complex)
     records = sweep(complex, q_list, alphas, p=args.p, full=args.json is not None)
-    dataio.write_spectra_csv(records, args.out)
-    if args.json:
-        meta = {
-            "input": str(args.input),
-            "input_sha256": dataio.file_sha256(args.input),
-            "p": args.p,
-            "alphas": [float(a) for a in alphas],
-            "seed": args.seed,
-        }
-        dataio.write_spectra_json(records, args.json, metadata=meta)
-    if args.svg:
-        qs = sorted({r.q for r in records})
-        for q in qs:
-            path = args.svg
-            if len(qs) > 1:
-                root, ext = os.path.splitext(args.svg)
-                path = f"{root}_q{q}{ext or '.svg'}"
-            dataio.write_curves_svg(
-                [r for r in records if r.q == q], path, title=f"q={q}, p={args.p:g}"
-            )
+    with _outputs() as temporary:
+        dataio.write_spectra_csv(records, temporary(args.out))
+        if args.json:
+            meta = {
+                "input": str(args.input),
+                "input_sha256": dataio.file_sha256(args.input),
+                "p": args.p,
+                "alphas": [float(a) for a in alphas],
+                "seed": args.seed,
+            }
+            dataio.write_spectra_json(records, temporary(args.json), metadata=meta)
+        if args.svg:
+            qs = sorted({r.q for r in records})
+            for q in qs:
+                path = args.svg
+                if len(qs) > 1:
+                    root, ext = os.path.splitext(args.svg)
+                    path = f"{root}_q{q}{ext or '.svg'}"
+                dataio.write_curves_svg(
+                    [r for r in records if r.q == q], temporary(path), title=f"q={q}, p={args.p:g}"
+                )
     return EXIT_OK
 
 
@@ -176,15 +201,13 @@ def cmd_validate(args) -> int:
             alphas = np.array([rec.alpha for rec in records], dtype=float)
             b_bars = betti_from_barcode(barcode, q, alphas, p).tolist()
             b_exacts = oracle.betti(q, alphas, p).tolist()
-            bad = 0
-            for rec, b_bar, b_exact in zip(records, b_bars, b_exacts):
-                if not (rec.betti == b_bar == b_exact) or any(
-                    f == "gap_ambiguous" or f.startswith("failed:") for f in rec.flags
-                ):
-                    bad += 1
+            bad = sum(
+                not (rec.betti == b_bar == b_exact)
+                or any(f == "gap_ambiguous" or f.startswith("failed:") for f in rec.flags)
+                for rec, b_bar, b_exact in zip(records, b_bars, b_exacts)
+            )
             failures += bad
-            status = "PASS" if bad == 0 else "FAIL"
-            print(f"{q}  {p:8.4f}  {len(records):6d}  {bad:10d}  {status}")
+            print(f"{q}  {p:8.4f}  {len(records):6d}  {bad:10d}  {'FAIL' if bad else 'PASS'}")
     if failures:
         print(f"{failures} disagreement(s) between spectra and oracles", file=sys.stderr)
         return EXIT_DISAGREEMENT
@@ -210,10 +233,11 @@ def cmd_accumulate(args) -> int:
     alphas = _alpha_values(args, complex)
     values = accumulated_laplacian_diagonal(complex, alphas)
     labels = points.labels or tuple(str(i) for i in range(len(points)))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("vertex,label,value\n")
-        for i, v in enumerate(values):
-            fh.write(f"{i},{labels[i]},{v:.12g}\n")
+    with _outputs() as temporary:
+        with open(temporary(args.out), "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("vertex,label,value\n")
+            for i, v in enumerate(values):
+                fh.write(f"{i},{labels[i]},{v:.12g}\n")
     return EXIT_OK
 
 

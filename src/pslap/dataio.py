@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 
@@ -90,45 +91,26 @@ def read_pdb_ca(path, chain_filter: str | None = None) -> PointSet:
     return PointSet(np.array(coords), labels=tuple(labels))
 
 
-def _fmt_lambda(x: float | None) -> str:
-    if x is None:
-        return ""
-    return format(x, ".17g")
-
-
 def write_spectra_csv(records: list[SpectrumRecord], path) -> None:
     """Records as CSV rows sorted by (q, alpha); lambda at full precision,
     alpha at 6 significant digits, absent lambda left empty."""
-    rows = sorted(records, key=lambda r: (r.q, r.alpha))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(
-                f"{r.q},{r.alpha:.6g},{r.p:.6g},{r.n_simplices},{r.betti},"
-                f"{_fmt_lambda(r.lambda_min_nonzero)},{';'.join(r.flags)}\n"
-            )
+        for r in sorted(records, key=lambda r: (r.q, r.alpha)):
+            lam = "" if r.lambda_min_nonzero is None else format(r.lambda_min_nonzero, ".17g")
+            fh.write(f"{r.q},{r.alpha:.6g},{r.p:.6g},{r.n_simplices},{r.betti},{lam},"
+                     f"{';'.join(r.flags)}\n")
 
 
 def write_spectra_json(records, path, metadata=None) -> None:
     """CSV-equivalent records (plus full eigenvalue lists) in a JSON envelope,
-    written by ``json.dump(indent=1, sort_keys=True)``."""
+    written by ``json.dump(indent=1, sort_keys=True)``: each record is its
+    fields by name, its tuples as lists."""
     payload = {
         "tool": "pslap",
         "version": __version__,
         "metadata": metadata or {},
-        "records": [
-            {
-                "q": r.q,
-                "alpha": r.alpha,
-                "p": r.p,
-                "n_simplices": r.n_simplices,
-                "betti": r.betti,
-                "lambda_min_nonzero": r.lambda_min_nonzero,
-                "eigenvalues": list(r.eigenvalues),
-                "flags": list(r.flags),
-            }
-            for r in sorted(records, key=lambda r: (r.q, r.alpha))
-        ],
+        "records": [vars(r) for r in sorted(records, key=lambda r: (r.q, r.alpha))],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=1, sort_keys=True)
@@ -233,18 +215,10 @@ def write_curves_svg(records: list[SpectrumRecord], path, title: str = "") -> No
             'stroke-width="1.5"/>'
         )
         # lambda: polyline broken at absent values
-        segment = []
-        segments = []
-        for a, lam in zip(alphas, lams):
-            if lam is None:
-                if len(segment) > 0:
-                    segments.append(segment)
-                segment = []
-            else:
-                segment.append(f"{_xpos(a, a0, a1):.2f},{_ypos(lam, 0, l_max):.2f}")
-        if segment:
-            segments.append(segment)
-        for seg in segments:
+        for present, run in itertools.groupby(zip(alphas, lams), key=lambda t: t[1] is not None):
+            if not present:
+                continue
+            seg = [f"{_xpos(a, a0, a1):.2f},{_ypos(lam, 0, l_max):.2f}" for a, lam in run]
             if len(seg) == 1:
                 x, y = seg[0].split(",")
                 parts.append(f'<circle cx="{x}" cy="{y}" r="2" fill="#b22222"/>')

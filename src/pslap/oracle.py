@@ -106,7 +106,10 @@ def betti_from_barcode(barcode: Barcode, q: int, alpha, p: float = 0.0):
     if q not in barcode.births:
         return _answer(alpha, np.zeros(len(alphas), dtype=np.int64))
     b, d = barcode.births[q], barcode.deaths[q]
-    return _answer(alpha, _count_below_above(b * b, d * d, bound_sq(alphas), bound_sq(alphas + p)))
+    # d * d = inf for an essential bar, which outlives every alpha + p: past
+    # the largest float, so is inf's bound
+    after = np.minimum(bound_sq(alphas + p), np.finfo(float).max)
+    return _answer(alpha, _count_below_above(b * b, d * d, bound_sq(alphas), after))
 
 
 class BettiOracle:
@@ -132,36 +135,37 @@ class BettiOracle:
 
     def _reduce_rational(self, q: int) -> np.ndarray:
         lows: list = []
-        low_to_col: dict[int, int] = {}
-        columns: dict[int, dict] = {}
+        low_to_col: dict[int, dict] = {}  # pivot row -> the reduced column holding it
         for faces in self.complex.face_rows(q).tolist():
             # face i omits vertex i and enters with sign (-1)**i
             col: dict[int, int] = {r: (-1) ** i for i, r in enumerate(faces)}
             while col:
                 low = max(col)
-                k = low_to_col.get(low)
-                if k is None:
+                other = low_to_col.get(low)
+                if other is None:
                     break
-                other = columns[k]
+                # col -= (a / b) other, in place and in integers: scaled by b
+                # first where b does not divide a
                 a, b = col[low], other[low]
-                col = {
-                    r: v
-                    for r in set(col) | set(other)
-                    if (v := b * col.get(r, 0) - a * other.get(r, 0)) != 0
-                }
-                if col:
-                    g = 0
-                    for v in col.values():
-                        g = gcd(g, abs(v))
-                    if g > 1:
-                        col = {r: v // g for r, v in col.items()}
+                scaled = a % b != 0
+                if scaled:
+                    for r in col:
+                        col[r] *= b
+                factor = a if scaled else a // b
+                for r, v in other.items():
+                    if w := col.get(r, 0) - factor * v:
+                        col[r] = w
+                    else:
+                        del col[r]
+                # the column's gcd divides the written entries' gcd, so is 1
+                # where that is (the gcd of no entry is 0)
+                written = col.values() if scaled else [col[r] for r in other if r in col]
+                if gcd(*written) != 1 and (g := gcd(*col.values())) > 1:
+                    for r in col:
+                        col[r] //= g
+            lows.append(max(col) if col else -1)
             if col:
-                low = max(col)
-                low_to_col[low] = len(lows)
-                columns[len(lows)] = col
-                lows.append(low)
-            else:
-                lows.append(-1)
+                low_to_col[lows[-1]] = col
         return np.array(lows, dtype=np.int64)
 
     def betti(self, q: int, alpha, p: float = 0.0):

@@ -26,14 +26,13 @@ import numpy as np
 from . import lapack
 from .boundary import (
     SparseBoundaryMatrix,
-    check_order,
     full_boundary,
     kernel_is_trivial,
     persistent_boundary,
     split,
 )
-from .errors import PslapError
-from .simplices import FilteredComplex, Snapshot, snapshot
+from .errors import PslapError, SnapshotOrderViolation
+from .simplices import MAX_DIM, FilteredComplex, Snapshot, count_held, snapshot
 
 # The eigensolver policy (see _part).  An eigenvalue below
 # max(ZERO_ABS, ZERO_REL * lambda_max) counts as zero, and a nonzero/zero
@@ -43,7 +42,7 @@ ZERO_REL = 1e-10
 GAP_FACTOR = 1e3
 
 # A sweep builds and solves its Hodge parts of this order and up in a pool of
-# WORKERS threads, and the smaller ones in its own thread (see _solve_parts).
+# WORKERS threads, and the smaller ones in its own thread (see _run).
 # Below it the GIL-bound glue around a solve outweighs what a second thread
 # gains: on a 2-vCPU VM, one BLAS thread, the chain-persist sweep (parts of
 # order up to 173) took 0.243 s serially and 0.183, 0.176 and 0.197 s with
@@ -101,6 +100,7 @@ class HodgePart:
 
 
 _EMPTY_PART = HodgePart(0, 0.0, -math.inf, 0, 0.0, None, np.empty(0), np.empty(0))
+_NO_SIMPLEX = (), 0, None, 0, ()  # the fields of a record without q-simplices
 
 
 def _zero_threshold(lambda_max: float) -> float:
@@ -243,167 +243,156 @@ def _solve_up(up: SparseBoundaryMatrix, snap_t: Snapshot, snap_tp: Snapshot) -> 
     return _solve(_projected_matrix(up, c, u))
 
 
-def _down_part(complex: FilteredComplex, q: int, n: int) -> HodgePart:
-    """The down part of L_q at N_q(alpha) = n, B_q^T B_q, solved once per
-    complex."""
-    return complex.derived(
-        ("down part", q, n), lambda: _solve(_down_matrix(full_boundary(complex, q), n))
-    )
-
-
-def _up_part(complex: FilteredComplex, q: int, snap_t: Snapshot, snap_tp: Snapshot) -> HodgePart:
-    """The up part of L_q^{alpha,p}, B B^T, solved once per complex and key
-    (q, N_q(alpha), N_{q+1}(alpha + p)).  The complex keeps the part, or
-    the split c where the part is the down part of q + 1 at c."""
-    key = ("up part", q, snap_t.count(q), snap_tp.count(q + 1))
-    part = complex.derived(key, lambda: _solve_up(full_boundary(complex, q + 1), snap_t, snap_tp))
-    return part if isinstance(part, HodgePart) else _down_part(complex, q + 1, part)
-
-
-def _fields(complex: FilteredComplex, q: int, snap_t: Snapshot, snap_tp: Snapshot, full: bool):
-    """The fields after q, alpha and p of the record of L_q^{alpha,p} at
-    the snapshots of alpha and alpha + p, kept on the complex per key."""
-    n = snap_t.count(q)
-
-    def fields():
-        if n == 0:
-            return (), 0, None, 0, ()
-        parts = _down_part(complex, q, n), _up_part(complex, q, snap_t, snap_tp)
-        return _combine(n, parts, full)
-
-    return complex.derived(("record", q, n, snap_tp.count(q + 1), full), fields)
-
-
 def spectrum_at(
     complex: FilteredComplex, q: int, alpha: float, p: float = 0.0, full: bool = False
 ) -> SpectrumRecord:
-    """The record of L_q^{alpha,p}, from its down and up Hodge parts.
-
-    L_q^{alpha,p} depends only on its key, (q, N_q(alpha), N_{q+1}(alpha + p)),
-    so a key's fields are kept on the complex beside its parts and read by
-    every (alpha, p) with that key.  The snapshot order is checked on every
-    call, and a solve that raises keeps nothing.  The parts are solved on
-    one BLAS thread (:func:`lapack.one_blas_thread`).
+    """The record of L_q^{alpha,p}, from its down and up Hodge parts: the
+    one-alpha case of :func:`sweep`, which raises the PslapError where a
+    sweep flags the row, SnapshotOrderViolation for p < 0 among them.
 
     ``full`` adds every eigenvalue and no solve: the Betti number's exact
     zeros, then the parts' nonzero eigenvalues from their stored forms.
     The parts are other matrices than the whole Laplacian, so every value
     agrees with the whole matrix's to rounding, not bit for bit.
     """
-    snap_t, snap_tp = snapshot(complex, alpha), snapshot(complex, alpha + p)
-    check_order(snap_t, snap_tp)
-    with lapack.one_blas_thread():
-        return SpectrumRecord(q, alpha, p, *_fields(complex, q, snap_t, snap_tp, full))
+    ((*_, fields),) = _plan(complex, [q], [alpha], p, full)
+    if isinstance(fields, PslapError):
+        raise fields
+    return SpectrumRecord(q, alpha, p, *fields)
 
 
 def sweep(
     complex: FilteredComplex, q_list, alphas, p: float = 0.0, full: bool = False
 ) -> list[SpectrumRecord]:
-    """The :func:`spectrum_at` record of every (q, alpha), sorted by (q, alpha).
+    """The record of L_q^{alpha,p} at every (q, alpha), sorted by (q, alpha).
 
-    The sweep lists each (q, alpha) with its two snapshots once.  With more
-    than one worker, and a q with at least POOL_MIN_ORDER simplices, it then
-    solves every Hodge part those records need and the complex lacks
-    (:func:`_solve_parts`).  Last it reads each record off the parts, as
-    :func:`spectrum_at` does; a part still missing is solved there.
-    Alphas with equal keys read one record's fields from the complex.  A
-    record whose solve raises a PslapError is flagged ``failed:<ErrorType>``
-    instead, and the sweep goes on: ``spectra`` writes it as a row and exits
-    0, and ``validate`` counts it as a disagreement (exit 4).
+    Alphas with equal keys (q, N_q(alpha), N_{q+1}(alpha + p)) share one
+    record but for alpha, so the sweep plans each run of them once
+    (:func:`_plan`).  A record whose solve raises a PslapError, or whose
+    snapshots are out of order (p < 0), is flagged ``failed:<ErrorType>``
+    instead, and the sweep goes on: ``spectra`` writes it as a row and
+    exits 0, and ``validate`` counts it as a disagreement (exit 4).
 
     Every part is solved on one BLAS thread.  Where that pin cannot take
     effect, the parts are solved one after another, as the BLAS threads
-    would otherwise compete with the workers.
+    would otherwise compete with the pool's workers.
     """
     alphas = sorted(float(a) for a in alphas)
-    qs = sorted(set(int(q) for q in q_list))
-    keys = [(q, a, snapshot(complex, a), snapshot(complex, a + p)) for q in qs for a in alphas]
-    results = []
-    with lapack.one_blas_thread() as pinned:
-        # no part of L_q is of higher order than N_q, and p < 0 fails every
-        # record's order check
-        if (pinned and WORKERS > 1 and p >= 0
-                and max((complex.n_simplices(q) for q in qs), default=0) >= POOL_MIN_ORDER):
-            _solve_parts(complex, qs, keys, full)
-        for q, a, snap_t, snap_tp in keys:
-            try:
-                check_order(snap_t, snap_tp)
-                results.append(SpectrumRecord(q, a, p, *_fields(complex, q, snap_t, snap_tp, full)))
-            except PslapError as exc:
-                flags = ("failed:" + type(exc).__name__,)
-                results.append(SpectrumRecord(q, a, p, (), 0, None, snap_t.count(q), flags))
-    return results
+    records = []
+    for q, lo, hi, n, fields in _plan(complex, sorted({int(q) for q in q_list}), alphas, p, full):
+        if isinstance(fields, PslapError):
+            fields = (), 0, None, n, ("failed:" + type(fields).__name__,)
+        records += [SpectrumRecord(q, a, p, *fields) for a in alphas[lo:hi]]
+    return records
 
 
-def _solve_parts(complex: FilteredComplex, qs, keys, full: bool) -> None:
-    """Solve every Hodge part that the records at ``keys``, (q, alpha,
-    snap_t, snap_tp) with q in ``qs``, need and the complex lacks, and keep
-    each on the complex, all from this thread.
+def _plan(complex: FilteredComplex, qs, alphas, p: float, full: bool) -> list:
+    """The runs [q, lo, hi, n, fields] of the records at each q in ``qs``
+    and the sorted ``alphas``: alphas[lo:hi] share the snapshot order and
+    the key (q, n = N_q(alpha), m = N_{q+1}(alpha + p)), and with it the
+    record's fields after q, alpha and p, or the PslapError that fails them.
 
-    Parts of order POOL_MIN_ORDER and up are built and solved in the pool
-    (:func:`_run`), the others here meanwhile.  An up part with columns
-    after its split is sized by its lower bound, N_q(alpha) or the split;
-    one without any is the down part of q + 1 at the split, which a second
-    round solves where the first did not.  A part whose solve raises is not
-    kept, and its records raise again when they read it.
-
-    An up part whose kernel of Diff is proven empty
-    (:func:`boundary.kernel_is_trivial`) is the down part of q + 1 at the
-    split too, and takes no job.
+    Counts are monotone in alpha, so equal keys are adjacent.  A run reads
+    its fields off the complex, else off two Hodge parts: the down part
+    (q, n), and the up part, which is the down part (q + 1, c) at the split
+    c where :func:`boundary.kernel_is_trivial` proves the kernel of Diff
+    empty (every key with c == m, as at p = 0), and is otherwise solved
+    from :func:`persistent_boundary`.  Every part the complex lacks is
+    solved once, through :func:`_run`, on one BLAS thread; where the pin
+    takes effect and there is more than one worker, the pool solves the
+    large parts.  The complex keeps each part, split and record; a part
+    whose solve raises is not kept and fails every run that reads it.
     """
-    # every worker reads these, so their caches are built before the first job
-    boundaries = {k: full_boundary(complex, k).build_caches() for q in qs for k in (q, q + 1)}
+    a = np.asarray(alphas, dtype=float)
+    a_p = a + p
+    if not (np.all(a >= 0) and np.all(a_p >= 0)):  # also rejects NaN
+        raise ValueError(f"alpha and alpha + p must be non-negative, got {alphas} and {p}")
+    # N_k at every alpha and alpha + p, k = 0..MAX_DIM, then a row of zeros
+    # that stands for every other k
+    held, held_p = (np.array([count_held(complex, k, x) for k in range(MAX_DIM + 2)])
+                    for x in (a, a_p))
+    # boundary.check_order on arrays: the later snapshot must hold the earlier
+    unordered = (a * a > a_p * a_p) | np.any(held > held_p, axis=0)
+    pairs = (alphas, held), (a_p.tolist(), held_p)  # the snapshots' alphas and counts
+    runs, pending, jobs, failed = [], [], {}, {}
 
-    def need_down(jobs: dict, q: int, n: int) -> None:
-        key = ("down part", q, n)
-        if key not in jobs and complex.derived(key) is None:
-            b = boundaries[q]
+    def need(key) -> None:  # the down part (q, n), unless kept or planned
+        if key not in jobs and key not in failed and complex.derived(key) is None:
+            b, n = full_boundary(complex, key[1]), key[2]
             jobs[key] = min(n, _reach(b, n)), lambda: _solve(_down_matrix(b, n))
 
-    jobs: dict = {}
-    for q, _, snap_t, snap_tp in keys:
-        n, m = snap_t.count(q), snap_tp.count(q + 1)
-        if not n or complex.derived(("record", q, n, m, full)) is not None:
-            continue
-        need_down(jobs, q, n)
-        key = ("up part", q, n, m)
-        if key in jobs or complex.derived(key) is not None:
-            continue
-        up = boundaries[q + 1]
-        c = split(up, snap_t, snap_tp)
-        # what _solve_up would return.  Where columns follow the split, this
-        # builds up.lows here, before the pool starts and its _solve_up of
-        # this key reads it again; a p = 0 sweep never builds it
-        if kernel_is_trivial(up, n, c, m):
-            complex.derived(key, lambda: c)
-            need_down(jobs, q + 1, c)
-        else:
-            jobs[key] = min(n, c), functools.partial(_solve_up, up, snap_t, snap_tp)
-    while jobs:
-        results = dict(zip(jobs, _run(jobs.values())))
-        for key, result in results.items():
-            if not isinstance(result, PslapError):
-                complex.derived(key, lambda: result)
-        redirected: dict = {}
-        for key, result in results.items():
-            if isinstance(result, int) and ("down part", key[1] + 1, result) not in jobs:
-                need_down(redirected, key[1] + 1, result)
-        jobs = redirected
+    def part(key) -> HodgePart:  # not recursive: a closure that calls itself is a cycle
+        if isinstance(value := complex.derived(key), int):
+            key = "down part", key[1] + 1, value
+            value = complex.derived(key)
+        if value is None:
+            raise failed[key]
+        return value
+
+    with lapack.one_blas_thread() as pinned:
+        for q in qs:
+            n, m = (h[k if 0 <= k <= MAX_DIM else -1] for h, k in ((held, q), (held_p, q + 1)))
+            # a run starts where its key or order changes, and at the first alpha
+            lo = np.flatnonzero(np.diff(np.stack([n, m, unordered]), prepend=-1).any(axis=0))
+            up = full_boundary(complex, q + 1)
+            for i, hi, n_i, m_i, c, bad in zip(
+                lo.tolist(), lo[1:].tolist() + [len(a)], n[lo].tolist(), m[lo].tolist(),
+                split(up, n[lo], m[lo]).tolist(), unordered[lo].tolist(),
+            ):
+                if bad:
+                    fields = SnapshotOrderViolation(f"snapshots out of order at {alphas[i]}, p {p}")
+                else:
+                    fields = complex.derived(("record", q, n_i, m_i, full)) if n_i else _NO_SIMPLEX
+                runs.append([q, i, hi, n_i, fields])
+                if fields is not None:
+                    continue
+                key = ("up part", q, n_i, m_i)
+                pending.append((runs[-1], key))
+                need(("down part", q, n_i))
+                value = complex.derived(key)
+                if value is None and kernel_is_trivial(up, n_i, c, m_i):
+                    value = complex.derived(key, lambda: c)
+                if isinstance(value, int):
+                    need(("down part", q + 1, value))
+                elif value is None:
+                    snaps = (Snapshot(x[i] * x[i], tuple(h[:-1, i].tolist())) for x, h in pairs)
+                    jobs[key] = min(n_i, c), functools.partial(_solve_up, up, *snaps)
+        largest = max(map(complex.n_simplices, qs), default=0)  # no part of L_q is larger
+        pool = pinned and WORKERS > 1 and largest >= POOL_MIN_ORDER
+        if pool:  # every worker reads these, so their caches are built first
+            for k in {k for q in qs for k in (q, q + 1)}:
+                full_boundary(complex, k).build_caches()
+        while jobs:  # an up part whose kernel the SVD found empty needs a second round
+            results, jobs = dict(zip(jobs, _run(jobs.values(), pool))), {}
+            for key, result in results.items():
+                if isinstance(result, PslapError):
+                    failed[key] = result
+                elif isinstance(complex.derived(key, lambda: result), int):
+                    need(("down part", key[1] + 1, result))
+        for run, (_, q, n, m) in pending:
+            try:
+                run[4] = complex.derived(("record", q, n, m, full), lambda: _combine(
+                    n, (part(("down part", q, n)), part(("up part", q, n, m))), full
+                ))
+            except PslapError as exc:  # kept without the frames that would hold this one
+                run[4] = exc.with_traceback(None)
+    return runs
 
 
-def _run(jobs) -> list:
+def _run(jobs, pool: bool) -> list:
     """The result of every job, (order, build), or the PslapError it raised.
-    Those of order POOL_MIN_ORDER and up are built and solved in the pool,
-    the largest first, and the others in this thread meanwhile.  No job
-    runs after this returns or raises."""
+    With ``pool``, those of order POOL_MIN_ORDER and up are built and solved
+    in the pool, the largest first, and the others in this thread
+    meanwhile; without, all of them here.  No job runs after this returns
+    or raises."""
     jobs = list(jobs)
-    large = sorted((i for i, (order, _) in enumerate(jobs) if order >= POOL_MIN_ORDER),
+    large = sorted((i for i, (order, _) in enumerate(jobs) if pool and order >= POOL_MIN_ORDER),
                    key=lambda i: -jobs[i][0])
     futures = {}
     try:
         if large:
-            pool = _executor()
-            futures = {i: pool.submit(_attempt, jobs[i][1]) for i in large}
+            executor = _executor()
+            futures = {i: executor.submit(_attempt, jobs[i][1]) for i in large}
         inline = {i: _attempt(build) for i, (_, build) in enumerate(jobs) if i not in futures}
         return [futures[i].result() if i in futures else inline[i] for i in range(len(jobs))]
     finally:

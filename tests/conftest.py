@@ -510,6 +510,44 @@ def reference_bars(cx) -> dict:
     return {q: sorted(b) for q, b in bars.items()}
 
 
+def reference_reduce_rational(cx, q: int) -> np.ndarray:
+    """The pivot row of each column of the q boundary (-1 for none) after
+    the left-to-right reduction over the rationals that rebuilds each
+    reduced column from the union of two columns' entries and divides it by
+    the gcd of all of them: the reference for BettiOracle's in-place one."""
+    lows: list = []
+    low_to_col: dict[int, int] = {}
+    columns: dict[int, dict] = {}
+    for faces in cx.face_rows(q).tolist():
+        col: dict[int, int] = {r: (-1) ** i for i, r in enumerate(faces)}
+        while col:
+            low = max(col)
+            k = low_to_col.get(low)
+            if k is None:
+                break
+            other = columns[k]
+            a, b = col[low], other[low]
+            col = {
+                r: v
+                for r in set(col) | set(other)
+                if (v := b * col.get(r, 0) - a * other.get(r, 0)) != 0
+            }
+            if col:
+                g = 0
+                for v in col.values():
+                    g = math.gcd(g, abs(v))
+                if g > 1:
+                    col = {r: v // g for r, v in col.items()}
+        if col:
+            low = max(col)
+            low_to_col[low] = len(lows)
+            columns[len(lows)] = col
+            lows.append(low)
+        else:
+            lows.append(-1)
+    return np.array(lows, dtype=np.int64)
+
+
 # Exact rational ranks by fraction-free elimination, the per-query reference
 # for pslap.oracle.BettiOracle.
 

@@ -371,7 +371,7 @@ def test_pivot_count_certifies_only_full_column_rank():
                 for a in crit:
                     s_t, s_tp = snapshot(cx, a), snapshot(cx, a + p)
                     r_t, c_p = row_count(q, s_t), s_tp.count(q)
-                    c = split(full, s_t, s_tp)
+                    c = int(split(full, r_t, c_p))
                     if c == c_p or (r_t, c, c_p) in seen:
                         continue
                     seen.add((r_t, c, c_p))

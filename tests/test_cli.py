@@ -362,6 +362,43 @@ def test_output_into_a_missing_directory_fails_before_the_build(
     assert not built and list(tmp_path.iterdir()) == []
 
 
+def test_failed_svg_leaves_no_output_behind(tmp_path, monkeypatch, capsys):
+    # every output is written to a temporary file beside it and moved onto
+    # its path only once all are written: an SVG that fails after the CSV
+    # and JSON were written leaves neither, nor any temporary
+    from pslap import dataio
+
+    written = []
+
+    def failing(records, path, title=""):
+        written.extend(sorted(p.name for p in tmp_path.iterdir()))
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(dataio, "write_curves_svg", failing)
+    assert run(
+        "spectra", "--input", SIX, "--critical", "--q", "0,1", "--out", str(tmp_path / "s.csv"),
+        "--json", str(tmp_path / "s.json"), "--svg", str(tmp_path / "s.svg"),
+    ) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("pslap: input error:"), lines
+    assert len(written) == 2 and all(name.endswith(".tmp") for name in written), written
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["spectra", "accumulate"])
+def test_outputs_replace_existing_files_whole(command, tmp_path):
+    # a second run over the same paths replaces each file and leaves no
+    # temporary beside it
+    out = tmp_path / "out.csv"
+    out.write_text("stale\n")
+    argv = [command, "--input", SIX, "--critical", "--out", str(out)]
+    assert run(*argv) == 0
+    first = out.read_bytes()
+    assert first.startswith(b"q,alpha" if command == "spectra" else b"vertex,label")
+    assert run(*argv) == 0
+    assert out.read_bytes() == first and list(tmp_path.iterdir()) == [out]
+
+
 def test_spectra_json_and_svg(tmp_path):
     import json
 

@@ -11,6 +11,7 @@ from conftest import (
     exact_rank_int,
     random_cloud,
     reference_bars,
+    reference_reduce_rational,
 )
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.dataio import read_pdb_ca, read_xyz
@@ -18,6 +19,7 @@ from pslap import oracle
 from pslap.oracle import BettiOracle, betti_from_barcode, reduce
 from pslap.simplices import bound_sq, snapshot
 from pslap.spectra import spectrum_at
+from test_acceptance import CLOUDS_4
 
 
 def test_exact_rank_int_basics():
@@ -142,6 +144,66 @@ def test_array_queries_equal_scalar_queries(monkeypatch, six_complex, icosahedro
     for alpha, p in ((np.array([0.5, -0.1]), 0.0), (np.array([0.5, np.nan]), 0.0), (0.5, -1.0)):
         with pytest.raises(ValueError):
             orc.betti(1, alpha, p)
+
+
+def test_rational_reduction_keeps_the_reference_pivots():
+    # the in-place elimination, which takes the gcd of the entries it wrote,
+    # ends on the pivot rows of the rebuild-and-divide reference on every
+    # input fixture that builds and on the 50 criterion-4 clouds
+    fixtures = [path for path in sorted(DATA.iterdir())
+                if path.suffix in (".xyz", ".pdb") and not path.name.startswith("overflow")]
+    complexes = [
+        alpha_complex(read_pdb_ca(path) if path.suffix == ".pdb" else read_xyz(path))
+        for path in fixtures
+    ] + [alpha_complex(random_cloud(seed, n, d), seed=seed) for seed, n, d in CLOUDS_4]
+    assert len(complexes) == len(fixtures) + 50 >= 60
+    for cx in complexes:
+        orc = BettiOracle(cx)
+        assert sorted(orc._lows) == list(range(1, cx.max_dim + 1))
+        for q, lows in orc._lows.items():
+            assert np.array_equal(lows, reference_reduce_rational(cx, q)), q
+
+
+def test_rational_reduction_of_random_signed_columns():
+    # boundary columns of alpha complexes keep every pivot entry at +-1, so
+    # the steps that scale a column by a pivot that does not divide (about
+    # one trial in five here) and divide out a gcd are taken on random
+    # columns: k distinct rows each, signed (-1)**i by position
+    class Columns:
+        def __init__(self, faces):
+            self.faces = faces
+
+        def face_rows(self, q):
+            return self.faces
+
+    rng = np.random.default_rng(0)
+    orc = BettiOracle.__new__(BettiOracle)
+    for _ in range(500):
+        rows, cols, k = (int(x) for x in rng.integers((4, 4, 2), (9, 12, 5)))
+        orc.complex = Columns(np.array([rng.choice(rows, k, replace=False) for _ in range(cols)]))
+        assert np.array_equal(orc._reduce_rational(1), reference_reduce_rational(orc.complex, 1))
+
+
+@pytest.mark.parametrize("name", ["six_points.xyz", "cloud20_3d.xyz"])
+def test_oracles_agree_at_infinity(name):
+    # an essential bar outlives every alpha + p, inf included: both oracles
+    # give the same Betti numbers at alpha = inf and at alpha + p = inf, for
+    # scalar and array queries
+    cx = alpha_complex(read_xyz(DATA / name))
+    bc, orc = reduce(cx), BettiOracle(cx)
+    crit = critical_alphas(cx)
+    alphas = np.concatenate([crit, [math.inf]])
+    for q in range(4):
+        for alpha, p in ((math.inf, 0.0), (math.inf, 0.3), (0.0, math.inf), (crit[-1], math.inf)):
+            assert betti_from_barcode(bc, q, alpha, p) == orc.betti(q, alpha, p), (q, alpha, p)
+        for p in (0.0, 0.3, math.inf):
+            bars = betti_from_barcode(bc, q, alphas, p)
+            assert bars.tolist() == orc.betti(q, alphas, p).tolist(), (q, p)
+            assert bars.tolist() == [betti_from_barcode(bc, q, a, p) for a in alphas.tolist()]
+    # every bar that never dies: one component, and no cycle of the filled complex
+    essential = [sum(d == math.inf for _, d in bc.bars(q)) for q in range(4)]
+    assert [orc.betti(q, math.inf) for q in range(4)] == essential
+    assert essential[0] == 1
 
 
 def test_triple_agreement_random(six_complex):

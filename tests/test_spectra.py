@@ -21,13 +21,19 @@ from conftest import (
 )
 from pslap import lapack, spectra
 from pslap.alpha import alpha_complex, critical_alphas
-from pslap.dataio import read_pdb_ca
-from pslap.boundary import full_boundary, persistent_boundary
+from pslap.dataio import read_pdb_ca, read_xyz
+from pslap.boundary import full_boundary, kernel_is_trivial, persistent_boundary, split
 from pslap.errors import EigensolveFailure, SnapshotOrderViolation
 from pslap.geometry import PointSet
 from pslap.oracle import BettiOracle
 from pslap.simplices import snapshot
-from pslap.spectra import accumulated_laplacian_diagonal, detect_anomalies, spectrum_at, sweep
+from pslap.spectra import (
+    SpectrumRecord,
+    accumulated_laplacian_diagonal,
+    detect_anomalies,
+    spectrum_at,
+    sweep,
+)
 from test_acceptance import CLOUDS_4
 
 TABLE1_L0 = np.array(
@@ -414,6 +420,122 @@ def test_parts_share_solves_across_keys_q_and_p(monkeypatch):
         for q in (0, 1, 2) for p in (0.0, 0.3) for a in critical_alphas(cx)
     }
     assert 0 < len(reduced) < len(keys), (len(reduced), len(keys))
+
+
+def _fresh(name: str):
+    """A complex of its own, whose memo no other test fills."""
+    return alpha_complex(read_xyz(pathlib.Path(__file__).parent / "data" / name))
+
+
+def test_persistent_boundary_runs_once_per_uncertified_key(monkeypatch):
+    # the sweep plans each key (q, N_q(alpha), N_{q+1}(alpha + p)) once and
+    # calls persistent_boundary only where the Z2 pivot count cannot prove
+    # the kernel of Diff empty: never at p = 0, never for a certified key,
+    # once for every other key, and not again once its part is kept
+    calls, real = [], spectra.persistent_boundary
+
+    def counting(full, snap_t, snap_tp):
+        calls.append((full.q - 1, snap_t.count(full.q - 1), snap_tp.count(full.q)))
+        return real(full, snap_t, snap_tp)
+
+    monkeypatch.setattr(spectra, "persistent_boundary", counting)
+    certified, uncertified = set(), set()  # (input, q, n, m)
+    for name in ("cloud20_3d.xyz", "chain_clean.xyz"):
+        cx = _fresh(name)
+        crit = critical_alphas(cx)
+        sweep(cx, [0, 1, 2], crit)
+        assert calls == [], name
+        solved = set()
+        for p in (0.3, 0.5):
+            calls.clear()
+            sweep(cx, [0, 1, 2], crit, p=p)
+            keys = {(q, snapshot(cx, a).count(q), snapshot(cx, a + p).count(q + 1))
+                    for q in (0, 1, 2) for a in crit}
+            expected = set()
+            for q, n, m in keys:
+                up = full_boundary(cx, q + 1)
+                c = int(split(up, n, m))
+                if n and c < m:
+                    if kernel_is_trivial(up, n, c, m):
+                        certified.add((name, q, n, m))
+                    else:
+                        expected.add((q, n, m))
+            assert len(calls) == len(set(calls)), name
+            assert set(calls) == expected - solved, (name, p)
+            solved |= expected
+            calls.clear()
+            sweep(cx, [0, 1, 2], crit, p=p, full=True)
+            assert calls == [], name
+        uncertified |= {(name, *key) for key in solved}
+    assert len(certified) > 10 and len(uncertified) > 10, (len(certified), len(uncertified))
+
+
+@pytest.mark.parametrize("name", ["cloud20_3d.xyz", "chain_clean.xyz", "grid4.xyz"])
+def test_sweep_records_equal_spectrum_at(name):
+    # spectrum_at is the one-alpha case of the sweep's planner: on a complex
+    # of its own, it gives every sweep record
+    swept, single = _fresh(name), _fresh(name)
+    crit = critical_alphas(swept)
+    for p in (0.0, 0.3, 0.5):
+        records = sweep(swept, [0, 1, 2], crit, p=p)
+        assert [(r.q, r.alpha) for r in records] == [(q, a) for q in (0, 1, 2) for a in crit.tolist()]
+        for rec in records:
+            assert rec == spectrum_at(single, rec.q, rec.alpha, p), (rec.q, rec.alpha, p)
+
+
+def test_failed_part_flags_its_run_and_no_other_row(monkeypatch):
+    # an up part whose solve raises fails the run of alphas with its key,
+    # each row flagged, and no other row; the complex keeps nothing of it,
+    # and spectrum_at at one of those alphas raises the error
+    p, q = 0.3, 1
+    clean = sweep(_fresh("cloud20_3d.xyz"), [q], critical_alphas(_fresh("cloud20_3d.xyz")), p=p)
+    cx = _fresh("cloud20_3d.xyz")
+    crit = critical_alphas(cx)
+    runs: dict = {}  # uncertified key -> its alphas
+    for a in crit.tolist():
+        n, m = snapshot(cx, a).count(q), snapshot(cx, a + p).count(q + 1)
+        up = full_boundary(cx, q + 1)
+        c = int(split(up, n, m))
+        if c < m and not kernel_is_trivial(up, n, c, m):
+            runs.setdefault((n, m), []).append(a)
+    key, alphas = max(runs.items(), key=lambda item: len(item[1]))
+    assert len(alphas) >= 2 and len(runs) >= 2
+    real = spectra._solve_up
+
+    def failing(up, snap_t, snap_tp):
+        if (snap_t.count(q), snap_tp.count(q + 1)) == key:
+            raise EigensolveFailure("LAPACK dstebz failed (info=1)")
+        return real(up, snap_t, snap_tp)
+
+    monkeypatch.setattr(spectra, "_solve_up", failing)
+    records = sweep(cx, [q], crit, p=p)
+    for rec, ref in zip(records, clean, strict=True):
+        if rec.alpha in alphas:
+            assert rec == SpectrumRecord(q, rec.alpha, p, (), 0, None, key[0],
+                                         ("failed:EigensolveFailure",))
+        else:
+            assert rec == ref
+    assert cx.derived(("up part", q, *key)) is None
+    with pytest.raises(EigensolveFailure):
+        spectrum_at(cx, q, alphas[0], p)
+
+
+def test_out_of_order_rows_are_flagged():
+    # p < 0 puts the later snapshot before the earlier: each such row is
+    # flagged failed:SnapshotOrderViolation with its N_q(alpha), and the
+    # sweep goes on; an alpha + p below 0 is a ValueError
+    cx = _fresh("six_points.xyz")
+    crit = critical_alphas(cx)
+    records = sweep(cx, [0, 1], crit[1:], p=-1e-3)
+    assert records and all(
+        rec.flags == ("failed:SnapshotOrderViolation",) and rec.betti == 0
+        and rec.n_simplices == snapshot(cx, rec.alpha).count(rec.q)
+        for rec in records
+    )
+    with pytest.raises(ValueError):
+        sweep(cx, [1], [0.1], p=-0.2)
+    with pytest.raises(ValueError):
+        spectrum_at(cx, 1, math.nan)
 
 
 def test_full_sweep_runs_one_dsterf_per_part(monkeypatch):
