@@ -14,7 +14,7 @@ from .dataio import (
 )
 from .geometry import PointSet, delaunay, orientation
 from .oracle import Barcode, BettiOracle, betti_from_barcode, reduce
-from .simplices import FilteredComplex, Snapshot, snapshot
+from .simplices import FilteredComplex
 from .spectra import (
     SpectrumRecord,
     accumulated_laplacian_diagonal,
@@ -28,7 +28,6 @@ __all__ = [
     "BettiOracle",
     "FilteredComplex",
     "PointSet",
-    "Snapshot",
     "SparseBoundaryMatrix",
     "SpectrumRecord",
     "accumulated_laplacian_diagonal",
@@ -44,7 +43,6 @@ __all__ = [
     "read_pdb_ca",
     "read_xyz",
     "reduce",
-    "snapshot",
     "spectrum_at",
     "sweep",
     "write_curves_svg",

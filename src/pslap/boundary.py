@@ -2,14 +2,16 @@
 
 All bases are filtration-sorted, so a snapshot's boundary matrix is a
 top-left block of the full one, and the simplices added between two
-snapshots occupy a contiguous tail block.  The persistent boundary for a
-snapshot pair is the later boundary matrix on the kernel of the Diff
-operator (its rows for the (q-1)-simplices absent from the earlier
-snapshot).  Diff vanishes on the longest prefix of columns whose faces all
-lie in the earlier snapshot's rows; :func:`persistent_boundary` returns
-that split point and the columns after it in an orthonormal kernel basis,
-or none where an exact Z2 pivot count proves that kernel empty
-(:func:`kernel_is_trivial`).
+snapshots occupy a contiguous tail block.  A snapshot pair enters this
+module as two counts: r_t, the rows of the earlier snapshot's boundary
+(its (q-1)-simplices), and c_p, the columns of the later one's (its
+q-simplices).  The persistent boundary for the pair is the later boundary
+matrix on the kernel of the Diff operator (its rows from r_t on).  Diff
+vanishes on the longest prefix of columns whose faces all lie in the
+first r_t rows; :func:`persistent_boundary` returns that split point and
+the columns after it in an orthonormal kernel basis, or none where an
+exact Z2 pivot count proves that kernel empty (:func:`kernel_is_trivial`).
+That the later snapshot holds the earlier is the caller's to check.
 
 A boundary is stored once per dimension as a face-index array: row j holds
 the row indices of the q+1 faces of q-simplex j, in the (-1)^i sign order of
@@ -29,8 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import LinearSolveFailure, MatrixTooLarge, SnapshotOrderViolation
-from .simplices import FilteredComplex, Snapshot
+from .errors import LinearSolveFailure, MatrixTooLarge
+from .simplices import FilteredComplex
 
 # The largest dense float matrix or block this module allocates: a Hodge part
 # of order n takes 8 n^2 bytes, and a larger one raises MatrixTooLarge.
@@ -194,20 +196,6 @@ def dense_block(full: SparseBoundaryMatrix, r_lo: int, r_hi: int, c_lo: int, c_h
     return out
 
 
-def _row_count(q: int, snap: Snapshot) -> int:
-    return 1 if q == 0 else snap.count(q - 1)
-
-
-def check_order(snap_t: Snapshot, snap_tp: Snapshot) -> None:
-    """Raise SnapshotOrderViolation unless ``snap_tp`` holds ``snap_t``."""
-    if snap_t.alpha_sq > snap_tp.alpha_sq or any(
-        a > b for a, b in zip(snap_t.counts, snap_tp.counts)
-    ):
-        raise SnapshotOrderViolation(
-            f"snapshots out of order: {snap_t.counts} vs {snap_tp.counts}"
-        )
-
-
 def _null_space(d: np.ndarray) -> np.ndarray:
     """Orthonormal basis of ker(d), bit for bit as ``scipy.linalg.null_space``
     computes it: the right singular vectors of one full SVD (LAPACK dgesdd,
@@ -234,36 +222,28 @@ def kernel_is_trivial(full: SparseBoundaryMatrix, r_t: int, c: int, c_p: int) ->
     """Whether ker(Diff) on the columns [c, c_p), Diff their rows from r_t
     on, is proven {0}: there are none, or Diff has full column rank over Z2
     by the pivot count of :attr:`SparseBoundaryMatrix.lows`, and so over Q.
-    For c the split of a snapshot pair, r_t its earlier row count and c_p
-    its later column count, that is the kernel :func:`persistent_boundary`
-    projects onto; Diff vanishes on the columns before c.  False leaves the
-    kernel to the SVD."""
+    For c = ``split(full, r_t, c_p)``, that is the kernel
+    :func:`persistent_boundary` projects onto; Diff vanishes on the columns
+    before c.  False leaves the kernel to the SVD."""
     return c == c_p or int(np.count_nonzero(full.lows[c:c_p] >= r_t)) == c_p - c
 
 
-def persistent_boundary(
-    full: SparseBoundaryMatrix,
-    snap_t: Snapshot,
-    snap_tp: Snapshot,
-) -> tuple[int, np.ndarray]:
+def persistent_boundary(full: SparseBoundaryMatrix, r_t: int, c_p: int) -> tuple[int, np.ndarray]:
     """The split point c and the persistent boundary's columns after it,
-    in an orthonormal basis of the persistent chains.
+    in an orthonormal basis of the persistent chains, for the snapshot pair
+    whose earlier snapshot has r_t (q-1)-simplices (1 for q = 0) and whose
+    later snapshot has c_p q-simplices.
 
-    The persistent boundary B for the snapshot pair has the earlier
-    snapshot's (q-1)-simplices as rows and the later q-simplices as
-    columns.  Its first c columns are the longest prefix whose faces all
-    lie among those rows, c at least the earlier q-simplex count: on them B
-    is the integer boundary B_c.  On the columns c up to the later count it
-    is their boundary B_new on the kernel of Diff, here their rows from the
-    earlier snapshot's count up to 1 + their last face row.  With K an
-    orthonormal basis of that kernel, U = B_new K and
-    B B^T = B_c B_c^T + U U^T.  Where :func:`kernel_is_trivial` proves the
-    kernel empty, U has no columns and no SVD is taken.  Both depend only on
-    the earlier row count and the later column count, so pairs with equal
-    counts give equal results.
+    The persistent boundary B for the pair has the first r_t rows and the
+    first c_p columns.  Its first c columns are the longest prefix whose
+    faces all lie among those rows, c at least the earlier q-simplex count:
+    on them B is the integer boundary B_c.  On the columns c up to c_p it
+    is their boundary B_new on the kernel of Diff, here their rows from r_t
+    up to 1 + their last face row.  With K an orthonormal basis of that
+    kernel, U = B_new K and B B^T = B_c B_c^T + U U^T.  Where
+    :func:`kernel_is_trivial` proves the kernel empty, U has no columns and
+    no SVD is taken.  Pairs with equal counts give equal results.
     """
-    check_order(snap_t, snap_tp)
-    r_t, c_p = _row_count(full.q, snap_t), snap_tp.count(full.q)
     c = int(split(full, r_t, c_p))
     if kernel_is_trivial(full, r_t, c, c_p):
         return c, np.zeros((r_t, 0))

@@ -114,7 +114,8 @@ def _outputs():
     """Yields ``temporary(path)``, which names a new temporary file beside
     ``path`` for the block to write.  Once the block has written them all,
     each is moved onto its path (``os.replace``); if it raises, they are
-    removed, so no path is written unless every one is."""
+    removed, so no path is written unless every one is, and an OSError
+    that names a temporary names its path instead."""
     moves = []  # (temporary, path)
 
     def temporary(path) -> str:
@@ -125,10 +126,12 @@ def _outputs():
         yield temporary
         for written, path in moves:
             os.replace(written, path)
-    except BaseException:
+    except BaseException as exc:
         for written, _ in moves:
             with contextlib.suppress(OSError):
                 os.remove(written)
+        if isinstance(exc, OSError):
+            exc.filename = dict(moves).get(exc.filename, exc.filename)
         raise
 
 

@@ -56,7 +56,9 @@ class AllCoplanar(GeometryError):
 
 
 class SnapshotOrderViolation(PslapError):
-    """Snapshot pair passed in the wrong order (alpha > alpha + p)."""
+    """Snapshot pair in the wrong order, the later snapshot not holding the
+    earlier: p < 0, which ``spectrum_at`` raises and a sweep flags on the
+    row as ``failed:SnapshotOrderViolation``."""
 
 
 class LinearSolveFailure(SolverError):

@@ -172,8 +172,6 @@ class BettiOracle:
         """beta_q^{alpha,p}; ``alpha`` is a float, giving an int, or an
         array, giving one Betti number per entry."""
         alphas = np.atleast_1d(np.asarray(alpha, dtype=float))
-        if not (np.all(alphas >= 0) and np.all(alphas + p >= 0)):  # also rejects NaN
-            raise ValueError(f"alpha and alpha + p must be non-negative, got {alpha} and {p}")
         n_q = count_held(self.complex, q, alphas)
         n_up = count_held(self.complex, q + 1, alphas + p)
         betti = n_q - (self._pivots[q][n_q] if q in self._pivots else 0)

@@ -1,14 +1,13 @@
-"""Simplices, filtered complexes, and snapshot extraction.
+"""Simplices, filtered complexes, and snapshot counts.
 
 A :class:`FilteredComplex` stores every simplex of the final complex together
 with a squared filtration value, and keeps each dimension sorted by
-(value, vertex row).  Every snapshot is then a prefix of that order, which
-is what makes boundary-matrix restriction a top-left block read.
+(value, vertex row).  Every snapshot is then a prefix of that order, named
+by its simplex count per dimension (:func:`count_held`), which is what makes
+boundary-matrix restriction a top-left block read.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,17 +23,6 @@ def bound_sq(alpha: float) -> float:
     membership question (snapshots, critical values, the barcode oracle)
     is answered by comparing a squared value against this bound."""
     return alpha * alpha * (1.0 + REL_TOL) + 1e-300
-
-
-@dataclass(frozen=True)
-class Snapshot:
-    """Per-dimension simplex counts of one alpha-complex snapshot."""
-
-    alpha_sq: float
-    counts: tuple[int, int, int, int]
-
-    def count(self, q: int) -> int:
-        return self.counts[q] if 0 <= q <= MAX_DIM else 0
 
 
 class FilteredComplex:
@@ -174,25 +162,13 @@ def _find_faces(rows: np.ndarray, table: np.ndarray) -> np.ndarray:
     return sorter[at].reshape(rows.shape)
 
 
-def snapshot(complex: FilteredComplex, alpha: float) -> Snapshot:
-    """Snapshot of the filtration at (unsquared) threshold alpha >= 0: the
-    simplices with squared value <= ``bound_sq(alpha)``.  Built once per
-    alpha, as sweeps and oracle queries ask for the same ones."""
-    if not alpha >= 0:  # also rejects NaN
-        raise ValueError(f"alpha must be non-negative, got {alpha}")
-
-    def build():
-        return Snapshot(alpha * alpha, tuple(
-            int(count_held(complex, q, alpha)) for q in range(MAX_DIM + 1)
-        ))
-
-    return complex.derived(("snapshot", alpha), build)
-
-
 def count_held(complex: FilteredComplex, q: int, alpha):
     """N_q(alpha), the number of q-simplices with squared value <=
     ``bound_sq(alpha)``, for one alpha >= 0 or for each of an array of them;
-    0 for a q outside 0..MAX_DIM."""
+    0 for a q outside 0..MAX_DIM.  A negative or NaN alpha is a
+    ValueError, at every q."""
+    if not np.all(np.asarray(alpha) >= 0):  # also rejects NaN
+        raise ValueError(f"alpha must be non-negative, got {np.min(alpha)}")
     if not 0 <= q <= MAX_DIM:
         return np.zeros(np.shape(alpha), dtype=np.intp)
     return np.searchsorted(complex.filtration_values_sq(q), bound_sq(alpha), side="right")

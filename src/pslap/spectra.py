@@ -32,7 +32,7 @@ from .boundary import (
     split,
 )
 from .errors import PslapError, SnapshotOrderViolation
-from .simplices import MAX_DIM, FilteredComplex, Snapshot, count_held, snapshot
+from .simplices import MAX_DIM, FilteredComplex, count_held
 
 # The eigensolver policy (see _part).  An eigenvalue below
 # max(ZERO_ABS, ZERO_REL * lambda_max) counts as zero, and a nonzero/zero
@@ -232,12 +232,13 @@ def _projected_matrix(up: SparseBoundaryMatrix, c: int, u: np.ndarray) -> np.nda
     return a
 
 
-def _solve_up(up: SparseBoundaryMatrix, snap_t: Snapshot, snap_tp: Snapshot) -> HodgePart | int:
-    """The up part of L_q^{alpha,p}, B B^T, from the (q+1) boundary ``up``;
-    or, where B has no columns after the split c and so is B_c, c: the part
-    is then the down part of q + 1 at c.  That holds wherever the kernel of
-    Diff is empty, whether the pivot count proves it or the SVD finds it."""
-    c, u = persistent_boundary(up, snap_t, snap_tp)
+def _solve_up(up: SparseBoundaryMatrix, n: int, m: int) -> HodgePart | int:
+    """The up part of L_q^{alpha,p}, B B^T, from the (q+1) boundary ``up``,
+    n = N_q(alpha) and m = N_{q+1}(alpha + p); or, where B has no columns
+    after the split c and so is B_c, c: the part is then the down part of
+    q + 1 at c.  That holds wherever the kernel of Diff is empty, whether
+    the pivot count proves it or the SVD finds it."""
+    c, u = persistent_boundary(up, n, m)
     if not u.shape[1]:
         return c
     return _solve(_projected_matrix(up, c, u))
@@ -305,15 +306,13 @@ def _plan(complex: FilteredComplex, qs, alphas, p: float, full: bool) -> list:
     """
     a = np.asarray(alphas, dtype=float)
     a_p = a + p
-    if not (np.all(a >= 0) and np.all(a_p >= 0)):  # also rejects NaN
-        raise ValueError(f"alpha and alpha + p must be non-negative, got {alphas} and {p}")
     # N_k at every alpha and alpha + p, k = 0..MAX_DIM, then a row of zeros
-    # that stands for every other k
+    # that stands for every other k; a negative or NaN alpha raises here
     held, held_p = (np.array([count_held(complex, k, x) for k in range(MAX_DIM + 2)])
                     for x in (a, a_p))
-    # boundary.check_order on arrays: the later snapshot must hold the earlier
+    # the snapshot order, checked only here: the later snapshot must hold
+    # the earlier
     unordered = (a * a > a_p * a_p) | np.any(held > held_p, axis=0)
-    pairs = (alphas, held), (a_p.tolist(), held_p)  # the snapshots' alphas and counts
     runs, pending, jobs, failed = [], [], {}, {}
 
     def need(key) -> None:  # the down part (q, n), unless kept or planned
@@ -355,8 +354,7 @@ def _plan(complex: FilteredComplex, qs, alphas, p: float, full: bool) -> list:
                 if isinstance(value, int):
                     need(("down part", q + 1, value))
                 elif value is None:
-                    snaps = (Snapshot(x[i] * x[i], tuple(h[:-1, i].tolist())) for x, h in pairs)
-                    jobs[key] = min(n_i, c), functools.partial(_solve_up, up, *snaps)
+                    jobs[key] = min(n_i, c), functools.partial(_solve_up, up, n_i, m_i)
         largest = max(map(complex.n_simplices, qs), default=0)  # no part of L_q is larger
         pool = pinned and WORKERS > 1 and largest >= POOL_MIN_ORDER
         if pool:  # every worker reads these, so their caches are built first
@@ -439,11 +437,11 @@ def accumulated_laplacian_diagonal(complex: FilteredComplex, alphas) -> np.ndarr
 
     The diagonal of L_0 at one alpha is the vertex degree in the edge set
     present there; the sum over the grid reduces to counting, per edge, the
-    grid values at which it is present, which are those whose snapshot edge
-    count exceeds its position in filtration order.  An all-zero
+    grid values at which it is present, which are those whose edge count
+    N_1(alpha) exceeds its position in filtration order.  An all-zero
     accumulation normalizes to all ones.
     """
-    edge_counts = np.sort([snapshot(complex, a).count(1) for a in alphas])
+    edge_counts = np.sort(count_held(complex, 1, np.asarray(alphas, dtype=float)))
     n = complex.n_simplices(0)
     edges = complex.vertex_rows(1)
     hits = len(edge_counts) - np.searchsorted(edge_counts, np.arange(len(edges)), side="right")

@@ -23,7 +23,7 @@ from pslap.geometry import (
     min_circumsphere_batch,
     side_of_circumsphere_batch,
 )
-from pslap.simplices import MAX_DIM, FilteredComplex, snapshot
+from pslap.simplices import MAX_DIM, FilteredComplex, count_held
 from pslap.spectra import GAP_FACTOR, ZERO_ABS, ZERO_REL, SpectrumRecord
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -112,16 +112,26 @@ def build_complex(simplices, filtration_sq) -> FilteredComplex:
     )
 
 
-def euler_characteristic(snap) -> int:
-    """Alternating sum of simplex counts."""
-    return sum((-1) ** q * n for q, n in enumerate(snap.counts))
+def snapshot_counts(cx, alpha) -> tuple:
+    """The snapshot at alpha as its simplex counts (N_0, ..., N_MAX_DIM)."""
+    return tuple(int(count_held(cx, q, alpha)) for q in range(MAX_DIM + 1))
+
+
+def count_of(counts: tuple, q: int) -> int:
+    """N_q of a snapshot's counts, 0 for a q outside 0..MAX_DIM."""
+    return counts[q] if 0 <= q <= MAX_DIM else 0
+
+
+def euler_characteristic(counts: tuple) -> int:
+    """Alternating sum of a snapshot's simplex counts."""
+    return sum((-1) ** q * n for q, n in enumerate(counts))
 
 
 def prefix_states(cx) -> list:
     """Sorted distinct snapshot counts at each simplex's own alpha: the states
     a sweep over the critical values visits, each exactly once."""
     return sorted({
-        snapshot(cx, math.sqrt(v)).counts
+        snapshot_counts(cx, math.sqrt(v))
         for q in range(cx.max_dim + 1)
         for v in cx.filtration_values_sq(q).tolist()
     })
@@ -460,12 +470,12 @@ def production_boundary(cx, q: int) -> np.ndarray:
 
 def row_count(q: int, snap) -> int:
     """Rows of B_q at a snapshot: its (q-1)-simplices, or one zero row for q=0."""
-    return 1 if q == 0 else snap.count(q - 1)
+    return 1 if q == 0 else count_of(snap, q - 1)
 
 
 def reference_restriction(cx, q: int, snap) -> np.ndarray:
     """B_q at a snapshot: the top-left block of :func:`reference_boundary`."""
-    return reference_boundary(cx, q)[: row_count(q, snap), : snap.count(q)]
+    return reference_boundary(cx, q)[: row_count(q, snap), : count_of(snap, q)]
 
 
 def reference_diff(cx, q: int, snap_t, snap_tp) -> np.ndarray:
@@ -604,8 +614,8 @@ def exact_rank_betti(cx, q: int, alpha: float, p: float = 0.0) -> int:
     The image rank is rank(B_{q+1}^{alpha+p}) - rank(Diff_{q+1}^{alpha,p}),
     both integer matrices, so no rational kernel basis is ever formed.
     """
-    snap_t, snap_tp = snapshot(cx, alpha), snapshot(cx, alpha + p)
-    n_q = snap_t.count(q)
+    snap_t, snap_tp = snapshot_counts(cx, alpha), snapshot_counts(cx, alpha + p)
+    n_q = count_of(snap_t, q)
     if n_q == 0:
         return 0
     rank_bq = exact_rank_int(reference_restriction(cx, q, snap_t))
@@ -638,7 +648,7 @@ def harmonic_projector(d_tail: np.ndarray, down_tail: np.ndarray | None = None) 
 def harmonic_persistent_boundary(cx, q: int, snap_t, snap_tp) -> np.ndarray:
     """Persistent boundary B_q for the snapshot pair (q >= 1) through
     :func:`harmonic_projector`, read from the reference boundaries."""
-    r_t, c_t = row_count(q, snap_t), snap_t.count(q)
+    r_t, c_t = row_count(q, snap_t), count_of(snap_t, q)
     up = reference_restriction(cx, q, snap_tp).astype(float)
     down = reference_restriction(cx, q - 1, snap_tp).astype(float)
     out = up[:r_t].copy()
@@ -651,7 +661,7 @@ def harmonic_persistent_boundary(cx, q: int, snap_t, snap_tp) -> np.ndarray:
 def harmonic_eigenvalues(cx, q: int, alpha: float, p: float) -> np.ndarray:
     """Ascending spectrum of the persistent Laplacian L_q^{alpha,p} with the
     up-term built from :func:`harmonic_persistent_boundary`."""
-    snap_t, snap_tp = snapshot(cx, alpha), snapshot(cx, alpha + p)
+    snap_t, snap_tp = snapshot_counts(cx, alpha), snapshot_counts(cx, alpha + p)
     up = harmonic_persistent_boundary(cx, q + 1, snap_t, snap_tp)
     bq = reference_restriction(cx, q, snap_t).astype(float)
     return np.linalg.eigvalsh(up @ up.T + bq.T @ bq)
@@ -698,7 +708,7 @@ def reference_persistent_boundary(full, snap_t, snap_tp) -> np.ndarray:
     later one, the new columns projected onto ker(Diff)."""
     q = full.q
     r_t, r_p = row_count(q, snap_t), row_count(q, snap_tp)
-    c_t, c_p = snap_t.count(q), snap_tp.count(q)
+    c_t, c_p = count_of(snap_t, q), count_of(snap_tp, q)
     b_top = dense_block(full, 0, r_t, 0, c_p)
     if c_p == c_t:
         return b_top
@@ -712,8 +722,8 @@ def reference_persistent_boundary(full, snap_t, snap_tp) -> np.ndarray:
 def reference_laplacian(cx, q: int, alpha: float, p: float = 0.0) -> np.ndarray:
     """L_q^{alpha,p} = B_up B_up^T + B_q^T B_q by dense products, with B_up
     from :func:`reference_persistent_boundary`."""
-    snap_t, snap_tp = snapshot(cx, alpha), snapshot(cx, alpha + p)
-    bq = dense_block(full_boundary(cx, q), 0, row_count(q, snap_t), 0, snap_t.count(q))
+    snap_t, snap_tp = snapshot_counts(cx, alpha), snapshot_counts(cx, alpha + p)
+    bq = dense_block(full_boundary(cx, q), 0, row_count(q, snap_t), 0, count_of(snap_t, q))
     bup = reference_persistent_boundary(full_boundary(cx, q + 1), snap_t, snap_tp)
     lap = bup @ bup.T + bq.T @ bq
     return 0.5 * (lap + lap.T)

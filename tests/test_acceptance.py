@@ -20,6 +20,7 @@ from conftest import (
     random_cloud,
     reference_laplacian,
     simplex_tuples,
+    snapshot_counts,
     value_of,
 )
 from pslap.alpha import alpha_complex, critical_alphas
@@ -27,7 +28,6 @@ from pslap.cli import DEFAULT_ALPHA_MAX, DEFAULT_ALPHA_MIN, DEFAULT_STEP, main
 from pslap.dataio import read_pdb_ca, read_xyz
 from pslap.geometry import PointSet
 from pslap.oracle import BettiOracle, betti_from_barcode, reduce
-from pslap.simplices import snapshot
 from pslap.spectra import detect_anomalies, spectrum_at, sweep
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -198,7 +198,7 @@ def test_criterion_6_invariant_suite(
             crit = critical_alphas(cx)
             span = crit[-1] - crit[0]
             # each critical alpha is a distinct state, and no state is skipped
-            assert [snapshot(cx, a).counts for a in crit] == prefix_states(cx)
+            assert [snapshot_counts(cx, a) for a in crit] == prefix_states(cx)
             # PSD bound and Euler-Poincare at every critical alpha, p = 0
             by_q = {
                 q: {round(r.alpha, 12): r for r in sweep(cx, [q], crit, p=0.0, full=True)}
@@ -210,7 +210,7 @@ def test_criterion_6_invariant_suite(
                         assert r.eigenvalues[0] >= -1e-9 * max(1.0, r.eigenvalues[-1])
             for a in crit:
                 key = round(float(a), 12)
-                chi = euler_characteristic(snapshot(cx, a))
+                chi = euler_characteristic(snapshot_counts(cx, a))
                 betti_alt = sum(
                     (-1) ** q * by_q[q][key].betti for q in range(cx.max_dim + 1)
                 )

@@ -14,6 +14,7 @@ from conftest import (
     reference_assign_filtration,
     side_of_circumsphere,
     simplex_tuples,
+    snapshot_counts,
     value_of,
 )
 from pslap import geometry
@@ -21,7 +22,7 @@ from pslap.alpha import alpha_complex, assign_filtration, critical_alphas
 from pslap.dataio import read_xyz
 from pslap.errors import NegativeFiltration
 from pslap.geometry import PointSet, delaunay
-from pslap.simplices import FilteredComplex, snapshot
+from pslap.simplices import FilteredComplex
 
 NAMES = "ABCDEF"
 
@@ -276,7 +277,7 @@ def test_snapshot_counts_at_critical_values(six_complex):
     # slack, so both states (one edge, two edges) must be visited
     near_tie = alpha_complex(read_xyz(DATA / "near_tie.xyz"))
     for cx in (six_complex, near_tie):
-        states = [snapshot(cx, a).counts for a in critical_alphas(cx)]
+        states = [snapshot_counts(cx, a) for a in critical_alphas(cx)]
         assert states == prefix_states(cx)
     assert (4, 1, 0, 0) in states and (4, 2, 0, 0) in states
 
@@ -290,7 +291,7 @@ def test_critical_alphas_follow_chained_near_ties():
     values.update({(0, 1): 1.0, (1, 2): 1 + 0.8e-12, (2, 3): 1 + 1.6e-12, (3, 4): 1 + 2.2e-12})
     cx = build_complex(list(values), values)
     crit = critical_alphas(cx)
-    states = [snapshot(cx, a).counts for a in crit]
+    states = [snapshot_counts(cx, a) for a in crit]
     assert states == prefix_states(cx)
     assert [s[1] for s in states] == [0, 2, 3, 4]
 

@@ -20,6 +20,7 @@ from conftest import (
     reference_restriction,
     row_count,
     simplex_index,
+    snapshot_counts,
 )
 from pslap import boundary
 from pslap.alpha import alpha_complex, critical_alphas
@@ -32,8 +33,7 @@ from pslap.boundary import (
     split,
 )
 from pslap.dataio import read_xyz
-from pslap.errors import LinearSolveFailure, MatrixTooLarge, SnapshotOrderViolation
-from pslap.simplices import snapshot
+from pslap.errors import LinearSolveFailure, MatrixTooLarge
 from pslap.spectra import sweep
 
 TABLE1_EDGES = [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (3, 5), (0, 4)]
@@ -67,7 +67,7 @@ def test_b0_is_zero_row():
 
 
 def test_table1_boundary_matrices(six_complex):
-    snap = snapshot(six_complex, 0.6)
+    snap = snapshot_counts(six_complex, 0.6)
     b1 = reference_restriction(six_complex, 1, snap)
     assert b1.shape == (6, 7)
     assert np.array_equal(dense_block(full_boundary(six_complex, 1), 0, 6, 0, 7), b1)
@@ -103,17 +103,17 @@ def test_column_structure(six_complex):
 def test_restrict_blocks(six_complex):
     # a snapshot's boundary is the top-left block of the full matrix
     full = full_boundary(six_complex, 1)
-    low = snapshot(six_complex, 0.1)
-    assert dense_block(full, 0, row_count(1, low), 0, low.count(1)).shape == (6, 0)
-    everything = snapshot(six_complex, math.inf)
-    block = dense_block(full, 0, row_count(1, everything), 0, everything.count(1))
+    low = snapshot_counts(six_complex, 0.1)
+    assert dense_block(full, 0, row_count(1, low), 0, low[1]).shape == (6, 0)
+    everything = snapshot_counts(six_complex, math.inf)
+    block = dense_block(full, 0, row_count(1, everything), 0, everything[1])
     assert block.shape == reference_boundary(six_complex, 1).shape
     assert np.array_equal(block, reference_boundary(six_complex, 1))
 
 
 def _snapshot_pairs(c):
     crit = critical_alphas(c)
-    snaps = [snapshot(c, a) for a in (crit[0], crit[len(crit) // 3], crit[-1], math.inf)]
+    snaps = [snapshot_counts(c, a) for a in (crit[0], crit[len(crit) // 3], crit[-1], math.inf)]
     return [(s_t, s_tp) for i, s_t in enumerate(snaps) for s_tp in snaps[i:]]
 
 
@@ -124,9 +124,9 @@ def test_dense_block_matches_sparse_blocks(six_complex):
             full = full_boundary(c, q)
             for s_t, s_tp in _snapshot_pairs(c):
                 r_t, r_p = row_count(q, s_t), row_count(q, s_tp)
-                c_t, c_p = s_t.count(q), s_tp.count(q)
+                c_t, c_p = s_t[q], s_tp[q]
                 for s in (s_t, s_tp):
-                    block = dense_block(full, 0, row_count(q, s), 0, s.count(q))
+                    block = dense_block(full, 0, row_count(q, s), 0, s[q])
                     assert block.dtype == np.float64 and block.flags.f_contiguous
                     assert np.array_equal(block, reference_restriction(c, q, s))
                 # earlier simplices have no faces among the later rows, so
@@ -167,12 +167,12 @@ def test_dense_block_empty_and_q0(six_complex):
 def _tail(c, q: int, s_t, s_tp) -> np.ndarray:
     """The production Diff tail block: later rows, later columns."""
     return dense_block(
-        full_boundary(c, q), row_count(q, s_t), row_count(q, s_tp), s_t.count(q), s_tp.count(q)
+        full_boundary(c, q), row_count(q, s_t), row_count(q, s_tp), s_t[q], s_tp[q]
     )
 
 
 def test_diff_operator_p0_is_zero(six_complex):
-    snap = snapshot(six_complex, 0.6)
+    snap = snapshot_counts(six_complex, 0.6)
     assert not _tail(six_complex, 1, snap, snap).any()
     assert not reference_diff(six_complex, 1, snap, snap).any()
 
@@ -180,11 +180,11 @@ def test_diff_operator_p0_is_zero(six_complex):
 def test_diff_operator_table2_case(six_complex):
     # all vertices exist at 0.2, so Diff_1 vanishes and the persistent chain
     # space is everything
-    s_t = snapshot(six_complex, 0.2)
-    s_tp = snapshot(six_complex, 0.6)
+    s_t = snapshot_counts(six_complex, 0.2)
+    s_tp = snapshot_counts(six_complex, 0.6)
     assert reference_restriction(six_complex, 1, s_tp).shape == (6, 7)
     assert reference_diff(six_complex, 1, s_t, s_tp).shape == (0, 7)
-    assert _tail(six_complex, 1, s_t, s_tp).shape == (0, 7 - s_t.count(1))
+    assert _tail(six_complex, 1, s_t, s_tp).shape == (0, 7 - s_t[1])
 
 
 def _two_edge_complex():
@@ -198,8 +198,8 @@ def _two_edge_complex():
 def test_diff_operator_two_edges():
     # edge e2 has an endpoint appearing only at alpha+p: its column survives
     c = _two_edge_complex()
-    s_t = snapshot(c, 1.0)
-    s_tp = snapshot(c, 2.0)
+    s_t = snapshot_counts(c, 1.0)
+    s_tp = snapshot_counts(c, 2.0)
     d = reference_diff(c, 1, s_t, s_tp)
     assert d.shape == (1, 2)  # the row of vertex 3
     col = simplex_index(c, 1)
@@ -209,17 +209,8 @@ def test_diff_operator_two_edges():
     assert kernel.shape[1] == 1  # e2 excluded from the persistent chain space
     # production reads only the new edge's column of Diff, and it is nonzero
     tail = _tail(c, 1, s_t, s_tp)
-    assert np.array_equal(tail, d[:, s_t.count(1):])
+    assert np.array_equal(tail, d[:, s_t[1]:])
     assert scipy.linalg.null_space(tail).shape[1] == 0
-
-
-def test_diff_operator_order_violation(six_complex):
-    with pytest.raises(SnapshotOrderViolation):
-        persistent_boundary(
-            full_boundary(six_complex, 1),
-            snapshot(six_complex, 0.6),
-            snapshot(six_complex, 0.2),
-        )
 
 
 def _factored(full, s_t, s_tp) -> np.ndarray:
@@ -227,15 +218,15 @@ def _factored(full, s_t, s_tp) -> np.ndarray:
     split point and the rest in the orthonormal kernel basis production
     returns them in; same Gram matrix B B^T and same rank as the persistent
     boundary."""
-    c, u = persistent_boundary(full, s_t, s_tp)
+    c, u = persistent_boundary(full, row_count(full.q, s_t), s_tp[full.q])
     return np.hstack([dense_block(full, 0, row_count(full.q, s_t), 0, c), u])
 
 
 def test_persistent_boundary_p0_equals_restriction(six_complex):
-    snap = snapshot(six_complex, 0.6)
+    snap = snapshot_counts(six_complex, 0.6)
     full = full_boundary(six_complex, 1)
-    c, u = persistent_boundary(full, snap, snap)
-    assert (c, u.shape) == (snap.count(1), (6, 0))  # no new columns
+    c, u = persistent_boundary(full, row_count(1, snap), snap[1])
+    assert (c, u.shape) == (snap[1], (6, 0))  # no new columns
     assert np.array_equal(_factored(full, snap, snap), reference_restriction(six_complex, 1, snap))
     assert np.array_equal(
         reference_persistent_boundary(full, snap, snap),
@@ -246,11 +237,11 @@ def test_persistent_boundary_p0_equals_restriction(six_complex):
 def test_persistent_boundary_table2(six_complex):
     # every vertex exists at 0.2, so Diff has no rows: the split point is
     # the later edge count and every new edge is an integer column
-    s_t, s_tp = snapshot(six_complex, 0.2), snapshot(six_complex, 0.6)
+    s_t, s_tp = snapshot_counts(six_complex, 0.2), snapshot_counts(six_complex, 0.6)
     full = full_boundary(six_complex, 1)
     b_full = reference_restriction(six_complex, 1, s_tp)
-    c, u = persistent_boundary(full, s_t, s_tp)
-    assert (c, u.shape) == (s_tp.count(1), (6, 0))
+    c, u = persistent_boundary(full, row_count(1, s_t), s_tp[1])
+    assert (c, u.shape) == (s_tp[1], (6, 0))
     assert np.array_equal(_factored(full, s_t, s_tp), b_full)
     assert np.array_equal(reference_persistent_boundary(full, s_t, s_tp), b_full)
 
@@ -265,9 +256,9 @@ def test_split_point_is_longest_face_prefix():
             full = full_boundary(c, q)
             b = reference_boundary(c, q)
             for s_t, s_tp in _snapshot_pairs(c):
-                r_t, c_p = row_count(q, s_t), s_tp.count(q)
-                split, u = persistent_boundary(full, s_t, s_tp)
-                assert s_t.count(q) <= split <= c_p
+                r_t, c_p = row_count(q, s_t), s_tp[q]
+                split, u = persistent_boundary(full, r_t, c_p)
+                assert s_t[q] <= split <= c_p
                 assert not b[r_t:, :split].any()
                 if split < c_p:
                     assert b[r_t:, split].any()
@@ -295,9 +286,9 @@ def test_null_space_failure_is_typed(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     c = _new_vertex_two_edges()
     full = full_boundary(c, 1)
-    s_t, s_tp = snapshot(c, 1.0), snapshot(c, 2.0)
+    s_t, s_tp = snapshot_counts(c, 1.0), snapshot_counts(c, 2.0)
     with pytest.raises(LinearSolveFailure):
-        persistent_boundary(full, s_t, s_tp)
+        persistent_boundary(full, row_count(1, s_t), s_tp[1])
     (rec,) = sweep(c, [0], [1.0], p=1.0)
     assert rec.flags == ("failed:LinearSolveFailure",)
 
@@ -369,8 +360,8 @@ def test_pivot_count_certifies_only_full_column_rank():
             seen = set()
             for p in (0.3, 0.5):
                 for a in crit:
-                    s_t, s_tp = snapshot(cx, a), snapshot(cx, a + p)
-                    r_t, c_p = row_count(q, s_t), s_tp.count(q)
+                    s_t, s_tp = snapshot_counts(cx, a), snapshot_counts(cx, a + p)
+                    r_t, c_p = row_count(q, s_t), s_tp[q]
                     c = int(split(full, r_t, c_p))
                     if c == c_p or (r_t, c, c_p) in seen:
                         continue
@@ -380,7 +371,7 @@ def test_pivot_count_certifies_only_full_column_rank():
                     if kernel_is_trivial(full, r_t, c, c_p):
                         certified += 1
                         assert exact_rank_int(diff) == c_p - c
-                        assert persistent_boundary(full, s_t, s_tp)[1].shape == (r_t, 0)
+                        assert persistent_boundary(full, r_t, c_p)[1].shape == (r_t, 0)
     assert certified > 100, certified
 
 
@@ -448,7 +439,7 @@ def test_persistent_rank_matches_exact_formula():
         span = crit[-1] - crit[0]
         a = float(crit[len(crit) // 3])
         p = float(span / 2)
-        s_t, s_tp = snapshot(c, a), snapshot(c, a + p)
+        s_t, s_tp = snapshot_counts(c, a), snapshot_counts(c, a + p)
         for q in range(1, c.max_dim + 1):
             full = full_boundary(c, q)
             pb = _factored(full, s_t, s_tp)
@@ -467,7 +458,7 @@ def test_methods_agree_on_random_clouds():
         rng = np.random.default_rng(seed)
         a = float(rng.choice(crit[:-1]))
         p = float(span * 0.5)
-        s_t, s_tp = snapshot(c, a), snapshot(c, a + p)
+        s_t, s_tp = snapshot_counts(c, a), snapshot_counts(c, a + p)
         for q in range(1, c.max_dim + 1):
             full = full_boundary(c, q)
             m1 = reference_persistent_boundary(full, s_t, s_tp)
@@ -480,6 +471,6 @@ def test_methods_agree_on_random_clouds():
             assert np.allclose(factored @ factored.T, m2 @ m2.T, atol=1e-8)
             # columns are coordinates in the alpha+p basis, rows in the alpha one
             assert m1.shape == (
-                1 if q == 0 else s_t.count(q - 1),
-                s_tp.count(q),
+                1 if q == 0 else s_t[q - 1],
+                s_tp[q],
             )

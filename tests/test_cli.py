@@ -1,3 +1,4 @@
+import os
 import pathlib
 
 import numpy as np
@@ -383,6 +384,21 @@ def test_failed_svg_leaves_no_output_behind(tmp_path, monkeypatch, capsys):
     assert len(lines) == 1 and lines[0].startswith("pslap: input error:"), lines
     assert len(written) == 2 and all(name.endswith(".tmp") for name in written), written
     assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_names_the_output_path(tmp_path, capsys):
+    # a directory where the SVG's temporary file goes makes its open fail
+    # (whoever runs the test); the error names the SVG's own path
+    svg = tmp_path / "p.svg"
+    blocker = tmp_path / f"{svg}.{os.getpid()}-2.tmp"
+    blocker.mkdir()
+    assert run(
+        "spectra", "--input", SIX, "--critical", "--q", "1", "--out", str(tmp_path / "p.csv"),
+        "--json", str(tmp_path / "p.json"), "--svg", str(svg),
+    ) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and "p.svg" in lines[0] and ".tmp" not in lines[0], lines
+    assert sorted(tmp_path.iterdir()) == [blocker]
 
 
 @pytest.mark.parametrize("command", ["spectra", "accumulate"])

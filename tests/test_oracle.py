@@ -12,12 +12,13 @@ from conftest import (
     random_cloud,
     reference_bars,
     reference_reduce_rational,
+    snapshot_counts,
 )
 from pslap.alpha import alpha_complex, critical_alphas
 from pslap.dataio import read_pdb_ca, read_xyz
 from pslap import oracle
 from pslap.oracle import BettiOracle, betti_from_barcode, reduce
-from pslap.simplices import bound_sq, snapshot
+from pslap.simplices import bound_sq
 from pslap.spectra import spectrum_at
 from test_acceptance import CLOUDS_4
 
@@ -140,7 +141,7 @@ def test_array_queries_equal_scalar_queries(monkeypatch, six_complex, icosahedro
                 assert exact == bars
     assert type(orc.betti(1, 1.0)) is int and type(betti_from_barcode(bc, 1, 1.0)) is int
     assert betti_from_barcode(bc, 1, np.empty(0)).shape == orc.betti(1, np.empty(0)).shape == (0,)
-    # as snapshot does, the exact oracle rejects a negative or NaN alpha or alpha + p
+    # through count_held, the exact oracle rejects a negative or NaN alpha or alpha + p
     for alpha, p in ((np.array([0.5, -0.1]), 0.0), (np.array([0.5, np.nan]), 0.0), (0.5, -1.0)):
         with pytest.raises(ValueError):
             orc.betti(1, alpha, p)
@@ -258,7 +259,7 @@ def test_euler_poincare_from_barcode(six_complex, icosahedron_complex):
     for c in (six_complex, icosahedron_complex):
         bc = reduce(c)
         for a in critical_alphas(c):
-            chi = euler_characteristic(snapshot(c, a))
+            chi = euler_characteristic(snapshot_counts(c, a))
             betti_sum = sum(
                 (-1) ** q * betti_from_barcode(bc, q, a, 0.0) for q in range(4)
             )

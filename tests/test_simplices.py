@@ -15,13 +15,14 @@ from conftest import (
     reference_complex,
     reference_filtration_values,
     simplex_tuples,
+    snapshot_counts,
     value_of,
 )
 from pslap.alpha import alpha_complex
 from pslap.dataio import read_pdb_ca, read_xyz
 from pslap.geometry import delaunay
-from pslap.simplices import MAX_DIM, FilteredComplex, Snapshot, snapshot
-from pslap.spectra import spectrum_at
+from pslap.simplices import MAX_DIM, FilteredComplex, count_held
+from pslap.spectra import accumulated_laplacian_diagonal, spectrum_at
 
 
 def test_build_single_vertex():
@@ -56,25 +57,25 @@ def test_build_pentagon_with_flap():
     values[(3, 4, 5)] = 0.26
     values.update({(v,): 0.0 for v in range(6)})
     c = build_complex(values, values)
-    assert snapshot(c, 1.0).counts == (6, 7, 1, 0)
+    assert snapshot_counts(c, 1.0) == (6, 7, 1, 0)
 
 
 def test_six_point_snapshots(six_complex):
-    assert snapshot(six_complex, 0.2).counts == (6, 0, 0, 0)
-    assert snapshot(six_complex, 0.6).counts == (6, 7, 1, 0)
-    full = snapshot(six_complex, math.inf).counts
+    assert snapshot_counts(six_complex, 0.2) == (6, 0, 0, 0)
+    assert snapshot_counts(six_complex, 0.6) == (6, 7, 1, 0)
+    full = snapshot_counts(six_complex, math.inf)
     assert full == tuple(six_complex.n_simplices(q) for q in range(4))
 
 
 def test_snapshot_at_zero(six_complex):
-    assert snapshot(six_complex, 0.0).counts == (6, 0, 0, 0)
+    assert snapshot_counts(six_complex, 0.0) == (6, 0, 0, 0)
 
 
 def test_snapshot_monotone_in_alpha(six_complex):
     alphas = np.linspace(0.0, 1.2, 25)
     prev = (0, 0, 0, 0)
     for a in alphas:
-        cur = snapshot(six_complex, a).counts
+        cur = snapshot_counts(six_complex, a)
         assert all(x >= y for x, y in zip(cur, prev))
         prev = cur
 
@@ -83,12 +84,26 @@ def test_snapshot_threshold_domain(six_complex):
     # infinity admits everything; NaN and negative thresholds are errors,
     # not a full or empty complex, and they reach spectrum_at's caller
     full = tuple(six_complex.n_simplices(q) for q in range(4))
-    assert snapshot(six_complex, math.inf).counts == full
+    assert snapshot_counts(six_complex, math.inf) == full
     for bad in (math.nan, -0.1, -math.inf):
         with pytest.raises(ValueError):
-            snapshot(six_complex, bad)
+            snapshot_counts(six_complex, bad)
         with pytest.raises(ValueError):
             spectrum_at(six_complex, 1, bad)
+
+
+@pytest.mark.parametrize("bad", [-0.1, -math.inf, math.nan])
+def test_count_held_rejects_negative_and_nan(six_complex, bad):
+    # count_held is the one place a threshold is checked: a negative or NaN
+    # alpha raises at every q, one outside 0..MAX_DIM included, alone or
+    # among valid ones
+    for q in range(-1, MAX_DIM + 2):
+        for alpha in (bad, np.array([0.5, bad, 1.0])):
+            with pytest.raises(ValueError):
+                count_held(six_complex, q, alpha)
+        assert count_held(six_complex, q, np.array([0.0, math.inf])).shape == (2,)
+    with pytest.raises(ValueError):
+        accumulated_laplacian_diagonal(six_complex, [0.5, bad])
 
 
 def test_snapshot_includes_its_own_critical_value():
@@ -98,17 +113,13 @@ def test_snapshot_includes_its_own_critical_value():
         [(0,), (1,), (0, 1)],
         {(0,): 0.0, (1,): 0.0, (0, 1): val},
     )
-    assert snapshot(c, math.sqrt(val)).counts[1] == 1
+    assert snapshot_counts(c, math.sqrt(val))[1] == 1
 
 
 def test_euler_characteristic():
-    assert euler_characteristic(snapshot_like((6, 0, 0, 0))) == 6
-    assert euler_characteristic(snapshot_like((6, 7, 1, 0))) == 0
-    assert euler_characteristic(snapshot_like((4, 6, 4, 1))) == 1
-
-
-def snapshot_like(counts):
-    return Snapshot(alpha_sq=1.0, counts=counts)
+    assert euler_characteristic((6, 0, 0, 0)) == 6
+    assert euler_characteristic((6, 7, 1, 0)) == 0
+    assert euler_characteristic((4, 6, 4, 1)) == 1
 
 
 def test_filtration_order_is_value_then_lex():

@@ -18,6 +18,7 @@ from conftest import (
     reference_laplacian,
     reference_persistent_boundary,
     reference_spectrum,
+    snapshot_counts,
 )
 from pslap import lapack, spectra
 from pslap.alpha import alpha_complex, critical_alphas
@@ -26,7 +27,6 @@ from pslap.boundary import full_boundary, kernel_is_trivial, persistent_boundary
 from pslap.errors import EigensolveFailure, SnapshotOrderViolation
 from pslap.geometry import PointSet
 from pslap.oracle import BettiOracle
-from pslap.simplices import snapshot
 from pslap.spectra import (
     SpectrumRecord,
     accumulated_laplacian_diagonal,
@@ -132,16 +132,16 @@ def test_psd_and_symmetry(six_complex, icosahedron_complex):
         for p in (0.0, (crit[-1] - crit[0]) / 3.0):
             for q in range(min(cx.max_dim, 2) + 1):
                 for a in crit[::stride]:
-                    s_t, s_tp = snapshot(cx, a), snapshot(cx, a + p)
-                    if s_t.count(q) == 0:
+                    s_t, s_tp = snapshot_counts(cx, a), snapshot_counts(cx, a + p)
+                    if s_t[q] == 0:
                         continue
-                    lambda_down = check_integer(q, s_t.count(q))
+                    lambda_down = check_integer(q, s_t[q])
                     up = full_boundary(cx, q + 1)
-                    c, u = persistent_boundary(up, s_t, s_tp)
-                    if s_tp.count(q + 1) == s_t.count(q + 1):
-                        assert (c, u.shape[1]) == (s_t.count(q + 1), 0)
+                    c, u = persistent_boundary(up, s_t[q], s_tp[q + 1])
+                    if s_tp[q + 1] == s_t[q + 1]:
+                        assert (c, u.shape[1]) == (s_t[q + 1], 0)
                         check_integer(q + 1, c)
-                        exact.add((i, q, s_t.counts))
+                        exact.add((i, q, s_t))
                         continue
                     projected += 1
                     if not u.shape[1]:
@@ -317,7 +317,7 @@ def test_sweep_builds_one_laplacian_per_count_key(monkeypatch):
     }
     alphas = [math.sqrt(2.0), math.sqrt(3.0)]
     cx = build_complex(list(values), values)
-    assert [snapshot(cx, a).counts for a in alphas] == [(4, 6, 4, 0), (4, 6, 4, 1)]
+    assert [snapshot_counts(cx, a) for a in alphas] == [(4, 6, 4, 0), (4, 6, 4, 1)]
     reduced = _count_reductions(monkeypatch)
     spectrum_at(build_complex(list(values), values), 1, alphas[0])
     alone = len(reduced)
@@ -335,8 +335,8 @@ def test_sweep_builds_one_laplacian_per_count_key(monkeypatch):
     values = {(0,): 0.0, (1,): 0.0, (2,): 0.0, (0, 1): 1.0, (1, 2): 4.0}
     cx = build_complex(list(values), values)
     alphas, p = [1.0, 2.0], 3.0
-    assert [snapshot(cx, a).counts for a in alphas] == [(3, 1, 0, 0), (3, 2, 0, 0)]
-    assert [snapshot(cx, a + p).count(1) for a in alphas] == [2, 2]
+    assert [snapshot_counts(cx, a) for a in alphas] == [(3, 1, 0, 0), (3, 2, 0, 0)]
+    assert [snapshot_counts(cx, a + p)[1] for a in alphas] == [2, 2]
     reduced.clear()
     first, second = sweep(cx, [0], alphas, p=p)
     assert reduced == [2]
@@ -360,7 +360,7 @@ def test_equal_keys_give_equal_laplacians(cloud20_complex, chain_clean_complex):
             for q in (0, 1, 2):
                 for a, from_sweep in zip(crit, sweep(cx, [q], crit, p)):
                     assert from_sweep == spectrum_at(cx, q, a, p), (q, a, p)
-                    key = (q, snapshot(cx, a).count(q), snapshot(cx, a + p).count(q + 1))
+                    key = (q, snapshot_counts(cx, a)[q], snapshot_counts(cx, a + p)[q + 1])
                     if key in first:
                         assert replace(first[key], alpha=a, p=p) == from_sweep, (key, a, p)
                         repeats += 1
@@ -381,7 +381,7 @@ def test_record_memo_hides_no_order_error_and_keeps_no_failure(six_points, monke
     }
     cx = build_complex(list(values), values)
     a, p = math.sqrt(3.0), -0.01
-    assert snapshot(cx, a + p).count(2) == snapshot(cx, a).count(2)
+    assert snapshot_counts(cx, a + p)[2] == snapshot_counts(cx, a)[2]
     spectrum_at(cx, 1, a, 0.0)
     with pytest.raises(SnapshotOrderViolation):
         spectrum_at(cx, 1, a, p)
@@ -416,7 +416,7 @@ def test_parts_share_solves_across_keys_q_and_p(monkeypatch):
         assert main(["validate", "--input", path, "--q", "0,1,2", "--p", "0,0.3"]) == 0
     cx = alpha_complex(read_xyz(path))
     keys = {
-        (q, snapshot(cx, a).count(q), snapshot(cx, a + p).count(q + 1))
+        (q, snapshot_counts(cx, a)[q], snapshot_counts(cx, a + p)[q + 1])
         for q in (0, 1, 2) for p in (0.0, 0.3) for a in critical_alphas(cx)
     }
     assert 0 < len(reduced) < len(keys), (len(reduced), len(keys))
@@ -434,9 +434,9 @@ def test_persistent_boundary_runs_once_per_uncertified_key(monkeypatch):
     # once for every other key, and not again once its part is kept
     calls, real = [], spectra.persistent_boundary
 
-    def counting(full, snap_t, snap_tp):
-        calls.append((full.q - 1, snap_t.count(full.q - 1), snap_tp.count(full.q)))
-        return real(full, snap_t, snap_tp)
+    def counting(full, r_t, c_p):
+        calls.append((full.q - 1, r_t, c_p))
+        return real(full, r_t, c_p)
 
     monkeypatch.setattr(spectra, "persistent_boundary", counting)
     certified, uncertified = set(), set()  # (input, q, n, m)
@@ -449,7 +449,7 @@ def test_persistent_boundary_runs_once_per_uncertified_key(monkeypatch):
         for p in (0.3, 0.5):
             calls.clear()
             sweep(cx, [0, 1, 2], crit, p=p)
-            keys = {(q, snapshot(cx, a).count(q), snapshot(cx, a + p).count(q + 1))
+            keys = {(q, snapshot_counts(cx, a)[q], snapshot_counts(cx, a + p)[q + 1])
                     for q in (0, 1, 2) for a in crit}
             expected = set()
             for q, n, m in keys:
@@ -493,7 +493,7 @@ def test_failed_part_flags_its_run_and_no_other_row(monkeypatch):
     crit = critical_alphas(cx)
     runs: dict = {}  # uncertified key -> its alphas
     for a in crit.tolist():
-        n, m = snapshot(cx, a).count(q), snapshot(cx, a + p).count(q + 1)
+        n, m = snapshot_counts(cx, a)[q], snapshot_counts(cx, a + p)[q + 1]
         up = full_boundary(cx, q + 1)
         c = int(split(up, n, m))
         if c < m and not kernel_is_trivial(up, n, c, m):
@@ -502,10 +502,10 @@ def test_failed_part_flags_its_run_and_no_other_row(monkeypatch):
     assert len(alphas) >= 2 and len(runs) >= 2
     real = spectra._solve_up
 
-    def failing(up, snap_t, snap_tp):
-        if (snap_t.count(q), snap_tp.count(q + 1)) == key:
+    def failing(up, n, m):
+        if (n, m) == key:
             raise EigensolveFailure("LAPACK dstebz failed (info=1)")
-        return real(up, snap_t, snap_tp)
+        return real(up, n, m)
 
     monkeypatch.setattr(spectra, "_solve_up", failing)
     records = sweep(cx, [q], crit, p=p)
@@ -529,7 +529,7 @@ def test_out_of_order_rows_are_flagged():
     records = sweep(cx, [0, 1], crit[1:], p=-1e-3)
     assert records and all(
         rec.flags == ("failed:SnapshotOrderViolation",) and rec.betti == 0
-        and rec.n_simplices == snapshot(cx, rec.alpha).count(rec.q)
+        and rec.n_simplices == snapshot_counts(cx, rec.alpha)[rec.q]
         for rec in records
     )
     with pytest.raises(ValueError):
@@ -816,10 +816,27 @@ def test_accumulated_diagonal_rules():
     )
     at = [np.sqrt(v1), np.sqrt(v2)]
     below = [np.sqrt(v1), np.sqrt(v2) * (1 - 1e-9)]
-    assert [snapshot(path, a).count(1) for a in at] == [1, 2]
-    assert [snapshot(path, a).count(1) for a in below] == [1, 1]
+    assert [snapshot_counts(path, a)[1] for a in at] == [1, 2]
+    assert [snapshot_counts(path, a)[1] for a in below] == [1, 1]
     assert np.array_equal(accumulated_laplacian_diagonal(path, at), [2 / 3, 1.0, 1 / 3])
     assert np.array_equal(accumulated_laplacian_diagonal(path, below), [1.0, 1.0, 0.0])
+
+
+def test_memo_does_not_grow_with_the_alphas():
+    # the complex keeps what it derives from counts, not from each alpha:
+    # 10 or 1 000 alphas between two critical values, through the
+    # accumulated diagonal and a sweep, leave as many entries on a fresh
+    # complex
+    sizes = []
+    for count in (10, 1000):
+        cx = _fresh("cloud20_3d.xyz")
+        crit = critical_alphas(cx)
+        alphas = np.linspace(crit[len(crit) // 2], crit[len(crit) // 2 + 1], count, endpoint=False)
+        assert len(set(alphas.tolist())) == count
+        accumulated_laplacian_diagonal(cx, alphas)
+        sweep(cx, [0, 1, 2], alphas)
+        sizes.append(len(cx._derived))
+    assert sizes[0] == sizes[1], sizes
 
 
 def test_detect_anomalies_fixture():
